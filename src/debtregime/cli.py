@@ -2,8 +2,8 @@
 
 Subcommands: scenario, clock, bounds, closure (with --sweep), transition,
 infer, mc, tables.  Global flags: --config, --seed, --out, --format,
---threads (speed only, never results).  Exit codes: 0 success, 1 usage,
-2 configuration, 3 numeric/domain.
+--threads (accepted for compatibility; the engine runs batched on one
+thread).  Exit codes: 0 success, 1 usage, 2 configuration, 3 numeric/domain.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import sys
 from typing import List, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .closure import solve_premium
 from .core import check_scope, stability_surplus, step_debt
@@ -55,7 +56,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--format", default="csv", choices=["csv"])
     parser.add_argument(
         "--threads", type=int, default=1,
-        help="worker threads (affects speed only, never results)",
+        help="accepted for compatibility; the engine runs batched on one thread",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -262,13 +263,16 @@ def _cmd_infer(scenario: Scenario, args) -> int:
         )
     lower = stack.min(axis=0)
     upper = stack.max(axis=0)
-    rem_lo = detrend_local_linear(lower, cfg.window_h)["remainder"]
-    rem_up = detrend_local_linear(upper, cfg.window_h)["remainder"]
+    rem = detrend_local_linear(np.vstack([lower, upper]), cfg.window_h)["remainder"]
+    # the band at period i reads the trailing window ending at i
+    c_lo_all, c_up_all = subsample_critical_value(
+        sliding_window_view(rem, cfg.window_h, axis=-1), cfg
+    ).tolist()
     rows = []
     for i in range(n):
         if i + 1 >= cfg.window_h:
-            c_lo = subsample_critical_value(rem_lo[: i + 1], cfg)
-            c_up = subsample_critical_value(rem_up[: i + 1], cfg)
+            c_lo = c_lo_all[i + 1 - cfg.window_h]
+            c_up = c_up_all[i + 1 - cfg.window_h]
             env = envelope(
                 {f"s{j}": float(stack[j, i]) for j in range(len(series_list))}, t=i
             )

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .closure import TwoLayerParams, demand_at
 from .errors import ConfigError, DomainError, EstimationError
@@ -185,36 +186,46 @@ def envelope(
     )
 
 
+def _line_fit(y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """OLS line through y along its last axis, as (mean, slope) on the centred
+    time index c = j - (m - 1) / 2; since sum(c) = 0 the slope is
+    sum(c * y) / sum(c**2) and the fitted value at c is mean + slope * c."""
+    m = y.shape[-1]
+    c = np.arange(m) - (m - 1) / 2.0
+    return y.mean(axis=-1), (y * c).sum(axis=-1) / (m * (m * m - 1) / 12.0)
+
+
 def detrend_local_linear(series: Sequence[float], window_h: int) -> dict:
     """Local-linear trend via moving least-squares line fits.
 
     Each point's trend value comes from the OLS line fit on the length-
     window_h window centered on it (clamped at the edges, so the first and
-    last points reuse the end windows).  Fitting an exact line leaves a
-    remainder at rounding level.
+    last points reuse the end windows).  The fits are closed form: each
+    distinct window's mean and centred-index slope is computed once over a
+    sliding window view, and every point evaluates the line of its window.
+    A `[..., n]` array is detrended row by row along its last axis.
+    Fitting an exact line leaves a remainder at rounding level.
     """
     y = np.asarray(series, dtype=float)
-    n = len(y)
+    n = y.shape[-1]
     if window_h < 4:
         raise EstimationError(f"window_h must be >= 4, got {window_h}")
     if n < window_h:
         raise EstimationError(f"series length {n} shorter than window {window_h}")
-    t = np.arange(n, dtype=float)
-    trend = np.empty(n)
-    half = window_h // 2
-    for i in range(n):
-        start = min(max(i - half, 0), n - window_h)
-        tt = t[start : start + window_h]
-        yy = y[start : start + window_h]
-        X = np.column_stack([np.ones(window_h), tt])
-        coef, *_ = np.linalg.lstsq(X, yy, rcond=None)
-        trend[i] = coef[0] + coef[1] * t[i]
+    if not np.isfinite(y).all():
+        raise EstimationError("series contains non-finite values")
+    # contiguous windows make every row reduce in the same order as a 1-D call
+    windows = np.ascontiguousarray(sliding_window_view(y, window_h, axis=-1))
+    mean, slope = _line_fit(windows)
+    i = np.arange(n)
+    start = np.clip(i - window_h // 2, 0, n - window_h)
+    trend = mean[..., start] + slope[..., start] * (i - start - (window_h - 1) / 2.0)
     return {"trend": trend, "remainder": y - trend}
 
 
 def subsample_critical_value(
     remainder: Sequence[float], cfg: SubsampleConfig
-) -> float:
+) -> Union[float, np.ndarray]:
     """Band half-width from block subsampling of a detrended remainder.
 
     Over the trailing window of length window_h: tau = window mean; for each
@@ -224,25 +235,34 @@ def subsample_critical_value(
 
     Fewer than 5 blocks triggers the maximally conservative fallback: the
     largest absolute remainder deviation in the window.
+
+    A 1-D remainder gives a float; a `[..., n]` array gives one half-width
+    per row, each equal to the 1-D call on that row.
     """
     r = np.asarray(remainder, dtype=float)
-    if len(r) < cfg.window_h:
-        raise EstimationError(
-            f"remainder length {len(r)} shorter than window {cfg.window_h}"
-        )
-    window = r[-cfg.window_h :]
     h = cfg.window_h
+    if r.shape[-1] < h:
+        raise EstimationError(
+            f"remainder length {r.shape[-1]} shorter than window {h}"
+        )
+    window = np.ascontiguousarray(r[..., -h:])
+    if not np.isfinite(window).all():
+        raise EstimationError("remainder window contains non-finite values")
     ell = cfg.block_len
-    tau = float(window.mean())
+    tau = window.mean(axis=-1)
     n_blocks = h - ell + 1
     if n_blocks < 5:
-        return float(np.max(np.abs(window - tau)))
-    block_means = np.convolve(window, np.ones(ell) / ell, mode="valid")
-    devs = math.sqrt(ell) * (block_means - tau)
-    devs_sorted = np.sort(devs)
-    k = math.ceil((1.0 - cfg.alpha) * n_blocks)  # type-1 (right-continuous) quantile
-    q = devs_sorted[min(max(k, 1), n_blocks) - 1]
-    return max(0.0, float(q) / math.sqrt(h))
+        half = np.max(np.abs(window - tau[..., None]), axis=-1)
+    else:
+        # block sums accumulate one offset at a time: the same order per row
+        block_sums = window[..., :n_blocks]
+        for j in range(1, ell):
+            block_sums = block_sums + window[..., j : j + n_blocks]
+        devs = math.sqrt(ell) * (block_sums / ell - tau[..., None])
+        k = math.ceil((1.0 - cfg.alpha) * n_blocks)  # type-1 (right-continuous) quantile
+        q = np.sort(devs, axis=-1)[..., min(max(k, 1), n_blocks) - 1]
+        half = np.maximum(0.0, q / math.sqrt(h))
+    return float(half) if r.ndim == 1 else half
 
 
 def classify(env: TierEnvelope, c_lower: float, c_upper: float, mode: str) -> str:
@@ -297,8 +317,5 @@ def trend_growth_estimate(
     tail = y[-window_quarters:]
     if np.any(tail <= 0):
         raise DomainError("GDP values must be strictly positive")
-    logy = np.log(tail)
-    t = np.arange(window_quarters, dtype=float)
-    X = np.column_stack([np.ones(window_quarters), t])
-    coef, *_ = np.linalg.lstsq(X, logy, rcond=None)
-    return float(coef[1]) * 4.0
+    _, slope = _line_fit(np.log(tail))
+    return float(slope) * 4.0

@@ -4,14 +4,16 @@ Two experiments: the premium-emergence boundary classifier (tiered envelope
 with subsampling bands versus naive point rules) and the transition-
 feasibility margin classifier (debt-concept ambiguity).  Replications are
 independent; each derives its generator from seed XOR replication index, so
-results are bit-identical for a fixed seed regardless of worker count or
-scheduling.
+results are bit-identical for a fixed seed.  The replications run batched as
+[replication, period] arrays on one thread: each envelope is detrended once
+per horizon and each band is computed once per block length for all
+replications.  The `threads` parameter is accepted for compatibility and has
+no effect.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -26,11 +28,12 @@ from .closure import (
 )
 from .errors import DomainError
 from .inference import (
+    PE_LABELS,
+    TF_LABELS,
     SubsampleConfig,
     TierEnvelope,
     classify,
     detrend_local_linear,
-    label_covers,
     subsample_critical_value,
 )
 
@@ -229,47 +232,72 @@ def _horizon_indices(cfg: MCConfig) -> List[int]:
     return idx
 
 
-def _band_classify(
-    lower: np.ndarray,
-    upper: np.ndarray,
+def _bands(
+    series: np.ndarray,
     q: int,
     window_h: int,
-    block_len: int,
+    blocks: Sequence[int],
     alpha: float,
-    mode: str,
     detrend: bool = True,
-) -> str:
-    """Detrended subsampling band around an envelope, then the sign rule."""
-    w = min(window_h, q + 1)
-    lo_win = lower[q + 1 - w : q + 1]
-    up_win = upper[q + 1 - w : q + 1]
-    ell = min(block_len, w - 1)
-    cfg_eff = SubsampleConfig(window_h=w, block_len=ell, alpha=alpha)
-    if detrend:
-        rem_lo = detrend_local_linear(lo_win, w)["remainder"]
-        rem_up = detrend_local_linear(up_win, w)["remainder"]
-    else:
-        rem_lo = lo_win - lo_win.mean()
-        rem_up = up_win - up_win.mean()
-    c_lo = subsample_critical_value(rem_lo, cfg_eff)
-    c_up = subsample_critical_value(rem_up, cfg_eff)
-    env = TierEnvelope(
-        t=q, lower=float(lower[q]), upper=float(upper[q]),
-        argmin_id="", argmax_id="",
-    )
-    return classify(env, c_lo, c_up, mode)
+) -> np.ndarray:
+    """Band half-widths [n_blocks, R] over the trailing window ending at q.
 
-
-def _pe_replication(cfg: MCConfig, rep: int) -> np.ndarray:
-    """Label outcomes for one replication.
-
-    Returns an array [n_horizons, n_blocks, n_methods, 4] of indicator
-    metrics (false_safety, false_alarm, covered, warning); the block axis
-    enumerates cfg.block_grid for the tier methods and repeats the default
-    block for the rest.
+    The window is detrended (or demeaned) once; each block length then runs
+    the subsampling kernel on all replications at once.
     """
-    paths = simulate_pe_paths(cfg, rep)
-    theta_obs, z, true_scores = paths["theta_obs"], paths["z"], paths["true_scores"]
+    w = min(window_h, q + 1)
+    win = series[:, q + 1 - w : q + 1]
+    if detrend:
+        rem = detrend_local_linear(win, w)["remainder"]
+    else:
+        rem = win - win.mean(axis=1, keepdims=True)
+    return np.array([
+        subsample_critical_value(
+            rem, SubsampleConfig(window_h=w, block_len=min(ell, w - 1), alpha=alpha)
+        )
+        for ell in blocks
+    ])
+
+
+def _labels(
+    lower: np.ndarray, upper: np.ndarray, c_lo: np.ndarray, c_up: np.ndarray, mode: str
+) -> np.ndarray:
+    """Sign-rule label of each replication's widened envelope at one period."""
+    return np.array([
+        classify(TierEnvelope(t=0, lower=lo, upper=up, argmin_id="", argmax_id=""),
+                 cl, cu, mode)
+        for lo, up, cl, cu in zip(
+            lower.tolist(), upper.tolist(), c_lo.tolist(), c_up.tolist()
+        )
+    ])
+
+
+def _outcomes(
+    label: np.ndarray, truth_positive: np.ndarray, labels: Sequence[str]
+) -> np.ndarray:
+    """[R, 4] indicators per replication: false positive, false negative,
+    covered (the label's set contains the truth), set-valued middle label.
+    `labels` is (positive, middle, negative) as in PE_LABELS / TF_LABELS."""
+    positive, middle, negative = labels
+    false_pos = (label == positive) & ~truth_positive
+    false_neg = (label == negative) & truth_positive
+    covered = ~(false_pos | false_neg)
+    return np.stack([false_pos, false_neg, covered, label == middle], axis=-1)
+
+
+def run_mc_pe(cfg: MCConfig, threads: int = 1) -> dict:
+    """Premium-emergence classifier comparison.
+
+    Returns rows keyed (horizon_yr, method, block_len) with false_safety,
+    false_alarm, coverage, and warning rates in percent.  Non-envelope
+    methods are reported at the default block length only; the proposed tier
+    methods appear once per entry of the block grid.  `threads` is accepted
+    for compatibility and has no effect.
+    """
+    paths = [simulate_pe_paths(cfg, rep) for rep in range(cfg.n_reps)]
+    theta_obs, z, true_scores = (
+        np.stack([p[key] for p in paths]) for key in ("theta_obs", "z", "true_scores")
+    )
     shift = cfg.theta_reading_shift
 
     variant_scores = {
@@ -291,73 +319,46 @@ def _pe_replication(cfg: MCConfig, rep: int) -> np.ndarray:
     }
     tier2_ids = ("baseline", "theta_minus", "theta_plus")
     tier3_ids = tier2_ids + ("g_concave", "g_convex")
-    stack2 = np.vstack([variant_scores[i] for i in tier2_ids])
-    stack3 = np.vstack([variant_scores[i] for i in tier3_ids])
+    stack2 = np.stack([variant_scores[i] for i in tier2_ids])
+    stack3 = np.stack([variant_scores[i] for i in tier3_ids])
     lo2, up2 = stack2.min(axis=0), stack2.max(axis=0)
     lo3, up3 = stack3.min(axis=0), stack3.max(axis=0)
     base_series = variant_scores["baseline"]
 
     horizons = _horizon_indices(cfg)
     blocks = list(cfg.block_grid)
-    out = np.zeros((len(horizons), len(blocks), len(PE_METHODS), 4))
+    # [rep, horizon, block, method, metric] indicators (false_safety,
+    # false_alarm, covered, warning); the block axis enumerates the grid for
+    # the band methods and repeats the default block for the rest
+    out = np.zeros((cfg.n_reps, len(horizons), len(blocks), len(PE_METHODS), 4))
     for hi, q in enumerate(horizons):
-        truth_interior = true_scores[q] > 0.0
-        point = base_series[q]
-        for bi, ell in enumerate(blocks):
+        truth_interior = true_scores[:, q] > 0.0
+        point = base_series[:, q]
+        c_lo2, c_up2, c_lo3, c_up3 = (
+            _bands(s, q, cfg.window_h, blocks, cfg.alpha) for s in (lo2, up2, lo3, up3)
+        )
+        c_fix = _bands(base_series, q, cfg.window_h, blocks, cfg.alpha, detrend=False)
+        for bi in range(len(blocks)):
             labels = {
-                "proposed_tier2": _band_classify(
-                    lo2, up2, q, cfg.window_h, ell, cfg.alpha, "PE"
+                "proposed_tier2": _labels(
+                    lo2[:, q], up2[:, q], c_lo2[bi], c_up2[bi], "PE"
                 ),
-                "proposed_tier3": _band_classify(
-                    lo3, up3, q, cfg.window_h, ell, cfg.alpha, "PE"
+                "proposed_tier3": _labels(
+                    lo3[:, q], up3[:, q], c_lo3[bi], c_up3[bi], "PE"
                 ),
-                "naive_plugin": (
-                    "robustly-interior" if point > 0 else "robustly-premium-emergent"
+                "naive_plugin": np.where(
+                    point > 0, "robustly-interior", "robustly-premium-emergent"
                 ),
-                "single_threshold": (
-                    "robustly-interior"
-                    if point > cfg.dead_zone
-                    else "robustly-premium-emergent"
-                    if point < -cfg.dead_zone
-                    else "boundary-near"
+                "single_threshold": np.select(
+                    [point > cfg.dead_zone, point < -cfg.dead_zone],
+                    ["robustly-interior", "robustly-premium-emergent"],
+                    "boundary-near",
                 ),
-                "fixed_spec": _band_classify(
-                    base_series, base_series, q, cfg.window_h, ell, cfg.alpha,
-                    "PE", detrend=False,
-                ),
+                "fixed_spec": _labels(point, point, c_fix[bi], c_fix[bi], "PE"),
             }
             for mi, method in enumerate(PE_METHODS):
-                label = labels[method]
-                is_interior = label == "robustly-interior"
-                is_stress = label == "robustly-premium-emergent"
-                out[hi, bi, mi, 0] = float(is_interior and not truth_interior)
-                out[hi, bi, mi, 1] = float(is_stress and truth_interior)
-                out[hi, bi, mi, 2] = float(label_covers(label, truth_interior))
-                out[hi, bi, mi, 3] = float(label == "boundary-near")
-    return out
-
-
-def _run_parallel(fn, n_reps: int, threads: int) -> np.ndarray:
-    if threads <= 1:
-        parts = [fn(rep) for rep in range(n_reps)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(fn, range(n_reps)))
-    return np.stack(parts)
-
-
-def run_mc_pe(cfg: MCConfig, threads: int = 1) -> dict:
-    """Premium-emergence classifier comparison.
-
-    Returns rows keyed (horizon_yr, method, block_len) with false_safety,
-    false_alarm, coverage, and warning rates in percent.  Non-envelope
-    methods are reported at the default block length only; the proposed tier
-    methods appear once per entry of the block grid.
-    """
-    results = _run_parallel(
-        lambda rep: _pe_replication(cfg, rep), cfg.n_reps, threads
-    )
-    means = results.mean(axis=0) * 100.0
+                out[:, hi, bi, mi] = _outcomes(labels[method], truth_interior, PE_LABELS)
+    means = out.mean(axis=0) * 100.0
     horizons = list(cfg.evaluation_horizons)
     blocks = list(cfg.block_grid)
     default_bi = blocks.index(cfg.block_len) if cfg.block_len in blocks else 0
@@ -383,59 +384,6 @@ def run_mc_pe(cfg: MCConfig, threads: int = 1) -> dict:
     return {"rows": rows, "config": cfg}
 
 
-def _tf_replication(cfg: MCConfig, rep: int, rho_bars: Sequence[float]) -> np.ndarray:
-    """TF label outcomes for one replication: [n_rho, n_methods, 5]
-    (false_feasible, false_infeasible, covered, marginal, tier2 width)."""
-    rng = _rep_rng(cfg.seed, rep)
-    T = cfg.T
-    b_true = rng.uniform(cfg.tf_b_monitoring, cfg.tf_b_baseline)
-    g_new = cfg.tf_g_star + rng.uniform(0.0, cfg.tf_g_spread)
-    eps_pi = rng.normal(0.0, cfg.tf_sd, T)
-    eps_d = rng.normal(0.0, cfg.tf_sd, T)
-    u = np.zeros(T)
-    w = np.zeros(T)
-    for t in range(1, T):
-        u[t] = cfg.tf_rho * u[t - 1] + eps_pi[t]
-        w[t] = cfg.tf_rho * w[t - 1] + eps_d[t]
-    pi_path = cfg.tf_pi0 + u
-    d_path = cfg.tf_d0 + w
-
-    def tf_score(b: float, rho_bar: float) -> np.ndarray:
-        return g_new - (pi_path + d_path / b + rho_bar + cfg.tf_m)
-
-    q = T - 1
-    out = np.zeros((len(rho_bars), len(TF_METHODS), 5))
-    for ri, rho_bar in enumerate(rho_bars):
-        s_base = tf_score(cfg.tf_b_baseline, rho_bar)
-        s_mon = tf_score(cfg.tf_b_monitoring, rho_bar)
-        truth_feasible = tf_score(b_true, rho_bar)[q] > 0.0
-        lo2 = np.minimum(s_base, s_mon)
-        up2 = np.maximum(s_base, s_mon)
-        labels = {
-            "proposed_tier1": _band_classify(
-                s_base, s_base, q, cfg.window_h, cfg.block_len, cfg.alpha, "TF"
-            ),
-            "proposed_tier2": _band_classify(
-                lo2, up2, q, cfg.window_h, cfg.block_len, cfg.alpha, "TF"
-            ),
-            "naive_baseline": "feasible" if s_base[q] > 0 else "infeasible",
-            "naive_monitoring": "feasible" if s_mon[q] > 0 else "infeasible",
-            "fixed_spec_baseline": _band_classify(
-                s_base, s_base, q, cfg.window_h, cfg.block_len, cfg.alpha,
-                "TF", detrend=False,
-            ),
-        }
-        width = up2[q] - lo2[q]
-        for mi, method in enumerate(TF_METHODS):
-            label = labels[method]
-            out[ri, mi, 0] = float(label == "feasible" and not truth_feasible)
-            out[ri, mi, 1] = float(label == "infeasible" and truth_feasible)
-            out[ri, mi, 2] = float(label_covers(label, truth_feasible))
-            out[ri, mi, 3] = float(label == "marginal")
-            out[ri, mi, 4] = width
-    return out
-
-
 def run_mc_tf(
     cfg: MCConfig,
     rho_bar_list: Sequence[float] = (0.0, 0.005, 0.01),
@@ -446,13 +394,57 @@ def run_mc_tf(
     The true debt concept is drawn uniformly between the monitoring and
     baseline readings each replication; tier 1 reads the baseline concept
     only while tier 2 spans both.  Rates in percent; the tier-2 envelope
-    width is reported in basis points.
+    width is reported in basis points.  `threads` is accepted for
+    compatibility and has no effect.
     """
     rho_bars = list(rho_bar_list)
-    results = _run_parallel(
-        lambda rep: _tf_replication(cfg, rep, rho_bars), cfg.n_reps, threads
-    )
-    means = results.mean(axis=0)
+    R, T = cfg.n_reps, cfg.T
+    b_true, g_new = np.empty(R), np.empty(R)
+    eps_pi, eps_d = np.empty((R, T)), np.empty((R, T))
+    for rep in range(R):
+        rng = _rep_rng(cfg.seed, rep)
+        b_true[rep] = rng.uniform(cfg.tf_b_monitoring, cfg.tf_b_baseline)
+        g_new[rep] = cfg.tf_g_star + rng.uniform(0.0, cfg.tf_g_spread)
+        eps_pi[rep] = rng.normal(0.0, cfg.tf_sd, T)
+        eps_d[rep] = rng.normal(0.0, cfg.tf_sd, T)
+    u = np.zeros((R, T))
+    w = np.zeros((R, T))
+    for t in range(1, T):
+        u[:, t] = cfg.tf_rho * u[:, t - 1] + eps_pi[:, t]
+        w[:, t] = cfg.tf_rho * w[:, t - 1] + eps_d[:, t]
+    pi_path = cfg.tf_pi0 + u
+    d_path = cfg.tf_d0 + w
+
+    def tf_score(b, rho_bar: float) -> np.ndarray:
+        return g_new[:, None] - (pi_path + d_path / b + rho_bar + cfg.tf_m)
+
+    q = T - 1
+    blocks = [cfg.block_len]
+    # [rep, rho, method, metric]: false_feasible, false_infeasible, covered,
+    # marginal, tier-2 width
+    out = np.zeros((R, len(rho_bars), len(TF_METHODS), 5))
+    for ri, rho_bar in enumerate(rho_bars):
+        s_base = tf_score(cfg.tf_b_baseline, rho_bar)
+        s_mon = tf_score(cfg.tf_b_monitoring, rho_bar)
+        truth_feasible = tf_score(b_true[:, None], rho_bar)[:, q] > 0.0
+        lo2 = np.minimum(s_base, s_mon)
+        up2 = np.maximum(s_base, s_mon)
+        (c_base,), (c_lo2,), (c_up2,) = (
+            _bands(s, q, cfg.window_h, blocks, cfg.alpha) for s in (s_base, lo2, up2)
+        )
+        (c_fix,) = _bands(s_base, q, cfg.window_h, blocks, cfg.alpha, detrend=False)
+        base_q = s_base[:, q]
+        labels = {
+            "proposed_tier1": _labels(base_q, base_q, c_base, c_base, "TF"),
+            "proposed_tier2": _labels(lo2[:, q], up2[:, q], c_lo2, c_up2, "TF"),
+            "naive_baseline": np.where(base_q > 0, "feasible", "infeasible"),
+            "naive_monitoring": np.where(s_mon[:, q] > 0, "feasible", "infeasible"),
+            "fixed_spec_baseline": _labels(base_q, base_q, c_fix, c_fix, "TF"),
+        }
+        for mi, method in enumerate(TF_METHODS):
+            out[:, ri, mi, :4] = _outcomes(labels[method], truth_feasible, TF_LABELS)
+            out[:, ri, mi, 4] = up2[:, q] - lo2[:, q]
+    means = out.mean(axis=0)
     rows = []
     for ri, rho_bar in enumerate(rho_bars):
         for mi, method in enumerate(TF_METHODS):

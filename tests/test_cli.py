@@ -36,6 +36,14 @@ class TestExitCodes:
         res2 = run(["infer", "--series", str(short)], tmp_path)
         assert res2.returncode == 3
 
+    def test_non_finite_series_is_exit_3(self, tmp_path):
+        series = tmp_path / "s.csv"
+        values = ["nan" if i == 30 else f"{0.01 + 0.001 * i}" for i in range(48)]
+        series.write_text("t,value\n" + "\n".join(f"{i},{v}" for i, v in enumerate(values)))
+        res = run(["--out", "o", "infer", "--series", str(series)], tmp_path)
+        assert res.returncode == 3
+        assert not (tmp_path / "o" / "envelope_bands.csv").exists()
+
     def test_success_is_exit_0(self, tmp_path):
         assert run(["scenario"], tmp_path).returncode == 0
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from debtregime.closure import TwoLayerParams
 from debtregime.core import EconState
@@ -174,6 +175,54 @@ class TestDetrend:
         with pytest.raises(EstimationError):
             detrend_local_linear(np.zeros(10), 3)
 
+    @staticmethod
+    def lstsq_reference(y, window_h):
+        """The per-point least-squares loop the closed form replaces."""
+        n = len(y)
+        t = np.arange(n, dtype=float)
+        trend = np.empty(n)
+        half = window_h // 2
+        for i in range(n):
+            start = min(max(i - half, 0), n - window_h)
+            tt = t[start : start + window_h]
+            X = np.column_stack([np.ones(window_h), tt])
+            coef, *_ = np.linalg.lstsq(X, y[start : start + window_h], rcond=None)
+            trend[i] = coef[0] + coef[1] * t[i]
+        return trend
+
+    @pytest.mark.parametrize(
+        "n,w", [(24, 24), (15, 15), (40, 10), (41, 11), (30, 7), (25, 24)]
+    )
+    def test_closed_form_matches_lstsq(self, n, w):
+        rng = np.random.default_rng(n * 100 + w)
+        drifting = 0.03 + 0.001 * np.arange(n) + rng.normal(0, 0.01, n)
+        for y in (rng.normal(0, 1, n), drifting):
+            out = detrend_local_linear(y, w)
+            ref = self.lstsq_reference(y, w)
+            # every point, including the clamped edge windows
+            assert np.max(np.abs(out["trend"] - ref)) <= 1e-12
+            assert np.array_equal(out["remainder"], y - out["trend"])
+
+    @pytest.mark.parametrize("w", [8, 9, 24])
+    def test_batched_equals_rows(self, w):
+        rng = np.random.default_rng(w)
+        y = rng.normal(0, 1, (3, 4, 30))
+        out = detrend_local_linear(y, w)
+        for idx in np.ndindex(3, 4):
+            row = detrend_local_linear(y[idx], w)
+            assert np.array_equal(out["trend"][idx], row["trend"])
+            assert np.array_equal(out["remainder"][idx], row["remainder"])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        y = np.linspace(0.0, 1.0, 20)
+        y[7] = bad
+        with pytest.raises(EstimationError):
+            detrend_local_linear(y, 8)
+        batch = np.vstack([np.linspace(0.0, 1.0, 20), y])
+        with pytest.raises(EstimationError):
+            detrend_local_linear(batch, 8)
+
 
 class TestSubsampling:
     CFG = SubsampleConfig(window_h=24, block_len=6, alpha=0.10)
@@ -225,6 +274,56 @@ class TestSubsampling:
         window = np.array([0.1, -0.2, 0.05, 0.3, -0.1, 0.0, 0.02, -0.05])
         out = subsample_critical_value(window, cfg)
         assert out == pytest.approx(np.max(np.abs(window - window.mean())), abs=1e-15)
+
+    @pytest.mark.parametrize("h,ell", [(24, 6), (24, 8), (15, 14), (8, 5)])
+    def test_batched_equals_rows(self, h, ell):
+        # (15, 14) and (8, 5) leave fewer than 5 blocks: the fallback
+        cfg = SubsampleConfig(window_h=h, block_len=ell, alpha=0.10)
+        rng = np.random.default_rng(h * 10 + ell)
+        r = rng.normal(0, 1, (2, 5, h + 7))
+        out = subsample_critical_value(r, cfg)
+        assert out.shape == (2, 5)
+        rows = [subsample_critical_value(r[idx], cfg) for idx in np.ndindex(2, 5)]
+        assert np.array_equal(out.ravel(), np.array(rows))
+        # every trailing window of one series at once, as `infer` reads them
+        series = rng.normal(0, 1, 60)
+        windows = subsample_critical_value(sliding_window_view(series, h), cfg)
+        prefixes = [
+            subsample_critical_value(series[: i + 1], cfg) for i in range(h - 1, 60)
+        ]
+        assert np.array_equal(windows, np.array(prefixes))
+
+    @pytest.mark.parametrize("h,ell", [(24, 4), (24, 6), (24, 8), (15, 6)])
+    def test_matches_convolve_reference(self, h, ell):
+        # the block means were np.convolve(window, ones(ell) / ell); summing
+        # the block first rounds differently, by at most a few ulps per term
+        cfg = SubsampleConfig(window_h=h, block_len=ell, alpha=0.10)
+        rng = np.random.default_rng(h * 100 + ell)
+        for _ in range(50):
+            window = rng.normal(0, 1, h)
+            tau = window.mean()
+            bm = np.convolve(window, np.ones(ell) / ell, mode="valid")
+            devs = np.sort(math.sqrt(ell) * (bm - tau))
+            k = math.ceil(0.9 * len(devs))
+            expected = max(0.0, devs[k - 1] / math.sqrt(h))
+            tol = 4 * ell * np.finfo(float).eps * np.max(np.abs(window))
+            assert subsample_critical_value(window, cfg) == pytest.approx(
+                expected, rel=0, abs=tol
+            )
+
+    def test_one_dimensional_returns_float(self):
+        r = np.random.default_rng(4).normal(0, 1, 30)
+        assert type(subsample_critical_value(r, self.CFG)) is float
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # an all-NaN window used to give a zero half-width, the narrowest band
+        with pytest.raises(EstimationError):
+            subsample_critical_value(np.full(24, bad), self.CFG)
+        r = np.zeros((3, 24))
+        r[1, 5] = bad
+        with pytest.raises(EstimationError):
+            subsample_critical_value(r, self.CFG)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -160,3 +162,37 @@ class TestRunMCTF:
         res = run_mc_tf(small_cfg())
         assert {r["method"] for r in res["rows"]} == set(TF_METHODS)
         assert {r["rho_bar"] for r in res["rows"]} == {0.0, 0.005, 0.01}
+
+
+# SHA-256 of repr(rows) recorded from the per-replication implementation
+# (one lstsq fit per point, one thread-pool task per replication); the batched
+# engine must reproduce every row bit for bit.
+PINNED_ROWS = {
+    "default": (
+        dict(seed=7, n_reps=5),
+        "4337b7a47b85fd90f66b8fd8885d7a626055b2811d381b0cd2d4dfbe88667195",
+        "049834edcb225e97b78def9ec362bced830a87af52493e2bb04f634e48ba0cd0",
+    ),
+    # g0 > 0 runs solve_premium inside simulate_pe_paths
+    "g0_premium_branch": (
+        dict(seed=2024, n_reps=11, g0=0.3, kappa_theta=0.001),
+        "e169eeadb46e1d3a04267857220063cf41aad7bc7149b346d787284b512f32e2",
+        "2b0f681e080b19038a0dc64fb04e31fbbb4b89c309d807064996e705d402bcb7",
+    ),
+    # block 16 exceeds w - 1 = 14 at the 3.8-year horizon (w = 15): the
+    # block is clamped to 14 and the band takes the fewer-than-5-blocks fallback
+    "block_above_window": (
+        dict(seed=0xDEADBEEFCAFE, n_reps=17, block_grid=(4, 6, 16)),
+        "9cc2fa3a9f1c879d1ffd593cb3f2109567cd657016a9b97fc51b240a1a68bc9b",
+        "0435ebeed3cc4747d8cf73a2de5c00b156e9b73c42cf74504eed588eb08e57d7",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ROWS))
+def test_rows_match_pinned_digests(name):
+    kw, pe_digest, tf_digest = PINNED_ROWS[name]
+    cfg = MCConfig(**kw)
+    for fn, digest in ((run_mc_pe, pe_digest), (run_mc_tf, tf_digest)):
+        rows = fn(cfg)["rows"]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest, fn.__name__
