@@ -14,7 +14,9 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .core import EconState
+import numpy as np
+
+from .core import EconState, _require_finite
 from .errors import ConfigError, DomainError, ScopeError
 
 __all__ = [
@@ -61,6 +63,9 @@ class MarginDistribution:
             raise ConfigError(f"unknown margin distribution kind {self.kind!r}")
         if not self.knots or len(self.knots) < 2:
             raise ConfigError("table CDF needs at least two knots")
+        for c, g in self.knots:
+            _require_finite("table CDF knot position", c)
+            _require_finite("table CDF knot value", g)
         cs = [k[0] for k in self.knots]
         gs = [k[1] for k in self.knots]
         if abs(cs[0]) > 1e-15 or not (0.0 <= gs[0] < 1.0):
@@ -84,6 +89,25 @@ class MarginDistribution:
             if c0 <= c <= c1:
                 return g0 + (c - c0) / (c1 - c0) * (g1 - g0)
         return 1.0  # pragma: no cover
+
+    def cdf_array(self, c: np.ndarray, c_bar: float) -> np.ndarray:
+        """`cdf` element by element on an array: the same clamps and, on
+        table margins, the same interpolation formula on the first knot
+        segment [c0, c1] holding c (not `np.interp`, which rounds
+        differently)."""
+        c = np.asarray(c, dtype=float)
+        if self.kind == "uniform":
+            inner = c / c_bar
+        else:
+            cs = np.array([k[0] for k in self.knots])
+            gs = np.array([k[1] for k in self.knots])
+            n_seg = len(cs) - 1
+            seg = np.searchsorted(cs[1:], c)  # first segment with c <= c1
+            covered = (c >= cs[0]) & (seg < n_seg)
+            seg = np.minimum(seg, n_seg - 1)
+            c0, c1, g0, g1 = cs[seg], cs[seg + 1], gs[seg], gs[seg + 1]
+            inner = np.where(covered, g0 + (c - c0) / (c1 - c0) * (g1 - g0), 1.0)
+        return np.where(c < 0.0, 0.0, np.where(c >= c_bar, 1.0, inner))
 
     def density(self, c: float, c_bar: float) -> float:
         if c < 0.0 or c > c_bar:
@@ -117,6 +141,8 @@ class TwoLayerParams:
     dist: MarginDistribution = field(default_factory=MarginDistribution)
 
     def __post_init__(self):
+        for name in ("theta", "psi", "z", "c_bar", "phi_req"):
+            _require_finite(name, getattr(self, name))
         if not (0.0 <= self.theta <= 1.0):
             raise DomainError(f"theta must lie in [0, 1], got {self.theta}")
         if not (0.0 < self.psi <= 1.0):
@@ -167,6 +193,10 @@ class ThetaLaw:
     eps_cap: float = math.inf
 
     def __post_init__(self):
+        _require_finite("kappa_theta", self.kappa_theta)
+        _require_finite("g0", self.g0)
+        if math.isnan(self.eps_cap):
+            raise DomainError("eps_cap must not be NaN")
         if self.kappa_theta < 0:
             raise DomainError("kappa_theta must be >= 0")
         if self.g0 < 0:
@@ -251,6 +281,60 @@ def solve_premium(p: TwoLayerParams) -> PremiumSolution:
     else:
         rho = solve_premium_bisection(p)
     return PremiumSolution("c_stress", rho, d0, dmax, slack)
+
+
+def _demand_on_grid(rho, theta: np.ndarray, p: TwoLayerParams) -> np.ndarray:
+    """`demand_at` element by element with the core share varying per element."""
+    arg = (p.z - rho) / p.psi
+    return theta + (1.0 - theta) * (1.0 - p.dist.cdf_array(arg, p.c_bar))
+
+
+def _premium_on_grid(p: TwoLayerParams, thetas: np.ndarray) -> np.ndarray:
+    """`solve_premium(p.with_theta(t)).rho` for every t in `thetas`, NaN in
+    case d, evaluated as arrays with the scalar solver's exact arithmetic:
+    the same case tests, the same clamped closed form, and a lockstep
+    bisection in which each element stops at its own |f| <= 1e-12 or falls
+    back to its upper end after the iteration cap."""
+    d0 = _demand_on_grid(0.0, thetas, p)
+    dmax = _demand_on_grid(p.z, thetas, p)
+    slack = d0 - p.phi_req
+    zero = (slack > 0.0) | (slack == 0.0)  # cases a and b
+    failed = ~zero & (p.phi_req > dmax)  # case d
+    stress = ~zero & ~failed  # case c
+    rho = np.where(failed, np.nan, 0.0)
+    closed = stress & (thetas < 1.0) if p.dist.kind == "uniform" else np.zeros_like(stress)
+    th = thetas[closed]
+    r = p.z - p.psi * p.c_bar * (1.0 - (p.phi_req - th) / (1.0 - th))
+    r = np.where(0.0 > r, 0.0, r)  # max(r, 0.0)
+    rho[closed] = np.where(p.z < r, p.z, r)  # min(r, z)
+
+    idx = np.flatnonzero(stress & ~closed)
+    th = thetas[idx]
+    lo = np.zeros(len(idx))
+    hi = np.full(len(idx), p.z)
+    for _ in range(_BISECT_MAX_ITER):
+        if not len(idx):
+            break
+        mid = 0.5 * (lo + hi)
+        f_mid = _demand_on_grid(mid, th, p) - p.phi_req
+        done = np.abs(f_mid) <= _BISECT_TOL
+        rho[idx[done]] = mid[done]
+        go = ~done
+        below = f_mid[go] < 0
+        idx, th, mid = idx[go], th[go], mid[go]
+        lo = np.where(below, mid, lo[go])
+        hi = np.where(below, hi[go], mid)
+    rho[idx] = hi  # upper end: demand weakly above the requirement
+    return rho
+
+
+def _core_drift(rho: np.ndarray, law: ThetaLaw, pi: float, r_rep: float) -> np.ndarray:
+    """gamma(pi - r_rep - rho) - kappa element by element; maintenance is off
+    (drift -kappa) where rho is NaN (hard failure)."""
+    eps = pi - r_rep - rho
+    capped = np.where(law.eps_cap < eps, law.eps_cap, eps)  # min(eps, eps_cap)
+    gamma = np.where(eps <= 0.0, 0.0, law.g0 * capped)
+    return np.where(np.isnan(rho), -law.kappa_theta, gamma - law.kappa_theta)
 
 
 def comparative_statics(p: TwoLayerParams) -> dict:
@@ -492,6 +576,16 @@ def fixed_point_scan(
     saturates the share); a downward exit at theta = 0 is de-captivation,
     reported as a diagnostic rather than an equilibrium.
 
+    The premium rho(theta) on the grid is evaluated for all grid points at
+    once; refinement, slopes and residuals use the scalar solver.  A bracket
+    whose bisection ends without |Phi(theta) - theta| <= 1e-12 straddles a
+    jump of the premium in theta, not a root (where z/psi >= c_bar, the
+    premium jumps up from zero as theta falls below phi_req): it is
+    reported once as the `premium_jump` diagnostic, never as a fixed point.
+    Other diagnostics: `degenerate_continuum` (the map is the identity),
+    `exits_at_floor`, and `above_diagonal`/`below_diagonal` when no
+    stationary point exists.
+
     Each fixed point carries the branch label (safe: rho = 0; stress:
     rho > 0), the local slope |dPhi/dtheta| by central differences, and, for
     safe points, the buffer to the zero-premium boundary less the
@@ -511,31 +605,36 @@ def fixed_point_scan(
         return gamma_theta(law, pi - r_rep - rho) - law.kappa_theta
 
     n = grid
-    thetas = [i / n for i in range(n + 1)]
-    vals = [G(t) for t in thetas]
+    vals = _core_drift(_premium_on_grid(p, np.arange(n + 1) / n), law, pi, r_rep)
 
     diagnostics: List[str] = []
-    if all(abs(v) <= 1e-12 for v in vals):
+    if np.all(np.abs(vals) <= 1e-12):
         return {"fixed_points": [], "diagnostics": ["degenerate_continuum"]}
 
+    on_grid = np.abs(vals[:-1]) <= 1e-12
+    on_grid[0] = False
+    crossing = vals[:-1] * vals[1:] < 0.0
     roots: List[float] = []
-    for i in range(n):
-        a, b = thetas[i], thetas[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if abs(fa) <= 1e-12 and 0 < i:
+    for i in np.flatnonzero(on_grid | crossing).tolist():
+        a, b = i / n, (i + 1) / n
+        if on_grid[i]:
             roots.append(a)
-        if fa * fb < 0.0:
-            lo, hi, flo = a, b, fa
+        if crossing[i]:
+            lo, hi, flo = a, b, float(vals[i])
             for _ in range(_BISECT_MAX_ITER):
                 mid = 0.5 * (lo + hi)
                 fm = G(mid)
                 if abs(fm) <= _BISECT_TOL:
+                    roots.append(mid)
                     break
                 if (fm < 0.0) == (flo < 0.0):
                     lo, flo = mid, fm
                 else:
                     hi = mid
-            roots.append(mid)
+            else:
+                # the map jumps across the diagonal without meeting it
+                if "premium_jump" not in diagnostics:
+                    diagnostics.append("premium_jump")
     # dedupe roots that landed within one grid cell of each other
     deduped: List[float] = []
     for r in sorted(roots):

@@ -9,14 +9,13 @@ envelope takes the most conservative of each side.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import EconState, RegimeParams
+from .core import EconState, RegimeParams, _require_finite
 from .errors import DomainError
 
 __all__ = [
@@ -88,6 +87,12 @@ class AllocationProblem:
             )
         if len(self.gamma_jk) != J or any(len(row) != J for row in self.gamma_jk):
             raise DomainError("gamma_jk must be a JxJ array")
+        for j in range(J):
+            _require_finite(f"mu_j[{j}]", self.mu_j[j])
+            for k in range(J):
+                _require_finite(f"gamma_jk[{j}][{k}]", self.gamma_jk[j][k])
+        _require_finite("budget", self.budget)
+        _require_finite("base_surplus", self.base_surplus)
 
     @property
     def n_sectors(self) -> int:
@@ -232,10 +237,12 @@ def _ascent(problem: AllocationProblem, start: np.ndarray, iters: int = 2000) ->
 def allocate(problem: AllocationProblem, grid_resolution: int = 40) -> dict:
     """Solve the allocation problem.
 
-    For J <= 3 an exhaustive simplex grid is the authority; ties resolve to
-    the lexicographically smallest grid point, and a projected-ascent pass
-    cross-checks the objective.  For J > 3 multi-start projected ascent is
-    used directly.
+    For J <= 3 the exhaustive simplex grid is the authority: every point of
+    the grid with grid_resolution + 1 levels per sector and sum(x) <=
+    budget is evaluated, in `itertools.product` order, as one array.  A
+    point replaces the incumbent only if it improves the objective by more
+    than 1e-15, so ties resolve to the earliest point in that order (the
+    lexicographically smallest).  For J > 3 this is `allocate_ascent`.
     """
     if problem.budget < 0:
         raise DomainError("budget must be >= 0")
@@ -243,41 +250,41 @@ def allocate(problem: AllocationProblem, grid_resolution: int = 40) -> dict:
     if problem.budget == 0.0:
         x0 = [0.0] * J
         return {"allocation": x0, "objective": problem.objective(x0)}
+    if J > 3:
+        return allocate_ascent(problem)
+    if grid_resolution < 10:
+        raise DomainError("grid_resolution must be >= 10 for J <= 3")
 
-    if J <= 3:
-        if grid_resolution < 10:
-            raise DomainError("grid_resolution must be >= 10 for J <= 3")
-        levels = np.linspace(0.0, problem.budget, grid_resolution + 1)
-        best_x, best_obj = None, -math.inf
-        for combo in itertools.product(levels, repeat=J):
-            if sum(combo) > problem.budget + 1e-15:
-                continue
-            val = problem.objective(combo)
-            # strict improvement wins; exact ties keep the earlier
-            # (lexicographically smaller) point from the ordered product
-            if val > best_obj + 1e-15:
-                best_x, best_obj = combo, val
-        allocation = list(best_x)
-        objective = best_obj
-    else:
-        starts = [np.zeros(J), np.full(J, problem.budget / J)]
-        for j in range(J):
-            e = np.zeros(J)
-            e[j] = problem.budget
-            starts.append(e)
-        best_x, best_obj = None, -math.inf
-        for s in starts:
-            x = _ascent(problem, s)
-            val = problem.objective(x)
-            if val > best_obj:
-                best_x, best_obj = x, val
-        allocation = [float(v) for v in best_x]
-        objective = best_obj
-    return {"allocation": allocation, "objective": objective}
+    levels = np.linspace(0.0, problem.budget, grid_resolution + 1)
+    total = levels.reshape((-1,) + (1,) * (J - 1))
+    for j in range(1, J):
+        total = total + levels.reshape((-1,) + (1,) * (J - 1 - j))
+    # np.nonzero walks the grid in C order, which is the product order
+    x = levels[np.array(np.nonzero(~(total > problem.budget + 1e-15)))]
+    # the objective term by term, in the order AllocationProblem.objective adds
+    val = np.full(x.shape[1], problem.base_surplus, dtype=float)
+    for j in range(J):
+        val = val + problem.mu_j[j] * x[j]
+    for j in range(J):
+        for k in range(j + 1, J):
+            val = val + problem.gamma_jk[j][k] * x[j] * x[k]
+    # Walk the chain of strict improvements (> incumbent + 1e-15).  Every point
+    # before the incumbent is at most incumbent + 1e-15, so the first later
+    # point above the threshold is the first index where the running maximum
+    # passes it.
+    running_max = np.maximum.accumulate(val)
+    best = 0
+    while True:
+        nxt = int(np.searchsorted(running_max, val[best] + 1e-15, side="right"))
+        if nxt == len(val):
+            break
+        best = nxt
+    return {"allocation": list(x[:, best]), "objective": val[best]}
 
 
 def allocate_ascent(problem: AllocationProblem) -> dict:
-    """Multi-start projected-ascent solution (cross-check path for J <= 3)."""
+    """Multi-start projected-ascent solution: the J > 3 path of `allocate`
+    and a cross-check of its grid for J <= 3."""
     J = problem.n_sectors
     starts = [np.zeros(J), np.full(J, problem.budget / J)]
     for j in range(J):

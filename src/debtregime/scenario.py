@@ -155,6 +155,16 @@ STRESS_V2_ROWS: Tuple[Tuple[str, Dict[str, float]], ...] = (
 )
 
 
+def _finite(key: str, value: float, lineno: int) -> float:
+    """Reject NaN for every key, and +-inf unless the key's default is itself
+    infinite (so that no solver ever sees a non-finite number)."""
+    default = DEFAULTS[key]
+    inf_ok = isinstance(default, float) and math.isinf(default)
+    if math.isnan(value) or (math.isinf(value) and not inf_ok):
+        raise ConfigError(f"line {lineno}: {key} must be a finite number, got {value!r}")
+    return value
+
+
 def _parse_scalar(key: str, text: str, lineno: int):
     """Parse one raw value according to the default's type for the key."""
     default = DEFAULTS[key]
@@ -174,11 +184,12 @@ def _parse_scalar(key: str, text: str, lineno: int):
             ) from None
     if isinstance(default, float) or default is None:
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
             raise ConfigError(
                 f"line {lineno}: {key} expects a number, got {text!r}"
             ) from None
+        return _finite(key, value, lineno)
     if isinstance(default, tuple):
         if not text:
             return ()
@@ -192,11 +203,12 @@ def _parse_scalar(key: str, text: str, lineno: int):
                     )
                 a, b = item.split(":", 1)
                 try:
-                    pairs.append((float(a), float(b)))
+                    pair = (float(a), float(b))
                 except ValueError:
                     raise ConfigError(
                         f"line {lineno}: {key} has a malformed number in {item!r}"
                     ) from None
+                pairs.append(tuple(_finite(key, v, lineno) for v in pair))
             return tuple(pairs)
         if key == "inference.block_grid":
             try:
@@ -206,11 +218,12 @@ def _parse_scalar(key: str, text: str, lineno: int):
                     f"line {lineno}: {key} expects integers, got {text!r}"
                 ) from None
         try:
-            return tuple(float(t) for t in items)
+            values = tuple(float(t) for t in items)
         except ValueError:
             raise ConfigError(
                 f"line {lineno}: {key} expects numbers, got {text!r}"
             ) from None
+        return tuple(_finite(key, v, lineno) for v in values)
     return text  # plain string
 
 
@@ -394,11 +407,12 @@ def _parse_sweep_value(text: str, lineno: int) -> Dict[str, float]:
         if k not in DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown sweep key {k!r}")
         try:
-            overrides[k] = float(val.strip())
+            value = float(val.strip())
         except ValueError:
             raise ConfigError(
                 f"line {lineno}: malformed number {val.strip()!r} in sweep row"
             ) from None
+        overrides[k] = _finite(k, value, lineno)
     return overrides
 
 

@@ -44,6 +44,14 @@ class TestExitCodes:
         assert res.returncode == 3
         assert not (tmp_path / "o" / "envelope_bands.csv").exists()
 
+    def test_non_finite_scenario_value_is_exit_2(self, tmp_path):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("closure.z = nan\n")
+        res = run(["--config", str(cfg), "--out", "o", "closure"], tmp_path)
+        assert res.returncode == 2
+        assert "closure.z" in res.stderr
+        assert not (tmp_path / "o" / "closure.csv").exists()
+
     def test_success_is_exit_0(self, tmp_path):
         assert run(["scenario"], tmp_path).returncode == 0
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from debtregime.closure import (
+    _premium_on_grid,
     MarginDistribution,
     ThetaLaw,
     TwoLayerParams,
@@ -379,6 +380,145 @@ class TestFixedPointScan:
         with pytest.raises(DomainError):
             fixed_point_scan(BASE, ThetaLaw(), pi=0.027, r_rep=0.022, grid=100)
 
+    def test_premium_jump_is_not_a_fixed_point(self):
+        # z/psi >= c_bar: the premium jumps up from zero as theta falls below
+        # phi_req, and the drift changes sign across the jump without a root
+        p = TwoLayerParams(theta=0.6, psi=0.9, z=0.04, c_bar=0.03, phi_req=0.8)
+        out = fixed_point_scan(p, ThetaLaw(kappa_theta=0.001, g0=0.3), pi=0.03, r_rep=0.015)
+        assert "premium_jump" in out["diagnostics"]
+        assert [fp["theta_star"] for fp in out["fixed_points"]] == [1.0]
+        # the drift also jumps where the premium runs out (case c -> case d)
+        atom = TwoLayerParams(theta=0.6, psi=0.9, z=0.03, phi_req=0.9,
+                              dist=ATOM_TABLE)
+        out2 = fixed_point_scan(atom, ThetaLaw(kappa_theta=0.001, g0=0.5),
+                                pi=0.05, r_rep=0.01)
+        assert "premium_jump" in out2["diagnostics"]
+        for res in (out, out2):
+            assert all(fp["residual"] <= 1e-10 for fp in res["fixed_points"])
+
+
+def _reference_rho(p, thetas):
+    """Per-theta scalar solves: the oracle for the array kernel."""
+    sols = [solve_premium(p.with_theta(t)) for t in thetas]
+    return [math.nan if s.rho is None else s.rho for s in sols]
+
+
+def _reference_scan(p, law, pi, r_rep, grid=2000, sigma=0.0):
+    """The per-grid-point scan the array kernel replaced, kept verbatim as
+    the oracle (it reports premium jumps as roots, so it is only compared on
+    states where the premium is continuous in theta)."""
+
+    def rho_at(theta):
+        sol = solve_premium(p.with_theta(theta))
+        return sol.rho if sol.rho is not None else math.nan
+
+    def G(theta):
+        rho = rho_at(theta)
+        if math.isnan(rho):
+            return -law.kappa_theta
+        return gamma_theta(law, pi - r_rep - rho) - law.kappa_theta
+
+    n = grid
+    thetas = [i / n for i in range(n + 1)]
+    vals = [G(t) for t in thetas]
+    diagnostics = []
+    if all(abs(v) <= 1e-12 for v in vals):
+        return {"fixed_points": [], "diagnostics": ["degenerate_continuum"]}
+    roots = []
+    for i in range(n):
+        a, b = thetas[i], thetas[i + 1]
+        fa, fb = vals[i], vals[i + 1]
+        if abs(fa) <= 1e-12 and 0 < i:
+            roots.append(a)
+        if fa * fb < 0.0:
+            lo, hi, flo = a, b, fa
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                fm = G(mid)
+                if abs(fm) <= 1e-12:
+                    break
+                if (fm < 0.0) == (flo < 0.0):
+                    lo, flo = mid, fm
+                else:
+                    hi = mid
+            roots.append(mid)
+    deduped = []
+    for r in sorted(roots):
+        if not deduped or r - deduped[-1] > 1.0 / n:
+            deduped.append(r)
+    roots = deduped
+    if vals[-1] > 1e-12 and (not roots or 1.0 - roots[-1] > 1.0 / n):
+        roots.append(1.0)
+    if vals[0] < -1e-12:
+        diagnostics.append("exits_at_floor")
+    if not roots:
+        diagnostics.append("above_diagonal" if vals[0] > 0 else "below_diagonal")
+    theta_b = zero_premium_boundary_theta(p)
+    eta_b = None
+    if theta_b is not None:
+        eta_b = feedback_gain(p.with_theta(theta_b), law)
+    h = 1.0 / n
+    results = []
+    for r in roots:
+        rho = rho_at(r)
+        kind = "safe" if (not math.isnan(rho) and rho == 0.0) else "stress"
+        lo = max(0.0, r - h)
+        hi = min(1.0, r + h)
+        phi_lo = min(1.0, max(0.0, lo + G(lo)))
+        phi_hi = min(1.0, max(0.0, hi + G(hi)))
+        slope = abs(phi_hi - phi_lo) / (hi - lo)
+        buffer = None
+        if kind == "safe" and theta_b is not None:
+            allowance = 0.0
+            if eta_b is not None and math.isfinite(eta_b) and eta_b < 1.0:
+                allowance = sigma * eta_b / (1.0 - eta_b)
+            buffer = (r - theta_b) - allowance
+        residual = abs(min(1.0, max(0.0, r + G(r))) - r)
+        results.append({"theta_star": r, "type": kind, "slope": slope,
+                        "buffer": buffer, "residual": residual})
+    return {"fixed_points": results, "diagnostics": diagnostics}
+
+
+# zero-benefit atom G(0) = 0.3: no premium can fill a requirement above
+# theta + 0.7*(1 - theta), so low core shares are in case d
+ATOM_TABLE = MarginDistribution(
+    kind="table", knots=((0.0, 0.3), (0.02, 0.55), (0.045, 0.85), (0.06, 1.0)))
+EXPLOSIVE = TwoLayerParams(theta=0.9, z=0.0291, phi_req=0.95)
+GRID_STATES = [
+    BASE,
+    TwoLayerParams(z=0.03, phi_req=0.9),
+    TwoLayerParams(psi=0.9, z=0.04, c_bar=0.03, phi_req=0.8),  # premium jump
+    EXPLOSIVE,
+    TwoLayerParams(z=0.03, phi_req=0.9, dist=table_from_power(0.06, 0.8)),
+    TwoLayerParams(psi=0.8, z=0.035, phi_req=0.97, dist=table_from_power(0.06, 1.4, n=5)),
+    TwoLayerParams(psi=0.9, z=0.03, phi_req=0.9, dist=ATOM_TABLE),  # cases a, c, d
+    TwoLayerParams(psi=0.9, z=0.01, phi_req=1.0, dist=ATOM_TABLE),
+]
+
+
+class TestPremiumOnGrid:
+    @pytest.mark.parametrize("p", GRID_STATES)
+    def test_matches_per_theta_solve_premium(self, p):
+        thetas = np.arange(2001) / 2000
+        assert repr(_premium_on_grid(p, thetas).tolist()) == repr(_reference_rho(p, thetas.tolist()))
+
+    def test_states_cover_every_case(self):
+        cases = {solve_premium(p.with_theta(t)).case
+                 for p in GRID_STATES for t in np.linspace(0.0, 1.0, 101)}
+        assert cases == {"a_interior", "b_boundary", "c_stress", "d_hard_failure"}
+
+    @pytest.mark.parametrize("p, law, pi, r_rep, grid", [
+        (BASE, ThetaLaw(kappa_theta=0.0, g0=0.0), 0.027, 0.022, 1000),
+        (EXPLOSIVE, ThetaLaw(kappa_theta=0.01, g0=4.0), 0.027, 0.01, 2000),
+        (EXPLOSIVE, ThetaLaw(kappa_theta=0.01, g0=0.5), 0.027, 0.01, 2000),
+        (EXPLOSIVE, ThetaLaw(kappa_theta=0.01, g0=1.0), 0.06, 0.01, 2000),
+        (GRID_STATES[4], ThetaLaw(kappa_theta=0.002, g0=0.5), 0.03, 0.01, 1000),
+        (GRID_STATES[6], ThetaLaw(kappa_theta=0.002, g0=0.5), 0.03, 0.01, 1000),
+    ])
+    def test_scan_equals_per_point_reference(self, p, law, pi, r_rep, grid):
+        out = fixed_point_scan(p, law, pi=pi, r_rep=r_rep, grid=grid, sigma=0.001)
+        assert out == _reference_scan(p, law, pi, r_rep, grid=grid, sigma=0.001)
+
 
 class TestDistributionAndHelpers:
     def test_table_validation(self):
@@ -410,6 +550,19 @@ class TestDistributionAndHelpers:
             phi_req_affine(0.85, 2.4, 0.97, 0.02, d_b=-0.1)
         with pytest.raises(ConfigError):
             phi_req_affine(0.85, 2.4, 0.97, 0.02, d_psi=0.1)
+
+    def test_non_finite_rejected(self):
+        for name in ("theta", "psi", "z", "c_bar", "phi_req"):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(DomainError, match=name):
+                    TwoLayerParams(**{name: bad})
+        with pytest.raises(DomainError, match="knot"):
+            TwoLayerParams(dist=MarginDistribution(
+                kind="table", knots=((0.0, 0.0), (0.03, math.nan), (0.06, 1.0))))
+        for kw in ({"kappa_theta": math.nan}, {"g0": math.inf}, {"eps_cap": math.nan}):
+            with pytest.raises(DomainError):
+                ThetaLaw(**kw)
+        assert ThetaLaw(eps_cap=math.inf).eps_cap == math.inf
 
     def test_invariant_validation(self):
         with pytest.raises(DomainError):

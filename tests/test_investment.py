@@ -198,6 +198,36 @@ class TestAllocate:
         with pytest.raises(DomainError):
             AllocationProblem(mu_j=(0.05,), budget=-0.01)
 
+    @pytest.mark.parametrize("J", [1, 2, 3])
+    @pytest.mark.parametrize("resolution", [10, 20, 40, 60])
+    def test_grid_equals_product_loop(self, J, resolution):
+        # random problems, and tie-heavy ones (equal mu, no interaction:
+        # every point on the budget face attains the maximum)
+        rng = np.random.default_rng(1000 * J + resolution)
+        n_random = 3 if J < 3 or resolution <= 20 else 1
+        problems = [
+            AllocationProblem(
+                mu_j=tuple(rng.uniform(-0.02, 0.08, J)),
+                gamma_jk=tuple(tuple(rng.uniform(-2.0, 2.0) if k > j else 0.0
+                                     for k in range(J)) for j in range(J)),
+                budget=float(rng.uniform(0.001, 0.05)),
+                base_surplus=float(rng.uniform(-0.001, 0.001)))
+            for _ in range(n_random)
+        ]
+        problems.append(AllocationProblem(mu_j=(0.05,) * J, budget=0.01))
+        problems.append(AllocationProblem(mu_j=(0.03,) * J, budget=float(rng.uniform(0.005, 0.02))))
+        for problem in problems:
+            best, best_val = brute_force_grid(problem, resolution)
+            out = allocate(problem, grid_resolution=resolution)
+            assert repr(out) == repr({"allocation": list(best), "objective": best_val})
+
+    def test_non_finite_rejected(self):
+        for kw in ({"mu_j": (0.05, math.nan)}, {"mu_j": (0.05,), "budget": math.inf},
+                   {"mu_j": (0.05,), "base_surplus": math.nan},
+                   {"mu_j": (0.05, 0.05), "gamma_jk": ((0.0, math.inf), (0.0, 0.0))}):
+            with pytest.raises(DomainError, match="finite"):
+                AllocationProblem(**kw)
+
     def test_base_surplus_passes_through(self):
         problem = AllocationProblem(mu_j=(0.05,), budget=0.01, base_surplus=-0.0003)
         out = allocate(problem)

@@ -69,6 +69,22 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match="line 1"):
             load_scenario(str(path))
 
+    def test_non_finite_values_name_key_and_line(self, tmp_path):
+        path = tmp_path / "nf.cfg"
+        for line in ("closure.z = nan", "econ.b_prev = inf", "closure.r_rep = -inf",
+                     "investment.mu = 1e400", "mc.evaluation_horizons = 3.8, nan",
+                     "closure.dist_knots = 0:0, 0.03:nan, 0.06:1",
+                     "closure.eps_cap = nan", "sweep.g.a = closure.theta=nan"):
+            key = line.split(" = ")[0]
+            if key.startswith("sweep."):
+                key = "closure.theta"
+            path.write_text("# comment\n" + line + "\n")
+            with pytest.raises(ConfigError, match=rf"line 2: {key} must be a finite number"):
+                load_scenario(str(path))
+        # the one key whose default is infinite keeps accepting inf
+        path.write_text("closure.eps_cap = inf\n")
+        assert load_scenario(str(path)).theta_law().eps_cap == float("inf")
+
     def test_sweep_rows(self, tmp_path):
         path = tmp_path / "sweep.cfg"
         path.write_text(
