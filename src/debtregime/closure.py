@@ -50,7 +50,8 @@ class MarginDistribution:
     margin.  Either uniform or a piecewise-linear CDF through user knots;
     knots must start at c = 0 (an atom 0 <= G(0) < 1 there is allowed: the
     share of the margin with no captivity benefit at all), end at
-    (c_bar, 1), and be strictly increasing in both coordinates.
+    (c_bar, 1), and be strictly increasing in both coordinates.  A first
+    knot c0 within 1e-15 above 0 extends the atom: G = G(c0) on [0, c0).
     """
 
     kind: str = "uniform"
@@ -85,16 +86,18 @@ class MarginDistribution:
         if self.kind == "uniform":
             return c / c_bar
         knots = self.knots
+        if c < knots[0][0]:
+            return knots[0][1]
         for (c0, g0), (c1, g1) in zip(knots, knots[1:]):
             if c0 <= c <= c1:
                 return g0 + (c - c0) / (c1 - c0) * (g1 - g0)
         return 1.0  # pragma: no cover
 
     def cdf_array(self, c: np.ndarray, c_bar: float) -> np.ndarray:
-        """`cdf` element by element on an array: the same clamps and, on
-        table margins, the same interpolation formula on the first knot
-        segment [c0, c1] holding c (not `np.interp`, which rounds
-        differently)."""
+        """`cdf` element by element on an array: the same clamps, the atom
+        below the first knot and, on table margins, the same interpolation
+        formula on the first knot segment [c0, c1] holding c (not
+        `np.interp`, which rounds differently)."""
         c = np.asarray(c, dtype=float)
         if self.kind == "uniform":
             inner = c / c_bar
@@ -103,10 +106,11 @@ class MarginDistribution:
             gs = np.array([k[1] for k in self.knots])
             n_seg = len(cs) - 1
             seg = np.searchsorted(cs[1:], c)  # first segment with c <= c1
-            covered = (c >= cs[0]) & (seg < n_seg)
+            covered = seg < n_seg
             seg = np.minimum(seg, n_seg - 1)
             c0, c1, g0, g1 = cs[seg], cs[seg + 1], gs[seg], gs[seg + 1]
             inner = np.where(covered, g0 + (c - c0) / (c1 - c0) * (g1 - g0), 1.0)
+            inner = np.where(c < cs[0], gs[0], inner)
         return np.where(c < 0.0, 0.0, np.where(c >= c_bar, 1.0, inner))
 
     def density(self, c: float, c_bar: float) -> float:
@@ -118,7 +122,7 @@ class MarginDistribution:
         for (c0, g0), (c1, g1) in zip(knots, knots[1:]):
             if c0 <= c <= c1:
                 return (g1 - g0) / (c1 - c0)
-        return 0.0  # pragma: no cover
+        return 0.0  # G is flat below the first knot (the atom) and above the last
 
 
 @dataclass(frozen=True)

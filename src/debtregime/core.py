@@ -128,11 +128,16 @@ class FiscalResponse:
     def __post_init__(self):
         if self.mode not in ("constant", "deficit_relief", "general"):
             raise ConfigError(f"unknown fiscal-response mode {self.mode!r}")
+        for name in ("d0", "gamma", "b_ref"):
+            _require_finite(name, getattr(self, name))
         if self.gamma < 0:
             raise DomainError(f"gamma must be >= 0, got {self.gamma}")
         if self.mode == "general":
             if not self.table:
                 raise ConfigError("general fiscal-response mode requires a table")
+            for b, d in self.table:
+                _require_finite("fiscal-response table b", b)
+                _require_finite("fiscal-response table d", d)
             knots = sorted(self.table)
             bs = [k[0] for k in knots]
             if len(set(bs)) != len(bs):

@@ -10,13 +10,14 @@ declared only when the widened band clears zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .closure import TwoLayerParams, demand_at
+from .core import _require_finite
 from .errors import ConfigError, DomainError, EstimationError
 from .transition import TransitionSpec, required_growth_exogenous
 
@@ -87,6 +88,10 @@ class SubsampleConfig:
     statistic: str = "window_mean"
 
     def __post_init__(self):
+        for name in ("window_h", "block_len", "alpha"):
+            _require_finite(name, getattr(self, name))
+        for ell in self.block_grid:
+            _require_finite("block_grid", ell)
         if not (3 <= self.block_len < self.window_h):
             raise ConfigError(
                 f"need 3 <= block_len < window_h, got {self.block_len}, {self.window_h}"
@@ -111,42 +116,27 @@ def score_tf(spec: TransitionSpec) -> float:
 
 
 _PE_FIELDS = ("theta", "psi", "z", "c_bar", "phi_req", "dist")
-_TF_FIELDS = ("b_concept", "d", "s")
+# override key -> EconState field
+_TF_FIELDS = {"b_concept": "b_prev", "d": "d", "s": "s"}
+
+
+def _check_overrides(variant: MeasurementVariant, allowed) -> None:
+    for key in variant.overrides:
+        if key not in allowed:
+            raise ConfigError(f"variant {variant.id!r}: unknown override {key!r}")
 
 
 def apply_pe_variant(base: TwoLayerParams, variant: MeasurementVariant) -> float:
     """Score one admissible reading of the two-layer state."""
-    fields = {f: getattr(base, f) for f in _PE_FIELDS}
-    for key, value in variant.overrides.items():
-        if key not in _PE_FIELDS:
-            raise ConfigError(f"variant {variant.id!r}: unknown override {key!r}")
-        fields[key] = value
-    return score_pe(TwoLayerParams(**fields))
+    _check_overrides(variant, _PE_FIELDS)
+    return score_pe(replace(base, **variant.overrides))
 
 
 def apply_tf_variant(spec: TransitionSpec, variant: MeasurementVariant) -> float:
     """Score one admissible debt-concept / fiscal-burden reading."""
-    st = spec.state
-    b = st.b_prev
-    d = st.d
-    s = st.s
-    for key, value in variant.overrides.items():
-        if key == "b_concept":
-            b = value
-        elif key == "d":
-            d = value
-        elif key == "s":
-            s = value
-        else:
-            raise ConfigError(f"variant {variant.id!r}: unknown override {key!r}")
-    from .core import EconState
-
-    patched = TransitionSpec(
-        state=EconState(b_prev=b, r_n=st.r_n, g_n=st.g_n, pi=st.pi, d=d, s=s),
-        g_new=spec.g_new, rho_bar=spec.rho_bar, m=spec.m,
-        g_star_baseline=spec.g_star_baseline,
-    )
-    return score_tf(patched)
+    _check_overrides(variant, _TF_FIELDS)
+    state = replace(spec.state, **{_TF_FIELDS[k]: v for k, v in variant.overrides.items()})
+    return score_tf(replace(spec, state=state))
 
 
 def tier_scores(base, variants: Sequence[MeasurementVariant], tier: int,

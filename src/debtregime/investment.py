@@ -10,8 +10,11 @@ envelope takes the most conservative of each side.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from functools import reduce
+from itertools import accumulate
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,6 +53,10 @@ class InvestmentInputs:
     shock_size: float = 0.01
 
     def __post_init__(self):
+        for name in ("mu", "lam", "m", "delta_bar", "shock_size"):
+            _require_finite(name, getattr(self, name))
+        for bound in self.delta_demo:
+            _require_finite("delta_demo", bound)
         if self.mu <= 0:
             raise DomainError(f"mu must be > 0, got {self.mu}")
         if not (0 < self.lam <= 1):
@@ -67,7 +74,8 @@ class AllocationProblem:
 
     Objective: base_surplus + sum_j mu_j*x_j + sum_{j<k} gamma_jk*x_j*x_k,
     maximized over x >= 0 with sum(x) <= budget.  gamma_jk is supplied
-    upper-triangular and treated symmetrically in evaluation.
+    upper-triangular and treated symmetrically in evaluation.  Coefficients
+    are stored as Python floats; `objective` also takes a [J, N] array.
     """
 
     mu_j: Tuple[float, ...]
@@ -81,12 +89,11 @@ class AllocationProblem:
         if self.budget < 0:
             raise DomainError(f"budget must be >= 0, got {self.budget}")
         J = len(self.mu_j)
-        if self.gamma_jk is None:
-            object.__setattr__(
-                self, "gamma_jk", tuple(tuple(0.0 for _ in range(J)) for _ in range(J))
-            )
-        if len(self.gamma_jk) != J or any(len(row) != J for row in self.gamma_jk):
+        gamma = ((0.0,) * J,) * J if self.gamma_jk is None else self.gamma_jk
+        if len(gamma) != J or any(len(row) != J for row in gamma):
             raise DomainError("gamma_jk must be a JxJ array")
+        object.__setattr__(self, "mu_j", tuple(float(m) for m in self.mu_j))
+        object.__setattr__(self, "gamma_jk", tuple(tuple(float(g) for g in row) for row in gamma))
         for j in range(J):
             _require_finite(f"mu_j[{j}]", self.mu_j[j])
             for k in range(J):
@@ -191,39 +198,39 @@ def cumulative_upper_bound(
     return total
 
 
-def _project_capped_simplex(x: np.ndarray, budget: float) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum(x) <= budget}."""
-    y = np.maximum(x, 0.0)
-    if y.sum() <= budget:
+def _project_capped_simplex(x: List[float], budget: float) -> List[float]:
+    """Euclidean projection onto {x >= 0, sum(x) <= budget} on Python floats:
+    the sort algorithm of Duchi et al. (ICML 2008) in numpy's IEEE operations
+    and order (numpy sums up to 7 terms sequentially; `sum` compensates from
+    Python 3.12 on)."""
+    y = [v if v > 0.0 else 0.0 for v in x]
+    if reduce(operator.add, y) <= budget:
         return y
-    # project onto the simplex sum(x) = budget (sorting algorithm)
-    u = np.sort(x)[::-1]
-    css = np.cumsum(u) - budget
-    idx = np.arange(1, len(x) + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    theta = css[rho - 1] / rho
-    return np.maximum(x - theta, 0.0)
+    # the last i with u_i - (css_i - budget)/i > 0 sets theta; i = 1 (which
+    # qualifies in exact arithmetic if budget > 0) stands in when none does
+    u = sorted(x, reverse=True)
+    theta = u[0] - budget
+    for i, c in enumerate(accumulate(u), 1):
+        if u[i - 1] - (c - budget) / i > 0:
+            theta = (c - budget) / i
+    return [v - theta if v - theta > 0.0 else 0.0 for v in x]
 
 
-def _ascent(problem: AllocationProblem, start: np.ndarray, iters: int = 2000) -> np.ndarray:
-    """Projected gradient ascent with backtracking from one start point."""
-    mu = np.asarray(problem.mu_j, dtype=float)
-    J = problem.n_sectors
-    G = np.zeros((J, J))
-    for j in range(J):
-        for k in range(j + 1, J):
-            G[j, k] = problem.gamma_jk[j][k]
+def _ascent(problem: AllocationProblem, start: List[float], iters: int = 2000) -> List[float]:
+    """Projected gradient ascent with backtracking from one start point; the
+    gradient stays a BLAS matvec, whose rounding no Python-float sum matches."""
+    mu = np.array(problem.mu_j)
+    G = np.triu(np.array(problem.gamma_jk), 1)
     G = G + G.T
-    x = _project_capped_simplex(start.astype(float), problem.budget)
+    x = _project_capped_simplex(start, problem.budget)
     obj = problem.objective(x)
     step = max(problem.budget, 1e-6)
     for _ in range(iters):
-        grad = mu + G @ x
+        grad = (mu + G @ np.array(x)).tolist()
         moved = False
         s = step
         for _ in range(40):
-            cand = _project_capped_simplex(x + s * grad, problem.budget)
+            cand = _project_capped_simplex([a + s * b for a, b in zip(x, grad)], problem.budget)
             cand_obj = problem.objective(cand)
             if cand_obj > obj + 1e-15:
                 x, obj, moved = cand, cand_obj, True
@@ -261,13 +268,7 @@ def allocate(problem: AllocationProblem, grid_resolution: int = 40) -> dict:
         total = total + levels.reshape((-1,) + (1,) * (J - 1 - j))
     # np.nonzero walks the grid in C order, which is the product order
     x = levels[np.array(np.nonzero(~(total > problem.budget + 1e-15)))]
-    # the objective term by term, in the order AllocationProblem.objective adds
-    val = np.full(x.shape[1], problem.base_surplus, dtype=float)
-    for j in range(J):
-        val = val + problem.mu_j[j] * x[j]
-    for j in range(J):
-        for k in range(j + 1, J):
-            val = val + problem.gamma_jk[j][k] * x[j] * x[k]
+    val = problem.objective(x)  # x[j] is row j: one value per point
     # Walk the chain of strict improvements (> incumbent + 1e-15).  Every point
     # before the incumbent is at most incumbent + 1e-15, so the first later
     # point above the threshold is the first index where the running maximum
@@ -283,12 +284,12 @@ def allocate(problem: AllocationProblem, grid_resolution: int = 40) -> dict:
 
 
 def allocate_ascent(problem: AllocationProblem) -> dict:
-    """Multi-start projected-ascent solution: the J > 3 path of `allocate`
-    and a cross-check of its grid for J <= 3."""
+    """Multi-start projected-ascent solution (the J > 3 path of `allocate`):
+    from zero, the equal split and each vertex, keep the best end point."""
     J = problem.n_sectors
-    starts = [np.zeros(J), np.full(J, problem.budget / J)]
+    starts = [[0.0] * J, [problem.budget / J] * J]
     for j in range(J):
-        e = np.zeros(J)
+        e = [0.0] * J
         e[j] = problem.budget
         starts.append(e)
     best_x, best_obj = None, -math.inf
@@ -297,4 +298,4 @@ def allocate_ascent(problem: AllocationProblem) -> dict:
         val = problem.objective(x)
         if val > best_obj:
             best_x, best_obj = x, val
-    return {"allocation": [float(v) for v in best_x], "objective": best_obj}
+    return {"allocation": best_x, "objective": np.float64(best_obj)}  # as the grid returns

@@ -14,7 +14,7 @@ no effect.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,6 +26,7 @@ from .closure import (
     gamma_theta,
     solve_premium,
 )
+from .core import _require_finite
 from .errors import DomainError
 from .inference import (
     PE_LABELS,
@@ -123,6 +124,11 @@ class MCConfig:
     tf_m: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if not (f.name == "eps_cap" and v == math.inf):
+                    _require_finite(f.name, v)
         if self.n_reps < 1:
             raise DomainError("n_reps must be >= 1")
         if self.T < self.window_h:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .closure import TwoLayerParams, solve_premium
-from .core import EconState
+from .core import EconState, _require_finite
 from .errors import DomainError
 
 __all__ = [
@@ -53,6 +53,11 @@ class TransitionSpec:
     g_star_baseline: float = 0.03
 
     def __post_init__(self):
+        for name in ("g_new", "rho_bar", "m", "mu", "x_max_operational", "T_invest",
+                     "g_star_baseline"):
+            _require_finite(name, getattr(self, name))
+        if self.T_star != math.inf:
+            _require_finite("T_star", self.T_star)
         if self.rho_bar < 0:
             raise DomainError(f"rho_bar must be >= 0, got {self.rho_bar}")
         if self.m < 0:

@@ -535,6 +535,17 @@ class TestDistributionAndHelpers:
         # an atom of zero-benefit holders is a legitimate reading
         MarginDistribution(kind="table", knots=((0.0, 0.2), (0.06, 1.0))).validate(0.06)
 
+    def test_atom_below_offset_first_knot(self):
+        # validate lets the first knot sit up to 1e-15 above 0; below it G is
+        # the atom G(c0), not the 1.0 it used to return there
+        dist = MarginDistribution(kind="table", knots=((1e-16, 0.2), (0.03, 0.6), (0.06, 1.0)))
+        dist.validate(0.06)
+        cs = [0.0, 5e-17, 1e-16, 2e-16]
+        G = [dist.cdf(c, 0.06) for c in cs]
+        assert G[:3] == [0.2, 0.2, 0.2] and G == sorted(G)
+        assert dist.cdf_array(np.array(cs), 0.06).tolist() == G
+        assert [dist.density(c, 0.06) for c in cs[:2]] == [0.0, 0.0]
+
     def test_bisection_on_table_dist(self):
         p = TwoLayerParams(z=0.03, dist=table_from_power(0.06, 0.8))
         sol = solve_premium(p)

@@ -167,6 +167,13 @@ class TestEffectiveDeficit:
         assert effective_deficit(fr, 9.0) == 0.026  # clamped above
         assert fr.lipschitz_constant() == pytest.approx(0.015, abs=1e-12)
 
+    def test_non_finite_rejected(self):
+        for kw in ({"d0": math.nan}, {"gamma": math.inf}, {"b_ref": -math.inf},
+                   {"mode": "general", "table": ((2.0, 0.018), (math.nan, 0.02))},
+                   {"mode": "general", "table": ((2.0, 0.018), (2.4, math.inf))}):
+            with pytest.raises(DomainError, match="finite"):
+                FiscalResponse(**kw)
+
     def test_general_empty_table_rejected(self):
         with pytest.raises(ConfigError):
             FiscalResponse(mode="general", table=None)

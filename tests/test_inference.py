@@ -325,6 +325,13 @@ class TestSubsampling:
         with pytest.raises(EstimationError):
             subsample_critical_value(r, self.CFG)
 
+    def test_config_non_finite_rejected(self):
+        # a NaN alpha or an infinite window used to pass the range checks
+        for kw in ({"alpha": math.nan}, {"window_h": math.inf}, {"block_len": math.nan},
+                   {"block_grid": (4, math.inf)}):
+            with pytest.raises(DomainError, match="finite"):
+                SubsampleConfig(**kw)
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             SubsampleConfig(window_h=8, block_len=8)

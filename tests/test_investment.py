@@ -14,6 +14,7 @@ from debtregime.investment import (
     compute_bounds,
     cumulative_upper_bound,
 )
+from debtregime.investment import _project_capped_simplex
 
 
 def baseline_inputs(**kw):
@@ -85,6 +86,13 @@ class TestComputeBounds:
     def test_bad_mu_rejected(self):
         with pytest.raises(DomainError):
             baseline_inputs(mu=0.0)
+
+    @pytest.mark.parametrize("kw", [{"mu": math.nan}, {"lam": math.nan}, {"m": math.nan},
+                                    {"delta_bar": math.inf}, {"shock_size": -math.inf},
+                                    {"delta_demo": (0.005, math.nan)}])
+    def test_non_finite_rejected(self, kw):
+        with pytest.raises(DomainError, match="finite"):
+            baseline_inputs(**kw)
 
 
 class TestCumulativeUpperBound:
@@ -232,3 +240,142 @@ class TestAllocate:
         problem = AllocationProblem(mu_j=(0.05,), budget=0.01, base_surplus=-0.0003)
         out = allocate(problem)
         assert out["objective"] == pytest.approx(-0.0003 + 0.0005, abs=1e-12)
+
+
+def _oracle_project(x, budget):
+    """The numpy projection the Python-float `_project_capped_simplex` replaced."""
+    y = np.maximum(x, 0.0)
+    if y.sum() <= budget:
+        return y
+    u = np.sort(x)[::-1]
+    css = np.cumsum(u) - budget
+    idx = np.arange(1, len(x) + 1)
+    cond = u - css / idx > 0
+    rho = idx[cond][-1]
+    theta = css[rho - 1] / rho
+    return np.maximum(x - theta, 0.0)
+
+
+def _oracle_ascent(problem, start, iters=2000):
+    """The numpy `_ascent` the Python-float one replaced."""
+    mu = np.asarray(problem.mu_j, dtype=float)
+    J = problem.n_sectors
+    G = np.zeros((J, J))
+    for j in range(J):
+        for k in range(j + 1, J):
+            G[j, k] = problem.gamma_jk[j][k]
+    G = G + G.T
+    x = _oracle_project(start.astype(float), problem.budget)
+    obj = problem.objective(x)
+    step = max(problem.budget, 1e-6)
+    for _ in range(iters):
+        grad = mu + G @ x
+        moved = False
+        s = step
+        for _ in range(40):
+            cand = _oracle_project(x + s * grad, problem.budget)
+            cand_obj = problem.objective(cand)
+            if cand_obj > obj + 1e-15:
+                x, obj, moved = cand, cand_obj, True
+                break
+            s *= 0.5
+        if not moved:
+            break
+    return x
+
+
+def oracle_allocate_ascent(problem):
+    J = problem.n_sectors
+    starts = [np.zeros(J), np.full(J, problem.budget / J)]
+    for j in range(J):
+        e = np.zeros(J)
+        e[j] = problem.budget
+        starts.append(e)
+    best_x, best_obj = None, -math.inf
+    for s in starts:
+        x = _oracle_ascent(problem, s)
+        val = problem.objective(x)
+        if val > best_obj:
+            best_x, best_obj = x, val
+    return {"allocation": [float(v) for v in best_x], "objective": best_obj}
+
+
+def ascent_problems(J, rng):
+    """Random mixed-sign, crowding-out and tie-heavy problems with J sectors,
+    budgets from 1e-4 to 0.5 and a nonzero base surplus."""
+    def upper(draw):
+        return tuple(tuple(draw() if k > j else 0.0 for k in range(J)) for j in range(J))
+
+    return [
+        dict(mu_j=tuple(rng.uniform(-0.02, 0.08, J)),
+             gamma_jk=upper(lambda: rng.uniform(-2.0, 2.0)), budget=0.5,
+             base_surplus=float(rng.uniform(-0.001, 0.001))),
+        dict(mu_j=tuple(rng.uniform(0.02, 0.08, J)),
+             gamma_jk=upper(lambda: rng.uniform(-2.0, 0.0)),
+             budget=float(10 ** rng.uniform(-4.0, math.log10(0.5)))),
+        dict(mu_j=(0.05,) * J, gamma_jk=upper(lambda: float(rng.choice([0.0, -1.0, 0.5]))),
+             budget=1e-4, base_surplus=-0.0003),
+        dict(mu_j=(0.03,) * J, budget=float(rng.uniform(0.005, 0.03))),
+    ]
+
+
+class TestAscentEqualsNumpyOracle:
+    """The Python-float ascent against the numpy ascent it replaced.
+
+    Up to 7 sectors the two do the same IEEE operations in the same order
+    (numpy's sum is sequential below 8 terms), so results must match to the
+    last bit.  From 8 terms numpy's sum unrolls 8 ways, so for J = 8..10 the
+    result need only be feasible and within 1e-12 of the oracle's objective.
+    """
+
+    @pytest.mark.parametrize("J", range(1, 8))
+    def test_repr_equal(self, J):
+        rng = np.random.default_rng(4000 + J)
+        for kw in ascent_problems(J, rng):
+            want = oracle_allocate_ascent(AllocationProblem(**kw))
+            # mu_j as np.float64 and as Python float
+            for mu in (tuple(np.float64(m) for m in kw["mu_j"]),
+                       tuple(float(m) for m in kw["mu_j"])):
+                problem = AllocationProblem(**{**kw, "mu_j": mu})
+                got = allocate_ascent(problem)
+                assert repr(got) == repr(want)
+                if J > 3:
+                    assert repr(allocate(problem)) == repr(want)
+
+    def test_projection_repr_equal(self):
+        # random points, and points on the budget face, where the feasibility
+        # test turns on the last bit of the sum
+        rng = np.random.default_rng(6000)
+        for _ in range(2000):
+            J = int(rng.integers(1, 8))
+            budget = float(10 ** rng.uniform(-4.0, math.log10(0.5)))
+            x = (rng.uniform(-1.0, 1.0, J) * budget * 3.0).tolist()
+            on_face = _oracle_project(np.array(x), budget).tolist()
+            for point in (x, on_face, [v * (1.0 + 1e-15) for v in on_face]):
+                want = _oracle_project(np.array(point), budget).tolist()
+                assert repr(_project_capped_simplex(point, budget)) == repr(want)
+
+    @pytest.mark.parametrize("J", [8, 9, 10])
+    def test_large_j_within_tolerance(self, J):
+        rng = np.random.default_rng(5000 + J)
+        for kw in ascent_problems(J, rng)[:2]:
+            problem = AllocationProblem(**kw)
+            want = oracle_allocate_ascent(problem)
+            got = allocate(problem)
+            x = got["allocation"]
+            assert min(x) >= 0.0 and sum(x) <= problem.budget + 1e-12
+            assert abs(got["objective"] - want["objective"]) <= 1e-12
+
+    def test_zero_budget_ascent_returns_zero(self):
+        # the numpy projection found no qualifying index at budget 0 and
+        # raised IndexError
+        problem = AllocationProblem(mu_j=(0.05,) * 4, budget=0.0)
+        assert repr(allocate_ascent(problem)) == repr(
+            {"allocation": [0.0] * 4, "objective": np.float64(0.0)})
+
+    def test_coefficients_stored_as_floats(self):
+        problem = AllocationProblem(mu_j=np.array([0.05, 0.03]),
+                                    gamma_jk=np.array([[0.0, -1.0], [0.0, 0.0]]))
+        assert problem.mu_j == (0.05, 0.03)
+        assert problem.gamma_jk == ((0.0, -1.0), (0.0, 0.0))
+        assert all(type(v) is float for v in problem.mu_j + sum(problem.gamma_jk, ()))

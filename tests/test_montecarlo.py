@@ -1,9 +1,11 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from debtregime.closure import TwoLayerParams
+from debtregime.errors import DomainError
 from debtregime.inference import score_pe
 from debtregime.montecarlo import (
     MCConfig,
@@ -20,6 +22,14 @@ def small_cfg(**kw):
     args = dict(n_reps=40, T=60, alpha=0.10, seed=42)
     args.update(kw)
     return MCConfig(**args)
+
+
+def test_config_non_finite_rejected():
+    for kw in ({"alpha": math.nan}, {"sd_z": math.inf}, {"eps_cap": math.nan},
+               {"evaluation_horizons": (3.8, math.nan)}, {"tf_g_star": -math.inf}):
+        with pytest.raises(DomainError, match="finite"):
+            small_cfg(**kw)
+    assert small_cfg(eps_cap=math.inf).eps_cap == math.inf
 
 
 class TestDGP:

@@ -1,4 +1,5 @@
-"""Property tests of the closure's array kernels against the scalar definitions."""
+"""Property tests of the closure's array kernels against the scalar
+definitions, and of the allocation ascent's capped-simplex projection."""
 
 import math
 
@@ -12,6 +13,7 @@ from debtregime.closure import (
     TwoLayerParams,
     demand_at,
 )
+from debtregime.investment import _project_capped_simplex
 
 # a fixed example sequence per test keeps the suite deterministic
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -59,3 +61,13 @@ def test_premium_grid_complementarity(margin, psi, z, phi_req):
         assert 0.0 <= rho <= z
         assert gap >= -1e-10
         assert abs(rho * gap) <= 1e-10
+
+
+@PROPERTY
+@given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=10), st.floats(0.0, 0.5))
+def test_projection_feasible_and_idempotent(x, budget):
+    y = _project_capped_simplex(x, budget)
+    assert len(y) == len(x) and min(y) >= 0.0
+    assert sum(y) <= budget + 4 * len(x) * math.ulp(max(budget, max(map(abs, x))))
+    again = _project_capped_simplex(y, budget)
+    assert max(abs(a - b) for a, b in zip(again, y)) <= 1e-15

@@ -24,6 +24,16 @@ def spec(state=ECON, **kw):
     return TransitionSpec(**args)
 
 
+class TestSpecValidation:
+    @pytest.mark.parametrize("name", ["g_new", "rho_bar", "m", "mu", "x_max_operational",
+                                      "T_invest", "T_star", "g_star_baseline"])
+    def test_non_finite_rejected(self, name):
+        for bad in (math.nan, -math.inf) + (() if name == "T_star" else (math.inf,)):
+            with pytest.raises(DomainError, match=name):
+                spec(**{name: bad})
+        assert spec(T_star=math.inf).T_star == math.inf
+
+
 class TestExogenousThreshold:
     def test_march_baseline(self):
         out = required_growth_exogenous(spec())
