@@ -1,9 +1,12 @@
-"""Command-line driver.
+"""Command-line driver: parse the arguments, call the one builder behind
+each artifact, write its CSV and print a summary.
 
-Subcommands: scenario, clock, bounds, closure (with --sweep), transition,
-infer, mc, tables.  Global flags: --config, --seed, --out, --format,
---threads (accepted for compatibility; the engine runs batched on one
-thread).  Exit codes: 0 success, 1 usage, 2 configuration, 3 numeric/domain.
+Subcommands: scenario, clock, bounds, closure, transition, infer, mc,
+tables.  `closure --sweep NAME` emits the stress grid over the built-in
+`stress_v2` rows or a scenario file's `sweep.NAME.*` rows.  Global flags:
+--config, --seed, --out, --format, --threads (accepted for compatibility;
+the engine runs batched on one thread).  Exit codes: 0 success, 1 usage,
+2 configuration, 3 numeric/domain.
 """
 
 from __future__ import annotations
@@ -17,9 +20,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .closure import solve_premium
-from .core import check_scope, stability_surplus, step_debt
 from .errors import ConfigError, DomainError, EngineError
-from .extensions import ClockSpec, clock
+from .extensions import clock
 from .inference import (
     classify,
     detrend_local_linear,
@@ -28,8 +30,19 @@ from .inference import (
 )
 from .investment import compute_bounds
 from .scenario import Scenario, load_scenario, load_series_csv
-from .tables import TABLE_IDS, TableArtifact, build_table, emit_csv, scenario_report
-from .transition import required_growth_endogenous, required_growth_exogenous
+from .tables import (
+    TABLE_IDS,
+    TableArtifact,
+    build_stress_v2,
+    build_table,
+    emit_csv,
+    scenario_report,
+)
+from .transition import (
+    joint_feasibility,
+    required_growth_endogenous,
+    required_growth_exogenous,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -94,53 +107,51 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _write(artifact: TableArtifact, out_dir: str, name: str) -> str:
+def _write(artifact: TableArtifact, out_dir: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name + ".csv")
+    path = os.path.join(out_dir, artifact.table_id + ".csv")
     emit_csv(artifact, path)
     return path
 
 
-def _print_kv(rows) -> None:
-    for row in rows:
-        print("  " + "  ".join(str(v) for v in row))
+def _emit_quantities(table_id: str, rows, scenario: Scenario, args,
+                     summary: Optional[List[str]] = None) -> int:
+    """Write a two-column quantity/value artifact, then print `summary` (by
+    default one line per row) and the path written."""
+    art = TableArtifact(
+        table_id, ("quantity", "value"), rows,
+        {"config_hash": scenario.config_hash(), "seed": args.seed},
+    )
+    path = _write(art, args.out)
+    for line in summary or ["  " + "  ".join(str(v) for v in row) for row in rows]:
+        print(line)
+    print(f"wrote {path}")
+    return EXIT_OK
 
 
 def _cmd_scenario(scenario: Scenario, args) -> int:
     art = scenario_report(scenario, args.seed)
-    path = _write(art, args.out, "scenario_report")
-    econ = scenario.econ_state()
-    regime = scenario.regime_params()
+    path = _write(art, args.out)
+    v = {(section, key): value for section, key, value in art.rows}
+    rho = v["closure", "rho"]
+    rho_txt = "n/a" if rho is None else f"{rho * 100:.4f}%"
     print(f"scenario {scenario.name!r}")
-    print(f"  b_next = {step_debt(econ):.6f}")
-    print(f"  stability surplus = {stability_surplus(econ, regime) * 100:.4f}%/yr")
-    scope = check_scope(regime)
-    print(f"  sc1 = {scope['sc1']}, sc2 = {scope['sc2']}")
-    sol = solve_premium(scenario.two_layer())
-    rho_txt = "n/a" if sol.rho is None else f"{sol.rho * 100:.4f}%"
-    print(f"  closure case = {sol.case}, rho = {rho_txt}")
-    exo = required_growth_exogenous(scenario.transition_spec())
-    print(f"  required dg (exogenous) = {exo['delta_g_min'] * 100:.2f} pp")
+    print(f"  b_next = {v['recursion', 'b_next']:.6f}")
+    print(f"  stability surplus = {v['stability', 'surplus'] * 100:.4f}%/yr")
+    print(f"  sc1 = {v['scope', 'sc1']}, sc2 = {v['scope', 'sc2']}")
+    print(f"  closure case = {v['closure', 'case']}, rho = {rho_txt}")
+    print(f"  required dg (exogenous) = "
+          f"{v['transition', 'delta_g_min_exogenous'] * 100:.2f} pp")
     print(f"wrote {path}")
     return EXIT_OK
 
 
 def _cmd_clock(scenario: Scenario, args) -> int:
-    regime = scenario.regime_params()
-    clk = clock(
-        ClockSpec(phi=regime.phi, phi_bar=regime.phi_bar,
-                  kappa=regime.kappa, kappa_exp=regime.kappa_exp)
+    clk = clock(scenario.clock_spec())
+    return _emit_quantities(
+        "clock", [("T_linear", clk["T_linear"]), ("T_exp", clk["T_exp"])], scenario, args,
+        summary=[f"T_linear = {clk['T_linear']}, T_exp = {clk['T_exp']}"],
     )
-    art = TableArtifact(
-        "clock",
-        ("quantity", "value"),
-        [("T_linear", clk["T_linear"]), ("T_exp", clk["T_exp"])],
-        {"config_hash": scenario.config_hash(), "seed": args.seed},
-    )
-    path = _write(art, args.out, "clock")
-    print(f"T_linear = {clk['T_linear']}, T_exp = {clk['T_exp']}")
-    print(f"wrote {path}")
-    return EXIT_OK
 
 
 def _cmd_bounds(scenario: Scenario, args) -> int:
@@ -152,22 +163,13 @@ def _cmd_bounds(scenario: Scenario, args) -> int:
         ("x_min_demo_lo", b.x_min_demo_lo), ("x_min_demo_hi", b.x_min_demo_hi),
         ("x_min_operational", b.x_min_operational), ("feasible", b.feasible),
     ]
-    art = TableArtifact(
-        "bounds", ("quantity", "value"), rows,
-        {"config_hash": scenario.config_hash(), "seed": args.seed},
-    )
-    path = _write(art, args.out, "bounds")
-    _print_kv(rows)
-    print(f"wrote {path}")
-    return EXIT_OK
+    return _emit_quantities("bounds", rows, scenario, args)
 
 
 def _cmd_closure(scenario: Scenario, args) -> int:
     if args.sweep:
-        art = build_table("stress_v2", scenario, args.seed) if args.sweep == "stress_v2" \
-            else _custom_sweep(scenario, args)
-        path = _write(art, args.out, art.table_id)
-        print(f"wrote {path}")
+        art = build_stress_v2(scenario, args.seed, args.sweep)
+        print(f"wrote {_write(art, args.out)}")
         return EXIT_OK
     sol = solve_premium(scenario.two_layer())
     rows = [
@@ -175,58 +177,17 @@ def _cmd_closure(scenario: Scenario, args) -> int:
         ("phi_d_at_zero", sol.phi_d_at_zero), ("phi_d_max", sol.phi_d_max),
         ("slack", sol.slack),
     ]
-    art = TableArtifact(
-        "closure", ("quantity", "value"), rows,
-        {"config_hash": scenario.config_hash(), "seed": args.seed},
-    )
-    path = _write(art, args.out, "closure")
-    _print_kv(rows)
-    print(f"wrote {path}")
-    return EXIT_OK
-
-
-def _custom_sweep(scenario: Scenario, args) -> TableArtifact:
-    from .reference_values import STRESS_V2_RHO_REF
-    from .transition import feasibility_label, required_growth_endogenous
-
-    rows = []
-    mu_range = (scenario.get("transition.mu_lo"), scenario.get("transition.mu_hi"))
-    x_max_label = scenario.get("transition.x_max_label")
-    for row_name, overrides in scenario.sweep_rows(args.sweep):
-        sc = scenario.with_overrides(overrides)
-        p = sc.two_layer()
-        sol = solve_premium(p)
-        res = required_growth_endogenous(sc.transition_spec())
-        ref = STRESS_V2_RHO_REF.get(row_name)
-        rows.append(
-            (row_name, p.theta, p.z * 100, sol.phi_d_at_zero,
-             sol.rho * 100 if sol.rho is not None else None,
-             res["delta_g_min"] * 100,
-             feasibility_label(res["delta_g_min"], mu_range, x_max_label),
-             ref * 100 if ref is not None else None)
-        )
-    return TableArtifact(
-        args.sweep,
-        ("scenario", "theta", "z", "phi_d0", "rho_star", "required_dg", "label", "paper_rho_ref"),
-        rows,
-        {"config_hash": scenario.config_hash(), "seed": args.seed},
-    )
+    return _emit_quantities("closure", rows, scenario, args)
 
 
 def _cmd_transition(scenario: Scenario, args) -> int:
     bounds = compute_bounds(scenario.investment_inputs())
-    regime = scenario.regime_params()
-    clk = clock(
-        ClockSpec(phi=regime.phi, phi_bar=regime.phi_bar,
-                  kappa=regime.kappa, kappa_exp=regime.kappa_exp)
-    )
+    clk = clock(scenario.clock_spec())
     spec = scenario.transition_spec(
         x_max_operational=bounds.x_max_operational, T_star=clk["T_linear"]
     )
     exo = required_growth_exogenous(spec)
     endo = required_growth_endogenous(spec)
-    from .transition import joint_feasibility
-
     joint = joint_feasibility(spec, endo["delta_g_min"])
     rows = [
         ("threshold_exogenous", exo["threshold"]),
@@ -238,14 +199,7 @@ def _cmd_transition(scenario: Scenario, args) -> int:
         ("timely", joint["timely"]),
         ("feasible", joint["feasible"]),
     ]
-    art = TableArtifact(
-        "transition", ("quantity", "value"), rows,
-        {"config_hash": scenario.config_hash(), "seed": args.seed},
-    )
-    path = _write(art, args.out, "transition")
-    _print_kv(rows)
-    print(f"wrote {path}")
-    return EXIT_OK
+    return _emit_quantities("transition", rows, scenario, args)
 
 
 def _cmd_infer(scenario: Scenario, args) -> int:
@@ -288,34 +242,26 @@ def _cmd_infer(scenario: Scenario, args) -> int:
         {"config_hash": scenario.config_hash(), "seed": args.seed,
          "mode": args.mode, "envelope_statistic": "window_mean"},
     )
-    path = _write(art, args.out, "envelope_bands")
+    path = _write(art, args.out)
     print(f"classified {n} periods; final label: {rows[-1][-1]}")
     print(f"wrote {path}")
     return EXIT_OK
 
 
-def _cmd_mc(scenario: Scenario, args) -> int:
-    paths = []
-    if args.experiment in ("pe", "both"):
-        art = build_table("mc_pe", scenario, args.seed, n_reps=args.reps,
-                          threads=args.threads)
-        paths.append(_write(art, args.out, "mc_pe"))
-    if args.experiment in ("tf", "both"):
-        art = build_table("mc_tf", scenario, args.seed, n_reps=args.reps,
-                          threads=args.threads)
-        paths.append(_write(art, args.out, "mc_tf"))
-    for p in paths:
-        print(f"wrote {p}")
+def _emit_tables(table_ids, scenario: Scenario, args) -> int:
+    for table_id in table_ids:
+        art = build_table(table_id, scenario, args.seed, n_reps=args.reps)
+        print(f"wrote {_write(art, args.out)}")
     return EXIT_OK
+
+
+def _cmd_mc(scenario: Scenario, args) -> int:
+    ids = {"pe": ["mc_pe"], "tf": ["mc_tf"], "both": ["mc_pe", "mc_tf"]}
+    return _emit_tables(ids[args.experiment], scenario, args)
 
 
 def _cmd_tables(scenario: Scenario, args) -> int:
-    ids = [args.only] if args.only else list(TABLE_IDS)
-    for table_id in ids:
-        art = build_table(table_id, scenario, args.seed, n_reps=args.reps,
-                          threads=args.threads)
-        print(f"wrote {_write(art, args.out, table_id)}")
-    return EXIT_OK
+    return _emit_tables([args.only] if args.only else TABLE_IDS, scenario, args)
 
 
 _COMMANDS = {

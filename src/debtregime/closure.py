@@ -100,17 +100,16 @@ class MarginDistribution:
         `np.interp`, which rounds differently)."""
         c = np.asarray(c, dtype=float)
         if self.kind == "uniform":
-            inner = c / c_bar
-        else:
-            cs = np.array([k[0] for k in self.knots])
-            gs = np.array([k[1] for k in self.knots])
-            n_seg = len(cs) - 1
-            seg = np.searchsorted(cs[1:], c)  # first segment with c <= c1
-            covered = seg < n_seg
-            seg = np.minimum(seg, n_seg - 1)
-            c0, c1, g0, g1 = cs[seg], cs[seg + 1], gs[seg], gs[seg + 1]
-            inner = np.where(covered, g0 + (c - c0) / (c1 - c0) * (g1 - g0), 1.0)
-            inner = np.where(c < cs[0], gs[0], inner)
+            return np.clip(c, 0.0, c_bar) / c_bar
+        cs = np.array([k[0] for k in self.knots])
+        gs = np.array([k[1] for k in self.knots])
+        n_seg = len(cs) - 1
+        seg = np.searchsorted(cs[1:], c)  # first segment with c <= c1
+        covered = seg < n_seg
+        seg = np.minimum(seg, n_seg - 1)
+        c0, c1, g0, g1 = cs[seg], cs[seg + 1], gs[seg], gs[seg + 1]
+        inner = np.where(covered, g0 + (c - c0) / (c1 - c0) * (g1 - g0), 1.0)
+        inner = np.where(c < cs[0], gs[0], inner)
         return np.where(c < 0.0, 0.0, np.where(c >= c_bar, 1.0, inner))
 
     def density(self, c: float, c_bar: float) -> float:

@@ -96,6 +96,11 @@ class RegimeParams:
     kappa_exp: Optional[float] = 0.01
 
     def __post_init__(self):
+        # the shares are range-checked below, which also rejects NaN and inf
+        for name in ("epsilon", "g_star", "kappa", "de", "e_bar", "alpha", "beta"):
+            _require_finite(name, getattr(self, name))
+        if self.kappa_exp is not None:
+            _require_finite("kappa_exp", self.kappa_exp)
         for name in ("phi", "phi_bar", "psi_mon", "psi_abs", "psi_fx"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):

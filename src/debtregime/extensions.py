@@ -13,6 +13,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .core import _require_finite
 from .errors import (
     DomainError,
     EstimationError,
@@ -54,6 +55,8 @@ class SprintSpec:
     b0: float
 
     def __post_init__(self):
+        for name in ("baseline_spread", "sprint_spread", "T", "b0"):
+            _require_finite(name, getattr(self, name))
         if not self.sprint_spread < self.baseline_spread:
             raise DomainError(
                 "sprint must deepen compression: sprint_spread < baseline_spread"
@@ -72,6 +75,10 @@ class ClockSpec:
     kappa_exp: Optional[float] = None
 
     def __post_init__(self):
+        for name in ("phi", "phi_bar", "kappa"):
+            _require_finite(name, getattr(self, name))
+        if self.kappa_exp is not None:
+            _require_finite("kappa_exp", self.kappa_exp)
         if not self.phi > self.phi_bar:
             raise DomainError("clock requires phi > phi_bar (positive distance)")
 
@@ -89,6 +96,8 @@ class PsiSpec:
     weights: Tuple[float, float, float] = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
     def __post_init__(self):
+        for w in self.weights:
+            _require_finite("weight", w)
         for name in ("mon", "abs_proxy", "fx"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -150,28 +150,17 @@ def _bowed_dist(c_bar: float, power: float) -> MarginDistribution:
     return MarginDistribution(kind="table", knots=knots)
 
 
-def _cdf_at(dist_knots, c_bar: float, arg: np.ndarray) -> np.ndarray:
-    """Vectorized table-CDF evaluation with clamped support."""
-    cs = np.array([k[0] for k in dist_knots])
-    gs = np.array([k[1] for k in dist_knots])
-    return np.interp(np.clip(arg, 0.0, c_bar), cs, gs)
-
-
 def _pe_scores(
     theta: np.ndarray,
     z: np.ndarray,
     psi: float,
     c_bar: float,
     phi_req: float,
-    dist: Optional[MarginDistribution] = None,
+    dist: MarginDistribution = MarginDistribution(),
 ) -> np.ndarray:
-    """Zero-premium boundary score, vectorized over time."""
-    arg = z / psi
-    if dist is None or dist.kind == "uniform":
-        G = np.clip(arg / c_bar, 0.0, 1.0)
-    else:
-        G = _cdf_at(dist.knots, c_bar, arg)
-    return theta + (1.0 - theta) * (1.0 - G) - phi_req
+    """Zero-premium boundary score, vectorized over time: `score_pe` on the
+    closure's own CDF."""
+    return theta + (1.0 - theta) * (1.0 - dist.cdf_array(z / psi, c_bar)) - phi_req
 
 
 def simulate_pe_paths(cfg: MCConfig, rep: int) -> dict:

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Tuple
 from .closure import MarginDistribution, ThetaLaw, TwoLayerParams, phi_req_affine
 from .core import EconState, FiscalResponse, RegimeParams
 from .errors import ConfigError
+from .extensions import ClockSpec
 from .inference import SubsampleConfig
 from .investment import InvestmentInputs
 from .montecarlo import MCConfig
@@ -289,6 +290,13 @@ class Scenario:
             alpha=v["regime.alpha"], beta=v["regime.beta"],
             psi_mon=v["regime.psi_mon"], psi_abs=v["regime.psi_abs"],
             psi_fx=v["regime.psi_fx"], kappa_exp=v["regime.kappa_exp"],
+        )
+
+    def clock_spec(self) -> ClockSpec:
+        v = self.values
+        return ClockSpec(
+            phi=v["regime.phi"], phi_bar=v["regime.phi_bar"],
+            kappa=v["regime.kappa"], kappa_exp=v["regime.kappa_exp"],
         )
 
     def fiscal_response(self) -> FiscalResponse:

@@ -17,7 +17,6 @@ from .closure import solve_premium
 from .core import check_scope, stability_surplus, step_debt
 from .errors import DomainError, EngineError
 from .extensions import (
-    ClockSpec,
     PsiSpec,
     SprintSpec,
     clock,
@@ -26,7 +25,7 @@ from .extensions import (
     repression_dividend,
     sprint_cumulative_improvement,
 )
-from .inference import score_pe, score_tf
+from .inference import classify, envelope, score_pe, score_tf
 from .investment import compute_bounds
 from .montecarlo import run_mc_pe, run_mc_tf
 from .reference_values import STRESS_V2_RHO_REF, TIER_PE_SCORE_REF
@@ -132,12 +131,7 @@ def build_calibration(scenario: Scenario, seed: int) -> TableArtifact:
         b0=econ.b_prev,
     )
     bounds = compute_bounds(inv)
-    clk = clock(
-        ClockSpec(
-            phi=regime.phi, phi_bar=regime.phi_bar,
-            kappa=regime.kappa, kappa_exp=regime.kappa_exp,
-        )
-    )
+    clk = clock(scenario.clock_spec())
     par = paradox_test(econ.spread, scenario.get("fiscal.gamma"))
     rows = [
         ("sprint_cumulative_improvement", sprint_cumulative_improvement(sprint) * 100, "pp_gdp"),
@@ -160,14 +154,17 @@ def build_calibration(scenario: Scenario, seed: int) -> TableArtifact:
     )
 
 
-def build_stress_v2(scenario: Scenario, seed: int) -> TableArtifact:
+def build_stress_v2(scenario: Scenario, seed: int, name: str = "stress_v2") -> TableArtifact:
     """Stress grid over (core share, outside-option spread): zero-premium
     demand, equilibrium premium, required growth improvement, feasibility
-    label, and the published premium reference for side-by-side reading."""
+    label, and the published premium reference for side-by-side reading.
+
+    `name` selects the sweep (the built-in `stress_v2` rows or a scenario
+    file's `sweep.<name>.*` rows) and becomes the table id."""
     rows = []
     mu_range = (scenario.get("transition.mu_lo"), scenario.get("transition.mu_hi"))
     x_max_label = scenario.get("transition.x_max_label")
-    for row_name, overrides in scenario.sweep_rows("stress_v2"):
+    for row_name, overrides in scenario.sweep_rows(name):
         sc = scenario.with_overrides(overrides)
         p = sc.two_layer()
         spec = sc.transition_spec()
@@ -188,7 +185,7 @@ def build_stress_v2(scenario: Scenario, seed: int) -> TableArtifact:
             )
         )
     return TableArtifact(
-        "stress_v2",
+        name,
         ("scenario", "theta", "z", "phi_d0", "rho_star", "required_dg", "label", "paper_rho_ref"),
         rows,
         _meta(scenario, seed),
@@ -210,13 +207,10 @@ def build_tier_pe(scenario: Scenario, seed: int) -> TableArtifact:
         rows.append(
             (reading, tier, score_pe(p) * 100, ref * 100 if ref is not None else None)
         )
-    lower = min(r[2] for r in rows)
-    upper = max(r[2] for r in rows)
-    label = "robustly-interior" if lower > 0 else (
-        "robustly-premium-emergent" if upper < 0 else "boundary-near"
-    )
-    rows.append((f"tier2_envelope_lower_{label}", 2, lower, None))
-    rows.append((f"tier2_envelope_upper_{label}", 2, upper, None))
+    env = envelope({r[0]: r[2] for r in rows})
+    label = classify(env, 0.0, 0.0, "PE")
+    rows.append((f"tier2_envelope_lower_{label}", 2, env.lower, None))
+    rows.append((f"tier2_envelope_upper_{label}", 2, env.upper, None))
     return TableArtifact(
         "tier_pe",
         ("reading", "tier", "score_pp", "paper_score_ref"),
@@ -230,15 +224,13 @@ def build_tier_tf(scenario: Scenario, seed: int) -> TableArtifact:
     monitoring concept, plus the affine envelope width."""
     spec = scenario.transition_spec()
     base = required_growth_exogenous(spec)
-    mon_state = scenario.with_overrides({"econ.b_prev": _MONITOR_B}).econ_state()
-    mon = required_growth_exogenous(
-        scenario.with_overrides({"econ.b_prev": _MONITOR_B}).transition_spec()
-    )
+    mon_spec = scenario.with_overrides({"econ.b_prev": _MONITOR_B}).transition_spec()
+    mon = required_growth_exogenous(mon_spec)
     d_net = spec.state.d - spec.state.s
     width = d_net * (1.0 / _MONITOR_B - 1.0 / spec.state.b_prev)
     rows = [
         ("tier1_baseline", spec.state.b_prev, base["threshold"] * 100, base["delta_g_min"] * 100, None),
-        ("tier2_monitoring", mon_state.b_prev, mon["threshold"] * 100, mon["delta_g_min"] * 100, width * 100),
+        ("tier2_monitoring", mon_spec.state.b_prev, mon["threshold"] * 100, mon["delta_g_min"] * 100, width * 100),
     ]
     return TableArtifact(
         "tier_tf",
@@ -267,10 +259,9 @@ def build_psi_countries(scenario: Scenario, seed: int) -> TableArtifact:
     )
 
 
-def build_mc_pe(scenario: Scenario, seed: int, n_reps: Optional[int] = None,
-                threads: int = 1) -> TableArtifact:
+def build_mc_pe(scenario: Scenario, seed: int, n_reps: Optional[int] = None) -> TableArtifact:
     cfg = scenario.mc_config(seed=seed, n_reps=n_reps)
-    res = run_mc_pe(cfg, threads=threads)
+    res = run_mc_pe(cfg)
     rows = [
         (r["horizon_yr"], r["method"], r["block_len"], r["false_safety"],
          r["false_alarm"], r["coverage"], r["warning"])
@@ -287,10 +278,9 @@ def build_mc_pe(scenario: Scenario, seed: int, n_reps: Optional[int] = None,
     )
 
 
-def build_mc_tf(scenario: Scenario, seed: int, n_reps: Optional[int] = None,
-                threads: int = 1) -> TableArtifact:
+def build_mc_tf(scenario: Scenario, seed: int, n_reps: Optional[int] = None) -> TableArtifact:
     cfg = scenario.mc_config(seed=seed, n_reps=n_reps)
-    res = run_mc_tf(cfg, threads=threads)
+    res = run_mc_tf(cfg)
     rows = [
         (r["rho_bar"] * 100, r["method"], r["false_feasible"],
          r["false_infeasible"], r["coverage"], r["marginal"], r["mean_width_bp"])
@@ -308,15 +298,15 @@ def build_mc_tf(scenario: Scenario, seed: int, n_reps: Optional[int] = None,
 
 
 def build_table(table_id: str, scenario: Scenario, seed: int,
-                n_reps: Optional[int] = None, threads: int = 1) -> TableArtifact:
+                n_reps: Optional[int] = None) -> TableArtifact:
     builders = {
         "calibration": lambda: build_calibration(scenario, seed),
         "stress_v2": lambda: build_stress_v2(scenario, seed),
         "tier_pe": lambda: build_tier_pe(scenario, seed),
         "tier_tf": lambda: build_tier_tf(scenario, seed),
         "psi_countries": lambda: build_psi_countries(scenario, seed),
-        "mc_pe": lambda: build_mc_pe(scenario, seed, n_reps, threads),
-        "mc_tf": lambda: build_mc_tf(scenario, seed, n_reps, threads),
+        "mc_pe": lambda: build_mc_pe(scenario, seed, n_reps),
+        "mc_tf": lambda: build_mc_tf(scenario, seed, n_reps),
     }
     if table_id not in builders:
         raise DomainError(f"unknown table_id {table_id!r}")
@@ -328,10 +318,7 @@ def scenario_report(scenario: Scenario, seed: int) -> TableArtifact:
     econ = scenario.econ_state()
     regime = scenario.regime_params()
     scope = check_scope(regime)
-    clk = clock(
-        ClockSpec(phi=regime.phi, phi_bar=regime.phi_bar,
-                  kappa=regime.kappa, kappa_exp=regime.kappa_exp)
-    )
+    clk = clock(scenario.clock_spec())
     bounds = compute_bounds(scenario.investment_inputs())
     p = scenario.two_layer()
     sol = solve_premium(p)

@@ -123,6 +123,18 @@ class TestStabilitySurplus:
         assert stability_surplus(st, rg) == pytest.approx(expected, abs=1e-15)
 
 
+class TestRegimeParams:
+    @pytest.mark.parametrize("kw", [{"epsilon": math.nan}, {"kappa": math.inf},
+                                    {"g_star": -math.inf}, {"de": math.nan},
+                                    {"kappa_exp": math.nan}, {"beta": math.inf}])
+    def test_non_finite_rejected(self, kw):
+        with pytest.raises(DomainError, match="must be finite"):
+            RegimeParams(**kw)
+
+    def test_kappa_exp_may_be_none(self):
+        assert RegimeParams(kappa_exp=None).kappa_exp is None
+
+
 class TestCheckScope:
     def test_baseline_holds(self):
         rg = RegimeParams(phi=0.88, phi_bar=0.85)

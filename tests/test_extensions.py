@@ -40,6 +40,15 @@ class TestSprint:
         with pytest.raises(DomainError):
             SprintSpec(baseline_spread=-0.008, sprint_spread=-0.008, T=2, b0=2.40)
 
+    @pytest.mark.parametrize("kw", [{"b0": math.nan}, {"b0": math.inf},
+                                    {"baseline_spread": math.nan},
+                                    {"sprint_spread": -math.inf}])
+    def test_non_finite_rejected(self, kw):
+        args = dict(baseline_spread=-0.008, sprint_spread=-0.013, T=2, b0=2.40)
+        args.update(kw)
+        with pytest.raises(DomainError, match="must be finite"):
+            SprintSpec(**args)
+
 
 class TestRatchet:
     def test_identity_at_reversion(self):
@@ -160,6 +169,15 @@ class TestClock:
                                   kappa_exp=kappa / phi))
             assert out["T_exp"] > out["T_linear"]
 
+    @pytest.mark.parametrize("kw", [{"kappa": math.nan}, {"kappa": math.inf},
+                                    {"kappa_exp": math.nan}, {"phi": math.inf}])
+    def test_non_finite_rejected(self, kw):
+        # a NaN kappa would otherwise read as a paused clock (T_linear = inf)
+        args = dict(phi=0.9, phi_bar=0.85, kappa=0.01, kappa_exp=None)
+        args.update(kw)
+        with pytest.raises(DomainError, match="must be finite"):
+            ClockSpec(**args)
+
 
 class TestEstimateKappa:
     def test_exact_line(self):
@@ -198,6 +216,12 @@ class TestEstimateKappa:
 
 
 class TestPsiComposite:
+    @pytest.mark.parametrize("weights", [(math.nan, 0.5, 0.5), (math.inf, 0.0, 0.0),
+                                         (0.5, 0.5, -math.inf)])
+    def test_non_finite_weights_rejected(self, weights):
+        with pytest.raises(DomainError, match="must be finite"):
+            PsiSpec(0.5, 0.5, 0.5, weights=weights)
+
     def test_three_country_values(self):
         assert psi_composite(PsiSpec(1.00, 0.93, 1.00)) == pytest.approx(
             0.976667, abs=1e-5

@@ -76,6 +76,24 @@ class TestDGP:
             )
             assert vec[t] == pytest.approx(score_pe(p), abs=1e-14)
 
+    @pytest.mark.parametrize("power", [None, 0.8, 1.25])
+    def test_scores_equal_closure_score_exactly(self, power):
+        # the Monte Carlo score is `score_pe` on the closure's own CDF, bit
+        # for bit, including arguments at and beyond the support's ends
+        cfg = small_cfg()
+        rng = np.random.default_rng(11)
+        theta = np.concatenate([rng.uniform(0.0, 1.0, 300), [0.0, 1.0, 0.65]])
+        z = np.concatenate([rng.uniform(1e-6, 0.08, 300),
+                            [cfg.c_bar * cfg.psi, 1e-12, 0.5 * cfg.c_bar]])
+        extra = {} if power is None else {"dist": _bowed_dist(cfg.c_bar, power)}
+        vec = _pe_scores(theta, z, cfg.psi, cfg.c_bar, cfg.phi_req, **extra)
+        want = [
+            score_pe(TwoLayerParams(theta=float(t), psi=cfg.psi, z=float(v),
+                                    c_bar=cfg.c_bar, phi_req=cfg.phi_req, **extra))
+            for t, v in zip(theta, z)
+        ]
+        assert repr(vec.tolist()) == repr(want)
+
     def test_pathwise_risk_despite_positive_expected_score(self):
         # the expected score stays at the baseline slack, yet realized
         # scores cross the boundary with visible frequency
