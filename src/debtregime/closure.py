@@ -340,6 +340,15 @@ def _core_drift(rho: np.ndarray, law: ThetaLaw, pi: float, r_rep: float) -> np.n
     return np.where(np.isnan(rho), -law.kappa_theta, gamma - law.kappa_theta)
 
 
+def _core_drift_at(p: TwoLayerParams, law: ThetaLaw, pi: float, r_rep: float) -> float:
+    """gamma(pi - r_rep - rho) - kappa at p's premium rho, the scalar form of
+    `_core_drift`; maintenance is off (drift -kappa) in hard failure."""
+    rho = solve_premium(p).rho
+    if rho is None:
+        return -law.kappa_theta
+    return gamma_theta(law, pi - r_rep - rho) - law.kappa_theta
+
+
 def comparative_statics(p: TwoLayerParams) -> dict:
     """Analytic partials of the case-c premium (uniform margins).
 
@@ -597,15 +606,8 @@ def fixed_point_scan(
     if grid < 1000:
         raise DomainError("grid must be >= 1000 points")
 
-    def rho_at(theta: float) -> float:
-        sol = solve_premium(p.with_theta(theta))
-        return sol.rho if sol.rho is not None else math.nan
-
     def G(theta: float) -> float:
-        rho = rho_at(theta)
-        if math.isnan(rho):
-            return -law.kappa_theta  # maintenance off in hard failure
-        return gamma_theta(law, pi - r_rep - rho) - law.kappa_theta
+        return _core_drift_at(p.with_theta(theta), law, pi, r_rep)
 
     n = grid
     vals = _core_drift(_premium_on_grid(p, np.arange(n + 1) / n), law, pi, r_rep)
@@ -662,8 +664,7 @@ def fixed_point_scan(
     h = 1.0 / n
     results = []
     for r in roots:
-        rho = rho_at(r)
-        kind = "safe" if (not math.isnan(rho) and rho == 0.0) else "stress"
+        kind = "safe" if solve_premium(p.with_theta(r)).rho == 0.0 else "stress"
         lo = max(0.0, r - h)
         hi = min(1.0, r + h)
         phi_lo = min(1.0, max(0.0, lo + G(lo)))

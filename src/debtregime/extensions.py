@@ -21,6 +21,7 @@ from .errors import (
     ModelInconsistencyWarning,
     ScopeError,
 )
+from .inference import _line_fit
 
 __all__ = [
     "SprintSpec",
@@ -212,11 +213,10 @@ def clock(spec: ClockSpec) -> dict:
 
 
 def _ols_line(t: np.ndarray, y: np.ndarray) -> tuple:
-    """Fit y = a + b*t; return (a, b, ssr)."""
-    X = np.column_stack([np.ones_like(t), t])
-    coef, *_ = np.linalg.lstsq(X, y, rcond=None)
-    resid = y - X @ coef
-    return float(coef[0]), float(coef[1]), float(resid @ resid)
+    """Fit y = a + b*t in closed form; return (b, ssr)."""
+    mean, slope = _line_fit(t, y)
+    resid = y - (mean + slope * (t - t.mean()))
+    return float(slope), float(resid @ resid)
 
 
 def estimate_kappa(
@@ -234,7 +234,7 @@ def estimate_kappa(
         raise EstimationError(f"need >= 8 observations, got {len(pts)}")
     t = np.array([p[0] for p in pts])
     y = np.array([p[1] for p in pts])
-    _, slope_full, ssr_pooled = _ols_line(t, y)
+    slope_full, ssr_pooled = _ols_line(t, y)
     out = {
         "slope_full": slope_full,
         "slope_pre": None,
@@ -248,8 +248,8 @@ def estimate_kappa(
         raise EstimationError(
             f"break_index must leave >= 3 points on each side, got {break_index} of {n}"
         )
-    _, slope_pre, ssr_pre = _ols_line(t[:break_index], y[:break_index])
-    _, slope_post, ssr_post = _ols_line(t[break_index:], y[break_index:])
+    slope_pre, ssr_pre = _ols_line(t[:break_index], y[:break_index])
+    slope_post, ssr_post = _ols_line(t[break_index:], y[break_index:])
     ssr_u = ssr_pre + ssr_post
     k = 2  # intercept + trend per regime
     if ssr_u <= 1e-18:

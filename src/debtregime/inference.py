@@ -1,6 +1,7 @@
 """Set-valued regime inference: boundary scores, tiered envelopes,
 local-linear detrending, block-subsampling critical values, and the
-conservative sign-rule classification.
+conservative sign-rule classification.  `_line_fit` is the one OLS line
+fit: detrending, trend growth and `extensions.estimate_kappa` call it.
 
 The target of inference is an interval of scores over an admissible family
 of measurement readings, not a point.  Bands widen the interval; labels are
@@ -67,31 +68,26 @@ class TierEnvelope:
     upper: float
     argmin_id: str
     argmax_id: str
-    label: str = ""
 
 
 @dataclass(frozen=True)
 class SubsampleConfig:
-    """Block-subsampling settings for the band half-width.
+    """Block-subsampling settings for one band half-width; the statistic is
+    the window mean.  The block-length sensitivity grid is
+    `MCConfig.block_grid`.
 
     window_h  : inference window in periods
     block_len : contiguous block length (3 <= block_len < window_h)
     alpha     : band level in (0, 1)
-    block_grid: lengths for the sensitivity sweep
-    statistic : fixed to the window mean (recorded in output metadata)
     """
 
     window_h: int = 24
     block_len: int = 6
     alpha: float = 0.10
-    block_grid: Tuple[int, ...] = (4, 6, 8)
-    statistic: str = "window_mean"
 
     def __post_init__(self):
         for name in ("window_h", "block_len", "alpha"):
             _require_finite(name, getattr(self, name))
-        for ell in self.block_grid:
-            _require_finite("block_grid", ell)
         if not (3 <= self.block_len < self.window_h):
             raise ConfigError(
                 f"need 3 <= block_len < window_h, got {self.block_len}, {self.window_h}"
@@ -176,13 +172,15 @@ def envelope(
     )
 
 
-def _line_fit(y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """OLS line through y along its last axis, as (mean, slope) on the centred
-    time index c = j - (m - 1) / 2; since sum(c) = 0 the slope is
-    sum(c * y) / sum(c**2) and the fitted value at c is mean + slope * c."""
-    m = y.shape[-1]
-    c = np.arange(m) - (m - 1) / 2.0
-    return y.mean(axis=-1), (y * c).sum(axis=-1) / (m * (m * m - 1) / 12.0)
+def _line_fit(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """OLS line of y on the regressor x along y's last axis, as (mean, slope)
+    on the centred regressor c; since sum(c) = 0 the slope is sum(c * y) /
+    sum(c**2) and the fitted value at c is mean + slope * c.  Centring twice
+    keeps the rounding of mean(x) (large for calendar years) out of the
+    slope; on the index 0..m-1 every c and sum(c**2) is exact."""
+    c = x - x.mean()
+    c = c - c.mean()
+    return y.mean(axis=-1), (y * c).sum(axis=-1) / (c * c).sum()
 
 
 def detrend_local_linear(series: Sequence[float], window_h: int) -> dict:
@@ -206,7 +204,7 @@ def detrend_local_linear(series: Sequence[float], window_h: int) -> dict:
         raise EstimationError("series contains non-finite values")
     # contiguous windows make every row reduce in the same order as a 1-D call
     windows = np.ascontiguousarray(sliding_window_view(y, window_h, axis=-1))
-    mean, slope = _line_fit(windows)
+    mean, slope = _line_fit(np.arange(window_h, dtype=float), windows)
     i = np.arange(n)
     start = np.clip(i - window_h // 2, 0, n - window_h)
     trend = mean[..., start] + slope[..., start] * (i - start - (window_h - 1) / 2.0)
@@ -280,15 +278,6 @@ def classify(env: TierEnvelope, c_lower: float, c_upper: float, mode: str) -> st
     return "marginal"
 
 
-def label_covers(label: str, truth_positive: bool) -> bool:
-    """Whether a classification label's implied set contains the true regime."""
-    if label in ("robustly-interior", "feasible"):
-        return truth_positive
-    if label in ("robustly-premium-emergent", "infeasible"):
-        return not truth_positive
-    return True  # set-valued labels cover both regimes
-
-
 def trend_growth_estimate(
     gdp_series: Sequence[float], window_quarters: int
 ) -> float:
@@ -307,5 +296,5 @@ def trend_growth_estimate(
     tail = y[-window_quarters:]
     if np.any(tail <= 0):
         raise DomainError("GDP values must be strictly positive")
-    _, slope = _line_fit(np.log(tail))
+    _, slope = _line_fit(np.arange(window_quarters, dtype=float), np.log(tail))
     return float(slope) * 4.0

@@ -218,7 +218,9 @@ def _project_capped_simplex(x: List[float], budget: float) -> List[float]:
 
 def _ascent(problem: AllocationProblem, start: List[float], iters: int = 2000) -> List[float]:
     """Projected gradient ascent with backtracking from one start point; the
-    gradient stays a BLAS matvec, whose rounding no Python-float sum matches."""
+    gradient stays a BLAS matvec, whose rounding no Python-float sum matches.
+    A trial point that projects back onto x ends the ascent: on a convex set
+    P(x + s*g) = x for one s > 0 implies it for every s > 0."""
     mu = np.array(problem.mu_j)
     G = np.triu(np.array(problem.gamma_jk), 1)
     G = G + G.T
@@ -231,6 +233,8 @@ def _ascent(problem: AllocationProblem, start: List[float], iters: int = 2000) -
         s = step
         for _ in range(40):
             cand = _project_capped_simplex([a + s * b for a, b in zip(x, grad)], problem.budget)
+            if cand == x:
+                break
             cand_obj = problem.objective(cand)
             if cand_obj > obj + 1e-15:
                 x, obj, moved = cand, cand_obj, True

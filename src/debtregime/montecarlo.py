@@ -14,18 +14,12 @@ no effect.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .closure import (
-    MarginDistribution,
-    ThetaLaw,
-    TwoLayerParams,
-    gamma_theta,
-    solve_premium,
-)
+from .closure import MarginDistribution, ThetaLaw, TwoLayerParams, _core_drift_at
 from .core import _require_finite
 from .errors import DomainError
 from .inference import (
@@ -62,6 +56,9 @@ TF_METHODS = (
     "naive_monitoring",
     "fixed_spec_baseline",
 )
+
+
+_MONITOR_B = 1.574  # debt ratio under the monitoring (instrument-level) concept
 
 
 @dataclass(frozen=True)
@@ -114,7 +111,7 @@ class MCConfig:
 
     # transition-feasibility experiment
     tf_b_baseline: float = 2.40
-    tf_b_monitoring: float = 1.574
+    tf_b_monitoring: float = _MONITOR_B
     tf_g_star: float = 0.03
     tf_g_spread: float = 0.015
     tf_pi0: float = 0.027
@@ -196,15 +193,8 @@ def simulate_pe_paths(cfg: MCConfig, rep: int) -> dict:
         z[t] = z_t
         # structural part of the law needs the period's premium
         if cfg.g0 > 0.0 or cfg.kappa_theta > 0.0:
-            sol = solve_premium(
-                TwoLayerParams(
-                    theta=theta_t, psi=base.psi, z=z_t, c_bar=base.c_bar,
-                    phi_req=base.phi_req,
-                )
-            )
-            rho = sol.rho if sol.rho is not None else cfg.pi - cfg.r_rep
-            eps = cfg.pi - cfg.r_rep - rho
-            drift = -cfg.kappa_theta + gamma_theta(law, eps)
+            pt = replace(base, theta=theta_t, z=z_t)
+            drift = _core_drift_at(pt, law, cfg.pi, cfg.r_rep)
         else:
             drift = 0.0
         u = cfg.rho_theta * u + eta_theta[t]

@@ -4,8 +4,7 @@ any computation: the engine recomputes everything from its equations, and
 where the two disagree the table shows both.
 """
 
-# Stress-grid reference column: row name -> published premium (fraction/yr)
-# and published feasibility label.
+# Stress-grid reference column: row name -> published premium (fraction/yr).
 STRESS_V2_RHO_REF = {
     "baseline_2026": 0.0,
     "core_erosion_1": 0.0014,
@@ -15,15 +14,6 @@ STRESS_V2_RHO_REF = {
     "severe": 0.0218,
 }
 
-STRESS_V2_LABEL_REF = {
-    "baseline_2026": "Conditional",
-    "core_erosion_1": "Conditional",
-    "core_erosion_2": "Tight",
-    "external_stress": "Tight",
-    "combined": "Unlikely",
-    "severe": "Infeasible",
-}
-
 # Tier-widening illustration for the boundary score: reading -> published
 # score (fraction).
 TIER_PE_SCORE_REF = {
@@ -31,9 +21,3 @@ TIER_PE_SCORE_REF = {
     "tier2_core_erosion_1": -0.01,
     "tier2_external_stress": -0.03,
 }
-
-# Classifier-comparison reference rates (percent) at the published scale
-# (2000 replications); rates are generator-specific and shown for context
-# only.
-MC_PE_TIER2_REF = {"false_safety": 0.0, "false_alarm": 0.0, "coverage": 100.0, "warning": 29.0}
-MC_TF_WIDTH_BP_REF = 43.7

@@ -364,7 +364,7 @@ class Scenario:
         v = self.values
         return SubsampleConfig(
             window_h=v["inference.window_h"], block_len=v["inference.block_len"],
-            alpha=v["inference.alpha"], block_grid=tuple(v["inference.block_grid"]),
+            alpha=v["inference.alpha"],
         )
 
     def mc_config(self, seed: int, n_reps: Optional[int] = None) -> MCConfig:
@@ -386,7 +386,7 @@ class Scenario:
             block_grid=tuple(v["inference.block_grid"]),
             theta_reading_shift=v["mc.theta_reading_shift"],
             dead_zone=v["mc.dead_zone"],
-            tf_b_baseline=v["econ.b_prev"], tf_b_monitoring=1.574,
+            tf_b_baseline=v["econ.b_prev"],
             tf_g_star=v["regime.g_star"], tf_g_spread=v["mc.tf_g_spread"],
             tf_pi0=v["econ.pi"], tf_d0=v["econ.d"], tf_rho=v["mc.tf_rho"],
             tf_sd=v["mc.tf_sd"], tf_m=v["mc.tf_m"],

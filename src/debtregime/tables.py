@@ -27,7 +27,7 @@ from .extensions import (
 )
 from .inference import classify, envelope, score_pe, score_tf
 from .investment import compute_bounds
-from .montecarlo import run_mc_pe, run_mc_tf
+from .montecarlo import _MONITOR_B, run_mc_pe, run_mc_tf
 from .reference_values import STRESS_V2_RHO_REF, TIER_PE_SCORE_REF
 from .scenario import Scenario
 from .transition import (
@@ -62,8 +62,6 @@ _PSI_WEIGHTS = (
     ("absorption_heavy", (0.25, 0.50, 0.25)),
     ("fx_deemphasized", (0.40, 0.40, 0.20)),
 )
-
-_MONITOR_B = 1.574
 
 
 @dataclass

@@ -17,7 +17,8 @@ def test_demos_found():
 
 @pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
 def test_demo_runs(path, tmp_path):
-    res = subprocess.run([sys.executable, path], cwd=tmp_path,
+    # a numpy overflow or invalid-value warning fails the demo, as in the suite
+    res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", path], cwd=tmp_path,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr[-2000:]
     assert res.stdout.strip()

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -213,6 +214,59 @@ class TestEstimateKappa:
         y = 0.93 - 0.0019 * t + rng.normal(0, 1e-4, 40)
         out = estimate_kappa(list(zip(t, y)))
         assert out["slope_full"] == pytest.approx(-0.0019, abs=2e-5)
+
+    @staticmethod
+    def share_series(rng, t0):
+        """A trending share on an irregular time grid starting after t0, split
+        at a random break leaving >= 3 points on each side."""
+        n = int(rng.integers(8, 80))
+        t = t0 + np.cumsum(rng.uniform(0.05, 1.0, n))
+        trend = rng.choice([-1.0, 1.0]) * rng.uniform(5e-4, 5e-3)
+        y = 0.9 + trend * (t - t[0]) + rng.normal(0, 1e-4, n)
+        return t, y, int(rng.integers(3, n - 2))
+
+    @staticmethod
+    def chow_check(out, fits, n):
+        """Compare slopes at 1e-12 relative and the Chow F on the scale of the
+        pooled SSR (F is a small difference of two SSRs)."""
+        (b, ssr), (b_pre, ssr_pre), (b_post, ssr_post) = fits
+        ssr_u = ssr_pre + ssr_post
+        chow = ((ssr - ssr_u) / 2) / (ssr_u / (n - 4))
+        for got, ref in ((out["slope_full"], b), (out["slope_pre"], b_pre),
+                         (out["slope_post"], b_post)):
+            assert got == pytest.approx(float(ref), rel=1e-12, abs=0)
+        scale = float(ssr / (ssr_u / (n - 4)))
+        assert abs(out["chow_F"] - float(chow)) <= 1e-12 * scale
+
+    def test_matches_lstsq(self):
+        def lstsq_line(t, y):
+            X = np.column_stack([np.ones_like(t), t])
+            coef, *_ = np.linalg.lstsq(X, y, rcond=None)
+            resid = y - X @ coef
+            return coef[1], resid @ resid
+
+        rng = np.random.default_rng(19)
+        for _ in range(300):
+            t, y, k = self.share_series(rng, 0.0)
+            out = estimate_kappa(list(zip(t, y)), break_index=k)
+            fits = [lstsq_line(t[sl], y[sl]) for sl in (slice(None), slice(k), slice(k, None))]
+            self.chow_check(out, fits, len(t))
+
+    def test_calendar_year_grid_matches_exact_ols(self):
+        # with one centring pass the rounding of mean(t) at t ~ 2000 moves the
+        # slope by up to 4e-10 relative
+        def exact_line(t, y):
+            t, y = [Fraction(v) for v in t], [Fraction(v) for v in y]
+            mt, my = sum(t) / len(t), sum(y) / len(y)
+            b = sum((a - mt) * (v - my) for a, v in zip(t, y)) / sum((a - mt) ** 2 for a in t)
+            return b, sum((v - my - b * (a - mt)) ** 2 for a, v in zip(t, y))
+
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            t, y, k = self.share_series(rng, 2000.0)
+            out = estimate_kappa(list(zip(t, y)), break_index=k)
+            fits = [exact_line(t[sl], y[sl]) for sl in (slice(None), slice(k), slice(k, None))]
+            self.chow_check(out, fits, len(t))
 
 
 class TestPsiComposite:

@@ -16,13 +16,13 @@ from debtregime.inference import (
     classify,
     detrend_local_linear,
     envelope,
-    label_covers,
     score_pe,
     score_tf,
     subsample_critical_value,
     tier_scores,
     trend_growth_estimate,
 )
+from debtregime.inference import _line_fit
 from debtregime.transition import TransitionSpec
 
 ECON = EconState(b_prev=2.40, r_n=0.022, g_n=0.030, pi=0.027, d=0.020)
@@ -213,6 +213,16 @@ class TestDetrend:
             assert np.array_equal(out["trend"][idx], row["trend"])
             assert np.array_equal(out["remainder"][idx], row["remainder"])
 
+    def test_index_line_fit_equals_closed_denominator(self):
+        # the index fit used to divide by sum(c**2) = m(m^2 - 1)/12 written out
+        rng = np.random.default_rng(11)
+        for m in range(4, 401):
+            y = rng.normal(0, 1, (2, m))
+            c = np.arange(m) - (m - 1) / 2.0
+            mean, slope = _line_fit(np.arange(m, dtype=float), y)
+            assert np.array_equal(mean, y.mean(axis=-1))
+            assert np.array_equal(slope, (y * c).sum(axis=-1) / (m * (m * m - 1) / 12.0))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
         y = np.linspace(0.0, 1.0, 20)
@@ -327,8 +337,7 @@ class TestSubsampling:
 
     def test_config_non_finite_rejected(self):
         # a NaN alpha or an infinite window used to pass the range checks
-        for kw in ({"alpha": math.nan}, {"window_h": math.inf}, {"block_len": math.nan},
-                   {"block_grid": (4, math.inf)}):
+        for kw in ({"alpha": math.nan}, {"window_h": math.inf}, {"block_len": math.nan}):
             with pytest.raises(DomainError, match="finite"):
                 SubsampleConfig(**kw)
 
@@ -376,13 +385,6 @@ class TestClassify:
             assert label in (
                 "robustly-interior", "boundary-near", "robustly-premium-emergent"
             )
-
-    def test_label_covers(self):
-        assert label_covers("robustly-interior", True)
-        assert not label_covers("robustly-interior", False)
-        assert label_covers("boundary-near", True)
-        assert label_covers("boundary-near", False)
-        assert label_covers("infeasible", False)
 
     def test_bad_mode(self):
         with pytest.raises(DomainError):

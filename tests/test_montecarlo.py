@@ -6,7 +6,7 @@ import pytest
 
 from debtregime.closure import TwoLayerParams
 from debtregime.errors import DomainError
-from debtregime.inference import score_pe
+from debtregime.inference import PE_LABELS, TF_LABELS, score_pe
 from debtregime.montecarlo import (
     MCConfig,
     PE_METHODS,
@@ -15,7 +15,7 @@ from debtregime.montecarlo import (
     run_mc_tf,
     simulate_pe_paths,
 )
-from debtregime.montecarlo import _bowed_dist, _pe_scores
+from debtregime.montecarlo import _bowed_dist, _outcomes, _pe_scores
 
 
 def small_cfg(**kw):
@@ -26,7 +26,8 @@ def small_cfg(**kw):
 
 def test_config_non_finite_rejected():
     for kw in ({"alpha": math.nan}, {"sd_z": math.inf}, {"eps_cap": math.nan},
-               {"evaluation_horizons": (3.8, math.nan)}, {"tf_g_star": -math.inf}):
+               {"evaluation_horizons": (3.8, math.nan)}, {"tf_g_star": -math.inf},
+               {"block_grid": (4, math.inf)}):
         with pytest.raises(DomainError, match="finite"):
             small_cfg(**kw)
     assert small_cfg(eps_cap=math.inf).eps_cap == math.inf
@@ -207,6 +208,12 @@ PINNED_ROWS = {
         "e169eeadb46e1d3a04267857220063cf41aad7bc7149b346d787284b512f32e2",
         "2b0f681e080b19038a0dc64fb04e31fbbb4b89c309d807064996e705d402bcb7",
     ),
+    # kappa > 0 with g0 = 0 runs the structural branch with maintenance off
+    "kappa_only_branch": (
+        dict(seed=31337, n_reps=13, kappa_theta=0.002),
+        "da389c33aea4676a55d3bc0b8ebea6c4e6cd06b47b4ecbee00d31259d3d00694",
+        "e266e2b895915e4a733ffe374a941bcd8ee88b0b1e8d88e6f9704a6ba651fdf0",
+    ),
     # block 16 exceeds w - 1 = 14 at the 3.8-year horizon (w = 15): the
     # block is clamped to 14 and the band takes the fewer-than-5-blocks fallback
     "block_above_window": (
@@ -224,3 +231,24 @@ def test_rows_match_pinned_digests(name):
     for fn, digest in ((run_mc_pe, pe_digest), (run_mc_tf, tf_digest)):
         rows = fn(cfg)["rows"]
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest, fn.__name__
+
+
+@pytest.mark.parametrize("kw", [{"psi": 0.0}, {"c_bar": -0.01}, {"theta0": 1.2},
+                                {"g0": -0.1}])
+def test_invalid_closure_inputs_rejected(kw):
+    # the reduced-form branch (g0 = kappa = 0) builds the closure state too
+    with pytest.raises(DomainError):
+        run_mc_pe(small_cfg(n_reps=2, **kw))
+
+
+def test_outcomes_cover_every_label():
+    truth = np.array([True, False, True, False, True, False])
+    for labels in (PE_LABELS, TF_LABELS):
+        positive, middle, negative = labels
+        label = np.array([positive, positive, middle, middle, negative, negative])
+        fp, fn, covered, warn = _outcomes(label, truth, labels).T
+        # a point label covers only its own regime; the middle label covers both
+        assert fp.tolist() == [False, True, False, False, False, False]
+        assert fn.tolist() == [False, False, False, False, True, False]
+        assert covered.tolist() == [True, False, True, True, False, True]
+        assert warn.tolist() == [False, False, True, True, False, False]

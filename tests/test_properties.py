@@ -1,7 +1,12 @@
 """Property tests of the closure's array kernels against the scalar
-definitions, and of the allocation ascent's capped-simplex projection."""
+definitions, the premium solvers against each other, the band and envelope
+invariants of the inference layer, the CSV round trip, and the allocation
+ascent's capped-simplex projection."""
 
 import math
+import os
+import tempfile
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -12,8 +17,19 @@ from debtregime.closure import (
     MarginDistribution,
     TwoLayerParams,
     demand_at,
+    solve_premium,
+    solve_premium_bisection,
+)
+from debtregime.inference import (
+    MeasurementVariant,
+    SubsampleConfig,
+    envelope,
+    subsample_critical_value,
+    tier_scores,
 )
 from debtregime.investment import _project_capped_simplex
+from debtregime.scenario import load_series_csv
+from debtregime.tables import TableArtifact, emit_csv
 
 # a fixed example sequence per test keeps the suite deterministic
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -71,3 +87,64 @@ def test_projection_feasible_and_idempotent(x, budget):
     assert sum(y) <= budget + 4 * len(x) * math.ulp(max(budget, max(map(abs, x))))
     again = _project_capped_simplex(y, budget)
     assert max(abs(a - b) for a, b in zip(again, y)) <= 1e-15
+
+
+@PROPERTY
+@given(st.floats(0.0, 0.99), st.floats(0.05, 1.0), st.floats(0.001, 0.05),
+       st.floats(0.005, 0.1), st.floats(0.0, 1.0))
+def test_closed_form_agrees_with_bisection(theta, psi, z, c_bar, phi_req):
+    # the uniform margin written as the two-knot table goes through bisection;
+    # bisection stops at a demand residual of 1e-12, a premium error of at most
+    # 1e-12 * psi * c_bar / (1 - theta) <= 1e-11 on this domain
+    p = TwoLayerParams(theta=theta, psi=psi, z=z, c_bar=c_bar, phi_req=phi_req)
+    table = replace(p, dist=MarginDistribution(kind="table", knots=((0.0, 0.0), (c_bar, 1.0))))
+    closed, bisected = solve_premium(p), solve_premium(table)
+    assert closed.case == bisected.case
+    if closed.case == "c_stress":
+        assert abs(closed.rho - bisected.rho) <= 1e-10
+        assert abs(closed.rho - solve_premium_bisection(p)) <= 1e-10
+    else:
+        assert closed.rho == bisected.rho
+
+
+@PROPERTY
+@given(st.integers(6, 40), st.data())
+def test_band_half_width_nonnegative_and_widens_as_alpha_falls(h, data):
+    ell = data.draw(st.integers(3, h - 1))
+    rem = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=h, max_size=h)))
+    alphas = sorted(data.draw(st.lists(st.floats(0.001, 0.999), min_size=2, max_size=5)))
+    widths = [
+        subsample_critical_value(rem, SubsampleConfig(window_h=h, block_len=ell, alpha=a))
+        for a in alphas
+    ]
+    assert min(widths) >= 0.0
+    # alphas ascend, so the half-widths must not grow along the list
+    assert all(w0 >= w1 for w0, w1 in zip(widths, widths[1:]))
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(1, 3), st.floats(0.0, 1.0), st.floats(0.001, 0.05)),
+                min_size=1, max_size=6))
+def test_tier3_envelope_contains_tier2(readings):
+    base = TwoLayerParams()
+    variants = [MeasurementVariant("base", {}, tier=1)] + [
+        MeasurementVariant(f"v{i}", {"theta": theta, "z": z}, tier=tier)
+        for i, (tier, theta, z) in enumerate(readings)
+    ]
+    env2 = envelope(tier_scores(base, variants, 2))
+    env3 = envelope(tier_scores(base, variants, 3))
+    assert env3.lower <= env2.lower <= env2.upper <= env3.upper
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=1, max_size=20))
+def test_emit_csv_round_trips_at_six_digits(points):
+    artifact = TableArtifact("series", ("t", "value"), [list(p) for p in points],
+                             {"seed": 1})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "series.csv")
+        emit_csv(artifact, path)
+        ts, vs = load_series_csv(path)
+    assert [v for pair in zip(ts, vs) for v in pair] == [
+        float(f"{v:.6g}") for p in points for v in p
+    ]
