@@ -4,24 +4,27 @@ Two experiments: the premium-emergence boundary classifier (tiered envelope
 with subsampling bands versus naive point rules) and the transition-
 feasibility margin classifier (debt-concept ambiguity).  Replications are
 independent; each derives its generator from seed XOR replication index, so
-results are bit-identical for a fixed seed.  The replications run batched as
-[replication, period] arrays on one thread: each envelope is detrended once
-per horizon and each band is computed once per block length for all
-replications.  The `threads` parameter is accepted for compatibility and has
-no effect.
+results are bit-identical for a fixed seed.  The replications run in
+lockstep as [replication, period] arrays on one thread: one DGP pass
+advances every replication per period, the envelope bounds are stacked and
+detrended once per horizon, each block length runs one band call on every
+row, and each replication's envelope is built once per horizon and reused
+by every block and method.  The `threads` parameter is accepted for
+compatibility and has no effect.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields, replace
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .closure import MarginDistribution, ThetaLaw, TwoLayerParams, _core_drift_at
 from .core import _require_finite
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .inference import (
     PE_LABELS,
     TF_LABELS,
@@ -70,6 +73,11 @@ class MCConfig:
     option spread is AR(1) around its baseline with occasional geometrically
     decaying stress shifts, and the control-rights index stays constant.
     Only the core share is observed with noise.
+
+    The counts (seed, n_reps, T, window_h, block_len, block_grid entries)
+    must be integers (numpy integers included), else `DomainError`.  The
+    non-band methods are reported at `block_len`, so it must be an entry of
+    `block_grid`, else `ConfigError`.
     """
 
     n_reps: int = 500
@@ -121,20 +129,35 @@ class MCConfig:
     tf_m: float = 0.0
 
     def __post_init__(self):
+        counts = ("seed", "n_reps", "T", "window_h", "block_len", "block_grid")
         for f in fields(self):
             value = getattr(self, f.name)
             for v in value if isinstance(value, tuple) else (value,):
                 if not (f.name == "eps_cap" and v == math.inf):
                     _require_finite(f.name, v)
+                if f.name in counts:
+                    try:
+                        operator.index(v)
+                    except TypeError:
+                        raise DomainError(
+                            f"{f.name} must be an integer, got {v!r}"
+                        ) from None
         if self.n_reps < 1:
             raise DomainError("n_reps must be >= 1")
         if self.T < self.window_h:
             raise DomainError("T must be at least window_h")
+        if self.block_len not in self.block_grid:
+            raise ConfigError(
+                f"block_len {self.block_len} must be an entry of block_grid "
+                f"{self.block_grid}"
+            )
 
 
 def _rep_rng(seed: int, rep: int) -> np.random.Generator:
-    """Per-replication stream: PCG64 keyed by seed XOR replication index."""
-    return np.random.Generator(np.random.PCG64((seed ^ rep) & 0xFFFFFFFFFFFFFFFF))
+    """Per-replication stream: PCG64 keyed by seed XOR replication index
+    (as Python ints, so numpy integer reps cannot overflow the mask)."""
+    key = (operator.index(seed) ^ operator.index(rep)) & 0xFFFFFFFFFFFFFFFF
+    return np.random.Generator(np.random.PCG64(key))
 
 
 # Piecewise-linear CDF perturbations of the uniform margin distribution used
@@ -160,53 +183,70 @@ def _pe_scores(
     return theta + (1.0 - theta) * (1.0 - dist.cdf_array(z / psi, c_bar)) - phi_req
 
 
-def simulate_pe_paths(cfg: MCConfig, rep: int) -> dict:
-    """One replication of the premium-emergence DGP.
+def simulate_pe_paths(cfg: MCConfig, rep: Union[int, Sequence[int]]) -> dict:
+    """Replications of the premium-emergence DGP, run in lockstep.
 
     Returns the true core and spread paths, the noisy observed core, and the
-    true per-period boundary scores.
+    true per-period boundary scores.  An int `rep` gives `[T]` arrays; a
+    sequence of reps gives `[R, T]` arrays whose row i is replication
+    rep[i], bit for bit the same as the int call.  Each replication draws
+    its shocks from its own stream; one period loop then advances every
+    replication as an `[R]` vector.  The clamps mirror Python's `max(x,
+    1e-6)`, `max(0.0, x)` and `min(1.0, x)` (which keep the first argument
+    unless the second is strictly larger, or smaller), so no -0.0 appears.
     """
-    rng = _rep_rng(cfg.seed, rep)
-    T = cfg.T
-    eta_theta = rng.normal(0.0, cfg.sd_theta, T)
-    eta_z = rng.normal(0.0, cfg.sd_z, T)
-    events = rng.uniform(0.0, 1.0, T) < cfg.stress_prob
-    obs_noise = rng.normal(0.0, cfg.sigma_theta_obs, T)
+    single = np.ndim(rep) == 0
+    reps = [rep] if single else list(rep)
+    R, T = len(reps), cfg.T
+    eta_theta, eta_z, obs_noise = np.empty((3, R, T))
+    events = np.empty((R, T), dtype=bool)
+    for i, r in enumerate(reps):
+        rng = _rep_rng(cfg.seed, r)
+        eta_theta[i] = rng.normal(0.0, cfg.sd_theta, T)
+        eta_z[i] = rng.normal(0.0, cfg.sd_z, T)
+        events[i] = rng.uniform(0.0, 1.0, T) < cfg.stress_prob
+        obs_noise[i] = rng.normal(0.0, cfg.sigma_theta_obs, T)
+    stress_add = np.where(events, cfg.stress_size, 0.0)
 
     law = ThetaLaw(kappa_theta=cfg.kappa_theta, g0=cfg.g0, eps_cap=cfg.eps_cap)
     base = TwoLayerParams(
         theta=cfg.theta0, psi=cfg.psi, z=cfg.z0, c_bar=cfg.c_bar,
         phi_req=cfg.phi_req,
     )
+    structural = cfg.g0 > 0.0 or cfg.kappa_theta > 0.0
 
-    theta = np.empty(T)
-    z = np.empty(T)
-    theta_t = cfg.theta0
-    u = 0.0
-    v = 0.0
-    stress = 0.0
+    theta = np.empty((R, T))
+    z = np.empty((R, T))
+    theta_t = np.full(R, cfg.theta0)
+    u = v = stress = 0.0
     for t in range(T):
-        v = cfg.rho_z * v + eta_z[t]
-        stress = cfg.stress_decay * stress + (cfg.stress_size if events[t] else 0.0)
-        z_t = max(cfg.z0 + v + stress, 1e-6)
-        theta[t] = theta_t
-        z[t] = z_t
-        # structural part of the law needs the period's premium
-        if cfg.g0 > 0.0 or cfg.kappa_theta > 0.0:
-            pt = replace(base, theta=theta_t, z=z_t)
-            drift = _core_drift_at(pt, law, cfg.pi, cfg.r_rep)
+        v = cfg.rho_z * v + eta_z[:, t]
+        stress = cfg.stress_decay * stress + stress_add[:, t]
+        z_t = cfg.z0 + v + stress
+        z_t = np.where(1e-6 > z_t, 1e-6, z_t)
+        theta[:, t] = theta_t
+        z[:, t] = z_t
+        # structural part of the law needs each replication's premium
+        if structural:
+            drift = np.array([
+                _core_drift_at(replace(base, theta=th, z=zt), law, cfg.pi, cfg.r_rep)
+                for th, zt in zip(theta_t.tolist(), z_t.tolist())
+            ])
         else:
             drift = 0.0
-        u = cfg.rho_theta * u + eta_theta[t]
-        theta_t = min(1.0, max(0.0, theta_t + drift + u))
+        u = cfg.rho_theta * u + eta_theta[:, t]
+        theta_t = theta_t + drift + u
+        theta_t = np.where(theta_t > 0.0, theta_t, 0.0)
+        theta_t = np.where(theta_t < 1.0, theta_t, 1.0)
     theta_obs = np.clip(theta + obs_noise, 0.0, 1.0)
     true_scores = _pe_scores(theta, z, cfg.psi, cfg.c_bar, cfg.phi_req)
-    return {
+    paths = {
         "theta": theta,
         "z": z,
         "theta_obs": theta_obs,
         "true_scores": true_scores,
     }
+    return {k: a[0] for k, a in paths.items()} if single else paths
 
 
 def _horizon_indices(cfg: MCConfig) -> List[int]:
@@ -218,24 +258,26 @@ def _horizon_indices(cfg: MCConfig) -> List[int]:
 
 
 def _bands(
-    series: np.ndarray,
+    stack: np.ndarray,
+    demeaned: np.ndarray,
     q: int,
     window_h: int,
     blocks: Sequence[int],
     alpha: float,
-    detrend: bool = True,
 ) -> np.ndarray:
-    """Band half-widths [n_blocks, R] over the trailing window ending at q.
+    """Band half-widths [n_blocks, k + 1, R] over the trailing window ending
+    at q.
 
-    The window is detrended (or demeaned) once; each block length then runs
-    the subsampling kernel on all replications at once.
+    The k series of `stack` [k, R, T] are detrended in one call; the
+    `demeaned` series [R, T] (the fixed-specification reading) is demeaned
+    instead and appended as row k.  Each block length then runs the
+    subsampling kernel once on every row.  Both kernels work row by row
+    along the last axis, so each row equals a call on that series alone.
     """
     w = min(window_h, q + 1)
-    win = series[:, q + 1 - w : q + 1]
-    if detrend:
-        rem = detrend_local_linear(win, w)["remainder"]
-    else:
-        rem = win - win.mean(axis=1, keepdims=True)
+    rem = detrend_local_linear(stack[..., q + 1 - w : q + 1], w)["remainder"]
+    win = demeaned[:, q + 1 - w : q + 1]
+    rem = np.concatenate([rem, [win - win.mean(axis=1, keepdims=True)]])
     return np.array([
         subsample_critical_value(
             rem, SubsampleConfig(window_h=w, block_len=min(ell, w - 1), alpha=alpha)
@@ -244,16 +286,23 @@ def _bands(
     ])
 
 
+def _envelopes(lower: np.ndarray, upper: np.ndarray) -> List[TierEnvelope]:
+    """Each replication's envelope at one period, built once and shared by
+    every block length and method that classifies it."""
+    return [
+        TierEnvelope(t=0, lower=lo, upper=up, argmin_id="", argmax_id="")
+        for lo, up in zip(lower.tolist(), upper.tolist())
+    ]
+
+
 def _labels(
-    lower: np.ndarray, upper: np.ndarray, c_lo: np.ndarray, c_up: np.ndarray, mode: str
+    envs: Sequence[TierEnvelope], c_lo: np.ndarray, c_up: np.ndarray, mode: str
 ) -> np.ndarray:
-    """Sign-rule label of each replication's widened envelope at one period."""
+    """Sign-rule label of each replication's envelope widened by its band
+    half-widths: `classify` on each row."""
     return np.array([
-        classify(TierEnvelope(t=0, lower=lo, upper=up, argmin_id="", argmax_id=""),
-                 cl, cu, mode)
-        for lo, up, cl, cu in zip(
-            lower.tolist(), upper.tolist(), c_lo.tolist(), c_up.tolist()
-        )
+        classify(env, cl, cu, mode)
+        for env, cl, cu in zip(envs, c_lo.tolist(), c_up.tolist())
     ])
 
 
@@ -279,10 +328,8 @@ def run_mc_pe(cfg: MCConfig, threads: int = 1) -> dict:
     methods appear once per entry of the block grid.  `threads` is accepted
     for compatibility and has no effect.
     """
-    paths = [simulate_pe_paths(cfg, rep) for rep in range(cfg.n_reps)]
-    theta_obs, z, true_scores = (
-        np.stack([p[key] for p in paths]) for key in ("theta_obs", "z", "true_scores")
-    )
+    paths = simulate_pe_paths(cfg, range(cfg.n_reps))
+    theta_obs, z, true_scores = paths["theta_obs"], paths["z"], paths["true_scores"]
     shift = cfg.theta_reading_shift
 
     variant_scores = {
@@ -308,6 +355,7 @@ def run_mc_pe(cfg: MCConfig, threads: int = 1) -> dict:
     stack3 = np.stack([variant_scores[i] for i in tier3_ids])
     lo2, up2 = stack2.min(axis=0), stack2.max(axis=0)
     lo3, up3 = stack3.min(axis=0), stack3.max(axis=0)
+    bounds = np.stack([lo2, up2, lo3, up3])
     base_series = variant_scores["baseline"]
 
     horizons = _horizon_indices(cfg)
@@ -317,36 +365,35 @@ def run_mc_pe(cfg: MCConfig, threads: int = 1) -> dict:
     # the band methods and repeats the default block for the rest
     out = np.zeros((cfg.n_reps, len(horizons), len(blocks), len(PE_METHODS), 4))
     for hi, q in enumerate(horizons):
-        truth_interior = true_scores[:, q] > 0.0
         point = base_series[:, q]
-        c_lo2, c_up2, c_lo3, c_up3 = (
-            _bands(s, q, cfg.window_h, blocks, cfg.alpha) for s in (lo2, up2, lo3, up3)
+        env2 = _envelopes(lo2[:, q], up2[:, q])
+        env3 = _envelopes(lo3[:, q], up3[:, q])
+        env_point = _envelopes(point, point)
+        naive_plugin = np.where(point > 0, "robustly-interior", "robustly-premium-emergent")
+        single_threshold = np.select(
+            [point > cfg.dead_zone, point < -cfg.dead_zone],
+            ["robustly-interior", "robustly-premium-emergent"],
+            "boundary-near",
         )
-        c_fix = _bands(base_series, q, cfg.window_h, blocks, cfg.alpha, detrend=False)
-        for bi in range(len(blocks)):
-            labels = {
-                "proposed_tier2": _labels(
-                    lo2[:, q], up2[:, q], c_lo2[bi], c_up2[bi], "PE"
-                ),
-                "proposed_tier3": _labels(
-                    lo3[:, q], up3[:, q], c_lo3[bi], c_up3[bi], "PE"
-                ),
-                "naive_plugin": np.where(
-                    point > 0, "robustly-interior", "robustly-premium-emergent"
-                ),
-                "single_threshold": np.select(
-                    [point > cfg.dead_zone, point < -cfg.dead_zone],
-                    ["robustly-interior", "robustly-premium-emergent"],
-                    "boundary-near",
-                ),
-                "fixed_spec": _labels(point, point, c_fix[bi], c_fix[bi], "PE"),
-            }
-            for mi, method in enumerate(PE_METHODS):
-                out[:, hi, bi, mi] = _outcomes(labels[method], truth_interior, PE_LABELS)
+        # [block, method, rep] labels in PE_METHODS order
+        labels = np.array([
+            [
+                _labels(env2, c_lo2, c_up2, "PE"),
+                _labels(env3, c_lo3, c_up3, "PE"),
+                naive_plugin,
+                single_threshold,
+                _labels(env_point, c_fix, c_fix, "PE"),
+            ]
+            for c_lo2, c_up2, c_lo3, c_up3, c_fix in _bands(
+                bounds, base_series, q, cfg.window_h, blocks, cfg.alpha
+            )
+        ])
+        truth_interior = true_scores[:, q] > 0.0
+        out[:, hi] = np.moveaxis(_outcomes(labels, truth_interior, PE_LABELS), 2, 0)
     means = out.mean(axis=0) * 100.0
     horizons = list(cfg.evaluation_horizons)
     blocks = list(cfg.block_grid)
-    default_bi = blocks.index(cfg.block_len) if cfg.block_len in blocks else 0
+    default_bi = blocks.index(cfg.block_len)
     rows = []
     for hi, h_yr in enumerate(horizons):
         for mi, method in enumerate(PE_METHODS):
@@ -414,21 +461,21 @@ def run_mc_tf(
         truth_feasible = tf_score(b_true[:, None], rho_bar)[:, q] > 0.0
         lo2 = np.minimum(s_base, s_mon)
         up2 = np.maximum(s_base, s_mon)
-        (c_base,), (c_lo2,), (c_up2,) = (
-            _bands(s, q, cfg.window_h, blocks, cfg.alpha) for s in (s_base, lo2, up2)
+        ((c_base, c_lo2, c_up2, c_fix),) = _bands(
+            np.stack([s_base, lo2, up2]), s_base, q, cfg.window_h, blocks, cfg.alpha
         )
-        (c_fix,) = _bands(s_base, q, cfg.window_h, blocks, cfg.alpha, detrend=False)
         base_q = s_base[:, q]
-        labels = {
-            "proposed_tier1": _labels(base_q, base_q, c_base, c_base, "TF"),
-            "proposed_tier2": _labels(lo2[:, q], up2[:, q], c_lo2, c_up2, "TF"),
-            "naive_baseline": np.where(base_q > 0, "feasible", "infeasible"),
-            "naive_monitoring": np.where(s_mon[:, q] > 0, "feasible", "infeasible"),
-            "fixed_spec_baseline": _labels(base_q, base_q, c_fix, c_fix, "TF"),
-        }
-        for mi, method in enumerate(TF_METHODS):
-            out[:, ri, mi, :4] = _outcomes(labels[method], truth_feasible, TF_LABELS)
-            out[:, ri, mi, 4] = up2[:, q] - lo2[:, q]
+        env_base = _envelopes(base_q, base_q)
+        # [method, rep] labels in TF_METHODS order
+        labels = np.array([
+            _labels(env_base, c_base, c_base, "TF"),
+            _labels(_envelopes(lo2[:, q], up2[:, q]), c_lo2, c_up2, "TF"),
+            np.where(base_q > 0, "feasible", "infeasible"),
+            np.where(s_mon[:, q] > 0, "feasible", "infeasible"),
+            _labels(env_base, c_fix, c_fix, "TF"),
+        ])
+        out[:, ri, :, :4] = np.moveaxis(_outcomes(labels, truth_feasible, TF_LABELS), 1, 0)
+        out[:, ri, :, 4] = (up2[:, q] - lo2[:, q])[:, None]
     means = out.mean(axis=0)
     rows = []
     for ri, rho_bar in enumerate(rho_bars):

@@ -57,6 +57,14 @@ class TestExitCodes:
     def test_success_is_exit_0(self, tmp_path):
         assert run(["scenario"], tmp_path).returncode == 0
 
+    def test_block_len_outside_block_grid_is_exit_2(self, tmp_path):
+        cfg = tmp_path / "block.cfg"
+        cfg.write_text("inference.block_len = 5\n")
+        res = run(["--config", str(cfg), "--out", "o", "mc", "--reps", "4"], tmp_path)
+        assert res.returncode == 2
+        assert "block_grid" in res.stderr
+        assert not (tmp_path / "o").exists()
+
 
 class TestSubcommands:
     def test_scenario_writes_report(self, tmp_path):

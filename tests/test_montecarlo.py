@@ -1,12 +1,20 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from debtregime.closure import TwoLayerParams
-from debtregime.errors import DomainError
-from debtregime.inference import PE_LABELS, TF_LABELS, score_pe
+from debtregime.closure import ThetaLaw, TwoLayerParams, _core_drift_at
+from debtregime.errors import ConfigError, DomainError
+from debtregime.inference import (
+    PE_LABELS,
+    TF_LABELS,
+    SubsampleConfig,
+    detrend_local_linear,
+    score_pe,
+    subsample_critical_value,
+)
 from debtregime.montecarlo import (
     MCConfig,
     PE_METHODS,
@@ -15,7 +23,7 @@ from debtregime.montecarlo import (
     run_mc_tf,
     simulate_pe_paths,
 )
-from debtregime.montecarlo import _bowed_dist, _outcomes, _pe_scores
+from debtregime.montecarlo import _bands, _bowed_dist, _outcomes, _pe_scores, _rep_rng
 
 
 def small_cfg(**kw):
@@ -221,6 +229,13 @@ PINNED_ROWS = {
         "9cc2fa3a9f1c879d1ffd593cb3f2109567cd657016a9b97fc51b240a1a68bc9b",
         "0435ebeed3cc4747d8cf73a2de5c00b156e9b73c42cf74504eed588eb08e57d7",
     ),
+    # every DGP clamp fires: theta at 1 (136 periods) and at 0 (25), and the
+    # z floor (264); recorded with the per-replication period loop
+    "clamps": (
+        dict(seed=1234, n_reps=9, theta0=0.99, sd_theta=0.05, z0=0.001, sd_z=0.02),
+        "819d3aefd1defbd7ebe5bafd041f6cf8413474e08dc0a3f51b53c8de38b36d6f",
+        "53eb6c5123d4bd486787c5650fde53c241d0c87243d526c71ef01b5a6840f53a",
+    ),
 }
 
 
@@ -252,3 +267,115 @@ def test_outcomes_cover_every_label():
         assert fn.tolist() == [False, False, False, False, True, False]
         assert covered.tolist() == [True, False, True, True, False, True]
         assert warn.tolist() == [False, False, True, True, False, False]
+
+
+def test_block_len_outside_grid_rejected():
+    # the non-band methods are reported at block_len; a block_len the grid
+    # does not hold used to be replaced by the grid's first entry
+    with pytest.raises(ConfigError, match="block_grid"):
+        small_cfg(block_len=5)
+    assert small_cfg(block_len=8, block_grid=(8,)).block_len == 8
+
+
+@pytest.mark.parametrize("kw", [{"n_reps": 2.0}, {"T": 30.0}, {"window_h": 24.0},
+                                {"block_len": 6.0}, {"block_grid": (4, 6.0, 8)},
+                                {"seed": 42.0}])
+def test_non_integer_counts_rejected(kw):
+    with pytest.raises(DomainError, match="integer"):
+        small_cfg(**kw)
+
+
+def test_numpy_integer_counts_accepted():
+    cfg = small_cfg(n_reps=np.int64(3), T=np.int32(60), window_h=np.int64(24),
+                    block_len=np.int64(6), block_grid=(np.int64(4), 6, np.int16(8)))
+    assert run_mc_pe(cfg)["rows"] == run_mc_pe(small_cfg(n_reps=3))["rows"]
+
+
+def _simulate_reference(cfg, rep):
+    """The per-replication DGP: one scalar period loop with Python clamps."""
+    rng = _rep_rng(cfg.seed, rep)
+    T = cfg.T
+    eta_theta = rng.normal(0.0, cfg.sd_theta, T)
+    eta_z = rng.normal(0.0, cfg.sd_z, T)
+    events = rng.uniform(0.0, 1.0, T) < cfg.stress_prob
+    obs_noise = rng.normal(0.0, cfg.sigma_theta_obs, T)
+    law = ThetaLaw(kappa_theta=cfg.kappa_theta, g0=cfg.g0, eps_cap=cfg.eps_cap)
+    base = TwoLayerParams(theta=cfg.theta0, psi=cfg.psi, z=cfg.z0, c_bar=cfg.c_bar,
+                          phi_req=cfg.phi_req)
+    theta, z = np.empty(T), np.empty(T)
+    theta_t, u, v, stress = cfg.theta0, 0.0, 0.0, 0.0
+    for t in range(T):
+        v = cfg.rho_z * v + eta_z[t]
+        stress = cfg.stress_decay * stress + (cfg.stress_size if events[t] else 0.0)
+        z_t = max(cfg.z0 + v + stress, 1e-6)
+        theta[t] = theta_t
+        z[t] = z_t
+        if cfg.g0 > 0.0 or cfg.kappa_theta > 0.0:
+            drift = _core_drift_at(replace(base, theta=theta_t, z=z_t), law,
+                                   cfg.pi, cfg.r_rep)
+        else:
+            drift = 0.0
+        u = cfg.rho_theta * u + eta_theta[t]
+        theta_t = min(1.0, max(0.0, theta_t + drift + u))
+    return {
+        "theta": theta,
+        "z": z,
+        "theta_obs": np.clip(theta + obs_noise, 0.0, 1.0),
+        "true_scores": _pe_scores(theta, z, cfg.psi, cfg.c_bar, cfg.phi_req),
+    }
+
+
+LOCKSTEP_CONFIGS = {name: kw for name, (kw, _, _) in PINNED_ROWS.items()}
+LOCKSTEP_CONFIGS.update({
+    "theta_at_one": dict(seed=5, n_reps=12, theta0=0.99, sd_theta=0.05),
+    "theta_at_zero_z_floor": dict(seed=6, n_reps=12, theta0=0.01, z0=0.001, sd_z=0.02),
+    "finite_eps_cap": dict(seed=8, n_reps=12, g0=0.8, eps_cap=0.004, kappa_theta=0.001),
+})
+PATH_KEYS = ("theta", "z", "theta_obs", "true_scores")
+
+
+@pytest.mark.parametrize("name", sorted(LOCKSTEP_CONFIGS))
+def test_lockstep_paths_equal_per_replication_loop(name):
+    cfg = MCConfig(**LOCKSTEP_CONFIGS[name])
+    for reps in (range(cfg.n_reps), [5, 2, 9]):
+        paths = simulate_pe_paths(cfg, reps)
+        for i, rep in enumerate(reps):
+            want = _simulate_reference(cfg, rep)
+            for key in PATH_KEYS:
+                assert paths[key].shape == (len(reps), cfg.T)
+                assert paths[key][i].tobytes() == want[key].tobytes(), (rep, key)
+    one = simulate_pe_paths(cfg, np.int64(2))
+    want = _simulate_reference(cfg, 2)
+    for key in PATH_KEYS:
+        assert one[key].shape == (cfg.T,)
+        assert one[key].tobytes() == want[key].tobytes(), key
+
+
+def test_lockstep_clamps_fire():
+    # the clamp config reaches theta = 1, theta = 0 and the z floor
+    paths = simulate_pe_paths(MCConfig(**LOCKSTEP_CONFIGS["clamps"]), range(9))
+    assert (paths["theta"] == 1.0).any() and (paths["theta"] == 0.0).any()
+    assert (paths["z"] == 1e-6).any()
+    assert not np.signbit(paths["theta"]).any()
+
+
+@pytest.mark.parametrize("q, blocks", [(59, (4, 6, 8)), (14, (4, 6, 16)), (5, (3, 4))])
+def test_stacked_bands_equal_per_series_calls(q, blocks):
+    rng = np.random.default_rng(3)
+    stack = np.cumsum(rng.normal(0.0, 0.01, (3, 7, 60)), axis=-1)
+    demeaned = rng.normal(0.0, 0.01, (7, 60))
+    got = _bands(stack, demeaned, q, 24, blocks, 0.10)
+    assert got.shape == (len(blocks), 4, 7)
+    w = min(24, q + 1)
+    for bi, ell in enumerate(blocks):
+        sub = SubsampleConfig(window_h=w, block_len=min(ell, w - 1), alpha=0.10)
+        for r in range(7):
+            for k in range(4):
+                if k < 3:
+                    win = stack[k, r, q + 1 - w : q + 1]
+                    rem = detrend_local_linear(win, w)["remainder"]
+                else:
+                    win = demeaned[r, q + 1 - w : q + 1]
+                    rem = win - win.mean()
+                want = subsample_critical_value(rem, sub)
+                assert got[bi, k, r] == want, (ell, k, r)
