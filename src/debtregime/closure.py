@@ -286,45 +286,47 @@ def solve_premium(p: TwoLayerParams) -> PremiumSolution:
     return PremiumSolution("c_stress", rho, d0, dmax, slack)
 
 
-def _demand_on_grid(rho, theta: np.ndarray, p: TwoLayerParams) -> np.ndarray:
-    """`demand_at` element by element with the core share varying per element."""
-    arg = (p.z - rho) / p.psi
+def _demand_on_grid(rho, theta: np.ndarray, z, p: TwoLayerParams) -> np.ndarray:
+    """`demand_at` element by element, core share and spread per element."""
+    arg = (z - rho) / p.psi
     return theta + (1.0 - theta) * (1.0 - p.dist.cdf_array(arg, p.c_bar))
 
 
-def _premium_on_grid(p: TwoLayerParams, thetas: np.ndarray) -> np.ndarray:
-    """`solve_premium(p.with_theta(t)).rho` for every t in `thetas`, NaN in
-    case d, evaluated as arrays with the scalar solver's exact arithmetic:
-    the same case tests, the same clamped closed form, and a lockstep
-    bisection in which each element stops at its own |f| <= 1e-12 or falls
-    back to its upper end after the iteration cap."""
-    d0 = _demand_on_grid(0.0, thetas, p)
-    dmax = _demand_on_grid(p.z, thetas, p)
+def _premium_on_grid(p: TwoLayerParams, thetas: np.ndarray, z) -> np.ndarray:
+    """`solve_premium(replace(p, theta=t, z=s)).rho` for each pair (t, s) of
+    `thetas` [n] and `z` ([n] or one value), NaN in case d, evaluated as
+    arrays with the scalar solver's exact arithmetic: the same case tests,
+    the same clamped closed form, and a lockstep bisection on [0, s] in which
+    each element stops at its own |f| <= 1e-12 or falls back to its upper
+    end after the iteration cap."""
+    z = np.broadcast_to(z, thetas.shape)
+    d0 = _demand_on_grid(0.0, thetas, z, p)
+    dmax = _demand_on_grid(z, thetas, z, p)
     slack = d0 - p.phi_req
     zero = (slack > 0.0) | (slack == 0.0)  # cases a and b
     failed = ~zero & (p.phi_req > dmax)  # case d
     stress = ~zero & ~failed  # case c
     rho = np.where(failed, np.nan, 0.0)
     closed = stress & (thetas < 1.0) if p.dist.kind == "uniform" else np.zeros_like(stress)
-    th = thetas[closed]
-    r = p.z - p.psi * p.c_bar * (1.0 - (p.phi_req - th) / (1.0 - th))
+    th, zc = thetas[closed], z[closed]
+    r = zc - p.psi * p.c_bar * (1.0 - (p.phi_req - th) / (1.0 - th))
     r = np.where(0.0 > r, 0.0, r)  # max(r, 0.0)
-    rho[closed] = np.where(p.z < r, p.z, r)  # min(r, z)
+    rho[closed] = np.where(zc < r, zc, r)  # min(r, z)
 
     idx = np.flatnonzero(stress & ~closed)
-    th = thetas[idx]
+    th, zb = thetas[idx], z[idx]
     lo = np.zeros(len(idx))
-    hi = np.full(len(idx), p.z)
+    hi = zb
     for _ in range(_BISECT_MAX_ITER):
         if not len(idx):
             break
         mid = 0.5 * (lo + hi)
-        f_mid = _demand_on_grid(mid, th, p) - p.phi_req
+        f_mid = _demand_on_grid(mid, th, zb, p) - p.phi_req
         done = np.abs(f_mid) <= _BISECT_TOL
         rho[idx[done]] = mid[done]
         go = ~done
         below = f_mid[go] < 0
-        idx, th, mid = idx[go], th[go], mid[go]
+        idx, th, zb, mid = idx[go], th[go], zb[go], mid[go]
         lo = np.where(below, mid, lo[go])
         hi = np.where(below, hi[go], mid)
     rho[idx] = hi  # upper end: demand weakly above the requirement
@@ -342,7 +344,8 @@ def _core_drift(rho: np.ndarray, law: ThetaLaw, pi: float, r_rep: float) -> np.n
 
 def _core_drift_at(p: TwoLayerParams, law: ThetaLaw, pi: float, r_rep: float) -> float:
     """gamma(pi - r_rep - rho) - kappa at p's premium rho, the scalar form of
-    `_core_drift`; maintenance is off (drift -kappa) in hard failure."""
+    `_core_drift` (which serves the scan's grid and the Monte Carlo DGP);
+    maintenance is off (drift -kappa) in hard failure."""
     rho = solve_premium(p).rho
     if rho is None:
         return -law.kappa_theta
@@ -610,7 +613,7 @@ def fixed_point_scan(
         return _core_drift_at(p.with_theta(theta), law, pi, r_rep)
 
     n = grid
-    vals = _core_drift(_premium_on_grid(p, np.arange(n + 1) / n), law, pi, r_rep)
+    vals = _core_drift(_premium_on_grid(p, np.arange(n + 1) / n, p.z), law, pi, r_rep)
 
     diagnostics: List[str] = []
     if np.all(np.abs(vals) <= 1e-12):

@@ -4,25 +4,26 @@ Two experiments: the premium-emergence boundary classifier (tiered envelope
 with subsampling bands versus naive point rules) and the transition-
 feasibility margin classifier (debt-concept ambiguity).  Replications are
 independent; each derives its generator from seed XOR replication index, so
-results are bit-identical for a fixed seed.  The replications run in
-lockstep as [replication, period] arrays on one thread: one DGP pass
+results are bit-identical for a fixed seed.  Demand, premium, core drift
+and growth threshold come from the closure and transition kernels.  The
+replications run in lockstep as [replication, period] arrays: one DGP pass
 advances every replication per period, the envelope bounds are stacked and
 detrended once per horizon, each block length runs one band call on every
 row, and each replication's envelope is built once per horizon and reused
-by every block and method.  The `threads` parameter is accepted for
-compatibility and has no effect.
+by every block and method.  `threads` is accepted and has no effect.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .closure import MarginDistribution, ThetaLaw, TwoLayerParams, _core_drift_at
+from .closure import MarginDistribution, ThetaLaw, TwoLayerParams
+from .closure import _core_drift, _demand_on_grid, _premium_on_grid
 from .core import _require_finite
 from .errors import ConfigError, DomainError
 from .inference import (
@@ -34,6 +35,7 @@ from .inference import (
     detrend_local_linear,
     subsample_critical_value,
 )
+from .transition import _threshold
 
 __all__ = [
     "MCConfig",
@@ -151,6 +153,12 @@ class MCConfig:
                 f"block_len {self.block_len} must be an entry of block_grid "
                 f"{self.block_grid}"
             )
+        if not self.evaluation_horizons:
+            raise ConfigError("evaluation_horizons must hold at least one horizon")
+        for h_yr, q in zip(self.evaluation_horizons, _horizon_indices(self)):
+            if not 3 <= q < self.T:  # quarters 4 to T: 1 to T/4 years
+                raise ConfigError(f"evaluation horizon {h_yr} must lie within "
+                                  f"[1, {self.T / 4:g}] years (T = {self.T} quarters)")
 
 
 def _rep_rng(seed: int, rep: int) -> np.random.Generator:
@@ -170,17 +178,16 @@ def _bowed_dist(c_bar: float, power: float) -> MarginDistribution:
     return MarginDistribution(kind="table", knots=knots)
 
 
-def _pe_scores(
-    theta: np.ndarray,
-    z: np.ndarray,
-    psi: float,
-    c_bar: float,
-    phi_req: float,
-    dist: MarginDistribution = MarginDistribution(),
-) -> np.ndarray:
-    """Zero-premium boundary score, vectorized over time: `score_pe` on the
-    closure's own CDF."""
-    return theta + (1.0 - theta) * (1.0 - dist.cdf_array(z / psi, c_bar)) - phi_req
+def _params(cfg: MCConfig, dist: MarginDistribution = MarginDistribution()) -> TwoLayerParams:
+    """The closure state at the initial core share and spread, on margin `dist`."""
+    return TwoLayerParams(theta=cfg.theta0, psi=cfg.psi, z=cfg.z0, c_bar=cfg.c_bar,
+                          phi_req=cfg.phi_req, dist=dist)
+
+
+def _pe_scores(theta: np.ndarray, z: np.ndarray, p: TwoLayerParams) -> np.ndarray:
+    """Zero-premium boundary score element by element: `score_pe` with the
+    core share and the spread varying per element."""
+    return _demand_on_grid(0.0, theta, z, p) - p.phi_req
 
 
 def simulate_pe_paths(cfg: MCConfig, rep: Union[int, Sequence[int]]) -> dict:
@@ -191,9 +198,10 @@ def simulate_pe_paths(cfg: MCConfig, rep: Union[int, Sequence[int]]) -> dict:
     sequence of reps gives `[R, T]` arrays whose row i is replication
     rep[i], bit for bit the same as the int call.  Each replication draws
     its shocks from its own stream; one period loop then advances every
-    replication as an `[R]` vector.  The clamps mirror Python's `max(x,
-    1e-6)`, `max(0.0, x)` and `min(1.0, x)` (which keep the first argument
-    unless the second is strictly larger, or smaller), so no -0.0 appears.
+    replication as an `[R]` vector, with one array premium solve per period
+    when g0 > 0 or kappa > 0.  The clamps mirror Python's `max(x, 1e-6)`,
+    `max(0.0, x)` and `min(1.0, x)` (which keep the first argument unless
+    the second is strictly larger, or smaller), so no -0.0 appears.
     """
     single = np.ndim(rep) == 0
     reps = [rep] if single else list(rep)
@@ -209,10 +217,7 @@ def simulate_pe_paths(cfg: MCConfig, rep: Union[int, Sequence[int]]) -> dict:
     stress_add = np.where(events, cfg.stress_size, 0.0)
 
     law = ThetaLaw(kappa_theta=cfg.kappa_theta, g0=cfg.g0, eps_cap=cfg.eps_cap)
-    base = TwoLayerParams(
-        theta=cfg.theta0, psi=cfg.psi, z=cfg.z0, c_bar=cfg.c_bar,
-        phi_req=cfg.phi_req,
-    )
+    base = _params(cfg)
     structural = cfg.g0 > 0.0 or cfg.kappa_theta > 0.0
 
     theta = np.empty((R, T))
@@ -228,10 +233,7 @@ def simulate_pe_paths(cfg: MCConfig, rep: Union[int, Sequence[int]]) -> dict:
         z[:, t] = z_t
         # structural part of the law needs each replication's premium
         if structural:
-            drift = np.array([
-                _core_drift_at(replace(base, theta=th, z=zt), law, cfg.pi, cfg.r_rep)
-                for th, zt in zip(theta_t.tolist(), z_t.tolist())
-            ])
+            drift = _core_drift(_premium_on_grid(base, theta_t, z_t), law, cfg.pi, cfg.r_rep)
         else:
             drift = 0.0
         u = cfg.rho_theta * u + eta_theta[:, t]
@@ -239,7 +241,7 @@ def simulate_pe_paths(cfg: MCConfig, rep: Union[int, Sequence[int]]) -> dict:
         theta_t = np.where(theta_t > 0.0, theta_t, 0.0)
         theta_t = np.where(theta_t < 1.0, theta_t, 1.0)
     theta_obs = np.clip(theta + obs_noise, 0.0, 1.0)
-    true_scores = _pe_scores(theta, z, cfg.psi, cfg.c_bar, cfg.phi_req)
+    true_scores = _pe_scores(theta, z, base)
     paths = {
         "theta": theta,
         "z": z,
@@ -250,11 +252,8 @@ def simulate_pe_paths(cfg: MCConfig, rep: Union[int, Sequence[int]]) -> dict:
 
 
 def _horizon_indices(cfg: MCConfig) -> List[int]:
-    idx = []
-    for h_yr in cfg.evaluation_horizons:
-        q = int(round(h_yr * 4.0)) - 1
-        idx.append(min(max(q, 0), cfg.T - 1))
-    return idx
+    """Period index of each evaluation horizon (years to quarters)."""
+    return [int(round(h_yr * 4.0)) - 1 for h_yr in cfg.evaluation_horizons]
 
 
 def _bands(
@@ -332,22 +331,13 @@ def run_mc_pe(cfg: MCConfig, threads: int = 1) -> dict:
     theta_obs, z, true_scores = paths["theta_obs"], paths["z"], paths["true_scores"]
     shift = cfg.theta_reading_shift
 
+    base = _params(cfg)
     variant_scores = {
-        "baseline": _pe_scores(theta_obs, z, cfg.psi, cfg.c_bar, cfg.phi_req),
-        "theta_minus": _pe_scores(
-            np.clip(theta_obs - shift, 0, 1), z, cfg.psi, cfg.c_bar, cfg.phi_req
-        ),
-        "theta_plus": _pe_scores(
-            np.clip(theta_obs + shift, 0, 1), z, cfg.psi, cfg.c_bar, cfg.phi_req
-        ),
-        "g_concave": _pe_scores(
-            theta_obs, z, cfg.psi, cfg.c_bar, cfg.phi_req,
-            _bowed_dist(cfg.c_bar, 0.8),
-        ),
-        "g_convex": _pe_scores(
-            theta_obs, z, cfg.psi, cfg.c_bar, cfg.phi_req,
-            _bowed_dist(cfg.c_bar, 1.25),
-        ),
+        "baseline": _pe_scores(theta_obs, z, base),
+        "theta_minus": _pe_scores(np.clip(theta_obs - shift, 0, 1), z, base),
+        "theta_plus": _pe_scores(np.clip(theta_obs + shift, 0, 1), z, base),
+        "g_concave": _pe_scores(theta_obs, z, _params(cfg, _bowed_dist(cfg.c_bar, 0.8))),
+        "g_convex": _pe_scores(theta_obs, z, _params(cfg, _bowed_dist(cfg.c_bar, 1.25))),
     }
     tier2_ids = ("baseline", "theta_minus", "theta_plus")
     tier3_ids = tier2_ids + ("g_concave", "g_convex")
@@ -391,11 +381,9 @@ def run_mc_pe(cfg: MCConfig, threads: int = 1) -> dict:
         truth_interior = true_scores[:, q] > 0.0
         out[:, hi] = np.moveaxis(_outcomes(labels, truth_interior, PE_LABELS), 2, 0)
     means = out.mean(axis=0) * 100.0
-    horizons = list(cfg.evaluation_horizons)
-    blocks = list(cfg.block_grid)
     default_bi = blocks.index(cfg.block_len)
     rows = []
-    for hi, h_yr in enumerate(horizons):
+    for hi, h_yr in enumerate(cfg.evaluation_horizons):
         for mi, method in enumerate(PE_METHODS):
             band_method = method in ("proposed_tier2", "proposed_tier3", "fixed_spec")
             for bi, ell in enumerate(blocks):
@@ -430,6 +418,9 @@ def run_mc_tf(
     compatibility and has no effect.
     """
     rho_bars = list(rho_bar_list)
+    if not rho_bars or not all(math.isfinite(r) and r >= 0.0 for r in rho_bars):
+        raise DomainError(f"rho_bar_list must hold premium bounds, each finite and "
+                          f">= 0, got {rho_bar_list!r}")
     R, T = cfg.n_reps, cfg.T
     b_true, g_new = np.empty(R), np.empty(R)
     eps_pi, eps_d = np.empty((R, T)), np.empty((R, T))
@@ -448,7 +439,7 @@ def run_mc_tf(
     d_path = cfg.tf_d0 + w
 
     def tf_score(b, rho_bar: float) -> np.ndarray:
-        return g_new[:, None] - (pi_path + d_path / b + rho_bar + cfg.tf_m)
+        return g_new[:, None] - _threshold(pi_path, d_path, 0.0, b, rho_bar, cfg.tf_m)
 
     q = T - 1
     blocks = [cfg.block_len]

@@ -64,6 +64,11 @@ class TransitionSpec:
             raise DomainError(f"m must be >= 0, got {self.m}")
 
 
+def _threshold(pi, d, s, b, rho, m):
+    """Growth threshold pi + (d - s)/b + rho + m, on floats or arrays."""
+    return pi + (d - s) / b + rho + m
+
+
 def required_growth_exogenous(spec: TransitionSpec) -> dict:
     """Post-transition growth threshold with a bounded premium.
 
@@ -73,7 +78,7 @@ def required_growth_exogenous(spec: TransitionSpec) -> dict:
     st = spec.state
     if st.b_prev <= 0:
         raise DomainError("b_prev must be > 0")
-    threshold = st.pi + (st.d - st.s) / st.b_prev + spec.rho_bar + spec.m
+    threshold = _threshold(st.pi, st.d, st.s, st.b_prev, spec.rho_bar, spec.m)
     return {
         "threshold": threshold,
         "delta_g_min": threshold - spec.g_star_baseline,
@@ -97,7 +102,7 @@ def required_growth_endogenous(spec: TransitionSpec) -> dict:
             "delta_g_min": math.inf,
         }
     st = spec.state
-    threshold = st.pi + (st.d - st.s) / st.b_prev + sol.rho + spec.m
+    threshold = _threshold(st.pi, st.d, st.s, st.b_prev, sol.rho, spec.m)
     return {
         "rho_star": sol.rho,
         "case": sol.case,

@@ -65,6 +65,18 @@ class TestExitCodes:
         assert "block_grid" in res.stderr
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("horizons, named", [("", "at least one"),
+                                                 ("3.8, 15.0, 20.0", "20.0"),
+                                                 ("0.5, 3.8, 7.5", "0.5")])
+    def test_horizon_outside_the_sample_is_exit_2(self, tmp_path, horizons, named):
+        cfg = tmp_path / "horizons.cfg"
+        cfg.write_text(f"mc.evaluation_horizons = {horizons}\n")
+        res = run(["--config", str(cfg), "--out", "o", "mc", "--reps", "8",
+                   "--experiment", "pe"], tmp_path)
+        assert res.returncode == 2
+        assert named in res.stderr
+        assert not (tmp_path / "o" / "mc_pe.csv").exists()
+
 
 class TestSubcommands:
     def test_scenario_writes_report(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -397,10 +398,17 @@ class TestFixedPointScan:
             assert all(fp["residual"] <= 1e-10 for fp in res["fixed_points"])
 
 
-def _reference_rho(p, thetas):
-    """Per-theta scalar solves: the oracle for the array kernel."""
-    sols = [solve_premium(p.with_theta(t)) for t in thetas]
+def _reference_rho(p, thetas, zs=None):
+    """Per-element scalar solves (at p's spread unless `zs` gives one per
+    theta): the oracle for the array kernel."""
+    zs = [p.z] * len(thetas) if zs is None else zs
+    sols = [solve_premium(replace(p, theta=t, z=s)) for t, s in zip(thetas, zs)]
     return [math.nan if s.rho is None else s.rho for s in sols]
+
+
+def _spreads(p, n):
+    """n spreads between a quarter and twice p's spread, in a fixed order."""
+    return p.z * np.random.default_rng(5).uniform(0.25, 2.0, n)
 
 
 def _reference_scan(p, law, pi, r_rep, grid=2000, sigma=0.0):
@@ -493,6 +501,10 @@ GRID_STATES = [
     TwoLayerParams(psi=0.8, z=0.035, phi_req=0.97, dist=table_from_power(0.06, 1.4, n=5)),
     TwoLayerParams(psi=0.9, z=0.03, phi_req=0.9, dist=ATOM_TABLE),  # cases a, c, d
     TwoLayerParams(psi=0.9, z=0.01, phi_req=1.0, dist=ATOM_TABLE),
+    # the root sits in a first knot segment 1e-14 wide, where one ulp of rho
+    # moves demand by far more than 1e-12: bisection ends at its upper end
+    TwoLayerParams(theta=0.5, phi_req=0.9, dist=MarginDistribution(
+        kind="table", knots=((0.0, 0.0), (1e-14, 0.5), (0.06, 1.0)))),
 ]
 
 
@@ -500,12 +512,37 @@ class TestPremiumOnGrid:
     @pytest.mark.parametrize("p", GRID_STATES)
     def test_matches_per_theta_solve_premium(self, p):
         thetas = np.arange(2001) / 2000
-        assert repr(_premium_on_grid(p, thetas).tolist()) == repr(_reference_rho(p, thetas.tolist()))
+        got = _premium_on_grid(p, thetas, p.z).tolist()
+        assert repr(got) == repr(_reference_rho(p, thetas.tolist()))
+        zs = _spreads(p, thetas.size)
+        got = _premium_on_grid(p, thetas, zs).tolist()
+        assert repr(got) == repr(_reference_rho(p, thetas.tolist(), zs.tolist()))
 
     def test_states_cover_every_case(self):
         cases = {solve_premium(p.with_theta(t)).case
                  for p in GRID_STATES for t in np.linspace(0.0, 1.0, 101)}
         assert cases == {"a_interior", "b_boundary", "c_stress", "d_hard_failure"}
+
+    def test_per_element_spreads_reach_every_branch(self):
+        # with the spread varying per element the states still reach cases
+        # a-d, the closed form, bisection to |f| <= 1e-12 and the upper end
+        branches = set()
+        for p in GRID_STATES:
+            thetas = np.arange(2001) / 2000
+            for t, s in list(zip(thetas.tolist(), _spreads(p, thetas.size).tolist()))[::10]:
+                q = replace(p, theta=t, z=s)
+                sol = solve_premium(q)
+                branch = sol.case
+                if sol.case == "c_stress":
+                    if p.dist.kind == "uniform" and t < 1.0:
+                        branch = "closed_form"
+                    elif abs(demand_at(sol.rho, q) - q.phi_req) <= 1e-12:
+                        branch = "bisection"
+                    else:
+                        branch = "upper_end"
+                branches.add(branch)
+        assert branches == {"a_interior", "b_boundary", "closed_form", "bisection",
+                            "upper_end", "d_hard_failure"}
 
     @pytest.mark.parametrize("p, law, pi, r_rep, grid", [
         (BASE, ThetaLaw(kappa_theta=0.0, g0=0.0), 0.027, 0.022, 1000),

@@ -1,11 +1,12 @@
 import hashlib
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from debtregime.closure import ThetaLaw, TwoLayerParams, _core_drift_at
+from debtregime.closure import ThetaLaw, TwoLayerParams, _core_drift_at, solve_premium
 from debtregime.errors import ConfigError, DomainError
 from debtregime.inference import (
     PE_LABELS,
@@ -23,7 +24,14 @@ from debtregime.montecarlo import (
     run_mc_tf,
     simulate_pe_paths,
 )
-from debtregime.montecarlo import _bands, _bowed_dist, _outcomes, _pe_scores, _rep_rng
+from debtregime.montecarlo import (
+    _bands,
+    _bowed_dist,
+    _outcomes,
+    _params,
+    _pe_scores,
+    _rep_rng,
+)
 
 
 def small_cfg(**kw):
@@ -64,7 +72,7 @@ class TestDGP:
     def test_vectorized_scores_match_pointwise(self):
         cfg = small_cfg()
         paths = simulate_pe_paths(cfg, 3)
-        vec = _pe_scores(paths["theta"], paths["z"], cfg.psi, cfg.c_bar, cfg.phi_req)
+        vec = _pe_scores(paths["theta"], paths["z"], _params(cfg))
         for t in (0, 17, 59):
             p = TwoLayerParams(
                 theta=float(paths["theta"][t]), psi=cfg.psi, z=float(paths["z"][t]),
@@ -76,8 +84,7 @@ class TestDGP:
         cfg = small_cfg()
         paths = simulate_pe_paths(cfg, 3)
         dist = _bowed_dist(cfg.c_bar, 0.8)
-        vec = _pe_scores(paths["theta"], paths["z"], cfg.psi, cfg.c_bar,
-                         cfg.phi_req, dist)
+        vec = _pe_scores(paths["theta"], paths["z"], _params(cfg, dist))
         for t in (0, 31):
             p = TwoLayerParams(
                 theta=float(paths["theta"][t]), psi=cfg.psi, z=float(paths["z"][t]),
@@ -95,7 +102,7 @@ class TestDGP:
         z = np.concatenate([rng.uniform(1e-6, 0.08, 300),
                             [cfg.c_bar * cfg.psi, 1e-12, 0.5 * cfg.c_bar]])
         extra = {} if power is None else {"dist": _bowed_dist(cfg.c_bar, power)}
-        vec = _pe_scores(theta, z, cfg.psi, cfg.c_bar, cfg.phi_req, **extra)
+        vec = _pe_scores(theta, z, _params(cfg, **extra))
         want = [
             score_pe(TwoLayerParams(theta=float(t), psi=cfg.psi, z=float(v),
                                     c_bar=cfg.c_bar, phi_req=cfg.phi_req, **extra))
@@ -292,7 +299,8 @@ def test_numpy_integer_counts_accepted():
 
 
 def _simulate_reference(cfg, rep):
-    """The per-replication DGP: one scalar period loop with Python clamps."""
+    """The per-replication DGP: one scalar period loop with Python clamps,
+    the scalar premium solve and the scalar boundary score."""
     rng = _rep_rng(cfg.seed, rep)
     T = cfg.T
     eta_theta = rng.normal(0.0, cfg.sd_theta, T)
@@ -321,7 +329,10 @@ def _simulate_reference(cfg, rep):
         "theta": theta,
         "z": z,
         "theta_obs": np.clip(theta + obs_noise, 0.0, 1.0),
-        "true_scores": _pe_scores(theta, z, cfg.psi, cfg.c_bar, cfg.phi_req),
+        "true_scores": np.array([
+            score_pe(replace(base, theta=th, z=zt))
+            for th, zt in zip(theta.tolist(), z.tolist())
+        ]),
     }
 
 
@@ -330,6 +341,10 @@ LOCKSTEP_CONFIGS.update({
     "theta_at_one": dict(seed=5, n_reps=12, theta0=0.99, sd_theta=0.05),
     "theta_at_zero_z_floor": dict(seed=6, n_reps=12, theta0=0.01, z0=0.001, sd_z=0.02),
     "finite_eps_cap": dict(seed=8, n_reps=12, g0=0.8, eps_cap=0.004, kappa_theta=0.001),
+    # premium above zero, premium above pi - r_rep (eps <= 0) and eps above
+    # its cap all occur along the paths
+    "stress_premium": dict(seed=9, n_reps=12, theta0=0.6, phi_req=0.88, g0=0.5,
+                           eps_cap=0.002, kappa_theta=0.002),
 })
 PATH_KEYS = ("theta", "z", "theta_obs", "true_scores")
 
@@ -359,6 +374,21 @@ def test_lockstep_clamps_fire():
     assert not np.signbit(paths["theta"]).any()
 
 
+def test_lockstep_structural_branches_fire():
+    # the stress config's paths reach case c, maintenance switched off by a
+    # premium at or above pi - r_rep, and the eps cap; read with the scalar
+    # solver at each path point
+    cfg = MCConfig(**LOCKSTEP_CONFIGS["stress_premium"])
+    paths = simulate_pe_paths(cfg, range(cfg.n_reps))
+    base = _params(cfg)
+    sols = [solve_premium(replace(base, theta=th, z=zt))
+            for th, zt in zip(paths["theta"].ravel().tolist(), paths["z"].ravel().tolist())]
+    assert {s.case for s in sols} >= {"a_interior", "c_stress"}
+    eps = np.array([cfg.pi - cfg.r_rep - s.rho for s in sols])
+    assert (eps <= 0.0).any() and (eps > cfg.eps_cap).any()
+    assert ((eps > 0.0) & (eps <= cfg.eps_cap)).any()
+
+
 @pytest.mark.parametrize("q, blocks", [(59, (4, 6, 8)), (14, (4, 6, 16)), (5, (3, 4))])
 def test_stacked_bands_equal_per_series_calls(q, blocks):
     rng = np.random.default_rng(3)
@@ -379,3 +409,32 @@ def test_stacked_bands_equal_per_series_calls(q, blocks):
                     rem = win - win.mean()
                 want = subsample_critical_value(rem, sub)
                 assert got[bi, k, r] == want, (ell, k, r)
+
+
+@pytest.mark.parametrize("horizons, T, named", [
+    ((), 60, "at least one"),
+    ((3.8, 15.0, 20.0), 60, "20.0"),
+    ((0.5, 3.8, 7.5), 60, "0.5"),
+    ((0.75, 3.8), 60, "0.75"),
+    ((3.8, 15.25), 60, "15.25"),
+    ((3.8, 7.5), 20, "7.5"),
+])
+def test_horizon_outside_the_sample_rejected(horizons, T, named):
+    # each horizon's period index round(4h) - 1 must lie in [3, T - 1]: a
+    # later one used to be clamped to T - 1 and an earlier one to fail in
+    # the band with a window the user never set
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        small_cfg(evaluation_horizons=horizons, T=T, window_h=min(24, T))
+
+
+def test_horizons_at_the_sample_ends_accepted():
+    cfg = small_cfg(n_reps=3, evaluation_horizons=(1.0, 15.0))
+    assert {r["horizon_yr"] for r in run_mc_pe(cfg)["rows"]} == {1.0, 15.0}
+
+
+@pytest.mark.parametrize("rho_bars", [(), (0.0, math.nan), (0.005, -0.05)])
+def test_invalid_premium_bounds_rejected(rho_bars):
+    # an empty list used to return no rows, NaN to fail in the detrend and a
+    # negative bound (which TransitionSpec rejects) to return rows
+    with pytest.raises(DomainError, match=re.escape(f"got {rho_bars!r}")):
+        run_mc_tf(small_cfg(n_reps=2), rho_bar_list=rho_bars)

@@ -63,13 +63,17 @@ def test_cdf_array_equals_scalar_cdf(margin, fractions):
 
 
 @PROPERTY
-@given(margins(), st.floats(0.05, 1.0), st.floats(0.001, 0.05), st.floats(0.0, 1.0))
-def test_premium_grid_complementarity(margin, psi, z, phi_req):
+@given(margins(), st.floats(0.05, 1.0),
+       st.lists(st.floats(0.001, 0.05), min_size=1, max_size=201), st.floats(0.0, 1.0))
+def test_premium_grid_complementarity(margin, psi, spreads, phi_req):
+    # each grid point has its own spread, the drawn spreads repeated in turn
     dist, c_bar = margin
-    p = TwoLayerParams(psi=psi, z=z, c_bar=c_bar, phi_req=phi_req, dist=dist)
+    p = TwoLayerParams(psi=psi, c_bar=c_bar, phi_req=phi_req, dist=dist)
     thetas = np.arange(201) / 200
-    for theta, rho in zip(thetas.tolist(), _premium_on_grid(p, thetas).tolist()):
-        q = p.with_theta(theta)
+    zs = np.resize(spreads, thetas.size)
+    rhos = _premium_on_grid(p, thetas, zs).tolist()
+    for theta, z, rho in zip(thetas.tolist(), zs.tolist(), rhos):
+        q = replace(p, theta=theta, z=z)
         if math.isnan(rho):  # case d: even the full premium z cannot fill the gap
             assert phi_req > demand_at(z, q)
             continue
