@@ -64,7 +64,7 @@ class _UsageError(Exception):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="debtregime", description=__doc__)
     parser.add_argument("--config", default=None, help="scenario file path")
-    parser.add_argument("--seed", type=int, default=42, help="64-bit seed")
+    parser.add_argument("--seed", type=int, default=42, help="seed in [0, 2**64)")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--format", default="csv", choices=["csv"])
     parser.add_argument(
@@ -249,8 +249,9 @@ def _cmd_infer(scenario: Scenario, args) -> int:
 
 
 def _emit_tables(table_ids, scenario: Scenario, args) -> int:
-    for table_id in table_ids:
-        art = build_table(table_id, scenario, args.seed, n_reps=args.reps)
+    # build every table before writing one, so that an error leaves no CSV
+    arts = [build_table(t, scenario, args.seed, n_reps=args.reps) for t in table_ids]
+    for art in arts:
         print(f"wrote {_write(art, args.out)}")
     return EXIT_OK
 

@@ -212,8 +212,10 @@ def clock(spec: ClockSpec) -> dict:
     return {"T_linear": t_lin, "T_exp": t_exp}
 
 
-def _ols_line(t: np.ndarray, y: np.ndarray) -> tuple:
+def _ols_line(t: np.ndarray, y: np.ndarray, sample: str) -> tuple:
     """Fit y = a + b*t in closed form; return (b, ssr)."""
+    if t.min() == t.max():
+        raise EstimationError(f"the {sample}'s time stamps do not vary")
     mean, slope = _line_fit(t, y)
     resid = y - (mean + slope * (t - t.mean()))
     return float(slope), float(resid @ resid)
@@ -228,13 +230,17 @@ def estimate_kappa(
     OLS slopes for the full sample and, when `break_index` is given, for the
     two subsamples plus the Chow F statistic of the pooled-versus-split
     trend+intercept model.  No p-value is computed; the raw F is reported.
+    Non-finite input, or a sample or segment whose times do not vary, raises
+    `EstimationError`.
     """
     pts = [(float(t), float(v)) for t, v in series]
     if len(pts) < 8:
         raise EstimationError(f"need >= 8 observations, got {len(pts)}")
     t = np.array([p[0] for p in pts])
     y = np.array([p[1] for p in pts])
-    slope_full, ssr_pooled = _ols_line(t, y)
+    if not (np.isfinite(t).all() and np.isfinite(y).all()):
+        raise EstimationError("series times and values must be finite")
+    slope_full, ssr_pooled = _ols_line(t, y, "full sample")
     out = {
         "slope_full": slope_full,
         "slope_pre": None,
@@ -248,8 +254,8 @@ def estimate_kappa(
         raise EstimationError(
             f"break_index must leave >= 3 points on each side, got {break_index} of {n}"
         )
-    slope_pre, ssr_pre = _ols_line(t[:break_index], y[:break_index])
-    slope_post, ssr_post = _ols_line(t[break_index:], y[break_index:])
+    slope_pre, ssr_pre = _ols_line(t[:break_index], y[:break_index], "pre-break segment")
+    slope_post, ssr_post = _ols_line(t[break_index:], y[break_index:], "post-break segment")
     ssr_u = ssr_pre + ssr_post
     k = 2  # intercept + trend per regime
     if ssr_u <= 1e-18:

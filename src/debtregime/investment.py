@@ -181,15 +181,16 @@ def cumulative_upper_bound(
 ) -> float:
     """Cumulative envelope over the residual window: sum over the first
     floor(T_star) periods of the per-period operational maximum, floored at
-    zero each period.  An inactive dividend bound does not constrain."""
+    zero each period (T_star >= 0; +inf sums every period).  An inactive
+    dividend bound does not constrain."""
     if len(per_period_bounds) == 0:
         raise DomainError("per-period bound list is empty")
-    periods = int(math.floor(T_star)) if math.isfinite(T_star) else len(per_period_bounds)
-    periods = min(periods, len(per_period_bounds))
-    if math.isfinite(T_star) and len(per_period_bounds) < int(math.floor(T_star)):
+    if not T_star >= 0.0:  # NaN fails too
+        raise DomainError(f"T_star must be >= 0, got {T_star!r}")
+    periods = len(per_period_bounds) if T_star == math.inf else int(math.floor(T_star))
+    if len(per_period_bounds) < periods:
         raise DomainError(
-            f"need >= floor(T_star)={int(math.floor(T_star))} periods, "
-            f"got {len(per_period_bounds)}"
+            f"need >= floor(T_star)={periods} periods, got {len(per_period_bounds)}"
         )
     total = 0.0
     for bnd in per_period_bounds[:periods]:

@@ -77,9 +77,10 @@ class MCConfig:
     Only the core share is observed with noise.
 
     The counts (seed, n_reps, T, window_h, block_len, block_grid entries)
-    must be integers (numpy integers included), else `DomainError`.  The
-    non-band methods are reported at `block_len`, so it must be an entry of
-    `block_grid`, else `ConfigError`.
+    must be integers (numpy integers included), else `DomainError`; the
+    seed must lie in [0, 2**64), else `ConfigError`.  The non-band methods
+    are reported at `block_len`, so it must be an entry of `block_grid`,
+    else `ConfigError`.
     """
 
     n_reps: int = 500
@@ -144,6 +145,8 @@ class MCConfig:
                         raise DomainError(
                             f"{f.name} must be an integer, got {v!r}"
                         ) from None
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.n_reps < 1:
             raise DomainError("n_reps must be >= 1")
         if self.T < self.window_h:

@@ -2,15 +2,19 @@
 `#` comments, validated against a closed schema with March-2026 baseline
 defaults.  An empty file is the baseline scenario.
 
-Lists are comma-separated; booleans are true/false; sweep rows are declared
-as `sweep.<name>.<row> = key=value,key=value`.
+Lists are comma-separated; `none` (or `null`) is accepted only by the two
+optional keys, `closure.r_rep` (unset means `econ.r_n`) and
+`regime.kappa_exp`; sweep rows are declared as
+`sweep.<name>.<row> = key=value,key=value`.  The seed is not a scenario key:
+`Scenario.mc_config(seed)` (the CLI's `--seed`) takes an integer in
+[0, 2**64).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from .closure import MarginDistribution, ThetaLaw, TwoLayerParams, phi_req_affine
@@ -32,117 +36,98 @@ def _norm_key(key: str) -> str:
     return key
 
 
-DEFAULTS: Dict[str, object] = {
-    "scenario.name": "baseline",
+# Each key's default and kind.  The kind fixes the parse and the unit rule:
+# rate (a fraction in [-1, 1]), share (in [0, 1]), num (any finite number),
+# int, ints and nums (comma-separated), pairs (comma-separated x:y) or text.
+# A trailing `?` marks an optional key, which also accepts none/null.
+_SCHEMA: Dict[str, Tuple[object, str]] = {
+    "scenario.name": ("baseline", "text"),
     # one period's macro-fiscal observables
-    "econ.b_prev": 2.40,
-    "econ.r_n": 0.022,
-    "econ.g_n": 0.030,
-    "econ.pi": 0.027,
-    "econ.d": 0.020,
-    "econ.s": 0.0,
+    "econ.b_prev": (2.40, "num"),
+    "econ.r_n": (0.022, "rate"),
+    "econ.g_n": (0.030, "rate"),
+    "econ.pi": (0.027, "rate"),
+    "econ.d": (0.020, "rate"),
+    "econ.s": (0.0, "rate"),
     # repression / scope parameters
-    "regime.epsilon": 0.005,
-    "regime.g_star": 0.030,
-    "regime.phi": 0.88,
-    "regime.phi_bar": 0.85,
-    "regime.kappa": 0.01,
-    "regime.kappa_exp": 0.01,
-    "regime.de": 0.0,
-    "regime.e_bar": 0.0,
-    "regime.alpha": 0.0,
-    "regime.beta": 0.0,
-    "regime.psi_mon": 1.0,
-    "regime.psi_abs": 0.93,
-    "regime.psi_fx": 1.0,
+    "regime.epsilon": (0.005, "rate"),
+    "regime.g_star": (0.030, "rate"),
+    "regime.phi": (0.88, "share"),
+    "regime.phi_bar": (0.85, "share"),
+    "regime.kappa": (0.01, "rate"),
+    "regime.kappa_exp": (0.01, "rate?"),
+    "regime.de": (0.0, "rate"),
+    "regime.e_bar": (0.0, "rate"),
+    "regime.alpha": (0.0, "num"),
+    "regime.beta": (0.0, "num"),
+    "regime.psi_mon": (1.0, "share"),
+    "regime.psi_abs": (0.93, "share"),
+    "regime.psi_fx": (1.0, "share"),
     # fiscal response
-    "fiscal.mode": "constant",
-    "fiscal.d0": 0.020,
-    "fiscal.gamma": 0.0,
-    "fiscal.b_ref": 2.40,
-    "fiscal.table": (),
+    "fiscal.mode": ("constant", "text"),
+    "fiscal.d0": (0.020, "rate"),
+    "fiscal.gamma": (0.0, "rate"),
+    "fiscal.b_ref": (2.40, "num"),
+    "fiscal.table": ((), "pairs"),
     # two-layer closure
-    "closure.theta": 0.65,
-    "closure.psi": 0.97,
-    "closure.z": 0.02,
-    "closure.c_bar": 0.06,
-    "closure.phi_req": 0.85,
-    "closure.dist": "uniform",
-    "closure.dist_knots": (),
-    "closure.r_rep": None,  # defaults to econ.r_n
-    "closure.kappa_theta": 0.0,
-    "closure.g0": 0.0,
-    "closure.eps_cap": math.inf,
-    "closure.phi_req_db": 0.0,
-    "closure.phi_req_dpsi": 0.0,
-    "closure.phi_req_dz": 0.0,
+    "closure.theta": (0.65, "share"),
+    "closure.psi": (0.97, "share"),
+    "closure.z": (0.02, "rate"),
+    "closure.c_bar": (0.06, "rate"),
+    "closure.phi_req": (0.85, "share"),
+    "closure.dist": ("uniform", "text"),
+    "closure.dist_knots": ((), "pairs"),
+    "closure.r_rep": (None, "rate?"),  # defaults to econ.r_n
+    "closure.kappa_theta": (0.0, "rate"),
+    "closure.g0": (0.0, "num"),
+    "closure.eps_cap": (math.inf, "num"),
+    "closure.phi_req_db": (0.0, "num"),
+    "closure.phi_req_dpsi": (0.0, "num"),
+    "closure.phi_req_dz": (0.0, "num"),
     # investment bounds
-    "investment.mu": 0.05,
-    "investment.lambda": 0.5,
-    "investment.m": 0.0,
-    "investment.delta_bar": 0.0,
-    "investment.demo_lo": 0.005,
-    "investment.demo_hi": 0.008,
-    "investment.shock_size": 0.01,
+    "investment.mu": (0.05, "rate"),
+    "investment.lambda": (0.5, "share"),
+    "investment.m": (0.0, "rate"),
+    "investment.delta_bar": (0.0, "rate"),
+    "investment.demo_lo": (0.005, "rate"),
+    "investment.demo_hi": (0.008, "rate"),
+    "investment.shock_size": (0.01, "rate"),
     # transition thresholds and labels
-    "transition.g_new": 0.030,
-    "transition.rho_bar": 0.0,
-    "transition.m": 0.0,
-    "transition.T_invest": 2.0,
-    "transition.x_max_label": 0.16,
-    "transition.mu_lo": 0.02,
-    "transition.mu_hi": 0.08,
+    "transition.g_new": (0.030, "rate"),
+    "transition.rho_bar": (0.0, "rate"),
+    "transition.m": (0.0, "rate"),
+    "transition.T_invest": (2.0, "num"),
+    "transition.x_max_label": (0.16, "num"),
+    "transition.mu_lo": (0.02, "rate"),
+    "transition.mu_hi": (0.08, "rate"),
     # inference bands
-    "inference.window_h": 24,
-    "inference.block_len": 6,
-    "inference.alpha": 0.10,
-    "inference.block_grid": (4, 6, 8),
+    "inference.window_h": (24, "int"),
+    "inference.block_len": (6, "int"),
+    "inference.alpha": (0.10, "share"),
+    "inference.block_grid": ((4, 6, 8), "ints"),
     # Monte Carlo harness
-    "mc.n_reps": 500,
-    "mc.T": 60,
-    "mc.alpha": 0.10,
-    "mc.sigma_theta_obs": 0.02,
-    "mc.rho_theta": 0.8,
-    "mc.sd_theta": 0.005,
-    "mc.kappa_theta": 0.0,
-    "mc.g0": 0.0,
-    "mc.rho_z": 0.9,
-    "mc.sd_z": 0.0025,
-    "mc.stress_prob": 0.05,
-    "mc.stress_size": 0.0075,
-    "mc.stress_decay": 0.9,
-    "mc.evaluation_horizons": (3.8, 7.5, 11.2, 15.0),
-    "mc.theta_reading_shift": 0.02,
-    "mc.dead_zone": 0.01,
-    "mc.tf_g_spread": 0.015,
-    "mc.tf_sd": 0.001,
-    "mc.tf_rho": 0.8,
-    "mc.tf_m": 0.0,
+    "mc.n_reps": (500, "int"),
+    "mc.T": (60, "int"),
+    "mc.alpha": (0.10, "share"),
+    "mc.sigma_theta_obs": (0.02, "rate"),
+    "mc.rho_theta": (0.8, "share"),
+    "mc.sd_theta": (0.005, "rate"),
+    "mc.kappa_theta": (0.0, "rate"),
+    "mc.g0": (0.0, "num"),
+    "mc.rho_z": (0.9, "share"),
+    "mc.sd_z": (0.0025, "rate"),
+    "mc.stress_prob": (0.05, "share"),
+    "mc.stress_size": (0.0075, "rate"),
+    "mc.stress_decay": (0.9, "share"),
+    "mc.evaluation_horizons": ((3.8, 7.5, 11.2, 15.0), "nums"),
+    "mc.theta_reading_shift": (0.02, "rate"),
+    "mc.dead_zone": (0.01, "rate"),
+    "mc.tf_g_spread": (0.015, "rate"),
+    "mc.tf_sd": (0.001, "rate"),
+    "mc.tf_rho": (0.8, "share"),
+    "mc.tf_m": (0.0, "rate"),
 }
-
-# Unit discipline: rates are fractions in [-1, 1], shares live in [0, 1].
-_RATE_KEYS = {
-    "econ.r_n", "econ.g_n", "econ.pi", "econ.d", "econ.s",
-    "regime.epsilon", "regime.g_star", "regime.kappa", "regime.kappa_exp",
-    "regime.de", "regime.e_bar",
-    "fiscal.d0", "fiscal.gamma",
-    "closure.z", "closure.c_bar", "closure.r_rep", "closure.kappa_theta",
-    "investment.mu", "investment.m", "investment.delta_bar",
-    "investment.demo_lo", "investment.demo_hi", "investment.shock_size",
-    "transition.g_new", "transition.rho_bar", "transition.m",
-    "transition.mu_lo", "transition.mu_hi",
-    "mc.sigma_theta_obs", "mc.sd_theta", "mc.kappa_theta", "mc.sd_z",
-    "mc.stress_size", "mc.tf_g_spread", "mc.tf_sd", "mc.tf_m",
-    "mc.dead_zone", "mc.theta_reading_shift",
-}
-_SHARE_KEYS = {
-    "regime.phi", "regime.phi_bar",
-    "regime.psi_mon", "regime.psi_abs", "regime.psi_fx",
-    "closure.theta", "closure.psi", "closure.phi_req",
-    "investment.lambda",
-    "mc.stress_prob", "mc.stress_decay", "mc.rho_theta", "mc.rho_z",
-    "mc.tf_rho", "mc.alpha", "inference.alpha",
-}
+DEFAULTS: Dict[str, object] = {key: default for key, (default, _) in _SCHEMA.items()}
 
 # Built-in stress sweep over (core share, outside-option spread); the row
 # order fixes the emitted table order.
@@ -159,84 +144,68 @@ STRESS_V2_ROWS: Tuple[Tuple[str, Dict[str, float]], ...] = (
 def _finite(key: str, value: float, lineno: int) -> float:
     """Reject NaN for every key, and +-inf unless the key's default is itself
     infinite (so that no solver ever sees a non-finite number)."""
-    default = DEFAULTS[key]
-    inf_ok = isinstance(default, float) and math.isinf(default)
-    if math.isnan(value) or (math.isinf(value) and not inf_ok):
+    if math.isnan(value) or (math.isinf(value) and DEFAULTS[key] != math.inf):
         raise ConfigError(f"line {lineno}: {key} must be a finite number, got {value!r}")
     return value
 
 
-def _parse_scalar(key: str, text: str, lineno: int):
-    """Parse one raw value according to the default's type for the key."""
-    default = DEFAULTS[key]
+def _number(key: str, text: str, lineno: int, error: str) -> float:
+    """One finite number for `key` (scalar values and sweep rows alike);
+    `error` describes malformed text."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"line {lineno}: {error}") from None
+    return _finite(key, value, lineno)
+
+
+def _pair(key: str, item: str, lineno: int) -> Tuple[float, float]:
+    if ":" not in item:
+        raise ConfigError(f"line {lineno}: {key} expects x:y pairs, got {item!r}")
+    a, b = item.split(":", 1)
+    try:
+        pair = (float(a), float(b))
+    except ValueError:
+        raise ConfigError(
+            f"line {lineno}: {key} has a malformed number in {item!r}"
+        ) from None
+    return tuple(_finite(key, v, lineno) for v in pair)
+
+
+def _parse_value(key: str, text: str, lineno: int):
+    """Parse one raw value according to the key's kind in `_SCHEMA`."""
+    kind = _SCHEMA[key][1]
     text = text.strip()
-    if text.lower() in ("none", "null"):
+    if kind.endswith("?") and text.lower() in ("none", "null"):
         return None
-    if isinstance(default, bool):
-        if text.lower() in ("true", "false"):
-            return text.lower() == "true"
-        raise ConfigError(f"line {lineno}: {key} expects true/false, got {text!r}")
-    if isinstance(default, int) and not isinstance(default, bool):
-        try:
+    kind = kind.rstrip("?")
+    if kind == "text":
+        return text
+    if kind in ("rate", "share", "num"):
+        return _number(key, text, lineno, f"{key} expects a number, got {text!r}")
+    items = [t.strip() for t in text.split(",") if t.strip()]
+    if kind == "pairs":
+        return tuple(_pair(key, item, lineno) for item in items)
+    try:
+        if kind == "int":
             return int(text)
-        except ValueError:
-            raise ConfigError(
-                f"line {lineno}: {key} expects an integer, got {text!r}"
-            ) from None
-    if isinstance(default, float) or default is None:
-        try:
-            value = float(text)
-        except ValueError:
-            raise ConfigError(
-                f"line {lineno}: {key} expects a number, got {text!r}"
-            ) from None
-        return _finite(key, value, lineno)
-    if isinstance(default, tuple):
-        if not text:
-            return ()
-        items = [t.strip() for t in text.split(",") if t.strip()]
-        if key in ("fiscal.table", "closure.dist_knots"):
-            pairs = []
-            for item in items:
-                if ":" not in item:
-                    raise ConfigError(
-                        f"line {lineno}: {key} expects x:y pairs, got {item!r}"
-                    )
-                a, b = item.split(":", 1)
-                try:
-                    pair = (float(a), float(b))
-                except ValueError:
-                    raise ConfigError(
-                        f"line {lineno}: {key} has a malformed number in {item!r}"
-                    ) from None
-                pairs.append(tuple(_finite(key, v, lineno) for v in pair))
-            return tuple(pairs)
-        if key == "inference.block_grid":
-            try:
-                return tuple(int(t) for t in items)
-            except ValueError:
-                raise ConfigError(
-                    f"line {lineno}: {key} expects integers, got {text!r}"
-                ) from None
-        try:
-            values = tuple(float(t) for t in items)
-        except ValueError:
-            raise ConfigError(
-                f"line {lineno}: {key} expects numbers, got {text!r}"
-            ) from None
-        return tuple(_finite(key, v, lineno) for v in values)
-    return text  # plain string
+        values = tuple((int if kind == "ints" else float)(t) for t in items)
+    except ValueError:
+        what = {"int": "an integer", "ints": "integers"}.get(kind, "numbers")
+        raise ConfigError(f"line {lineno}: {key} expects {what}, got {text!r}") from None
+    return values if kind == "ints" else tuple(_finite(key, v, lineno) for v in values)
 
 
 def _check_units(key: str, value) -> None:
-    if value is None or not isinstance(value, (int, float)):
+    kind = _SCHEMA[key][1].rstrip("?")
+    if not isinstance(value, (int, float)):
         return
-    if key in _RATE_KEYS and math.isfinite(value) and not (-1.0 <= value <= 1.0):
+    if kind == "rate" and math.isfinite(value) and not (-1.0 <= value <= 1.0):
         raise ConfigError(
             f"{key} = {value} violates the rate unit convention "
             f"(fractions in [-1, 1]; 0.008 means 0.8%/yr)"
         )
-    if key in _SHARE_KEYS and not (0.0 <= value <= 1.0):
+    if kind == "share" and not (0.0 <= value <= 1.0):
         raise ConfigError(f"{key} = {value} must lie in [0, 1]")
 
 
@@ -274,30 +243,18 @@ class Scenario:
 
     # ---- typed views -------------------------------------------------
 
+    def _view(self, cls, section: str):
+        """The dataclass `cls`, each field read from the key `section.<field>`."""
+        return cls(**{f.name: self.values[f"{section}.{f.name}"] for f in fields(cls)})
+
     def econ_state(self) -> EconState:
-        v = self.values
-        return EconState(
-            b_prev=v["econ.b_prev"], r_n=v["econ.r_n"], g_n=v["econ.g_n"],
-            pi=v["econ.pi"], d=v["econ.d"], s=v["econ.s"],
-        )
+        return self._view(EconState, "econ")
 
     def regime_params(self) -> RegimeParams:
-        v = self.values
-        return RegimeParams(
-            epsilon=v["regime.epsilon"], g_star=v["regime.g_star"],
-            phi=v["regime.phi"], phi_bar=v["regime.phi_bar"],
-            kappa=v["regime.kappa"], de=v["regime.de"], e_bar=v["regime.e_bar"],
-            alpha=v["regime.alpha"], beta=v["regime.beta"],
-            psi_mon=v["regime.psi_mon"], psi_abs=v["regime.psi_abs"],
-            psi_fx=v["regime.psi_fx"], kappa_exp=v["regime.kappa_exp"],
-        )
+        return self._view(RegimeParams, "regime")
 
     def clock_spec(self) -> ClockSpec:
-        v = self.values
-        return ClockSpec(
-            phi=v["regime.phi"], phi_bar=v["regime.phi_bar"],
-            kappa=v["regime.kappa"], kappa_exp=v["regime.kappa_exp"],
-        )
+        return self._view(ClockSpec, "regime")
 
     def fiscal_response(self) -> FiscalResponse:
         v = self.values
@@ -327,11 +284,7 @@ class Scenario:
         )
 
     def theta_law(self) -> ThetaLaw:
-        v = self.values
-        return ThetaLaw(
-            kappa_theta=v["closure.kappa_theta"], g0=v["closure.g0"],
-            eps_cap=v["closure.eps_cap"],
-        )
+        return self._view(ThetaLaw, "closure")
 
     def r_rep(self) -> float:
         v = self.values["closure.r_rep"]
@@ -361,11 +314,7 @@ class Scenario:
         )
 
     def subsample_config(self) -> SubsampleConfig:
-        v = self.values
-        return SubsampleConfig(
-            window_h=v["inference.window_h"], block_len=v["inference.block_len"],
-            alpha=v["inference.alpha"],
-        )
+        return self._view(SubsampleConfig, "inference")
 
     def mc_config(self, seed: int, n_reps: Optional[int] = None) -> MCConfig:
         v = self.values
@@ -414,13 +363,8 @@ def _parse_sweep_value(text: str, lineno: int) -> Dict[str, float]:
         k = _norm_key(k.strip())
         if k not in DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown sweep key {k!r}")
-        try:
-            value = float(val.strip())
-        except ValueError:
-            raise ConfigError(
-                f"line {lineno}: malformed number {val.strip()!r} in sweep row"
-            ) from None
-        overrides[k] = _finite(k, value, lineno)
+        val = val.strip()
+        overrides[k] = _number(k, val, lineno, f"malformed number {val!r} in sweep row")
     return overrides
 
 
@@ -456,7 +400,7 @@ def load_scenario(path: Optional[str] = None) -> Scenario:
                 continue
             if key not in DEFAULTS:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            value = _parse_scalar(key, text, lineno)
+            value = _parse_value(key, text, lineno)
             _check_units(key, value)
             values[key] = value
     scenario = Scenario(values=values, sweeps=sweeps)

@@ -54,6 +54,27 @@ class TestExitCodes:
         assert "closure.z" in res.stderr
         assert not (tmp_path / "o" / "closure.csv").exists()
 
+    @pytest.mark.parametrize("command, csv", [(["scenario"], "scenario_report.csv"),
+                                              (["mc", "--reps", "4"], "mc_pe.csv")])
+    def test_none_on_a_required_key_is_exit_2(self, tmp_path, command, csv):
+        # `none` must not reach the solvers, where it ends in a TypeError
+        cfg = tmp_path / "none.cfg"
+        cfg.write_text("econ.pi = none\n")
+        res = run(["--config", str(cfg), "--out", "o"] + command, tmp_path)
+        assert res.returncode == 2
+        assert "line 1: econ.pi expects a number, got 'none'" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "o" / csv).exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("command", ["mc", "tables"])
+    def test_seed_outside_64_bits_is_exit_2(self, tmp_path, seed, command):
+        # `_rep_rng` masks the key to 64 bits: 2**64 would give seed 0's rows
+        res = run([f"--seed={seed}", "--out", "o", command, "--reps", "4"], tmp_path)
+        assert res.returncode == 2
+        assert "seed must lie in [0, 2**64)" in res.stderr
+        assert not (tmp_path / "o").exists()  # `tables` writes none of its CSVs
+
     def test_success_is_exit_0(self, tmp_path):
         assert run(["scenario"], tmp_path).returncode == 0
 

@@ -208,6 +208,22 @@ class TestEstimateKappa:
         with pytest.raises(EstimationError):
             estimate_kappa([(t, 0.9) for t in range(10)], break_index=1)
 
+    def test_non_finite_or_constant_times_rejected(self):
+        # each would otherwise return NaN: a slope of NaN input, or 0/0 for
+        # times that do not vary
+        series = [(t, 0.9 - 0.002 * t) for t in range(12)]
+        for bad in ((3, math.nan), (math.inf, 0.9), (math.nan, 0.9), (3, -math.inf)):
+            with pytest.raises(EstimationError, match="finite"):
+                estimate_kappa(series[:3] + [bad] + series[4:])
+        with pytest.raises(EstimationError, match="full sample"):
+            estimate_kappa([(2020.0, 0.9 + 0.01 * i) for i in range(10)])
+        pre_flat = [(0.0, 0.9), (0.0, 0.91), (0.0, 0.92)] + series[3:]
+        with pytest.raises(EstimationError, match="pre-break segment"):
+            estimate_kappa(pre_flat, break_index=3)
+        post_flat = series[:9] + [(11.0, 0.8), (11.0, 0.81), (11.0, 0.82)]
+        with pytest.raises(EstimationError, match="post-break segment"):
+            estimate_kappa(post_flat, break_index=9)
+
     def test_noisy_slope_close(self):
         rng = np.random.default_rng(7)
         t = np.arange(40.0)

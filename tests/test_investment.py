@@ -7,6 +7,7 @@ import pytest
 from debtregime.core import EconState, RegimeParams
 from debtregime.errors import DomainError
 from debtregime.investment import (
+    InvestmentBounds,
     AllocationProblem,
     InvestmentInputs,
     allocate,
@@ -130,6 +131,17 @@ class TestCumulativeUpperBound:
     def test_empty_list_rejected(self):
         with pytest.raises(DomainError):
             cumulative_upper_bound([], 1.0)
+
+    @pytest.mark.parametrize("T_star", [-1.0, -0.5, -math.inf, math.nan])
+    def test_negative_or_nan_window_rejected(self, T_star):
+        # five periods of 0.01..0.05: a slice by T_star = -1 would sum all but
+        # the last (0.10 of 0.15), and NaN would pass as "every period"
+        periods = [InvestmentBounds(x, None, x, x, 0.0, 0.0, 0.0, 0.0, 0.0, True)
+                   for x in (0.01, 0.02, 0.03, 0.04, 0.05)]
+        assert cumulative_upper_bound(periods, math.inf) == pytest.approx(0.15, abs=1e-15)
+        assert cumulative_upper_bound(periods, 0.0) == 0.0
+        with pytest.raises(DomainError, match="T_star"):
+            cumulative_upper_bound(periods, T_star)
 
 
 def brute_force_grid(problem, resolution):

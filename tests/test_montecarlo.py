@@ -292,6 +292,15 @@ def test_non_integer_counts_rejected(kw):
         small_cfg(**kw)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 42])
+def test_seed_outside_64_bits_rejected(seed):
+    # `_rep_rng` masks the key to 64 bits, so 2**64 would alias seed 0 and
+    # -1 seed 2**64 - 1
+    with pytest.raises(ConfigError, match=r"seed must lie in \[0, 2\*\*64\)"):
+        small_cfg(seed=seed)
+    assert small_cfg(seed=2**64 - 1).seed == 2**64 - 1
+
+
 def test_numpy_integer_counts_accepted():
     cfg = small_cfg(n_reps=np.int64(3), T=np.int32(60), window_h=np.int64(24),
                     block_len=np.int64(6), block_grid=(np.int64(4), 6, np.int16(8)))

@@ -1,9 +1,22 @@
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from debtregime.cli import run_cli
+from debtregime.closure import ThetaLaw
+from debtregime.core import EconState, RegimeParams
 from debtregime.errors import ConfigError
-from debtregime.extensions import estimate_kappa
-from debtregime.scenario import DEFAULTS, load_scenario, load_series_csv
+from debtregime.extensions import ClockSpec, estimate_kappa
+from debtregime.inference import SubsampleConfig
+from debtregime.scenario import (
+    _SCHEMA,
+    DEFAULTS,
+    _check_units,
+    load_scenario,
+    load_series_csv,
+)
 from debtregime.tables import (
     TABLE_IDS,
     TableArtifact,
@@ -127,6 +140,114 @@ class TestLoadScenario:
         sc = load_scenario(None)
         assert sc.config_hash() == load_scenario(None).config_hash()
         assert sc.config_hash() != sc.with_overrides({"econ.d": 0.021}).config_hash()
+
+
+def _is_float(v, lo=-math.inf, hi=math.inf):
+    return isinstance(v, float) and lo <= v <= hi
+
+
+# the rule each kind's values obey once parsed
+_KIND_RULES = {
+    "rate": lambda v: _is_float(v, -1.0, 1.0),
+    "share": lambda v: _is_float(v, 0.0, 1.0),
+    "num": _is_float,
+    "int": lambda v: type(v) is int,
+    "ints": lambda v: isinstance(v, tuple) and all(type(x) is int for x in v),
+    "nums": lambda v: isinstance(v, tuple) and all(_is_float(x) for x in v),
+    "pairs": lambda v: isinstance(v, tuple) and all(
+        isinstance(p, tuple) and len(p) == 2 and all(_is_float(x) for x in p) for p in v
+    ),
+    "text": lambda v: isinstance(v, str),
+}
+_OPTIONAL_KEYS = {"closure.r_rep", "regime.kappa_exp"}
+# one malformed value per kind, and the message it must give
+_MALFORMED = [
+    ("rate", "econ.pi", "2.7%", "expects a number, got '2.7%'"),
+    ("rate?", "closure.r_rep", "nil", "expects a number, got 'nil'"),
+    ("share", "closure.theta", "high", "expects a number, got 'high'"),
+    ("num", "econ.b_prev", "2,4", "expects a number, got '2,4'"),
+    ("int", "mc.T", "60.5", "expects an integer, got '60.5'"),
+    ("ints", "inference.block_grid", "4, six", "expects integers, got '4, six'"),
+    ("nums", "mc.evaluation_horizons", "3.8; 7.5", "expects numbers, got '3.8; 7.5'"),
+    ("pairs", "fiscal.table", "2.0-0.018", "expects x:y pairs, got '2.0-0.018'"),
+    ("pairs", "closure.dist_knots", "0:0, 0.03:x", "has a malformed number in '0.03:x'"),
+]
+_VIEWS = [("econ_state", EconState, "econ"), ("regime_params", RegimeParams, "regime"),
+          ("clock_spec", ClockSpec, "regime"), ("theta_law", ThetaLaw, "closure"),
+          ("subsample_config", SubsampleConfig, "inference")]
+
+
+class TestSchema:
+    def test_defaults_obey_their_kind(self):
+        assert DEFAULTS == {key: default for key, (default, _) in _SCHEMA.items()}
+        assert {kind.rstrip("?") for _, kind in _SCHEMA.values()} == set(_KIND_RULES)
+        assert {k for k, (_, kind) in _SCHEMA.items() if kind.endswith("?")} == _OPTIONAL_KEYS
+        for key, (default, kind) in _SCHEMA.items():
+            if default is None:
+                assert key in _OPTIONAL_KEYS
+                continue
+            assert _KIND_RULES[kind.rstrip("?")](default), key
+            _check_units(key, default)
+
+    def test_unit_rules_by_kind(self):
+        rates = [k for k, (_, kind) in _SCHEMA.items() if kind.rstrip("?") == "rate"]
+        shares = [k for k, (_, kind) in _SCHEMA.items() if kind == "share"]
+        assert (len(rates), len(shares)) == (38, 16)
+        for key in rates:
+            with pytest.raises(ConfigError, match="rate unit convention"):
+                _check_units(key, 1.5)
+        for key in shares:
+            with pytest.raises(ConfigError, match=r"must lie in \[0, 1\]"):
+                _check_units(key, -0.1)
+        for key in set(_SCHEMA) - set(rates) - set(shares):
+            _check_units(key, 1.5)  # no unit rule
+
+    @pytest.mark.parametrize("kind, key, text, message", _MALFORMED)
+    def test_each_kind_rejects_a_malformed_value(self, tmp_path, capsys, kind, key,
+                                                 text, message):
+        assert _SCHEMA[key][1] == kind
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"# comment\n\n{key} = {text}\n")
+        with pytest.raises(ConfigError) as exc:
+            load_scenario(str(path))
+        assert str(exc.value) == f"line 3: {key} {message}"
+        out = tmp_path / "o"
+        assert run_cli(["--config", str(path), "--out", str(out), "scenario"]) == 2
+        assert f"line 3: {key} {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method, cls, section", _VIEWS)
+    def test_view_sections_supply_every_field(self, method, cls, section):
+        names = [f.name for f in fields(cls)]
+        assert all(f"{section}.{name}" in DEFAULTS for name in names)
+        # a distinct value per float field, decreasing so that phi > phi_bar
+        sc = load_scenario(None).with_overrides(
+            {f"{section}.{name}": 0.001 * (len(names) - i) for i, name in enumerate(names)
+             if _SCHEMA[f"{section}.{name}"][1] != "int"}
+        )
+        view = getattr(sc, method)()
+        assert type(view) is cls
+        assert all(getattr(view, n) == sc.get(f"{section}.{n}") for n in names)
+
+    def test_none_only_on_the_optional_keys(self, tmp_path):
+        path = tmp_path / "none.cfg"
+        for key, (_, kind) in _SCHEMA.items():
+            path.write_text(f"{key} = none\n")
+            if key in _OPTIONAL_KEYS:
+                assert load_scenario(str(path)).get(key) is None
+            elif kind != "text":  # on a text key, none is just that text
+                with pytest.raises(ConfigError, match=rf"line 1: {key} expects"):
+                    load_scenario(str(path))
+        path.write_text("closure.r_rep = NULL\nregime.kappa_exp = Null\n")
+        sc = load_scenario(str(path))
+        assert sc.r_rep() == sc.econ_state().r_n
+        assert sc.regime_params().kappa_exp is None
+        path.write_text("scenario.name = none\n")
+        assert load_scenario(str(path)).name == "none"
+        path.write_text("econ.pi = none\n")
+        with pytest.raises(ConfigError) as exc:
+            load_scenario(str(path))
+        assert str(exc.value) == "line 1: econ.pi expects a number, got 'none'"
 
 
 class TestEmitCsv:
