@@ -14,6 +14,7 @@ from debtregime import (
     classify,
     detrend_local_linear,
     envelope,
+    score_pe,
     subsample_critical_value,
     trend_growth_estimate,
 )
@@ -42,10 +43,10 @@ for t in range(T):
         "theta_minus": max(0.0, theta_obs[t] - 0.02),
         "theta_plus": min(1.0, theta_obs[t] + 0.02),
     }
-    scores = {}
-    for v in variants:
-        p = TwoLayerParams(theta=readings[v.id], z=float(z_path[t]))
-        scores[v.id] = p.theta + (1 - p.theta) * (1 - p.z / (p.psi * p.c_bar)) - p.phi_req
+    scores = {
+        v.id: score_pe(TwoLayerParams(theta=readings[v.id], z=float(z_path[t])))
+        for v in variants
+    }
     env = envelope(scores, t=t)
     lower[t], upper[t] = env.lower, env.upper
 

@@ -23,9 +23,9 @@ from .closure import solve_premium
 from .errors import ConfigError, DomainError, EngineError
 from .extensions import clock
 from .inference import (
+    TierEnvelope,
     classify,
     detrend_local_linear,
-    envelope,
     subsample_critical_value,
 )
 from .investment import compute_bounds
@@ -203,38 +203,37 @@ def _cmd_transition(scenario: Scenario, args) -> int:
 
 
 def _cmd_infer(scenario: Scenario, args) -> int:
-    series_list = []
-    for spath in args.series:
-        ts, vs = load_series_csv(spath)
-        series_list.append((ts, np.asarray(vs)))
-    n = min(len(vs) for _, vs in series_list)
-    stack = np.vstack([vs[:n] for _, vs in series_list])
-    ts = series_list[0][0][:n]
+    """Envelope, band and label per period over the `--series` readings,
+    which must share one finite `t` column (exit 2 for another axis, 3 for a
+    non-finite stamp)."""
+    readings = [load_series_csv(spath) for spath in args.series]
+    ts = readings[0][0]
+    for spath, (t, _) in zip(args.series, readings):
+        if not np.isfinite(t).all():
+            raise DomainError(f"series file {spath} has a non-finite time stamp")
+        if t != ts:
+            raise ConfigError(
+                f"series file {spath} does not share the t column of {args.series[0]}"
+            )
+    stack = np.array([v for _, v in readings])
     cfg = scenario.subsample_config()
-    if n < cfg.window_h:
+    n, skip = len(ts), cfg.window_h - 1
+    if n <= skip:
         raise DomainError(
             f"series length {n} shorter than inference window {cfg.window_h}"
         )
-    lower = stack.min(axis=0)
-    upper = stack.max(axis=0)
-    rem = detrend_local_linear(np.vstack([lower, upper]), cfg.window_h)["remainder"]
-    # the band at period i reads the trailing window ending at i
-    c_lo_all, c_up_all = subsample_critical_value(
+    bounds = np.array([stack.min(axis=0), stack.max(axis=0)])
+    rem = detrend_local_linear(bounds, cfg.window_h)["remainder"]
+    # the band at period i >= skip reads the trailing window ending at i
+    c_lo, c_up = subsample_critical_value(
         sliding_window_view(rem, cfg.window_h, axis=-1), cfg
     ).tolist()
-    rows = []
-    for i in range(n):
-        if i + 1 >= cfg.window_h:
-            c_lo = c_lo_all[i + 1 - cfg.window_h]
-            c_up = c_up_all[i + 1 - cfg.window_h]
-            env = envelope(
-                {f"s{j}": float(stack[j, i]) for j in range(len(series_list))}, t=i
-            )
-            label = classify(env, c_lo, c_up, args.mode)
-        else:
-            c_lo = c_up = float("nan")
-            label = "insufficient-window"
-        rows.append((ts[i], lower[i], upper[i], c_lo, c_up, label))
+    lower, upper = bounds.tolist()
+    nan = float("nan")
+    rows = [(ts[i], lower[i], upper[i], nan, nan, "insufficient-window") for i in range(skip)]
+    for i, cl, cu in zip(range(skip, n), c_lo, c_up):
+        env = TierEnvelope(t=i, lower=lower[i], upper=upper[i], argmin_id="", argmax_id="")
+        rows.append((ts[i], lower[i], upper[i], cl, cu, classify(env, cl, cu, args.mode)))
     art = TableArtifact(
         "envelope_bands",
         ("t", "lower", "upper", "c_lower", "c_upper", "label"),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -149,20 +149,17 @@ def tier_scores(base, variants: Sequence[MeasurementVariant], tier: int,
     return out
 
 
-def envelope(
-    scores: Dict[str, float], t: int = 0, variant_order: Optional[Sequence[str]] = None
-) -> TierEnvelope:
+def envelope(scores: Dict[str, float], t: int = 0) -> TierEnvelope:
     """Min/max envelope over one tier's variant scores.
 
     `scores` maps variant id -> score.  Ties resolve to the earliest id in
-    `variant_order` (insertion order by default) so the arg labels are
-    deterministic.
+    insertion order (`min` and `max` keep the first of equal scores), so the
+    arg labels are deterministic.
     """
     if not scores:
         raise ConfigError("envelope requires at least one variant in the tier")
-    order = list(variant_order) if variant_order is not None else list(scores)
-    lo_id = min(order, key=lambda k: (scores[k], order.index(k)))
-    hi_id = max(order, key=lambda k: (scores[k], -order.index(k)))
+    lo_id = min(scores, key=scores.__getitem__)
+    hi_id = max(scores, key=scores.__getitem__)
     return TierEnvelope(
         t=t,
         lower=scores[lo_id],

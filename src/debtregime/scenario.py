@@ -5,7 +5,9 @@ defaults.  An empty file is the baseline scenario.
 Lists are comma-separated; `none` (or `null`) is accepted only by the two
 optional keys, `closure.r_rep` (unset means `econ.r_n`) and
 `regime.kappa_exp`; sweep rows are declared as
-`sweep.<name>.<row> = key=value,key=value`.  The seed is not a scenario key:
+`sweep.<name>.<row> = key=value,key=value`, each entry parsed and checked
+as the same `key = value` line would be.  Every parse, finiteness and unit
+error names its line.  The seed is not a scenario key:
 `Scenario.mc_config(seed)` (the CLI's `--seed`) takes an integer in
 [0, 2**64).
 """
@@ -149,16 +151,6 @@ def _finite(key: str, value: float, lineno: int) -> float:
     return value
 
 
-def _number(key: str, text: str, lineno: int, error: str) -> float:
-    """One finite number for `key` (scalar values and sweep rows alike);
-    `error` describes malformed text."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: {error}") from None
-    return _finite(key, value, lineno)
-
-
 def _pair(key: str, item: str, lineno: int) -> Tuple[float, float]:
     if ":" not in item:
         raise ConfigError(f"line {lineno}: {key} expects x:y pairs, got {item!r}")
@@ -173,7 +165,8 @@ def _pair(key: str, item: str, lineno: int) -> Tuple[float, float]:
 
 
 def _parse_value(key: str, text: str, lineno: int):
-    """Parse one raw value according to the key's kind in `_SCHEMA`."""
+    """Parse and check one raw value by the key's kind in `_SCHEMA`: the one
+    parser for file lines and sweep entries alike, so every error names the line."""
     kind = _SCHEMA[key][1]
     text = text.strip()
     if kind.endswith("?") and text.lower() in ("none", "null"):
@@ -181,32 +174,34 @@ def _parse_value(key: str, text: str, lineno: int):
     kind = kind.rstrip("?")
     if kind == "text":
         return text
-    if kind in ("rate", "share", "num"):
-        return _number(key, text, lineno, f"{key} expects a number, got {text!r}")
     items = [t.strip() for t in text.split(",") if t.strip()]
     if kind == "pairs":
         return tuple(_pair(key, item, lineno) for item in items)
     try:
-        if kind == "int":
-            return int(text)
-        values = tuple((int if kind == "ints" else float)(t) for t in items)
+        if kind in ("int", "ints"):
+            return int(text) if kind == "int" else tuple(int(t) for t in items)
+        value = tuple(float(t) for t in items) if kind == "nums" else float(text)
     except ValueError:
-        what = {"int": "an integer", "ints": "integers"}.get(kind, "numbers")
+        what = {"int": "an integer", "ints": "integers", "nums": "numbers"}.get(kind, "a number")
         raise ConfigError(f"line {lineno}: {key} expects {what}, got {text!r}") from None
-    return values if kind == "ints" else tuple(_finite(key, v, lineno) for v in values)
+    if kind == "nums":
+        return tuple(_finite(key, v, lineno) for v in value)
+    _check_units(key, _finite(key, value, lineno), f"line {lineno}: ")
+    return value
 
 
-def _check_units(key: str, value) -> None:
+def _check_units(key: str, value, where: str = "") -> None:
+    """The rate and share unit rules; `where` is a file's `line N: ` prefix."""
     kind = _SCHEMA[key][1].rstrip("?")
     if not isinstance(value, (int, float)):
         return
     if kind == "rate" and math.isfinite(value) and not (-1.0 <= value <= 1.0):
         raise ConfigError(
-            f"{key} = {value} violates the rate unit convention "
+            f"{where}{key} = {value} violates the rate unit convention "
             f"(fractions in [-1, 1]; 0.008 means 0.8%/yr)"
         )
     if kind == "share" and not (0.0 <= value <= 1.0):
-        raise ConfigError(f"{key} = {value} must lie in [0, 1]")
+        raise ConfigError(f"{where}{key} = {value} must lie in [0, 1]")
 
 
 @dataclass
@@ -214,7 +209,7 @@ class Scenario:
     """A fully resolved configuration: flat values plus named sweep rows."""
 
     values: Dict[str, object]
-    sweeps: Dict[str, List[Tuple[str, Dict[str, float]]]] = field(default_factory=dict)
+    sweeps: Dict[str, List[Tuple[str, Dict[str, object]]]] = field(default_factory=dict)
 
     @property
     def name(self) -> str:
@@ -341,7 +336,7 @@ class Scenario:
             tf_sd=v["mc.tf_sd"], tf_m=v["mc.tf_m"],
         )
 
-    def sweep_rows(self, name: str) -> List[Tuple[str, Dict[str, float]]]:
+    def sweep_rows(self, name: str) -> List[Tuple[str, Dict[str, object]]]:
         if name in self.sweeps:
             return self.sweeps[name]
         if name == "stress_v2":
@@ -349,8 +344,9 @@ class Scenario:
         raise ConfigError(f"unknown sweep {name!r}")
 
 
-def _parse_sweep_value(text: str, lineno: int) -> Dict[str, float]:
-    overrides: Dict[str, float] = {}
+def _parse_sweep_value(text: str, lineno: int) -> Dict[str, object]:
+    """One sweep row's `key=value` entries, each parsed as its own file line."""
+    overrides: Dict[str, object] = {}
     for item in text.split(","):
         item = item.strip()
         if not item:
@@ -363,8 +359,7 @@ def _parse_sweep_value(text: str, lineno: int) -> Dict[str, float]:
         k = _norm_key(k.strip())
         if k not in DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown sweep key {k!r}")
-        val = val.strip()
-        overrides[k] = _number(k, val, lineno, f"malformed number {val!r} in sweep row")
+        overrides[k] = _parse_value(k, val, lineno)
     return overrides
 
 
@@ -372,7 +367,7 @@ def load_scenario(path: Optional[str] = None) -> Scenario:
     """Load and validate a scenario file; None or an empty file yields the
     March-2026 baseline defaults."""
     values = dict(DEFAULTS)
-    sweeps: Dict[str, List[Tuple[str, Dict[str, float]]]] = {}
+    sweeps: Dict[str, List[Tuple[str, Dict[str, object]]]] = {}
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -400,9 +395,7 @@ def load_scenario(path: Optional[str] = None) -> Scenario:
                 continue
             if key not in DEFAULTS:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            value = _parse_value(key, text, lineno)
-            _check_units(key, value)
-            values[key] = value
+            values[key] = _parse_value(key, text, lineno)
     scenario = Scenario(values=values, sweeps=sweeps)
     # fail fast on invariant violations in the typed views
     scenario.econ_state()

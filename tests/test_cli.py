@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from debtregime.cli import run_cli
+from debtregime.errors import ConfigError
+from debtregime.scenario import load_scenario
 
 
 def run(args, cwd):
@@ -282,3 +284,135 @@ class TestArtifactPins:
         )
         assert code == 2
         assert files == []
+
+
+# `infer` pins: three admissible readings on one shared quarterly axis, in
+# both modes, at the baseline window and at a 12-period window.
+_INFER_CONFIGS = {"baseline": None, "window_12": "inference.window_h = 12\n"}
+_INFER_DIGESTS = {
+    ('baseline', 'PE'): ('659ecdbeaabc181e', 'f67208fb7ebab7a2'),
+    ('baseline', 'TF'): ('3ed2363613fea5c0', '178c15821294aca1'),
+    ('window_12', 'PE'): ('659ecdbeaabc181e', '9202265fe72279df'),
+    ('window_12', 'TF'): ('3ed2363613fea5c0', '55afbc77a540f2bd'),
+}
+
+
+def _write_readings(tmp_path, n=80):
+    """Three readings of one score: a slow cycle through zero plus AR(1)
+    noise, shifted apart by reading.  Returns the file names."""
+    rng = np.random.default_rng(11)
+    t = (2005.0 + np.arange(n) / 4.0).tolist()
+    eps = rng.normal(0.0, 0.002, n)
+    ar = np.zeros(n)
+    for i in range(1, n):
+        ar[i] = 0.8 * ar[i - 1] + eps[i]
+    base = 0.006 * np.sin(2.0 * np.pi * np.arange(n) / 40.0) + ar
+    names = []
+    for j, shift in enumerate((0.0, -0.003, 0.003)):
+        name = f"s{j}.csv"
+        rows = "".join(f"{ti!r},{v:.10g}\n" for ti, v in zip(t, (base + shift).tolist()))
+        (tmp_path / name).write_text("t,value\n" + rows)
+        names.append(name)
+    return names
+
+
+def _infer(tmp_path, monkeypatch, capsys, names, mode="PE", config=None):
+    monkeypatch.chdir(tmp_path)
+    argv = ["--out", "o"]
+    if config is not None:
+        (tmp_path / "s.cfg").write_text(config)
+        argv = ["--config", "s.cfg"] + argv
+    argv += ["infer", "--mode", mode]
+    for name in names:
+        argv += ["--series", name]
+    capsys.readouterr()
+    code = run_cli(argv)
+    return code, capsys.readouterr(), tmp_path / "o" / "envelope_bands.csv"
+
+
+class TestInferPins:
+    @pytest.mark.parametrize("config", sorted(_INFER_CONFIGS))
+    @pytest.mark.parametrize("mode", ["PE", "TF"])
+    def test_envelope_bands_bytes(self, tmp_path, monkeypatch, capsys, config, mode):
+        names = _write_readings(tmp_path)
+        code, out, csv = _infer(tmp_path, monkeypatch, capsys, names, mode,
+                                _INFER_CONFIGS[config])
+        assert code == 0, out.err
+        # the readings cross zero: every label of the mode shows up
+        labels = {line.rsplit(",", 1)[1] for line in csv.read_text().splitlines()[6:]}
+        assert len(labels) == 4, labels
+        got = (_sha(out.out.encode()), _sha(csv.read_bytes()))
+        assert got == _INFER_DIGESTS[(config, mode)], (config, mode, got)
+
+
+class TestOneCheckedPath:
+    """Each CLI input has one checked path: a sweep entry parses like the
+    same line of the file, and `infer` reads one shared finite time axis."""
+
+    def _config(self, tmp_path, monkeypatch, capsys, text, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s.cfg").write_text(text)
+        capsys.readouterr()
+        code = run_cli(["--config", "s.cfg", "--out", "o"] + argv)
+        return code, capsys.readouterr().err
+
+    def test_sweep_entry_obeys_the_unit_rule(self, tmp_path, monkeypatch, capsys):
+        code, err = self._config(tmp_path, monkeypatch, capsys,
+                                 "sweep.g.a = closure.theta=1.5\n", ["scenario"])
+        assert code == 2
+        assert "line 1: closure.theta = 1.5 must lie in [0, 1]" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_sweep_entry_obeys_the_kind(self, tmp_path, monkeypatch, capsys):
+        code, err = self._config(tmp_path, monkeypatch, capsys,
+                                 "sweep.g.a = mc.T=30.5,closure.theta=0.6\n",
+                                 ["closure", "--sweep", "g"])
+        assert code == 2
+        assert "line 1: mc.T expects an integer, got '30.5'" in err
+        assert not (tmp_path / "o" / "g.csv").exists()
+
+    def test_sweep_entry_parses_like_the_file_line(self, tmp_path):
+        path = tmp_path / "s.cfg"
+        path.write_text("sweep.g.a = closure.theta=0.6, mc.T=30, closure.r_rep=none\n")
+        assert load_scenario(str(path)).sweep_rows("g") == [
+            ("a", {"closure.theta": 0.6, "mc.T": 30, "closure.r_rep": None})
+        ]
+        path.write_text("sweep.g.a = closure.z=2%\n")
+        with pytest.raises(ConfigError) as exc:
+            load_scenario(str(path))
+        assert str(exc.value) == "line 1: closure.z expects a number, got '2%'"
+
+    def test_unit_violation_in_a_file_names_its_line(self, tmp_path):
+        path = tmp_path / "s.cfg"
+        path.write_text("# percent instead of fraction\necon.pi = 2.7\n")
+        with pytest.raises(ConfigError) as exc:
+            load_scenario(str(path))
+        assert str(exc.value).startswith("line 2: econ.pi = 2.7 violates the rate unit")
+
+    @pytest.mark.parametrize("t", ["shifted", "short", "one_stamp"])
+    def test_infer_rejects_series_on_another_time_axis(self, tmp_path, monkeypatch,
+                                                       capsys, t):
+        names = _write_readings(tmp_path, n=40)
+        other = {"shifted": [100.0 + i for i in range(40)],
+                 "short": [2005.0 + i / 4.0 for i in range(30)],
+                 "one_stamp": [2005.0 + i / 4.0 + (i == 35) for i in range(40)]}[t]
+        rows = (tmp_path / names[0]).read_text().splitlines()[1:]
+        (tmp_path / "other.csv").write_text("t,value\n" + "".join(
+            f"{ti!r},{row.split(',')[1]}\n" for ti, row in zip(other, rows)))
+        code, out, csv = _infer(tmp_path, monkeypatch, capsys, names[:2] + ["other.csv"])
+        assert code == 2
+        assert "other.csv" in out.err and "s0.csv" in out.err
+        assert not csv.exists()
+
+    @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", [0, 2])
+    def test_infer_rejects_a_non_finite_time_stamp(self, tmp_path, monkeypatch, capsys,
+                                                   stamp, where):
+        names = _write_readings(tmp_path, n=40)
+        lines = (tmp_path / names[where]).read_text().splitlines()
+        lines[34] = f"{stamp},{lines[34].split(',')[1]}"  # period 33 of 40
+        (tmp_path / names[where]).write_text("\n".join(lines) + "\n")
+        code, out, csv = _infer(tmp_path, monkeypatch, capsys, names)
+        assert code == 3
+        assert names[where] in out.err
+        assert not csv.exists()

@@ -72,6 +72,10 @@ class TestEnvelope:
         env = envelope({"a": 0.01, "b": 0.01})
         assert env.argmin_id == "a" and env.argmax_id == "a"
 
+    def test_ties_keep_the_first_id_in_insertion_order(self):
+        env = envelope({"a": 0.02, "b": 0.01, "c": 0.02, "d": 0.01})
+        assert (env.argmin_id, env.argmax_id) == ("b", "a")
+
     def test_nesting_property(self):
         variants = {"baseline": 0.03, "lower_read": -0.01, "g_spec": 0.05}
         tier1 = envelope({"baseline": variants["baseline"]})
