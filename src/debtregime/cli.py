@@ -33,15 +33,12 @@ from .scenario import Scenario, load_scenario, load_series_csv
 from .tables import (
     TABLE_IDS,
     TableArtifact,
+    _field_rows,
+    _transition_test,
     build_stress_v2,
     build_table,
     emit_csv,
     scenario_report,
-)
-from .transition import (
-    joint_feasibility,
-    required_growth_endogenous,
-    required_growth_exogenous,
 )
 
 EXIT_OK = 0
@@ -155,15 +152,8 @@ def _cmd_clock(scenario: Scenario, args) -> int:
 
 
 def _cmd_bounds(scenario: Scenario, args) -> int:
-    b = compute_bounds(scenario.investment_inputs())
-    rows = [
-        ("x_max_arith", b.x_max_arith), ("x_max_rd", b.x_max_rd),
-        ("x_max_safe", b.x_max_safe), ("x_max_operational", b.x_max_operational),
-        ("x_min_static", b.x_min_static), ("x_min_shock", b.x_min_shock),
-        ("x_min_demo_lo", b.x_min_demo_lo), ("x_min_demo_hi", b.x_min_demo_hi),
-        ("x_min_operational", b.x_min_operational), ("feasible", b.feasible),
-    ]
-    return _emit_quantities("bounds", rows, scenario, args)
+    bounds = compute_bounds(scenario.investment_inputs())
+    return _emit_quantities("bounds", _field_rows(bounds), scenario, args)
 
 
 def _cmd_closure(scenario: Scenario, args) -> int:
@@ -172,23 +162,11 @@ def _cmd_closure(scenario: Scenario, args) -> int:
         print(f"wrote {_write(art, args.out)}")
         return EXIT_OK
     sol = solve_premium(scenario.two_layer())
-    rows = [
-        ("case", sol.case), ("rho", sol.rho),
-        ("phi_d_at_zero", sol.phi_d_at_zero), ("phi_d_max", sol.phi_d_max),
-        ("slack", sol.slack),
-    ]
-    return _emit_quantities("closure", rows, scenario, args)
+    return _emit_quantities("closure", _field_rows(sol), scenario, args)
 
 
 def _cmd_transition(scenario: Scenario, args) -> int:
-    bounds = compute_bounds(scenario.investment_inputs())
-    clk = clock(scenario.clock_spec())
-    spec = scenario.transition_spec(
-        x_max_operational=bounds.x_max_operational, T_star=clk["T_linear"]
-    )
-    exo = required_growth_exogenous(spec)
-    endo = required_growth_endogenous(spec)
-    joint = joint_feasibility(spec, endo["delta_g_min"])
+    _, _, _, exo, endo, joint = _transition_test(scenario)
     rows = [
         ("threshold_exogenous", exo["threshold"]),
         ("delta_g_min_exogenous", exo["delta_g_min"]),
@@ -204,8 +182,9 @@ def _cmd_transition(scenario: Scenario, args) -> int:
 
 def _cmd_infer(scenario: Scenario, args) -> int:
     """Envelope, band and label per period over the `--series` readings,
-    which must share one finite `t` column (exit 2 for another axis, 3 for a
-    non-finite stamp)."""
+    which must share one finite, strictly increasing `t` column (exit 2 for
+    another axis or an unordered one, 3 for a non-finite stamp): the detrend
+    and the trailing band windows read the rows in order."""
     readings = [load_series_csv(spath) for spath in args.series]
     ts = readings[0][0]
     for spath, (t, _) in zip(args.series, readings):
@@ -215,6 +194,10 @@ def _cmd_infer(scenario: Scenario, args) -> int:
             raise ConfigError(
                 f"series file {spath} does not share the t column of {args.series[0]}"
             )
+    if not (np.diff(ts) > 0).all():
+        raise ConfigError(
+            f"series file {args.series[0]} has a t column that is not strictly increasing"
+        )
     stack = np.array([v for _, v in readings])
     cfg = scenario.subsample_config()
     n, skip = len(ts), cfg.window_h - 1

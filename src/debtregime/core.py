@@ -189,8 +189,6 @@ def stability_surplus(state: EconState, regime: RegimeParams) -> float:
     epsilon + g_star + alpha*de - beta*max(0, de - e_bar)^2
         - pi - (d - s)/b_prev
     """
-    if state.b_prev <= 0:
-        raise DomainError("b_prev must be > 0")
     burden = (state.d - state.s) / state.b_prev
     return regime.epsilon + regime.g_star + regime.pass_through() - state.pi - burden
 

@@ -105,8 +105,6 @@ def score_pe(p: TwoLayerParams) -> float:
 def score_tf(spec: TransitionSpec) -> float:
     """Transition-feasibility margin score: proposed growth minus the
     threshold.  Positive means the exit condition holds with margin."""
-    if spec.state.b_prev <= 0:
-        raise DomainError("b_prev must be > 0")
     threshold = required_growth_exogenous(spec)["threshold"]
     return spec.g_new - threshold
 
@@ -253,26 +251,21 @@ def subsample_critical_value(
 def classify(env: TierEnvelope, c_lower: float, c_upper: float, mode: str) -> str:
     """Conservative sign-rule classification of a widened envelope.
 
-    mode 'PE': robustly-interior when the widened lower bound clears zero,
-    robustly-premium-emergent when the widened upper bound is below zero,
-    boundary-near otherwise.  mode 'TF': feasible / infeasible / marginal by
-    the same rule.
+    The positive label when the widened lower bound clears zero, the
+    negative label when the widened upper bound is below zero, the middle
+    label otherwise; the labels are (positive, middle, negative) of
+    PE_LABELS for mode 'PE' (robustly-interior / boundary-near /
+    robustly-premium-emergent) and of TF_LABELS for mode 'TF' (feasible /
+    marginal / infeasible).
     """
     if mode not in ("PE", "TF"):
         raise DomainError(f"mode must be 'PE' or 'TF', got {mode!r}")
-    positive = env.lower - c_lower > 0
-    negative = env.upper + c_upper < 0
-    if mode == "PE":
-        if positive:
-            return "robustly-interior"
-        if negative:
-            return "robustly-premium-emergent"
-        return "boundary-near"
-    if positive:
-        return "feasible"
-    if negative:
-        return "infeasible"
-    return "marginal"
+    positive, middle, negative = PE_LABELS if mode == "PE" else TF_LABELS
+    if env.lower - c_lower > 0:
+        return positive
+    if env.upper + c_upper < 0:
+        return negative
+    return middle
 
 
 def trend_growth_estimate(

@@ -256,8 +256,6 @@ def allocate(problem: AllocationProblem, grid_resolution: int = 40) -> dict:
     than 1e-15, so ties resolve to the earliest point in that order (the
     lexicographically smallest).  For J > 3 this is `allocate_ascent`.
     """
-    if problem.budget < 0:
-        raise DomainError("budget must be >= 0")
     J = problem.n_sectors
     if problem.budget == 0.0:
         x0 = [0.0] * J

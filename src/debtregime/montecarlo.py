@@ -327,48 +327,44 @@ def run_mc_pe(cfg: MCConfig, threads: int = 1) -> dict:
     Returns rows keyed (horizon_yr, method, block_len) with false_safety,
     false_alarm, coverage, and warning rates in percent.  Non-envelope
     methods are reported at the default block length only; the proposed tier
-    methods appear once per entry of the block grid.  `threads` is accepted
-    for compatibility and has no effect.
+    methods appear once per entry of the block grid.  The five readings'
+    scores form one [reading, rep, period] array: tier 2 is the first three
+    (baseline and the two core-share shifts), tier 3 adds the two bowed
+    margin distributions.  A rate is the mean of 0/1 indicators over the
+    replications, so it is exact whatever the summation order.  `threads` is
+    accepted for compatibility and has no effect.
     """
     paths = simulate_pe_paths(cfg, range(cfg.n_reps))
     theta_obs, z, true_scores = paths["theta_obs"], paths["z"], paths["true_scores"]
     shift = cfg.theta_reading_shift
-
     base = _params(cfg)
-    variant_scores = {
-        "baseline": _pe_scores(theta_obs, z, base),
-        "theta_minus": _pe_scores(np.clip(theta_obs - shift, 0, 1), z, base),
-        "theta_plus": _pe_scores(np.clip(theta_obs + shift, 0, 1), z, base),
-        "g_concave": _pe_scores(theta_obs, z, _params(cfg, _bowed_dist(cfg.c_bar, 0.8))),
-        "g_convex": _pe_scores(theta_obs, z, _params(cfg, _bowed_dist(cfg.c_bar, 1.25))),
-    }
-    tier2_ids = ("baseline", "theta_minus", "theta_plus")
-    tier3_ids = tier2_ids + ("g_concave", "g_convex")
-    stack2 = np.stack([variant_scores[i] for i in tier2_ids])
-    stack3 = np.stack([variant_scores[i] for i in tier3_ids])
-    lo2, up2 = stack2.min(axis=0), stack2.max(axis=0)
-    lo3, up3 = stack3.min(axis=0), stack3.max(axis=0)
-    bounds = np.stack([lo2, up2, lo3, up3])
-    base_series = variant_scores["baseline"]
+    scores = np.array([
+        _pe_scores(theta_obs, z, base),
+        _pe_scores(np.clip(theta_obs - shift, 0, 1), z, base),
+        _pe_scores(np.clip(theta_obs + shift, 0, 1), z, base),
+        _pe_scores(theta_obs, z, _params(cfg, _bowed_dist(cfg.c_bar, 0.8))),
+        _pe_scores(theta_obs, z, _params(cfg, _bowed_dist(cfg.c_bar, 1.25))),
+    ])
+    tier2 = scores[:3]
+    bounds = np.array([tier2.min(axis=0), tier2.max(axis=0),
+                       scores.min(axis=0), scores.max(axis=0)])
+    base_series = scores[0]
+    positive, middle, negative = PE_LABELS
 
-    horizons = _horizon_indices(cfg)
     blocks = list(cfg.block_grid)
-    # [rep, horizon, block, method, metric] indicators (false_safety,
-    # false_alarm, covered, warning); the block axis enumerates the grid for
-    # the band methods and repeats the default block for the rest
-    out = np.zeros((cfg.n_reps, len(horizons), len(blocks), len(PE_METHODS), 4))
-    for hi, q in enumerate(horizons):
+    default_bi = blocks.index(cfg.block_len)
+    rows = []
+    for h_yr, q in zip(cfg.evaluation_horizons, _horizon_indices(cfg)):
+        lo2, up2, lo3, up3 = bounds[:, :, q]
         point = base_series[:, q]
-        env2 = _envelopes(lo2[:, q], up2[:, q])
-        env3 = _envelopes(lo3[:, q], up3[:, q])
+        env2, env3 = _envelopes(lo2, up2), _envelopes(lo3, up3)
         env_point = _envelopes(point, point)
-        naive_plugin = np.where(point > 0, "robustly-interior", "robustly-premium-emergent")
+        naive_plugin = np.where(point > 0, positive, negative)
         single_threshold = np.select(
-            [point > cfg.dead_zone, point < -cfg.dead_zone],
-            ["robustly-interior", "robustly-premium-emergent"],
-            "boundary-near",
+            [point > cfg.dead_zone, point < -cfg.dead_zone], [positive, negative], middle
         )
-        # [block, method, rep] labels in PE_METHODS order
+        # [block, method, rep] labels in PE_METHODS order; the block axis
+        # enumerates the grid, and the non-band methods repeat at every block
         labels = np.array([
             [
                 _labels(env2, c_lo2, c_up2, "PE"),
@@ -381,18 +377,14 @@ def run_mc_pe(cfg: MCConfig, threads: int = 1) -> dict:
                 bounds, base_series, q, cfg.window_h, blocks, cfg.alpha
             )
         ])
-        truth_interior = true_scores[:, q] > 0.0
-        out[:, hi] = np.moveaxis(_outcomes(labels, truth_interior, PE_LABELS), 2, 0)
-    means = out.mean(axis=0) * 100.0
-    default_bi = blocks.index(cfg.block_len)
-    rows = []
-    for hi, h_yr in enumerate(cfg.evaluation_horizons):
+        # [block, method, metric] rates: false safety, false alarm, coverage, warning
+        rates = _outcomes(labels, true_scores[:, q] > 0.0, PE_LABELS).mean(axis=2) * 100.0
         for mi, method in enumerate(PE_METHODS):
             band_method = method in ("proposed_tier2", "proposed_tier3", "fixed_spec")
             for bi, ell in enumerate(blocks):
                 if bi != default_bi and not band_method:
                     continue
-                fs, fa, cov, warn = means[hi, bi, mi]
+                fs, fa, cov, warn = rates[bi, mi]
                 rows.append(
                     {
                         "horizon_yr": h_yr,
@@ -446,6 +438,7 @@ def run_mc_tf(
 
     q = T - 1
     blocks = [cfg.block_len]
+    feasible, _, infeasible = TF_LABELS
     # [rep, rho, method, metric]: false_feasible, false_infeasible, covered,
     # marginal, tier-2 width
     out = np.zeros((R, len(rho_bars), len(TF_METHODS), 5))
@@ -464,8 +457,8 @@ def run_mc_tf(
         labels = np.array([
             _labels(env_base, c_base, c_base, "TF"),
             _labels(_envelopes(lo2[:, q], up2[:, q]), c_lo2, c_up2, "TF"),
-            np.where(base_q > 0, "feasible", "infeasible"),
-            np.where(s_mon[:, q] > 0, "feasible", "infeasible"),
+            np.where(base_q > 0, feasible, infeasible),
+            np.where(s_mon[:, q] > 0, feasible, infeasible),
             _labels(env_base, c_fix, c_fix, "TF"),
         ])
         out[:, ri, :, :4] = np.moveaxis(_outcomes(labels, truth_feasible, TF_LABELS), 1, 0)

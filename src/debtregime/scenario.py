@@ -363,18 +363,22 @@ def _parse_sweep_value(text: str, lineno: int) -> Dict[str, object]:
     return overrides
 
 
+def _read_lines(path: str, what: str) -> List[str]:
+    """The lines of a UTF-8 text file; an unreadable file is a `ConfigError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
+
+
 def load_scenario(path: Optional[str] = None) -> Scenario:
     """Load and validate a scenario file; None or an empty file yields the
     March-2026 baseline defaults."""
     values = dict(DEFAULTS)
     sweeps: Dict[str, List[Tuple[str, Dict[str, object]]]] = {}
     if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except OSError as exc:
-            raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
-        for lineno, raw in enumerate(lines, start=1):
+        for lineno, raw in enumerate(_read_lines(path, "scenario"), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -410,16 +414,12 @@ def load_scenario(path: Optional[str] = None) -> Scenario:
 
 def load_series_csv(path: str) -> Tuple[List[float], List[float]]:
     """Read a two-column `t,value` series CSV (header required, `#` metadata
-    lines ignored).  Returns (t, value) lists."""
+    lines ignored).  Every data row holds exactly two numbers, else
+    `ConfigError` naming the file and the line.  Returns (t, value) lists."""
     ts: List[float] = []
     vs: List[float] = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read series file {path}: {exc}") from exc
     header_seen = False
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_read_lines(path, "series"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -427,8 +427,10 @@ def load_series_csv(path: str) -> Tuple[List[float], List[float]]:
             header_seen = True  # first non-comment line is the header
             continue
         parts = line.split(",")
-        if len(parts) < 2:
-            raise ConfigError(f"line {lineno}: expected t,value — got {line!r}")
+        if len(parts) != 2:
+            raise ConfigError(
+                f"series file {path}, line {lineno}: expected t,value — got {line!r}"
+            )
         try:
             ts.append(float(parts[0]))
             vs.append(float(parts[1]))

@@ -9,8 +9,8 @@ files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._version import __version__
 from .closure import solve_premium
@@ -311,22 +311,34 @@ def build_table(table_id: str, scenario: Scenario, seed: int,
     return builders[table_id]()
 
 
+def _field_rows(result) -> List[Tuple[str, object]]:
+    """(field name, value) rows of a result dataclass, in field order."""
+    return [(f.name, getattr(result, f.name)) for f in fields(result)]
+
+
+def _transition_test(scenario: Scenario):
+    """The transition test at the scenario's operating point: the required
+    growth, exogenous and closure-priced, financed inside the operational
+    envelope and timed against the linear clock.  Returns the bound map, the
+    clock, the spec and the exogenous, endogenous and joint results."""
+    bounds = compute_bounds(scenario.investment_inputs())
+    clk = clock(scenario.clock_spec())
+    spec = scenario.transition_spec(
+        x_max_operational=bounds.x_max_operational, T_star=clk["T_linear"]
+    )
+    endo = required_growth_endogenous(spec)
+    return (bounds, clk, spec, required_growth_exogenous(spec), endo,
+            joint_feasibility(spec, endo["delta_g_min"]))
+
+
 def scenario_report(scenario: Scenario, seed: int) -> TableArtifact:
     """Single-scenario full report as section/key/value rows."""
     econ = scenario.econ_state()
     regime = scenario.regime_params()
     scope = check_scope(regime)
-    clk = clock(scenario.clock_spec())
-    bounds = compute_bounds(scenario.investment_inputs())
     p = scenario.two_layer()
     sol = solve_premium(p)
-    t_star = clk["T_linear"]
-    spec = scenario.transition_spec(
-        x_max_operational=bounds.x_max_operational, T_star=t_star
-    )
-    exo = required_growth_exogenous(spec)
-    endo = required_growth_endogenous(spec)
-    joint = joint_feasibility(spec, endo["delta_g_min"])
+    bounds, clk, spec, exo, endo, joint = _transition_test(scenario)
     rows = [
         ("recursion", "b_next", step_debt(econ)),
         ("recursion", "delta_b", step_debt(econ) - econ.b_prev),
@@ -336,16 +348,7 @@ def scenario_report(scenario: Scenario, seed: int) -> TableArtifact:
         ("scope", "sc2", scope["sc2"]),
         ("clock", "T_linear", clk["T_linear"]),
         ("clock", "T_exp", clk["T_exp"]),
-        ("bounds", "x_max_arith", bounds.x_max_arith),
-        ("bounds", "x_max_rd", bounds.x_max_rd),
-        ("bounds", "x_max_safe", bounds.x_max_safe),
-        ("bounds", "x_max_operational", bounds.x_max_operational),
-        ("bounds", "x_min_static", bounds.x_min_static),
-        ("bounds", "x_min_shock", bounds.x_min_shock),
-        ("bounds", "x_min_demo_lo", bounds.x_min_demo_lo),
-        ("bounds", "x_min_demo_hi", bounds.x_min_demo_hi),
-        ("bounds", "x_min_operational", bounds.x_min_operational),
-        ("bounds", "feasible", bounds.feasible),
+        *(("bounds", key, value) for key, value in _field_rows(bounds)),
         ("closure", "case", sol.case),
         ("closure", "rho", sol.rho),
         ("closure", "phi_d0", sol.phi_d_at_zero),

@@ -76,8 +76,6 @@ def required_growth_exogenous(spec: TransitionSpec) -> dict:
     baseline potential growth (negative when no improvement is needed).
     """
     st = spec.state
-    if st.b_prev <= 0:
-        raise DomainError("b_prev must be > 0")
     threshold = _threshold(st.pi, st.d, st.s, st.b_prev, spec.rho_bar, spec.m)
     return {
         "threshold": threshold,

@@ -404,6 +404,33 @@ class TestOneCheckedPath:
         assert "other.csv" in out.err and "s0.csv" in out.err
         assert not csv.exists()
 
+    @pytest.mark.parametrize("t", ["descending", "all_equal"])
+    def test_infer_rejects_a_time_axis_that_is_not_increasing(self, tmp_path, monkeypatch,
+                                                               capsys, t):
+        # the detrend and the trailing band windows read the rows in order
+        names = _write_readings(tmp_path, n=40)
+        stamps = {"descending": [39.0 - i for i in range(40)], "all_equal": [0.0] * 40}[t]
+        for name in names:
+            rows = (tmp_path / name).read_text().splitlines()[1:]
+            (tmp_path / name).write_text("t,value\n" + "".join(
+                f"{ti!r},{row.split(',')[1]}\n" for ti, row in zip(stamps, rows)))
+        code, out, csv = _infer(tmp_path, monkeypatch, capsys, names)
+        assert code == 2
+        assert "series file s0.csv has a t column that is not strictly increasing" in out.err
+        assert not csv.exists()
+
+    @pytest.mark.parametrize("row", ["2006.25,0.001,0.5", "2006.25"])
+    def test_infer_rejects_a_row_without_two_fields(self, tmp_path, monkeypatch, capsys,
+                                                    row):
+        names = _write_readings(tmp_path, n=40)
+        lines = (tmp_path / names[1]).read_text().splitlines()
+        lines[5] = row
+        (tmp_path / names[1]).write_text("\n".join(lines) + "\n")
+        code, out, csv = _infer(tmp_path, monkeypatch, capsys, names)
+        assert code == 2
+        assert f"series file s1.csv, line 6: expected t,value — got {row!r}" in out.err
+        assert not csv.exists()
+
     @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("where", [0, 2])
     def test_infer_rejects_a_non_finite_time_stamp(self, tmp_path, monkeypatch, capsys,

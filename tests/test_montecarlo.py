@@ -255,6 +255,17 @@ def test_rows_match_pinned_digests(name):
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest, fn.__name__
 
 
+def test_tf_rows_for_one_premium_bound_match_pinned_digest():
+    # with one premium bound the tier-2 widths form an [R, 1] block, which a
+    # numpy mean would sum pairwise; the rows sum them in replication order.
+    # At seed 8 the two sums differ in the last bit of mean_width_bp (at seed
+    # 42 they happen to agree)
+    rows = run_mc_tf(MCConfig(seed=8, n_reps=33), rho_bar_list=(0.0,))["rows"]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "923553c8b2e12ea136c22cd5072832c365e90eaa586c43d56fadf04448281177"
+    )
+
+
 @pytest.mark.parametrize("kw", [{"psi": 0.0}, {"c_bar": -0.01}, {"theta0": 1.2},
                                 {"g0": -0.1}])
 def test_invalid_closure_inputs_rejected(kw):

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from debtregime.cli import run_cli
-from debtregime.closure import ThetaLaw
-from debtregime.core import EconState, RegimeParams
+from debtregime.closure import ThetaLaw, TwoLayerParams
+from debtregime.core import EconState, FiscalResponse, RegimeParams
 from debtregime.errors import ConfigError
 from debtregime.extensions import ClockSpec, estimate_kappa
 from debtregime.inference import SubsampleConfig
+from debtregime.investment import InvestmentInputs
+from debtregime.montecarlo import MCConfig
 from debtregime.scenario import (
     _SCHEMA,
     DEFAULTS,
@@ -24,6 +26,7 @@ from debtregime.tables import (
     emit_csv,
     scenario_report,
 )
+from debtregime.transition import TransitionSpec
 
 
 class TestLoadScenario:
@@ -188,6 +191,20 @@ class TestSchema:
                 continue
             assert _KIND_RULES[kind.rstrip("?")](default), key
             _check_units(key, default)
+
+    def test_library_defaults_are_the_baseline_scenario(self):
+        # the baseline calibration is written twice, as the dataclass defaults
+        # and in _SCHEMA; the two copies must agree
+        sc = load_scenario(None)
+        econ = sc.econ_state()
+        assert sc.mc_config(seed=42) == MCConfig()
+        assert sc.two_layer() == TwoLayerParams()
+        assert sc.regime_params() == RegimeParams()
+        assert sc.subsample_config() == SubsampleConfig()
+        assert sc.theta_law() == ThetaLaw()
+        assert sc.fiscal_response() == FiscalResponse()
+        assert sc.investment_inputs() == InvestmentInputs(state=econ, regime=RegimeParams())
+        assert sc.transition_spec() == TransitionSpec(state=econ, closure=TwoLayerParams())
 
     def test_unit_rules_by_kind(self):
         rates = [k for k, (_, kind) in _SCHEMA.items() if kind.rstrip("?") == "rate"]
