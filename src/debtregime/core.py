@@ -8,6 +8,7 @@ percent at the rendering layer, never here.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -28,6 +29,14 @@ __all__ = [
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
+
+
+def _require_integer(name: str, value) -> None:
+    """`DomainError` unless `value` is an integer (numpy integers included)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,10 @@ from dataclasses import dataclass, replace
 from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .closure import TwoLayerParams, demand_at
-from .core import _require_finite
+from .core import _require_finite, _require_integer
 from .errors import ConfigError, DomainError, EstimationError
 from .transition import TransitionSpec, required_growth_exogenous
 
@@ -76,8 +76,8 @@ class SubsampleConfig:
     the window mean.  The block-length sensitivity grid is
     `MCConfig.block_grid`.
 
-    window_h  : inference window in periods
-    block_len : contiguous block length (3 <= block_len < window_h)
+    window_h  : inference window in periods (an integer)
+    block_len : contiguous block length, an integer in [3, window_h)
     alpha     : band level in (0, 1)
     """
 
@@ -88,6 +88,8 @@ class SubsampleConfig:
     def __post_init__(self):
         for name in ("window_h", "block_len", "alpha"):
             _require_finite(name, getattr(self, name))
+        _require_integer("window_h", self.window_h)
+        _require_integer("block_len", self.block_len)
         if not (3 <= self.block_len < self.window_h):
             raise ConfigError(
                 f"need 3 <= block_len < window_h, got {self.block_len}, {self.window_h}"
@@ -184,11 +186,12 @@ def detrend_local_linear(series: Sequence[float], window_h: int) -> dict:
     Each point's trend value comes from the OLS line fit on the length-
     window_h window centered on it (clamped at the edges, so the first and
     last points reuse the end windows).  The fits are closed form: each
-    distinct window's mean and centred-index slope is computed once over a
-    sliding window view, and every point evaluates the line of its window.
-    A `[..., n]` array is detrended row by row along its last axis.
-    Fitting an exact line leaves a remainder at rounding level.
+    distinct window's mean and centred-index slope is computed once on a
+    C-contiguous copy of the windows, and every point evaluates the line of
+    its window.  A `[..., n]` array is detrended row by row along its last
+    axis.  Fitting an exact line leaves a remainder at rounding level.
     """
+    _require_integer("window_h", window_h)
     y = np.asarray(series, dtype=float)
     n = y.shape[-1]
     if window_h < 4:
@@ -198,7 +201,8 @@ def detrend_local_linear(series: Sequence[float], window_h: int) -> dict:
     if not np.isfinite(y).all():
         raise EstimationError("series contains non-finite values")
     # contiguous windows make every row reduce in the same order as a 1-D call
-    windows = np.ascontiguousarray(sliding_window_view(y, window_h, axis=-1))
+    windows = as_strided(y, y.shape[:-1] + (n - window_h + 1, window_h),
+                         y.strides + y.strides[-1:], writeable=False).copy()
     mean, slope = _line_fit(np.arange(window_h, dtype=float), windows)
     i = np.arange(n)
     start = np.clip(i - window_h // 2, 0, n - window_h)

@@ -6,11 +6,12 @@ feasibility margin classifier (debt-concept ambiguity).  Replications are
 independent; each derives its generator from seed XOR replication index, so
 results are bit-identical for a fixed seed.  Demand, premium, core drift
 and growth threshold come from the closure and transition kernels.  The
-replications run in lockstep as [replication, period] arrays: one DGP pass
-advances every replication per period, the envelope bounds are stacked and
-detrended once per horizon, each block length runs one band call on every
-row, and each replication's envelope is built once per horizon and reused
-by every block and method.  `threads` is accepted and has no effect.
+replications run in lockstep as [replication, period] arrays: the DGP's
+AR(1) states advance as one stacked multiply-add per period, each run makes
+one band pass per window length (one detrend call, and one band call per
+block length, on every horizon or premium bound sharing it), and each
+replication's envelope is built once per horizon and reused by every block
+and method.  `threads` is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .closure import MarginDistribution, ThetaLaw, TwoLayerParams
 from .closure import _core_drift, _demand_on_grid, _premium_on_grid
-from .core import _require_finite
+from .core import _require_finite, _require_integer
 from .errors import ConfigError, DomainError
 from .inference import (
     PE_LABELS,
@@ -64,6 +65,7 @@ TF_METHODS = (
 
 
 _MONITOR_B = 1.574  # debt ratio under the monitoring (instrument-level) concept
+_BAND_REPS = 1024  # replications per band-kernel call: bounds the band stage's memory
 
 
 @dataclass(frozen=True)
@@ -139,12 +141,7 @@ class MCConfig:
                 if not (f.name == "eps_cap" and v == math.inf):
                     _require_finite(f.name, v)
                 if f.name in counts:
-                    try:
-                        operator.index(v)
-                    except TypeError:
-                        raise DomainError(
-                            f"{f.name} must be an integer, got {v!r}"
-                        ) from None
+                    _require_integer(f.name, v)
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.n_reps < 1:
@@ -200,49 +197,47 @@ def simulate_pe_paths(cfg: MCConfig, rep: Union[int, Sequence[int]]) -> dict:
     true per-period boundary scores.  An int `rep` gives `[T]` arrays; a
     sequence of reps gives `[R, T]` arrays whose row i is replication
     rep[i], bit for bit the same as the int call.  Each replication draws
-    its shocks from its own stream; one period loop then advances every
-    replication as an `[R]` vector, with one array premium solve per period
-    when g0 > 0 or kappa > 0.  The clamps mirror Python's `max(x, 1e-6)`,
+    its shocks from its own stream.  The three AR(1) states (spread, stress,
+    core innovation) advance as one `[3, R]` multiply-add per period, and the
+    core-share loop adds one array premium solve per period when g0 > 0 or
+    kappa > 0.  The clamps mirror Python's `max(x, 1e-6)`,
     `max(0.0, x)` and `min(1.0, x)` (which keep the first argument unless
     the second is strictly larger, or smaller), so no -0.0 appears.
     """
     single = np.ndim(rep) == 0
     reps = [rep] if single else list(rep)
     R, T = len(reps), cfg.T
-    eta_theta, eta_z, obs_noise = np.empty((3, R, T))
-    events = np.empty((R, T), dtype=bool)
+    # [period, state, rep] shocks of the spread v, stress and core innovation u
+    shocks, obs_noise = np.empty((T, 3, R)), np.empty((R, T))
     for i, r in enumerate(reps):
         rng = _rep_rng(cfg.seed, r)
-        eta_theta[i] = rng.normal(0.0, cfg.sd_theta, T)
-        eta_z[i] = rng.normal(0.0, cfg.sd_z, T)
-        events[i] = rng.uniform(0.0, 1.0, T) < cfg.stress_prob
+        shocks[:, 2, i] = rng.normal(0.0, cfg.sd_theta, T)
+        shocks[:, 0, i] = rng.normal(0.0, cfg.sd_z, T)
+        events = rng.uniform(0.0, 1.0, T) < cfg.stress_prob
+        shocks[:, 1, i] = np.where(events, cfg.stress_size, 0.0)
         obs_noise[i] = rng.normal(0.0, cfg.sigma_theta_obs, T)
-    stress_add = np.where(events, cfg.stress_size, 0.0)
 
     law = ThetaLaw(kappa_theta=cfg.kappa_theta, g0=cfg.g0, eps_cap=cfg.eps_cap)
     base = _params(cfg)
     structural = cfg.g0 > 0.0 or cfg.kappa_theta > 0.0
-
-    theta = np.empty((R, T))
-    z = np.empty((R, T))
-    theta_t = np.full(R, cfg.theta0)
-    u = v = stress = 0.0
+    coef = np.array([cfg.rho_z, cfg.stress_decay, cfg.rho_theta], dtype=float)[:, None]
+    ar = np.zeros((T + 1, 3, R))
     for t in range(T):
-        v = cfg.rho_z * v + eta_z[:, t]
-        stress = cfg.stress_decay * stress + stress_add[:, t]
-        z_t = cfg.z0 + v + stress
-        z_t = np.where(1e-6 > z_t, 1e-6, z_t)
-        theta[:, t] = theta_t
-        z[:, t] = z_t
+        ar[t + 1] = coef * ar[t] + shocks[t]
+    z = cfg.z0 + ar[1:, 0] + ar[1:, 1]
+    z = np.where(1e-6 > z, 1e-6, z)
+    u = ar[1:, 2]
+    theta = np.empty((T, R))
+    theta_t = np.full(R, cfg.theta0)
+    for t in range(T):
+        theta[t] = theta_t
         # structural part of the law needs each replication's premium
-        if structural:
-            drift = _core_drift(_premium_on_grid(base, theta_t, z_t), law, cfg.pi, cfg.r_rep)
-        else:
-            drift = 0.0
-        u = cfg.rho_theta * u + eta_theta[:, t]
-        theta_t = theta_t + drift + u
+        drift = (_core_drift(_premium_on_grid(base, theta_t, z[t]), law, cfg.pi, cfg.r_rep)
+                 if structural else 0.0)
+        theta_t = theta_t + drift + u[t]
         theta_t = np.where(theta_t > 0.0, theta_t, 0.0)
         theta_t = np.where(theta_t < 1.0, theta_t, 1.0)
+    theta, z = np.ascontiguousarray(theta.T), np.ascontiguousarray(z.T)
     theta_obs = np.clip(theta + obs_noise, 0.0, 1.0)
     true_scores = _pe_scores(theta, z, base)
     paths = {
@@ -262,38 +257,45 @@ def _horizon_indices(cfg: MCConfig) -> List[int]:
 def _bands(
     stack: np.ndarray,
     demeaned: np.ndarray,
-    q: int,
+    qs: Sequence[int],
     window_h: int,
     blocks: Sequence[int],
     alpha: float,
 ) -> np.ndarray:
-    """Band half-widths [n_blocks, k + 1, R] over the trailing window ending
-    at q.
+    """Band half-widths [horizon, block, k + d, R] over the trailing window
+    ending at each horizon index in `qs`.
 
-    The k series of `stack` [k, R, T] are detrended in one call; the
-    `demeaned` series [R, T] (the fixed-specification reading) is demeaned
-    instead and appended as row k.  Each block length then runs the
-    subsampling kernel once on every row.  Both kernels work row by row
-    along the last axis, so each row equals a call on that series alone.
+    The m horizons with window length w = min(window_h, q + 1) share one
+    detrend call on their stacked [m, k, R, w] windows of `stack` [k, R, T];
+    their windows of `demeaned` [d, R, T] (fixed-specification readings) are
+    demeaned and appended as rows k to k + d - 1, and each block length runs
+    one band call on every row.  Both kernels work row by row, so each row
+    equals a call on that series alone; replications pass in chunks of
+    `_BAND_REPS`, which bounds the kernels' working memory at large R.
     """
-    w = min(window_h, q + 1)
-    rem = detrend_local_linear(stack[..., q + 1 - w : q + 1], w)["remainder"]
-    win = demeaned[:, q + 1 - w : q + 1]
-    rem = np.concatenate([rem, [win - win.mean(axis=1, keepdims=True)]])
-    return np.array([
-        subsample_critical_value(
-            rem, SubsampleConfig(window_h=w, block_len=min(ell, w - 1), alpha=alpha)
-        )
-        for ell in blocks
-    ])
+    R = stack.shape[1]
+    out = np.empty((len(qs), len(blocks), len(stack) + len(demeaned), R))
+    widths = [min(window_h, q + 1) for q in qs]
+    for w in dict.fromkeys(widths):
+        group = [i for i, wi in enumerate(widths) if wi == w]
+        for reps in (slice(r, r + _BAND_REPS) for r in range(0, R, _BAND_REPS)):
+            # [m, series, reps, w]: the group's windows of each input
+            det, dem = (np.stack([x[:, reps, qs[i] + 1 - w : qs[i] + 1] for i in group])
+                        for x in (stack, demeaned))
+            rem = np.concatenate([detrend_local_linear(det, w)["remainder"],
+                                  dem - dem.mean(axis=-1, keepdims=True)], axis=1)
+            for bi, ell in enumerate(blocks):
+                sub = SubsampleConfig(window_h=w, block_len=min(ell, w - 1), alpha=alpha)
+                out[group, bi, :, reps] = subsample_critical_value(rem, sub)
+    return out
 
 
 def _envelopes(lower: np.ndarray, upper: np.ndarray) -> List[TierEnvelope]:
-    """Each replication's envelope at one period, built once and shared by
-    every block length and method that classifies it."""
+    """Each replication's envelope at one period (C order over the bounds'
+    shape), built once and shared by every block and method using it."""
     return [
         TierEnvelope(t=0, lower=lo, upper=up, argmin_id="", argmax_id="")
-        for lo, up in zip(lower.tolist(), upper.tolist())
+        for lo, up in zip(lower.ravel().tolist(), upper.ravel().tolist())
     ]
 
 
@@ -301,11 +303,11 @@ def _labels(
     envs: Sequence[TierEnvelope], c_lo: np.ndarray, c_up: np.ndarray, mode: str
 ) -> np.ndarray:
     """Sign-rule label of each replication's envelope widened by its band
-    half-widths: `classify` on each row."""
+    half-widths: `classify` on each element, in an array of c_lo's shape."""
     return np.array([
         classify(env, cl, cu, mode)
-        for env, cl, cu in zip(envs, c_lo.tolist(), c_up.tolist())
-    ])
+        for env, cl, cu in zip(envs, c_lo.ravel().tolist(), c_up.ravel().tolist())
+    ]).reshape(c_lo.shape)
 
 
 def _outcomes(
@@ -348,15 +350,16 @@ def run_mc_pe(cfg: MCConfig, threads: int = 1) -> dict:
     tier2 = scores[:3]
     bounds = np.array([tier2.min(axis=0), tier2.max(axis=0),
                        scores.min(axis=0), scores.max(axis=0)])
-    base_series = scores[0]
     positive, middle, negative = PE_LABELS
 
     blocks = list(cfg.block_grid)
     default_bi = blocks.index(cfg.block_len)
+    qs = _horizon_indices(cfg)
+    bands = _bands(bounds, scores[:1], qs, cfg.window_h, blocks, cfg.alpha)
     rows = []
-    for h_yr, q in zip(cfg.evaluation_horizons, _horizon_indices(cfg)):
+    for h_yr, q, horizon_bands in zip(cfg.evaluation_horizons, qs, bands):
         lo2, up2, lo3, up3 = bounds[:, :, q]
-        point = base_series[:, q]
+        point = scores[0, :, q]
         env2, env3 = _envelopes(lo2, up2), _envelopes(lo3, up3)
         env_point = _envelopes(point, point)
         naive_plugin = np.where(point > 0, positive, negative)
@@ -373,9 +376,7 @@ def run_mc_pe(cfg: MCConfig, threads: int = 1) -> dict:
                 single_threshold,
                 _labels(env_point, c_fix, c_fix, "PE"),
             ]
-            for c_lo2, c_up2, c_lo3, c_up3, c_fix in _bands(
-                bounds, base_series, q, cfg.window_h, blocks, cfg.alpha
-            )
+            for c_lo2, c_up2, c_lo3, c_up3, c_fix in horizon_bands
         ])
         # [block, method, metric] rates: false safety, false alarm, coverage, warning
         rates = _outcomes(labels, true_scores[:, q] > 0.0, PE_LABELS).mean(axis=2) * 100.0
@@ -385,17 +386,9 @@ def run_mc_pe(cfg: MCConfig, threads: int = 1) -> dict:
                 if bi != default_bi and not band_method:
                     continue
                 fs, fa, cov, warn = rates[bi, mi]
-                rows.append(
-                    {
-                        "horizon_yr": h_yr,
-                        "method": method,
-                        "block_len": ell,
-                        "false_safety": fs,
-                        "false_alarm": fa,
-                        "coverage": cov,
-                        "warning": warn,
-                    }
-                )
+                rows.append({"horizon_yr": h_yr, "method": method, "block_len": ell,
+                             "false_safety": fs, "false_alarm": fa, "coverage": cov,
+                             "warning": warn})
     return {"rows": rows, "config": cfg}
 
 
@@ -408,9 +401,10 @@ def run_mc_tf(
 
     The true debt concept is drawn uniformly between the monitoring and
     baseline readings each replication; tier 1 reads the baseline concept
-    only while tier 2 spans both.  Rates in percent; the tier-2 envelope
-    width is reported in basis points.  `threads` is accepted for
-    compatibility and has no effect.
+    only while tier 2 spans both.  The scores of every premium bound, on the
+    band window only, go through one `_bands` call.  Rates in percent; the
+    tier-2 envelope width is reported in basis points.  `threads` is
+    accepted for compatibility and has no effect.
     """
     rho_bars = list(rho_bar_list)
     if not rho_bars or not all(math.isfinite(r) and r >= 0.0 for r in rho_bars):
@@ -418,65 +412,55 @@ def run_mc_tf(
                           f">= 0, got {rho_bar_list!r}")
     R, T = cfg.n_reps, cfg.T
     b_true, g_new = np.empty(R), np.empty(R)
-    eps_pi, eps_d = np.empty((R, T)), np.empty((R, T))
+    eps = np.empty((T, 2, R))  # [period, (inflation, deficit), rep]
     for rep in range(R):
         rng = _rep_rng(cfg.seed, rep)
         b_true[rep] = rng.uniform(cfg.tf_b_monitoring, cfg.tf_b_baseline)
         g_new[rep] = cfg.tf_g_star + rng.uniform(0.0, cfg.tf_g_spread)
-        eps_pi[rep] = rng.normal(0.0, cfg.tf_sd, T)
-        eps_d[rep] = rng.normal(0.0, cfg.tf_sd, T)
-    u = np.zeros((R, T))
-    w = np.zeros((R, T))
+        eps[:, 0, rep] = rng.normal(0.0, cfg.tf_sd, T)
+        eps[:, 1, rep] = rng.normal(0.0, cfg.tf_sd, T)
+    uw = np.zeros((T, 2, R))  # the two AR(1) deviations, advanced together
     for t in range(1, T):
-        u[:, t] = cfg.tf_rho * u[:, t - 1] + eps_pi[:, t]
-        w[:, t] = cfg.tf_rho * w[:, t - 1] + eps_d[:, t]
-    pi_path = cfg.tf_pi0 + u
-    d_path = cfg.tf_d0 + w
-
-    def tf_score(b, rho_bar: float) -> np.ndarray:
-        return g_new[:, None] - _threshold(pi_path, d_path, 0.0, b, rho_bar, cfg.tf_m)
-
-    q = T - 1
-    blocks = [cfg.block_len]
+        uw[t] = cfg.tf_rho * uw[t - 1] + eps[t]
+    # only the band window is scored: the band reads its w periods, the labels the last
+    w = cfg.window_h  # <= T (MCConfig)
+    pi_path = cfg.tf_pi0 + uw[T - w :, 0].T
+    d_path = cfg.tf_d0 + uw[T - w :, 1].T
+    q = w - 1
+    n = len(rho_bars)
+    rho = np.array(rho_bars, dtype=float)[:, None, None]
+    # [bound, rep, period] scores of the baseline and monitoring concepts
+    s_base, s_mon = (g_new[:, None] - _threshold(pi_path, d_path, 0.0, b, rho, cfg.tf_m)
+                     for b in (cfg.tf_b_baseline, cfg.tf_b_monitoring))
+    lo2, up2 = np.minimum(s_base, s_mon), np.maximum(s_base, s_mon)
+    # one band call: base, tier-2 lower and upper (detrended), fixed-spec base
+    ((bands,),) = _bands(np.concatenate([s_base, lo2, up2]), s_base, [q],
+                         cfg.window_h, [cfg.block_len], cfg.alpha)
+    c_base, c_lo2, c_up2, c_fix = bands.reshape(4, n, R)
+    truth_feasible = g_new - _threshold(pi_path[:, q], d_path[:, q], 0.0, b_true,
+                                        rho[..., 0], cfg.tf_m) > 0.0
+    base_q, lo2_q, up2_q = s_base[..., q], lo2[..., q], up2[..., q]
+    env_base = _envelopes(base_q, base_q)
     feasible, _, infeasible = TF_LABELS
-    # [rep, rho, method, metric]: false_feasible, false_infeasible, covered,
+    # [method, bound, rep] labels in TF_METHODS order
+    labels = np.array([
+        _labels(env_base, c_base, c_base, "TF"),
+        _labels(_envelopes(lo2_q, up2_q), c_lo2, c_up2, "TF"),
+        np.where(base_q > 0, feasible, infeasible),
+        np.where(s_mon[..., q] > 0, feasible, infeasible),
+        _labels(env_base, c_fix, c_fix, "TF"),
+    ])
+    # [rep, bound, method, metric]: false_feasible, false_infeasible, covered,
     # marginal, tier-2 width
-    out = np.zeros((R, len(rho_bars), len(TF_METHODS), 5))
-    for ri, rho_bar in enumerate(rho_bars):
-        s_base = tf_score(cfg.tf_b_baseline, rho_bar)
-        s_mon = tf_score(cfg.tf_b_monitoring, rho_bar)
-        truth_feasible = tf_score(b_true[:, None], rho_bar)[:, q] > 0.0
-        lo2 = np.minimum(s_base, s_mon)
-        up2 = np.maximum(s_base, s_mon)
-        ((c_base, c_lo2, c_up2, c_fix),) = _bands(
-            np.stack([s_base, lo2, up2]), s_base, q, cfg.window_h, blocks, cfg.alpha
-        )
-        base_q = s_base[:, q]
-        env_base = _envelopes(base_q, base_q)
-        # [method, rep] labels in TF_METHODS order
-        labels = np.array([
-            _labels(env_base, c_base, c_base, "TF"),
-            _labels(_envelopes(lo2[:, q], up2[:, q]), c_lo2, c_up2, "TF"),
-            np.where(base_q > 0, feasible, infeasible),
-            np.where(s_mon[:, q] > 0, feasible, infeasible),
-            _labels(env_base, c_fix, c_fix, "TF"),
-        ])
-        out[:, ri, :, :4] = np.moveaxis(_outcomes(labels, truth_feasible, TF_LABELS), 1, 0)
-        out[:, ri, :, 4] = (up2[:, q] - lo2[:, q])[:, None]
+    out = np.empty((R, n, len(TF_METHODS), 5))
+    out[..., :4] = _outcomes(labels, truth_feasible, TF_LABELS).transpose(2, 1, 0, 3)
+    out[..., 4] = (up2_q - lo2_q).T[..., None]
     means = out.mean(axis=0)
     rows = []
     for ri, rho_bar in enumerate(rho_bars):
         for mi, method in enumerate(TF_METHODS):
             ff, fi, cov, marg, width = means[ri, mi]
-            rows.append(
-                {
-                    "rho_bar": rho_bar,
-                    "method": method,
-                    "false_feasible": ff * 100.0,
-                    "false_infeasible": fi * 100.0,
-                    "coverage": cov * 100.0,
-                    "marginal": marg * 100.0,
-                    "mean_width_bp": width * 1e4,
-                }
-            )
+            rows.append({"rho_bar": rho_bar, "method": method, "false_feasible": ff * 100.0,
+                         "false_infeasible": fi * 100.0, "coverage": cov * 100.0,
+                         "marginal": marg * 100.0, "mean_width_bp": width * 1e4})
     return {"rows": rows, "config": cfg}

@@ -414,7 +414,8 @@ def load_scenario(path: Optional[str] = None) -> Scenario:
 
 def load_series_csv(path: str) -> Tuple[List[float], List[float]]:
     """Read a two-column `t,value` series CSV (header required, `#` metadata
-    lines ignored).  Every data row holds exactly two numbers, else
+    lines ignored).  A first line that reads as two numbers is data, not a
+    header, and every data row holds exactly two numbers; either fault is a
     `ConfigError` naming the file and the line.  Returns (t, value) lists."""
     ts: List[float] = []
     vs: List[float] = []
@@ -423,21 +424,23 @@ def load_series_csv(path: str) -> Tuple[List[float], List[float]]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        parts = line.split(",")
+        try:
+            numbers = [float(p) for p in parts]
+        except ValueError:
+            numbers = None
+        where = f"series file {path}, line {lineno}"
         if not header_seen:
             header_seen = True  # first non-comment line is the header
+            if numbers is not None and len(numbers) == 2:
+                raise ConfigError(f"{where}: expected a t,value header, got {line!r}")
             continue
-        parts = line.split(",")
         if len(parts) != 2:
-            raise ConfigError(
-                f"series file {path}, line {lineno}: expected t,value — got {line!r}"
-            )
-        try:
-            ts.append(float(parts[0]))
-            vs.append(float(parts[1]))
-        except ValueError:
-            raise ConfigError(
-                f"line {lineno}: malformed number in series row {line!r}"
-            ) from None
+            raise ConfigError(f"{where}: expected t,value — got {line!r}")
+        if numbers is None:
+            raise ConfigError(f"{where}: malformed number in series row {line!r}")
+        ts.append(numbers[0])
+        vs.append(numbers[1])
     if not ts:
         raise ConfigError(f"series file {path} has no data rows")
     return ts, vs

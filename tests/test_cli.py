@@ -431,6 +431,30 @@ class TestOneCheckedPath:
         assert f"series file s1.csv, line 6: expected t,value — got {row!r}" in out.err
         assert not csv.exists()
 
+    def test_infer_rejects_a_headerless_series(self, tmp_path, monkeypatch, capsys):
+        # the first line used to be dropped as the header without a look, so
+        # a headerless 40-row file classified 39 periods with exit 0
+        names = _write_readings(tmp_path, n=40)
+        lines = (tmp_path / names[2]).read_text().splitlines()
+        (tmp_path / names[2]).write_text("# no header\n" + "\n".join(lines[1:]) + "\n")
+        code, out, csv = _infer(tmp_path, monkeypatch, capsys, names)
+        assert code == 2
+        want = f"series file s2.csv, line 2: expected a t,value header, got {lines[1]!r}"
+        assert want in out.err
+        assert not csv.exists()
+
+    def test_infer_names_the_file_of_a_malformed_number(self, tmp_path, monkeypatch,
+                                                        capsys):
+        names = _write_readings(tmp_path, n=40)
+        lines = (tmp_path / names[1]).read_text().splitlines()
+        lines[5] = "2006.0,abc"
+        (tmp_path / names[1]).write_text("\n".join(lines) + "\n")
+        code, out, csv = _infer(tmp_path, monkeypatch, capsys, names[:2])
+        assert code == 2
+        assert ("series file s1.csv, line 6: malformed number in series row "
+                "'2006.0,abc'") in out.err
+        assert not csv.exists()
+
     @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("where", [0, 2])
     def test_infer_rejects_a_non_finite_time_stamp(self, tmp_path, monkeypatch, capsys,

@@ -217,6 +217,18 @@ class TestDetrend:
             assert np.array_equal(out["trend"][idx], row["trend"])
             assert np.array_equal(out["remainder"][idx], row["remainder"])
 
+    @pytest.mark.parametrize("n, w", [(24, 24), (15, 15), (40, 24), (31, 9)])
+    def test_batched_4d_equals_rows(self, n, w):
+        # the Monte Carlo detrends [horizon, series, rep, w] windows (n == w);
+        # `infer` detrends longer series (n > w)
+        rng = np.random.default_rng(n * 100 + w)
+        y = np.cumsum(rng.normal(0, 1, (2, 3, 4, n)), axis=-1)
+        out = detrend_local_linear(y, w)
+        for idx in np.ndindex(2, 3, 4):
+            row = detrend_local_linear(y[idx], w)
+            assert np.array_equal(out["trend"][idx], row["trend"])
+            assert np.array_equal(out["remainder"][idx], row["remainder"])
+
     def test_index_line_fit_equals_closed_denominator(self):
         # the index fit used to divide by sum(c**2) = m(m^2 - 1)/12 written out
         rng = np.random.default_rng(11)
@@ -226,6 +238,18 @@ class TestDetrend:
             mean, slope = _line_fit(np.arange(m, dtype=float), y)
             assert np.array_equal(mean, y.mean(axis=-1))
             assert np.array_equal(slope, (y * c).sum(axis=-1) / (m * (m * m - 1) / 12.0))
+
+    @pytest.mark.parametrize("w", [24.0, 8.5])
+    def test_non_integer_window_rejected(self, w):
+        # a float window used to fail with a raw TypeError, or to become a
+        # float index array
+        with pytest.raises(DomainError, match="window_h must be an integer"):
+            detrend_local_linear(np.linspace(0.0, 1.0, 30), w)
+
+    def test_numpy_integer_window_accepted(self):
+        y = np.random.default_rng(5).normal(0, 1, 30)
+        want = detrend_local_linear(y, 8)["remainder"]
+        assert np.array_equal(detrend_local_linear(y, np.int64(8))["remainder"], want)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
@@ -344,6 +368,21 @@ class TestSubsampling:
         for kw in ({"alpha": math.nan}, {"window_h": math.inf}, {"block_len": math.nan}):
             with pytest.raises(DomainError, match="finite"):
                 SubsampleConfig(**kw)
+
+    @pytest.mark.parametrize("kw, named", [({"window_h": 24.5}, "window_h"),
+                                           ({"window_h": 24.0}, "window_h"),
+                                           ({"block_len": 6.5}, "block_len"),
+                                           ({"block_len": 6.0}, "block_len")])
+    def test_config_non_integer_rejected(self, kw, named):
+        # a float count used to construct and then fail with a raw TypeError
+        # when the band sliced its window
+        with pytest.raises(DomainError, match=f"{named} must be an integer"):
+            SubsampleConfig(**kw)
+
+    def test_config_numpy_integers_accepted(self):
+        cfg = SubsampleConfig(window_h=np.int64(24), block_len=np.int32(6))
+        r = np.random.default_rng(4).normal(0, 1, 30)
+        assert subsample_critical_value(r, cfg) == subsample_critical_value(r, self.CFG)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

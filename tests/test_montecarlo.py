@@ -32,6 +32,7 @@ from debtregime.montecarlo import (
     _pe_scores,
     _rep_rng,
 )
+from debtregime.scenario import load_scenario
 
 
 def small_cfg(**kw):
@@ -411,24 +412,91 @@ def test_lockstep_structural_branches_fire():
 
 @pytest.mark.parametrize("q, blocks", [(59, (4, 6, 8)), (14, (4, 6, 16)), (5, (3, 4))])
 def test_stacked_bands_equal_per_series_calls(q, blocks):
+    # one call bands a horizon list of mixed window lengths (w = 6, 15, 24,
+    # 24 at q = 5, 14, 30, 59) that repeats q, so one length group holds two
+    # equal windows; blocks above w - 1 are clamped, and short windows take
+    # the fewer-than-5-blocks fallback
     rng = np.random.default_rng(3)
     stack = np.cumsum(rng.normal(0.0, 0.01, (3, 7, 60)), axis=-1)
-    demeaned = rng.normal(0.0, 0.01, (7, 60))
-    got = _bands(stack, demeaned, q, 24, blocks, 0.10)
-    assert got.shape == (len(blocks), 4, 7)
-    w = min(24, q + 1)
-    for bi, ell in enumerate(blocks):
-        sub = SubsampleConfig(window_h=w, block_len=min(ell, w - 1), alpha=0.10)
-        for r in range(7):
-            for k in range(4):
-                if k < 3:
-                    win = stack[k, r, q + 1 - w : q + 1]
-                    rem = detrend_local_linear(win, w)["remainder"]
-                else:
-                    win = demeaned[r, q + 1 - w : q + 1]
-                    rem = win - win.mean()
-                want = subsample_critical_value(rem, sub)
-                assert got[bi, k, r] == want, (ell, k, r)
+    demeaned = rng.normal(0.0, 0.01, (2, 7, 60))
+    qs = [q, 5, 14, 30, 59]
+    got = _bands(stack, demeaned, qs, 24, blocks, 0.10)
+    assert got.shape == (len(qs), len(blocks), 5, 7)
+    for hi, qh in enumerate(qs):
+        w = min(24, qh + 1)
+        for bi, ell in enumerate(blocks):
+            sub = SubsampleConfig(window_h=w, block_len=min(ell, w - 1), alpha=0.10)
+            for r in range(7):
+                for k in range(5):
+                    if k < 3:
+                        win = stack[k, r, qh + 1 - w : qh + 1]
+                        rem = detrend_local_linear(win, w)["remainder"]
+                    else:
+                        win = demeaned[k - 3, r, qh + 1 - w : qh + 1]
+                        rem = win - win.mean()
+                    want = subsample_critical_value(rem, sub)
+                    assert got[hi, bi, k, r] == want, (qh, ell, k, r)
+
+
+def test_bands_equal_across_replication_chunks(monkeypatch):
+    # replications pass through the band kernels in chunks of _BAND_REPS;
+    # 7 reps in chunks of 3 give chunks of 3, 3 and 1
+    import debtregime.montecarlo as mc
+
+    rng = np.random.default_rng(4)
+    stack = np.cumsum(rng.normal(0.0, 0.01, (3, 7, 60)), axis=-1)
+    demeaned = rng.normal(0.0, 0.01, (2, 7, 60))
+    args = (stack, demeaned, [5, 14, 30, 59], 24, (4, 6, 16), 0.10)
+    whole = _bands(*args)
+    monkeypatch.setattr(mc, "_BAND_REPS", 3)
+    assert np.array_equal(_bands(*args), whole)
+    # 17 reps in chunks of 3, with a clamped block in the fallback
+    kw, pe_digest, tf_digest = PINNED_ROWS["block_above_window"]
+    for fn, digest in ((run_mc_pe, pe_digest), (run_mc_tf, tf_digest)):
+        rows = fn(MCConfig(**kw))["rows"]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest, fn.__name__
+
+
+def test_band_kernels_run_once_per_window_length(monkeypatch):
+    # the benchmark's traced run counts these calls by their names in this
+    # module and reads the SubsampleConfig as the band's second positional
+    # argument; the default horizons have window lengths 15, 24, 24, 24, so
+    # a regression to per-horizon (or per-premium-bound) calls shows here
+    import debtregime.montecarlo as mc
+
+    calls = {"detrend": 0, "subsample": 0, "classify": 0}
+
+    def counting(name, fn, check=None):
+        def shim(*args, **kwargs):
+            calls[name] += 1
+            if check is not None:
+                check(args, kwargs)
+            return fn(*args, **kwargs)
+        return shim
+
+    def band_args(args, kwargs):
+        assert len(args) == 2 and not kwargs
+        assert isinstance(args[1], SubsampleConfig)
+
+    def detrend_args(args, kwargs):
+        assert len(args) == 2 and not kwargs and len(args[0]) >= 1
+
+    monkeypatch.setattr(mc, "detrend_local_linear",
+                        counting("detrend", mc.detrend_local_linear, detrend_args))
+    monkeypatch.setattr(mc, "subsample_critical_value",
+                        counting("subsample", mc.subsample_critical_value, band_args))
+    monkeypatch.setattr(mc, "classify", counting("classify", mc.classify))
+    cfg = load_scenario(None).mc_config(seed=1, n_reps=5)
+    R = cfg.n_reps
+    assert len(cfg.evaluation_horizons) == 4 and len(cfg.block_grid) == 3
+
+    run_mc_pe(cfg)
+    # horizon x block x band method (tier 2, tier 3, fixed spec) x rep
+    assert calls == {"detrend": 2, "subsample": 6, "classify": 4 * 3 * 3 * R}
+    calls.update(detrend=0, subsample=0, classify=0)
+    run_mc_tf(cfg)
+    # premium bound x band method (tier 1, tier 2, fixed spec) x rep
+    assert calls == {"detrend": 1, "subsample": 1, "classify": 3 * 3 * R}
 
 
 @pytest.mark.parametrize("horizons, T, named", [
