@@ -237,26 +237,31 @@ def demand_derivative(rho: float, p: TwoLayerParams) -> float:
     return (1.0 - p.theta) * p.dist.density(arg, p.c_bar) / p.psi
 
 
+def _bisect(f, p: TwoLayerParams, target: float, lo: float, hi: float,
+            lo_negative: bool) -> Tuple[float, bool]:
+    """Bisect g(x) = f(x, p) - target (no wrapper call per step) on [lo, hi],
+    where g < 0 at lo exactly when `lo_negative`: (the first midpoint with
+    |g| <= 1e-12, True), or (hi, False) after 200 halvings."""
+    for _ in range(_BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid, p) - target
+        if abs(f_mid) <= _BISECT_TOL:
+            return mid, True
+        if (f_mid < 0.0) == lo_negative:
+            lo = mid
+        else:
+            hi = mid
+    return hi, False
+
+
 def solve_premium_bisection(p: TwoLayerParams) -> float:
     """Case-c premium by bisection on [0, z] to |demand - phi_req| <= 1e-12.
 
     Assumes demand_at(0) < phi_req <= demand_at(z); raises otherwise.
     """
-    lo, hi = 0.0, p.z
-    f_lo = demand_at(lo, p) - p.phi_req
-    f_hi = demand_at(hi, p) - p.phi_req
-    if f_lo >= 0 or f_hi < 0:
+    if demand_at(0.0, p) - p.phi_req >= 0 or demand_at(p.z, p) - p.phi_req < 0:
         raise ScopeError("bisection requires demand_at(0) < phi_req <= demand_at(z)")
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        f_mid = demand_at(mid, p) - p.phi_req
-        if abs(f_mid) <= _BISECT_TOL:
-            return mid
-        if f_mid < 0:
-            lo = mid
-        else:
-            hi = mid
-    return hi  # upper end: demand weakly above the requirement
+    return _bisect(demand_at, p, p.phi_req, 0.0, p.z, True)[0]
 
 
 def solve_premium(p: TwoLayerParams) -> PremiumSolution:
@@ -390,6 +395,7 @@ def pe_sensitivities(p: TwoLayerParams) -> dict:
 
 def theta_step(theta: float, law: ThetaLaw, epsilon: float) -> float:
     """Advance the hard core one period, clamped to [0, 1]."""
+    _require_finite("epsilon", epsilon)
     if not (0.0 <= theta <= 1.0):
         raise DomainError(f"theta must lie in [0, 1], got {theta}")
     return min(1.0, max(0.0, theta - law.kappa_theta + gamma_theta(law, epsilon)))
@@ -564,6 +570,9 @@ def phi_req_affine(
     """Optional affine required-absorption schedule around an anchor point,
     clamped to [0, 1].  Signs are structural: d_b >= 0 (higher debt needs
     broader absorption), d_psi <= 0 (stronger institutions need less)."""
+    for name, value in dict(base=base, b=b, psi=psi, z=z, d_b=d_b, d_psi=d_psi,
+                            d_z=d_z).items():
+        _require_finite(name, value)
     if d_b < 0:
         raise ConfigError("phi_req debt coefficient must be >= 0")
     if d_psi > 0:
@@ -609,8 +618,8 @@ def fixed_point_scan(
     if grid < 1000:
         raise DomainError("grid must be >= 1000 points")
 
-    def G(theta: float) -> float:
-        return _core_drift_at(p.with_theta(theta), law, pi, r_rep)
+    def G(theta: float, state: TwoLayerParams = p) -> float:
+        return _core_drift_at(state.with_theta(theta), law, pi, r_rep)
 
     n = grid
     vals = _core_drift(_premium_on_grid(p, np.arange(n + 1) / n, p.z), law, pi, r_rep)
@@ -628,21 +637,12 @@ def fixed_point_scan(
         if on_grid[i]:
             roots.append(a)
         if crossing[i]:
-            lo, hi, flo = a, b, float(vals[i])
-            for _ in range(_BISECT_MAX_ITER):
-                mid = 0.5 * (lo + hi)
-                fm = G(mid)
-                if abs(fm) <= _BISECT_TOL:
-                    roots.append(mid)
-                    break
-                if (fm < 0.0) == (flo < 0.0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            else:
+            root, met = _bisect(G, p, 0.0, a, b, bool(vals[i] < 0.0))
+            if met:
+                roots.append(root)
+            elif "premium_jump" not in diagnostics:
                 # the map jumps across the diagonal without meeting it
-                if "premium_jump" not in diagnostics:
-                    diagnostics.append("premium_jump")
+                diagnostics.append("premium_jump")
     # dedupe roots that landed within one grid cell of each other
     deduped: List[float] = []
     for r in sorted(roots):

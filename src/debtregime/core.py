@@ -216,6 +216,7 @@ def check_scope(regime: RegimeParams) -> dict:
 
 def effective_deficit(fr: FiscalResponse, b_prev: float) -> float:
     """Evaluate the fiscal-response function at a debt ratio."""
+    _require_finite("b_prev", b_prev)
     if b_prev <= 0:
         raise DomainError(f"b_prev must be > 0, got {b_prev}")
     if fr.mode == "constant":

@@ -121,6 +121,8 @@ def ratchet_gap(delta_T: float, baseline_spread: float, s: float) -> float:
     With a negative baseline spread the gap decays geometrically but never
     reaches zero in finite time.
     """
+    for name, value in dict(delta_T=delta_T, baseline_spread=baseline_spread, s=s).items():
+        _require_finite(name, value)
     if abs(baseline_spread) >= 1:
         raise DomainError("|baseline_spread| must be < 1")
     if s < 0:
@@ -134,6 +136,8 @@ def repression_dividend(epsilon: float, b_prev: float) -> float:
     May be <= 0 when epsilon <= 0; callers treat that as the channel being
     inactive rather than as an error.
     """
+    _require_finite("epsilon", epsilon)
+    _require_finite("b_prev", b_prev)
     return epsilon * b_prev
 
 
@@ -146,6 +150,9 @@ def marginal_gain_sequence(
     Weakly decreasing on weakly decreasing debt paths and uniformly bounded
     by mu*lam*epsilon*max(b)^2.
     """
+    for name, value in [("mu", mu), ("lam", lam), ("epsilon", epsilon),
+                        *(("debt_path", b) for b in debt_path)]:
+        _require_finite(name, value)
     if epsilon <= 0:
         raise InactiveRegimeError(
             "repression channel inactive (epsilon <= 0): no dividend to reinvest"
@@ -164,6 +171,8 @@ def paradox_test(spread: float, gamma: float) -> dict:
     inherited debt ratio; a negative derivative means lowering the debt stock
     worsens the flow.  Defined only for spread < 0.
     """
+    _require_finite("spread", spread)
+    _require_finite("gamma", gamma)
     if spread >= 0:
         raise ScopeError("paradox test requires a negative spread (r - g < 0)")
     derivative = spread + gamma
@@ -179,6 +188,9 @@ def captive_threshold_shift(
     Affine instance of the two-country comparative statics; only the signs of
     the two responses are structural, the coefficients are calibration inputs.
     """
+    for name, value in dict(phi_bar0=phi_bar0, a=a, b=b, eps_foreign=eps_foreign,
+                            r_alt=r_alt).items():
+        _require_finite(name, value)
     if a < 0 or b < 0:
         raise DomainError("coefficients a, b must be nonnegative")
     raw = phi_bar0 - a * eps_foreign + b * r_alt
@@ -274,7 +286,10 @@ def psi_composite(spec: PsiSpec) -> float:
 
 
 def timing_feasible(T_sprint: float, T_star: float) -> bool:
-    """Sprint fits inside the residual window (inclusive)."""
+    """Sprint fits inside the residual window (inclusive; T_star may be inf)."""
+    _require_finite("T_sprint", T_sprint)
+    if T_star != math.inf:
+        _require_finite("T_star", T_star)
     if T_sprint < 0 or T_star < 0:
         raise DomainError("horizons must be nonnegative")
     return T_sprint <= T_star

@@ -5,13 +5,15 @@ with subsampling bands versus naive point rules) and the transition-
 feasibility margin classifier (debt-concept ambiguity).  Replications are
 independent; each derives its generator from seed XOR replication index, so
 results are bit-identical for a fixed seed.  Demand, premium, core drift
-and growth threshold come from the closure and transition kernels.  The
-replications run in lockstep as [replication, period] arrays: the DGP's
-AR(1) states advance as one stacked multiply-add per period, each run makes
-one band pass per window length (one detrend call, and one band call per
-block length, on every horizon or premium bound sharing it), and each
-replication's envelope is built once per horizon and reused by every block
-and method.  `threads` is accepted and has no effect.
+and growth threshold come from the closure and transition kernels.  Both
+experiments run the same stages on [replication, period] arrays: one draw
+helper, one AR(1) recursion advancing every state of every replication per
+period, one band pass per window length (one detrend call, and one band
+call per block length, on every horizon or premium bound sharing it), each
+replication's envelope built once per horizon for every block and method,
+and one rate rule (the mean of 0/1 indicators over the replications).  The
+transition experiment's mean tier-2 width is summed in replication order.
+`threads` is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, fields
-from typing import List, Sequence, Tuple, Union
+from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -168,6 +170,33 @@ def _rep_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(key))
 
 
+def _draws(seed: int, reps: Sequence[int], draw: Callable) -> List[np.ndarray]:
+    """`draw(rng)` on each replication's own stream returns its series in
+    draw order; series i comes back as one [R, ...] array whose row j holds
+    reps[j]'s draws, written as drawn so no per-replication copy is kept."""
+    out = None
+    for j, r in enumerate(reps):
+        series = draw(_rep_rng(seed, r))
+        if out is None:
+            out = [np.empty((len(reps),) + np.shape(s)) for s in series]
+        for o, s in zip(out, series):
+            o[j] = s
+    return out
+
+
+def _ar1(coef: Union[float, np.ndarray], series: Sequence[np.ndarray]) -> np.ndarray:
+    """[period, state, R] AR(1) paths x[t] = coef * x[t - 1] + e[t] from
+    x[-1] = 0, one state per [R, T] shock series e: every state and
+    replication advances in one multiply-add on a contiguous block per
+    period, in place on a period-major copy of the shocks."""
+    paths = np.empty((series[0].shape[1], len(series), len(series[0])))
+    for k, e in enumerate(series):
+        paths[:, k] = e.T
+    for t in range(1, len(paths)):
+        paths[t] += coef * paths[t - 1]  # e[t] + c * x == c * x + e[t] exactly
+    return paths
+
+
 # Piecewise-linear CDF perturbations of the uniform margin distribution used
 # as the tier-3 specification readings: same support, concave / convex bow.
 _G_FRACS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -198,38 +227,30 @@ def simulate_pe_paths(cfg: MCConfig, rep: Union[int, Sequence[int]]) -> dict:
     sequence of reps gives `[R, T]` arrays whose row i is replication
     rep[i], bit for bit the same as the int call.  Each replication draws
     its shocks from its own stream.  The three AR(1) states (spread, stress,
-    core innovation) advance as one `[3, R]` multiply-add per period, and the
+    core innovation) advance together through `_ar1`, and the
     core-share loop adds one array premium solve per period when g0 > 0 or
     kappa > 0.  The clamps mirror Python's `max(x, 1e-6)`,
     `max(0.0, x)` and `min(1.0, x)` (which keep the first argument unless
     the second is strictly larger, or smaller), so no -0.0 appears.
     """
     single = np.ndim(rep) == 0
-    reps = [rep] if single else list(rep)
-    R, T = len(reps), cfg.T
-    # [period, state, rep] shocks of the spread v, stress and core innovation u
-    shocks, obs_noise = np.empty((T, 3, R)), np.empty((R, T))
-    for i, r in enumerate(reps):
-        rng = _rep_rng(cfg.seed, r)
-        shocks[:, 2, i] = rng.normal(0.0, cfg.sd_theta, T)
-        shocks[:, 0, i] = rng.normal(0.0, cfg.sd_z, T)
-        events = rng.uniform(0.0, 1.0, T) < cfg.stress_prob
-        shocks[:, 1, i] = np.where(events, cfg.stress_size, 0.0)
-        obs_noise[i] = rng.normal(0.0, cfg.sigma_theta_obs, T)
-
+    e_u, e_v, e_stress, obs_noise = _draws(cfg.seed, [rep] if single else rep, lambda rng: (
+        rng.normal(0.0, cfg.sd_theta, cfg.T),
+        rng.normal(0.0, cfg.sd_z, cfg.T),
+        np.where(rng.uniform(0.0, 1.0, cfg.T) < cfg.stress_prob, cfg.stress_size, 0.0),
+        rng.normal(0.0, cfg.sigma_theta_obs, cfg.T),
+    ))
     law = ThetaLaw(kappa_theta=cfg.kappa_theta, g0=cfg.g0, eps_cap=cfg.eps_cap)
     base = _params(cfg)
     structural = cfg.g0 > 0.0 or cfg.kappa_theta > 0.0
-    coef = np.array([cfg.rho_z, cfg.stress_decay, cfg.rho_theta], dtype=float)[:, None]
-    ar = np.zeros((T + 1, 3, R))
-    for t in range(T):
-        ar[t + 1] = coef * ar[t] + shocks[t]
-    z = cfg.z0 + ar[1:, 0] + ar[1:, 1]
+    # [period, rep] paths of the spread v, stress and core innovation u
+    v, stress, u = _ar1(np.array([cfg.rho_z, cfg.stress_decay, cfg.rho_theta])[:, None],
+                        [e_v, e_stress, e_u]).transpose(1, 0, 2)
+    z = cfg.z0 + v + stress
     z = np.where(1e-6 > z, 1e-6, z)
-    u = ar[1:, 2]
-    theta = np.empty((T, R))
-    theta_t = np.full(R, cfg.theta0)
-    for t in range(T):
+    theta = np.empty_like(z)
+    theta_t = np.full(z.shape[1], cfg.theta0)
+    for t in range(cfg.T):
         theta[t] = theta_t
         # structural part of the law needs each replication's premium
         drift = (_core_drift(_premium_on_grid(base, theta_t, z[t]), law, cfg.pi, cfg.r_rep)
@@ -238,14 +259,8 @@ def simulate_pe_paths(cfg: MCConfig, rep: Union[int, Sequence[int]]) -> dict:
         theta_t = np.where(theta_t > 0.0, theta_t, 0.0)
         theta_t = np.where(theta_t < 1.0, theta_t, 1.0)
     theta, z = np.ascontiguousarray(theta.T), np.ascontiguousarray(z.T)
-    theta_obs = np.clip(theta + obs_noise, 0.0, 1.0)
-    true_scores = _pe_scores(theta, z, base)
-    paths = {
-        "theta": theta,
-        "z": z,
-        "theta_obs": theta_obs,
-        "true_scores": true_scores,
-    }
+    paths = {"theta": theta, "z": z, "theta_obs": np.clip(theta + obs_noise, 0.0, 1.0),
+             "true_scores": _pe_scores(theta, z, base)}
     return {k: a[0] for k, a in paths.items()} if single else paths
 
 
@@ -313,7 +328,7 @@ def _labels(
 def _outcomes(
     label: np.ndarray, truth_positive: np.ndarray, labels: Sequence[str]
 ) -> np.ndarray:
-    """[R, 4] indicators per replication: false positive, false negative,
+    """[..., 4] indicators per label: false positive, false negative,
     covered (the label's set contains the truth), set-valued middle label.
     `labels` is (positive, middle, negative) as in PE_LABELS / TF_LABELS."""
     positive, middle, negative = labels
@@ -411,23 +426,19 @@ def run_mc_tf(
         raise DomainError(f"rho_bar_list must hold premium bounds, each finite and "
                           f">= 0, got {rho_bar_list!r}")
     R, T = cfg.n_reps, cfg.T
-    b_true, g_new = np.empty(R), np.empty(R)
-    eps = np.empty((T, 2, R))  # [period, (inflation, deficit), rep]
-    for rep in range(R):
-        rng = _rep_rng(cfg.seed, rep)
-        b_true[rep] = rng.uniform(cfg.tf_b_monitoring, cfg.tf_b_baseline)
-        g_new[rep] = cfg.tf_g_star + rng.uniform(0.0, cfg.tf_g_spread)
-        eps[:, 0, rep] = rng.normal(0.0, cfg.tf_sd, T)
-        eps[:, 1, rep] = rng.normal(0.0, cfg.tf_sd, T)
-    uw = np.zeros((T, 2, R))  # the two AR(1) deviations, advanced together
-    for t in range(1, T):
-        uw[t] = cfg.tf_rho * uw[t - 1] + eps[t]
+    b_true, g_new, e_pi, e_d = _draws(cfg.seed, range(R), lambda rng: (
+        rng.uniform(cfg.tf_b_monitoring, cfg.tf_b_baseline),
+        cfg.tf_g_star + rng.uniform(0.0, cfg.tf_g_spread),
+        rng.normal(0.0, cfg.tf_sd, T),
+        rng.normal(0.0, cfg.tf_sd, T),
+    ))
+    e_pi[:, 0] = e_d[:, 0] = 0.0  # deviations start at 0; period 0's draws advance the streams
+    uw = _ar1(cfg.tf_rho, [e_pi, e_d])
     # only the band window is scored: the band reads its w periods, the labels the last
     w = cfg.window_h  # <= T (MCConfig)
     pi_path = cfg.tf_pi0 + uw[T - w :, 0].T
     d_path = cfg.tf_d0 + uw[T - w :, 1].T
     q = w - 1
-    n = len(rho_bars)
     rho = np.array(rho_bars, dtype=float)[:, None, None]
     # [bound, rep, period] scores of the baseline and monitoring concepts
     s_base, s_mon = (g_new[:, None] - _threshold(pi_path, d_path, 0.0, b, rho, cfg.tf_m)
@@ -436,7 +447,7 @@ def run_mc_tf(
     # one band call: base, tier-2 lower and upper (detrended), fixed-spec base
     ((bands,),) = _bands(np.concatenate([s_base, lo2, up2]), s_base, [q],
                          cfg.window_h, [cfg.block_len], cfg.alpha)
-    c_base, c_lo2, c_up2, c_fix = bands.reshape(4, n, R)
+    c_base, c_lo2, c_up2, c_fix = bands.reshape(4, -1, R)
     truth_feasible = g_new - _threshold(pi_path[:, q], d_path[:, q], 0.0, b_true,
                                         rho[..., 0], cfg.tf_m) > 0.0
     base_q, lo2_q, up2_q = s_base[..., q], lo2[..., q], up2[..., q]
@@ -450,17 +461,15 @@ def run_mc_tf(
         np.where(s_mon[..., q] > 0, feasible, infeasible),
         _labels(env_base, c_fix, c_fix, "TF"),
     ])
-    # [rep, bound, method, metric]: false_feasible, false_infeasible, covered,
-    # marginal, tier-2 width
-    out = np.empty((R, n, len(TF_METHODS), 5))
-    out[..., :4] = _outcomes(labels, truth_feasible, TF_LABELS).transpose(2, 1, 0, 3)
-    out[..., 4] = (up2_q - lo2_q).T[..., None]
-    means = out.mean(axis=0)
+    # [method, bound, metric] rates: false feasible, false infeasible, coverage, marginal
+    rates = _outcomes(labels, truth_feasible, TF_LABELS).mean(axis=2) * 100.0
+    # tier-2 envelope width per bound, summed in replication order
+    width_bp = np.cumsum(up2_q - lo2_q, axis=1)[:, -1] / R * 1e4
     rows = []
     for ri, rho_bar in enumerate(rho_bars):
         for mi, method in enumerate(TF_METHODS):
-            ff, fi, cov, marg, width = means[ri, mi]
-            rows.append({"rho_bar": rho_bar, "method": method, "false_feasible": ff * 100.0,
-                         "false_infeasible": fi * 100.0, "coverage": cov * 100.0,
-                         "marginal": marg * 100.0, "mean_width_bp": width * 1e4})
+            ff, fi, cov, marg = rates[mi, ri]
+            rows.append({"rho_bar": rho_bar, "method": method, "false_feasible": ff,
+                         "false_infeasible": fi, "coverage": cov, "marginal": marg,
+                         "mean_width_bp": width_bp[ri]})
     return {"rows": rows, "config": cfg}

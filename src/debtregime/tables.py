@@ -39,16 +39,6 @@ from .transition import (
 
 __all__ = ["TableArtifact", "emit_csv", "build_table", "TABLE_IDS", "scenario_report"]
 
-TABLE_IDS = (
-    "calibration",
-    "stress_v2",
-    "tier_pe",
-    "tier_tf",
-    "mc_pe",
-    "mc_tf",
-    "psi_countries",
-)
-
 # Control-rights sub-index vectors used for the cross-country composite
 # table: (monetary, absorption proxy, exchange rate).
 _COUNTRY_PSI = (
@@ -257,58 +247,36 @@ def build_psi_countries(scenario: Scenario, seed: int) -> TableArtifact:
     )
 
 
-def build_mc_pe(scenario: Scenario, seed: int, n_reps: Optional[int] = None) -> TableArtifact:
+def _build_mc(table_id: str, scenario: Scenario, seed: int,
+              n_reps: Optional[int]) -> TableArtifact:
+    """A Monte Carlo table: one row per result row of its experiment, under
+    the result rows' keys, with the premium bound in percent (`rho_bar_pct`)."""
     cfg = scenario.mc_config(seed=seed, n_reps=n_reps)
-    res = run_mc_pe(cfg)
-    rows = [
-        (r["horizon_yr"], r["method"], r["block_len"], r["false_safety"],
-         r["false_alarm"], r["coverage"], r["warning"])
-        for r in res["rows"]
-    ]
-    meta = _meta(scenario, seed)
-    meta["n_reps"] = cfg.n_reps
-    return TableArtifact(
-        "mc_pe",
-        ("horizon_yr", "method", "block_len", "false_safety", "false_alarm",
-         "coverage", "warning"),
-        rows,
-        meta,
-    )
+    res = (run_mc_pe if table_id == "mc_pe" else run_mc_tf)(cfg)["rows"]
+    columns = tuple(k + "_pct" if k == "rho_bar" else k for k in res[0])
+    rows = [tuple(v * 100 if k == "rho_bar" else v for k, v in r.items()) for r in res]
+    meta = {**_meta(scenario, seed), "n_reps": cfg.n_reps}
+    return TableArtifact(table_id, columns, rows, meta)
 
 
-def build_mc_tf(scenario: Scenario, seed: int, n_reps: Optional[int] = None) -> TableArtifact:
-    cfg = scenario.mc_config(seed=seed, n_reps=n_reps)
-    res = run_mc_tf(cfg)
-    rows = [
-        (r["rho_bar"] * 100, r["method"], r["false_feasible"],
-         r["false_infeasible"], r["coverage"], r["marginal"], r["mean_width_bp"])
-        for r in res["rows"]
-    ]
-    meta = _meta(scenario, seed)
-    meta["n_reps"] = cfg.n_reps
-    return TableArtifact(
-        "mc_tf",
-        ("rho_bar_pct", "method", "false_feasible", "false_infeasible",
-         "coverage", "marginal", "mean_width_bp"),
-        rows,
-        meta,
-    )
+# table id -> builder(scenario, seed, n_reps), in emission order
+_BUILDERS = {
+    "calibration": lambda sc, seed, n_reps: build_calibration(sc, seed),
+    "stress_v2": lambda sc, seed, n_reps: build_stress_v2(sc, seed),
+    "tier_pe": lambda sc, seed, n_reps: build_tier_pe(sc, seed),
+    "tier_tf": lambda sc, seed, n_reps: build_tier_tf(sc, seed),
+    "mc_pe": lambda sc, seed, n_reps: _build_mc("mc_pe", sc, seed, n_reps),
+    "mc_tf": lambda sc, seed, n_reps: _build_mc("mc_tf", sc, seed, n_reps),
+    "psi_countries": lambda sc, seed, n_reps: build_psi_countries(sc, seed),
+}
+TABLE_IDS = tuple(_BUILDERS)
 
 
 def build_table(table_id: str, scenario: Scenario, seed: int,
                 n_reps: Optional[int] = None) -> TableArtifact:
-    builders = {
-        "calibration": lambda: build_calibration(scenario, seed),
-        "stress_v2": lambda: build_stress_v2(scenario, seed),
-        "tier_pe": lambda: build_tier_pe(scenario, seed),
-        "tier_tf": lambda: build_tier_tf(scenario, seed),
-        "psi_countries": lambda: build_psi_countries(scenario, seed),
-        "mc_pe": lambda: build_mc_pe(scenario, seed, n_reps),
-        "mc_tf": lambda: build_mc_tf(scenario, seed, n_reps),
-    }
-    if table_id not in builders:
+    if table_id not in _BUILDERS:
         raise DomainError(f"unknown table_id {table_id!r}")
-    return builders[table_id]()
+    return _BUILDERS[table_id](scenario, seed, n_reps)
 
 
 def _field_rows(result) -> List[Tuple[str, object]]:

@@ -114,8 +114,10 @@ def joint_feasibility(spec: TransitionSpec, delta_g_min: float) -> dict:
 
     financeable: delta_g_min/mu fits inside the operational envelope (always
     true when nothing is required); timely: the program completes inside the
-    residual window (inclusive).
+    residual window (inclusive).  delta_g_min may be inf (hard failure).
     """
+    if delta_g_min != math.inf:
+        _require_finite("delta_g_min", delta_g_min)
     if spec.mu <= 0:
         raise DomainError("mu must be > 0")
     if delta_g_min <= 0:
@@ -137,8 +139,11 @@ def feasibility_label(
 
     required mu = delta_g_min/x_max; Conditional at <= 0.05, Tight at
     <= 0.07, Unlikely up to the top of the supplied efficiency range,
-    Infeasible beyond it (or when the envelope is closed).
+    Infeasible beyond it, when the envelope is closed, or at delta_g_min = inf.
     """
+    if delta_g_min != math.inf:
+        _require_finite("delta_g_min", delta_g_min)
+    _require_finite("x_max", x_max)
     lo, hi = mu_range
     if not (0 < lo <= hi < 1):
         raise DomainError("mu_range must satisfy 0 < lo <= hi < 1")

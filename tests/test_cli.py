@@ -9,6 +9,7 @@ import pytest
 from debtregime.cli import run_cli
 from debtregime.errors import ConfigError
 from debtregime.scenario import load_scenario
+from test_readme import _block  # README's fenced example blocks
 
 
 def run(args, cwd):
@@ -467,3 +468,53 @@ class TestOneCheckedPath:
         assert code == 3
         assert names[where] in out.err
         assert not csv.exists()
+
+
+# Cells that may hold inf: a paused clock, and the endogenous threshold and
+# required growth under hard failure (a key in the row, or the column)
+_INF_SENTINELS = {"T_linear", "T_exp", "clock_linear", "clock_exponential",
+                  "threshold_endogenous", "delta_g_min_endogenous", "required_dg"}
+
+
+@pytest.mark.parametrize("config", sorted(_CONFIGS) + ["readme_example"])
+def test_every_csv_holds_finite_cells_except_documented_sentinels(
+        tmp_path, monkeypatch, capsys, config):
+    # README's one nan exception: the bands of the first window_h - 1
+    # periods of `infer`, which have no full window
+    monkeypatch.chdir(tmp_path)
+    text = _block("### Scenario files") if config == "readme_example" else _CONFIGS[config]
+    base = []
+    if text is not None:
+        (tmp_path / "s.cfg").write_text(text)
+        base = ["--config", "s.cfg"]
+    names = _write_readings(tmp_path)[:2]
+    series = ["--series", names[0], "--series", names[1]]
+    commands = [["scenario"], ["clock"], ["bounds"], ["closure"],
+                ["closure", "--sweep", "stress_v2"], ["transition"],
+                ["tables", "--reps", "4"], ["mc", "--reps", "4"],
+                ["infer", "--mode", "PE", *series], ["infer", "--mode", "TF", *series]]
+    if text is not None and "sweep.mygrid." in text:
+        commands.append(["closure", "--sweep", "mygrid"])
+    saw_inf = False
+    for k, argv in enumerate(commands):
+        assert run_cli(base + ["--out", f"o{k}"] + argv) == 0, (argv, capsys.readouterr())
+        csvs = sorted((tmp_path / f"o{k}").iterdir())
+        assert csvs, argv
+        for path in csvs:
+            lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+            header, rows = lines[0].split(","), [l.split(",") for l in lines[1:]]
+            assert rows, (argv, path.name)
+            for row in rows:
+                assert len(row) == len(header), (argv, path.name, row)
+                for j, cell in enumerate(row):
+                    where = (argv, path.name, row, header[j])
+                    if cell in ("inf", "-inf"):
+                        assert cell == "inf" and _INF_SENTINELS & {header[j], *row[:j]}, where
+                        saw_inf = True
+                    elif cell.lower() in ("nan", "-nan", "none"):
+                        assert (path.name == "envelope_bands.csv" and cell == "nan"
+                                and header[j] in ("c_lower", "c_upper")
+                                and row[-1] == "insufficient-window"), where
+    # the hard-failure scenario reaches both sentinels; the others reach the
+    # required-growth one only in a stress or sweep row that fails to close
+    assert saw_inf or config != "hard_failure"

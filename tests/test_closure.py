@@ -619,3 +619,46 @@ class TestDistributionAndHelpers:
             TwoLayerParams(psi=0.0)
         with pytest.raises(DomainError):
             TwoLayerParams(theta=1.2)
+
+
+def test_closure_solver_calls_the_benchmark_traces(monkeypatch):
+    # the benchmark's traced closure round counts these functions through the
+    # module attributes (and the class method) that the package looks them up
+    # by, and a traced run where one records no call is invalid; a
+    # simplification that drops or inlines one of them fails here first
+    import debtregime.closure as closure
+    import debtregime.investment as investment
+    import debtregime.transition as transition
+
+    calls = {}
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def shim(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, shim)
+
+    for owner, name in ((closure, "solve_premium_bisection"), (closure, "demand_at"),
+                        (investment, "allocate_ascent"),
+                        (investment.AllocationProblem, "objective"),
+                        (transition, "solve_premium")):
+        count(owner, name)
+
+    p = TwoLayerParams(dist=table_from_power(0.06, 1.3))
+    p = replace(p, phi_req=0.5 * (demand_at(0.0, p) + demand_at(p.z, p)))
+    calls.clear()
+    assert closure.solve_premium(p).case == "c_stress"
+    assert calls["solve_premium_bisection"] == 1 and calls["demand_at"] >= 2
+
+    problem = investment.AllocationProblem(
+        mu_j=(0.03, 0.05, 0.04, 0.06), budget=0.02,
+        gamma_jk=tuple(tuple(-0.5 if k > j else 0.0 for k in range(4)) for j in range(4)))
+    calls.clear()
+    investment.allocate(problem)
+    assert calls["allocate_ascent"] == 1 and calls["objective"] >= 1
+
+    calls.clear()
+    transition.required_growth_endogenous(transition.TransitionSpec(state=ECON, closure=p))
+    assert calls["solve_premium"] >= 1

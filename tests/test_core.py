@@ -13,7 +13,17 @@ from debtregime.core import (
     step_debt,
     step_debt_stochastic,
 )
+from debtregime.closure import ThetaLaw, phi_req_affine, theta_step
 from debtregime.errors import ConfigError, DomainError
+from debtregime.extensions import (
+    captive_threshold_shift,
+    marginal_gain_sequence,
+    paradox_test,
+    ratchet_gap,
+    repression_dividend,
+    timing_feasible,
+)
+from debtregime.transition import TransitionSpec, feasibility_label, joint_feasibility
 
 
 def state(b=2.40, r=0.022, g=0.030, pi=0.027, d=0.020, s=0.0):
@@ -203,3 +213,56 @@ class TestEffectiveDeficit:
 
         fd = (flow(2.40 + h) - flow(2.40 - h)) / (2 * h)
         assert fd == pytest.approx((r - g) + fr.gamma, rel=1e-8)
+
+
+
+_SPEC = TransitionSpec(state=state(), x_max_operational=0.02)
+_GENERAL = FiscalResponse(mode="general", table=((2.0, 0.018), (2.8, 0.026)))
+nan = math.nan
+# (function, NaN argument, call): each used to return a plausible value, or
+# for the general fiscal mode an "unreachable" error naming no argument
+NAN_CASES = [
+    ("theta_step", "epsilon", lambda: theta_step(0.6, ThetaLaw(g0=0.5), nan)),
+    ("phi_req_affine", "base", lambda: phi_req_affine(nan, 2.4, 0.97, 0.02)),
+    ("phi_req_affine", "b", lambda: phi_req_affine(0.85, nan, 0.97, 0.02, d_b=0.1)),
+    ("captive_threshold_shift", "phi_bar0",
+     lambda: captive_threshold_shift(nan, 0.5, 0.5, 0.01, 0.01)),
+    ("captive_threshold_shift", "eps_foreign",
+     lambda: captive_threshold_shift(0.5, 0.5, 0.5, nan, 0.01)),
+    ("paradox_test", "spread", lambda: paradox_test(nan, 0.01)),
+    ("paradox_test", "gamma", lambda: paradox_test(-0.008, nan)),
+    ("feasibility_label", "delta_g_min", lambda: feasibility_label(nan, (0.03, 0.10), 0.02)),
+    ("feasibility_label", "x_max", lambda: feasibility_label(0.001, (0.03, 0.10), nan)),
+    ("joint_feasibility", "delta_g_min", lambda: joint_feasibility(_SPEC, nan)),
+    ("timing_feasible", "T_sprint", lambda: timing_feasible(nan, 3.0)),
+    ("timing_feasible", "T_star", lambda: timing_feasible(2.0, nan)),
+    ("effective_deficit_constant", "b_prev", lambda: effective_deficit(FiscalResponse(), nan)),
+    ("effective_deficit_relief", "b_prev", lambda: effective_deficit(
+        FiscalResponse(mode="deficit_relief", gamma=0.01), nan)),
+    ("effective_deficit_general", "b_prev", lambda: effective_deficit(_GENERAL, nan)),
+    ("ratchet_gap", "delta_T", lambda: ratchet_gap(nan, -0.008, 2.0)),
+    ("ratchet_gap", "baseline_spread", lambda: ratchet_gap(0.01, nan, 2.0)),
+    ("ratchet_gap", "s", lambda: ratchet_gap(0.01, -0.008, nan)),
+    ("repression_dividend", "epsilon", lambda: repression_dividend(nan, 2.4)),
+    ("repression_dividend", "b_prev", lambda: repression_dividend(0.005, nan)),
+    ("marginal_gain_sequence", "mu", lambda: marginal_gain_sequence(nan, 0.5, 0.005, [2.4])),
+    ("marginal_gain_sequence", "epsilon",
+     lambda: marginal_gain_sequence(0.05, 0.5, nan, [2.4])),
+    ("marginal_gain_sequence", "debt_path",
+     lambda: marginal_gain_sequence(0.05, 0.5, 0.005, [2.4, nan])),
+]
+
+
+@pytest.mark.parametrize("name, call", [c[1:] for c in NAN_CASES],
+                         ids=[f"{fn}-{arg}" for fn, arg, _ in NAN_CASES])
+def test_nan_argument_rejected_by_name(name, call):
+    with pytest.raises(DomainError, match=f"^{name} must be finite, got nan$"):
+        call()
+
+
+def test_infinite_sentinels_still_accepted():
+    # +inf is a documented sentinel: hard failure's delta_g_min and a paused
+    # clock's T_star
+    assert feasibility_label(math.inf, (0.03, 0.10), 0.02) == "Infeasible"
+    assert joint_feasibility(_SPEC, math.inf)["financeable"] is False
+    assert timing_feasible(2.0, math.inf) is True

@@ -457,6 +457,19 @@ def test_bands_equal_across_replication_chunks(monkeypatch):
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest, fn.__name__
 
 
+def test_rows_across_three_band_chunks_match_pinned_digest():
+    # 2,100 replications pass the band kernels in three chunks of at most
+    # _BAND_REPS = 1,024; digests recorded with the per-experiment draw
+    # loops and recursions that the shared draw and AR(1) helpers replaced
+    cfg = MCConfig(seed=3, n_reps=2100)
+    for fn, digest in (
+        (run_mc_pe, "367b39b487d425e5bde9d475589f430c070a81ad7d672f133bc6f5f7427714e8"),
+        (run_mc_tf, "154940e1ee23245de403b6ef7ae2ba9bb0ce9d987aadd5e3200154f949b685a3"),
+    ):
+        rows = fn(cfg)["rows"]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest, fn.__name__
+
+
 def test_band_kernels_run_once_per_window_length(monkeypatch):
     # the benchmark's traced run counts these calls by their names in this
     # module and reads the SubsampleConfig as the band's second positional
