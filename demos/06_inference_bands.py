@@ -47,7 +47,7 @@ for t in range(T):
         v.id: score_pe(TwoLayerParams(theta=readings[v.id], z=float(z_path[t])))
         for v in variants
     }
-    env = envelope(scores, t=t)
+    env = envelope(scores)
     lower[t], upper[t] = env.lower, env.upper
 
 rem_lo = detrend_local_linear(lower, cfg.window_h)["remainder"]
@@ -58,8 +58,7 @@ print(f"{'t':>3} {'lower':>8} {'upper':>8} {'half-width':>10} {'label':>28}")
 for t in range(T - 4, T):
     c_lo = subsample_critical_value(rem_lo[: t + 1], cfg)
     c_up = subsample_critical_value(rem_up[: t + 1], cfg)
-    env = envelope({"lo": lower[t], "hi": upper[t]}, t=t)
-    label = classify(env, c_lo, c_up, "PE")
+    label = classify(lower[t], upper[t], c_lo, c_up, "PE")
     print(f"{t:>3} {lower[t] * 100:+8.2f} {upper[t] * 100:+8.2f} "
           f"{c_lo * 100:>10.2f} {label:>28}")
 

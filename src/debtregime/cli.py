@@ -22,12 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .closure import solve_premium
 from .errors import ConfigError, DomainError, EngineError
 from .extensions import clock
-from .inference import (
-    TierEnvelope,
-    classify,
-    detrend_local_linear,
-    subsample_critical_value,
-)
+from .inference import classify, detrend_local_linear, subsample_critical_value
 from .investment import compute_bounds
 from .scenario import Scenario, load_scenario, load_series_csv
 from .tables import (
@@ -215,8 +210,8 @@ def _cmd_infer(scenario: Scenario, args) -> int:
     nan = float("nan")
     rows = [(ts[i], lower[i], upper[i], nan, nan, "insufficient-window") for i in range(skip)]
     for i, cl, cu in zip(range(skip, n), c_lo, c_up):
-        env = TierEnvelope(t=i, lower=lower[i], upper=upper[i], argmin_id="", argmax_id="")
-        rows.append((ts[i], lower[i], upper[i], cl, cu, classify(env, cl, cu, args.mode)))
+        rows.append((ts[i], lower[i], upper[i], cl, cu,
+                     classify(lower[i], upper[i], cl, cu, args.mode)))
     art = TableArtifact(
         "envelope_bands",
         ("t", "lower", "upper", "c_lower", "c_upper", "label"),

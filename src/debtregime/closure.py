@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import EconState, _require_finite
+from .core import EconState, _require_finite, _require_integer
 from .errors import ConfigError, DomainError, ScopeError
 
 __all__ = [
@@ -447,8 +447,9 @@ def monotone_path(
     Each period: solve the premium at the current core share, derive the
     repression bias eps = pi - r_rep - rho, evaluate the feedback gain, and
     step the core.  Reports the first period with eta >= 1 (contraction
-    failure) and the first case-c period.
+    failure) and the first case-c period.  `horizon` is an integer >= 1.
     """
+    _require_integer("horizon", horizon)
     if horizon < 1:
         raise DomainError("horizon must be >= 1")
     r_rep = econ.r_n if r_rep is None else r_rep
@@ -594,11 +595,14 @@ def fixed_point_scan(
     for stationary points.
 
     Interior fixed points are transversal zeros of Phi(theta) - theta found
-    by sign-change bracketing on the grid and refined by bisection.  The
-    upper corner theta = 1 is reported as a safe stationary point of the
-    clamped dynamics when the unclamped map points upward there (maintenance
-    saturates the share); a downward exit at theta = 0 is de-captivation,
-    reported as a diagnostic rather than an equilibrium.
+    by sign-change bracketing on the grid and refined by bisection, and
+    isolated zeros on the grid; adjacent zeros on the grid (with kappa = 0,
+    wherever eps <= 0) are an interval reported as the `stationary_interval`
+    diagnostic, with no fixed point inside.  The upper corner theta = 1 is
+    reported as a safe stationary point of the clamped dynamics when the
+    unclamped map points upward there (maintenance saturates the share); a
+    downward exit at theta = 0 is de-captivation, reported as a diagnostic
+    rather than an equilibrium.
 
     The premium rho(theta) on the grid is evaluated for all grid points at
     once; refinement, slopes and residuals use the scalar solver.  A bracket
@@ -608,13 +612,14 @@ def fixed_point_scan(
     reported once as the `premium_jump` diagnostic, never as a fixed point.
     Other diagnostics: `degenerate_continuum` (the map is the identity),
     `exits_at_floor`, and `above_diagonal`/`below_diagonal` when no
-    stationary point exists.
+    stationary point or interval exists.
 
     Each fixed point carries the branch label (safe: rho = 0; stress:
     rho > 0), the local slope |dPhi/dtheta| by central differences, and, for
     safe points, the buffer to the zero-premium boundary less the
     shock-absorption allowance sigma*eta/(1 - eta).
     """
+    _require_integer("grid", grid)
     if grid < 1000:
         raise DomainError("grid must be >= 1000 points")
 
@@ -628,7 +633,11 @@ def fixed_point_scan(
     if np.all(np.abs(vals) <= 1e-12):
         return {"fixed_points": [], "diagnostics": ["degenerate_continuum"]}
 
-    on_grid = np.abs(vals[:-1]) <= 1e-12
+    zero = np.abs(vals) <= 1e-12
+    pair = zero[:-1] & zero[1:]  # zeros at both ends of cell i: no root there
+    if pair.any():
+        diagnostics.append("stationary_interval")
+    on_grid = zero[:-1] & ~(pair | np.r_[False, pair[:-1]])
     on_grid[0] = False
     crossing = vals[:-1] * vals[1:] < 0.0
     roots: List[float] = []
@@ -654,7 +663,7 @@ def fixed_point_scan(
         roots.append(1.0)  # absorbing ceiling: clamped map is stationary at 1
     if vals[0] < -1e-12:
         diagnostics.append("exits_at_floor")
-    if not roots:
+    if not roots and not pair.any():
         diagnostics.append(
             "above_diagonal" if vals[0] > 0 else "below_diagonal"
         )

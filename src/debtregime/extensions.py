@@ -13,7 +13,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import _require_finite
+from .core import _require_finite, _require_integer
 from .errors import (
     DomainError,
     EstimationError,
@@ -88,7 +88,7 @@ class ClockSpec:
 class PsiSpec:
     """Control-rights sub-indices and composite weights.
 
-    Weights must be nonnegative and sum to 1 within 1e-12.
+    Exactly three weights, nonnegative and summing to 1 within 1e-12.
     """
 
     mon: float
@@ -97,6 +97,8 @@ class PsiSpec:
     weights: Tuple[float, float, float] = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
     def __post_init__(self):
+        if len(self.weights) != 3:
+            raise DomainError(f"need exactly three weights, got {self.weights!r}")
         for w in self.weights:
             _require_finite("weight", w)
         for name in ("mon", "abs_proxy", "fx"):
@@ -261,6 +263,7 @@ def estimate_kappa(
     }
     if break_index is None:
         return out
+    _require_integer("break_index", break_index)
     n = len(pts)
     if not (3 <= break_index <= n - 3):
         raise EstimationError(

@@ -61,9 +61,9 @@ class MeasurementVariant:
 
 @dataclass(frozen=True)
 class TierEnvelope:
-    """Lower/upper score bounds over one tier's variants at one period."""
+    """Lower/upper score bounds over one tier's variants, with the ids of
+    the variants that attain them."""
 
-    t: int
     lower: float
     upper: float
     argmin_id: str
@@ -149,7 +149,7 @@ def tier_scores(base, variants: Sequence[MeasurementVariant], tier: int,
     return out
 
 
-def envelope(scores: Dict[str, float], t: int = 0) -> TierEnvelope:
+def envelope(scores: Dict[str, float]) -> TierEnvelope:
     """Min/max envelope over one tier's variant scores.
 
     `scores` maps variant id -> score.  Ties resolve to the earliest id in
@@ -160,13 +160,8 @@ def envelope(scores: Dict[str, float], t: int = 0) -> TierEnvelope:
         raise ConfigError("envelope requires at least one variant in the tier")
     lo_id = min(scores, key=scores.__getitem__)
     hi_id = max(scores, key=scores.__getitem__)
-    return TierEnvelope(
-        t=t,
-        lower=scores[lo_id],
-        upper=scores[hi_id],
-        argmin_id=lo_id,
-        argmax_id=hi_id,
-    )
+    return TierEnvelope(lower=scores[lo_id], upper=scores[hi_id],
+                        argmin_id=lo_id, argmax_id=hi_id)
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -252,8 +247,10 @@ def subsample_critical_value(
     return float(half) if r.ndim == 1 else half
 
 
-def classify(env: TierEnvelope, c_lower: float, c_upper: float, mode: str) -> str:
-    """Conservative sign-rule classification of a widened envelope.
+def classify(lower: float, upper: float, c_lower: float, c_upper: float,
+             mode: str) -> str:
+    """Conservative sign-rule classification of the widened envelope
+    [lower - c_lower, upper + c_upper].
 
     The positive label when the widened lower bound clears zero, the
     negative label when the widened upper bound is below zero, the middle
@@ -265,9 +262,9 @@ def classify(env: TierEnvelope, c_lower: float, c_upper: float, mode: str) -> st
     if mode not in ("PE", "TF"):
         raise DomainError(f"mode must be 'PE' or 'TF', got {mode!r}")
     positive, middle, negative = PE_LABELS if mode == "PE" else TF_LABELS
-    if env.lower - c_lower > 0:
+    if lower - c_lower > 0:
         return positive
-    if env.upper + c_upper < 0:
+    if upper + c_upper < 0:
         return negative
     return middle
 
@@ -278,8 +275,9 @@ def trend_growth_estimate(
     """Annualized log-linear trend growth over the trailing window.
 
     OLS slope of log(GDP) on the quarter index, times 4.  Requires strictly
-    positive values and a window of at least 8 quarters.
+    positive values and an integer window of at least 8 quarters.
     """
+    _require_integer("window_quarters", window_quarters)
     y = np.asarray(gdp_series, dtype=float)
     if window_quarters < 8:
         raise EstimationError(f"window_quarters must be >= 8, got {window_quarters}")

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import EconState, RegimeParams, _require_finite
+from .core import EconState, RegimeParams, _require_finite, _require_integer
 from .errors import DomainError
 
 __all__ = [
@@ -256,6 +256,7 @@ def allocate(problem: AllocationProblem, grid_resolution: int = 40) -> dict:
     than 1e-15, so ties resolve to the earliest point in that order (the
     lexicographically smallest).  For J > 3 this is `allocate_ascent`.
     """
+    _require_integer("grid_resolution", grid_resolution)
     J = problem.n_sectors
     if problem.budget == 0.0:
         x0 = [0.0] * J

@@ -9,9 +9,8 @@ and growth threshold come from the closure and transition kernels.  Both
 experiments run the same stages on [replication, period] arrays: one draw
 helper, one AR(1) recursion advancing every state of every replication per
 period, one band pass per window length (one detrend call, and one band
-call per block length, on every horizon or premium bound sharing it), each
-replication's envelope built once per horizon for every block and method,
-and one rate rule (the mean of 0/1 indicators over the replications).  The
+call per block length, on every horizon or premium bound sharing it), and
+one rate rule (the mean of 0/1 indicators over the replications).  The
 transition experiment's mean tier-2 width is summed in replication order.
 `threads` is accepted and has no effect.
 """
@@ -33,7 +32,6 @@ from .inference import (
     PE_LABELS,
     TF_LABELS,
     SubsampleConfig,
-    TierEnvelope,
     classify,
     detrend_local_linear,
     subsample_critical_value,
@@ -305,23 +303,16 @@ def _bands(
     return out
 
 
-def _envelopes(lower: np.ndarray, upper: np.ndarray) -> List[TierEnvelope]:
-    """Each replication's envelope at one period (C order over the bounds'
-    shape), built once and shared by every block and method using it."""
-    return [
-        TierEnvelope(t=0, lower=lo, upper=up, argmin_id="", argmax_id="")
-        for lo, up in zip(lower.ravel().tolist(), upper.ravel().tolist())
-    ]
-
-
 def _labels(
-    envs: Sequence[TierEnvelope], c_lo: np.ndarray, c_up: np.ndarray, mode: str
+    lower: np.ndarray, upper: np.ndarray, c_lo: np.ndarray, c_up: np.ndarray, mode: str
 ) -> np.ndarray:
-    """Sign-rule label of each replication's envelope widened by its band
-    half-widths: `classify` on each element, in an array of c_lo's shape."""
+    """Sign-rule label of each replication's bounds widened by its band
+    half-widths: `classify` on each element of the four same-shape arrays,
+    in C order, in an array of their shape."""
     return np.array([
-        classify(env, cl, cu, mode)
-        for env, cl, cu in zip(envs, c_lo.ravel().tolist(), c_up.ravel().tolist())
+        classify(lo, up, cl, cu, mode)
+        for lo, up, cl, cu in zip(lower.ravel().tolist(), upper.ravel().tolist(),
+                                  c_lo.ravel().tolist(), c_up.ravel().tolist())
     ]).reshape(c_lo.shape)
 
 
@@ -375,8 +366,6 @@ def run_mc_pe(cfg: MCConfig, threads: int = 1) -> dict:
     for h_yr, q, horizon_bands in zip(cfg.evaluation_horizons, qs, bands):
         lo2, up2, lo3, up3 = bounds[:, :, q]
         point = scores[0, :, q]
-        env2, env3 = _envelopes(lo2, up2), _envelopes(lo3, up3)
-        env_point = _envelopes(point, point)
         naive_plugin = np.where(point > 0, positive, negative)
         single_threshold = np.select(
             [point > cfg.dead_zone, point < -cfg.dead_zone], [positive, negative], middle
@@ -385,11 +374,11 @@ def run_mc_pe(cfg: MCConfig, threads: int = 1) -> dict:
         # enumerates the grid, and the non-band methods repeat at every block
         labels = np.array([
             [
-                _labels(env2, c_lo2, c_up2, "PE"),
-                _labels(env3, c_lo3, c_up3, "PE"),
+                _labels(lo2, up2, c_lo2, c_up2, "PE"),
+                _labels(lo3, up3, c_lo3, c_up3, "PE"),
                 naive_plugin,
                 single_threshold,
-                _labels(env_point, c_fix, c_fix, "PE"),
+                _labels(point, point, c_fix, c_fix, "PE"),
             ]
             for c_lo2, c_up2, c_lo3, c_up3, c_fix in horizon_bands
         ])
@@ -451,15 +440,14 @@ def run_mc_tf(
     truth_feasible = g_new - _threshold(pi_path[:, q], d_path[:, q], 0.0, b_true,
                                         rho[..., 0], cfg.tf_m) > 0.0
     base_q, lo2_q, up2_q = s_base[..., q], lo2[..., q], up2[..., q]
-    env_base = _envelopes(base_q, base_q)
     feasible, _, infeasible = TF_LABELS
     # [method, bound, rep] labels in TF_METHODS order
     labels = np.array([
-        _labels(env_base, c_base, c_base, "TF"),
-        _labels(_envelopes(lo2_q, up2_q), c_lo2, c_up2, "TF"),
+        _labels(base_q, base_q, c_base, c_base, "TF"),
+        _labels(lo2_q, up2_q, c_lo2, c_up2, "TF"),
         np.where(base_q > 0, feasible, infeasible),
         np.where(s_mon[..., q] > 0, feasible, infeasible),
-        _labels(env_base, c_fix, c_fix, "TF"),
+        _labels(base_q, base_q, c_fix, c_fix, "TF"),
     ])
     # [method, bound, metric] rates: false feasible, false infeasible, coverage, marginal
     rates = _outcomes(labels, truth_feasible, TF_LABELS).mean(axis=2) * 100.0

@@ -196,7 +196,7 @@ def build_tier_pe(scenario: Scenario, seed: int) -> TableArtifact:
             (reading, tier, score_pe(p) * 100, ref * 100 if ref is not None else None)
         )
     env = envelope({r[0]: r[2] for r in rows})
-    label = classify(env, 0.0, 0.0, "PE")
+    label = classify(env.lower, env.upper, 0.0, 0.0, "PE")
     rows.append((f"tier2_envelope_lower_{label}", 2, env.lower, None))
     rows.append((f"tier2_envelope_upper_{label}", 2, env.upper, None))
     return TableArtifact(

@@ -397,6 +397,27 @@ class TestFixedPointScan:
         for res in (out, out2):
             assert all(fp["residual"] <= 1e-10 for fp in res["fixed_points"])
 
+    def test_zero_drift_interval_is_one_diagnostic(self):
+        # kappa = 0: wherever eps <= 0 the drift is exactly 0, and the
+        # scan used to report every other point of that interval (231 of
+        # them) as a fixed point of slope 1
+        out = fixed_point_scan(BASE, ThetaLaw(g0=0.5), 0.03, 0.02)
+        assert out["diagnostics"] == ["stationary_interval"]
+        assert [(fp["theta_star"], fp["type"]) for fp in out["fixed_points"]] == [(1.0, "safe")]
+
+    def test_isolated_grid_zero_stays_a_fixed_point(self, monkeypatch):
+        # a grid drift with zero runs of two and three points and one
+        # isolated zero, positive elsewhere: only the isolated zero and the
+        # ceiling are fixed points
+        import debtregime.closure as closure
+
+        vals = np.full(2001, 1e-3)
+        vals[[100, 101, 500, 800, 801, 802]] = 0.0
+        monkeypatch.setattr(closure, "_core_drift", lambda rho, law, pi, r_rep: vals)
+        out = fixed_point_scan(BASE, ThetaLaw(kappa_theta=0.001, g0=0.3), 0.03, 0.015)
+        assert out["diagnostics"] == ["stationary_interval"]
+        assert [fp["theta_star"] for fp in out["fixed_points"]] == [0.25, 1.0]
+
 
 def _reference_rho(p, thetas, zs=None):
     """Per-element scalar solves (at p's spread unless `zs` gives one per

@@ -13,16 +13,27 @@ from debtregime.core import (
     step_debt,
     step_debt_stochastic,
 )
-from debtregime.closure import ThetaLaw, phi_req_affine, theta_step
+from debtregime.closure import (
+    ThetaLaw,
+    TwoLayerParams,
+    fixed_point_scan,
+    monotone_path,
+    perturbation_response,
+    phi_req_affine,
+    theta_step,
+)
 from debtregime.errors import ConfigError, DomainError
 from debtregime.extensions import (
     captive_threshold_shift,
+    estimate_kappa,
     marginal_gain_sequence,
     paradox_test,
     ratchet_gap,
     repression_dividend,
     timing_feasible,
 )
+from debtregime.inference import trend_growth_estimate
+from debtregime.investment import AllocationProblem, allocate
 from debtregime.transition import TransitionSpec, feasibility_label, joint_feasibility
 
 
@@ -266,3 +277,35 @@ def test_infinite_sentinels_still_accepted():
     assert feasibility_label(math.inf, (0.03, 0.10), 0.02) == "Infeasible"
     assert joint_feasibility(_SPEC, math.inf)["financeable"] is False
     assert timing_feasible(2.0, math.inf) is True
+
+
+_SHARES = [(2000 + 0.25 * i, 0.9 - 0.004 * i + 0.001 * (i % 3)) for i in range(12)]
+_GDP = [100.0 * 1.007**i for i in range(12)]
+# (function, count argument, call with that count, a valid count): each
+# non-integer count used to end in a raw TypeError, and the scan's grid to
+# run silently on a non-uniform grid
+COUNT_CASES = [
+    ("monotone_path", "horizon",
+     lambda n: monotone_path(TwoLayerParams(), ThetaLaw(), state(), n), 3),
+    ("perturbation_response", "horizon",
+     lambda n: perturbation_response(TwoLayerParams(), ThetaLaw(), state(), n, 0.01), 3),
+    ("estimate_kappa", "break_index", lambda n: estimate_kappa(_SHARES, break_index=n), 5),
+    ("trend_growth_estimate", "window_quarters", lambda n: trend_growth_estimate(_GDP, n), 8),
+    ("allocate", "grid_resolution",
+     lambda n: allocate(AllocationProblem(mu_j=(0.05, 0.04), budget=0.01), n), 10),
+    ("fixed_point_scan", "grid", lambda n: fixed_point_scan(
+        TwoLayerParams(), ThetaLaw(kappa_theta=0.001, g0=0.3), 0.03, 0.015, grid=n), 1000),
+]
+
+
+@pytest.mark.parametrize("name, call, count", [c[1:] for c in COUNT_CASES],
+                         ids=[c[0] for c in COUNT_CASES])
+def test_non_integer_count_rejected_by_name(name, call, count):
+    with pytest.raises(DomainError, match=f"^{name} must be an integer, got {count}.5$"):
+        call(count + 0.5)
+
+
+@pytest.mark.parametrize("call, count", [c[2:] for c in COUNT_CASES],
+                         ids=[c[0] for c in COUNT_CASES])
+def test_numpy_integer_count_accepted(call, count):
+    assert call(np.int64(count)) == call(count)

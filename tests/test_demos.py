@@ -11,6 +11,9 @@ import pytest
 
 DEMOS = sorted(glob.glob(os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos", "*.py")))
+# a numpy overflow, invalid-value or deprecation warning fails a demo, as in
+# the suite
+DEMO_RUN = [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning"]
 
 
 def test_demos_found():
@@ -19,8 +22,7 @@ def test_demos_found():
 
 @pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
 def test_demo_runs(path, tmp_path):
-    # a numpy overflow or invalid-value warning fails the demo, as in the suite
-    res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", path], cwd=tmp_path,
+    res = subprocess.run(DEMO_RUN + [path], cwd=tmp_path,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr[-2000:]
     assert res.stdout.strip()
@@ -41,7 +43,7 @@ DEMO_STDOUT_SHA256 = {
 
 @pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
 def test_demo_stdout_pinned(path, tmp_path):
-    res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", path], cwd=tmp_path,
+    res = subprocess.run(DEMO_RUN + [path], cwd=tmp_path,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr[-2000:]
     digest = hashlib.sha256(res.stdout.encode()).hexdigest()

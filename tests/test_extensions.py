@@ -333,6 +333,11 @@ class TestPsiComposite:
             PsiSpec(0.5, 0.5, 0.5, weights=(0.5, 0.5, 0.5))
         with pytest.raises(DomainError):
             PsiSpec(1.2, 0.5, 0.5)
+        # a fourth weight used to pass the sum check and then be ignored, and
+        # two weights to end in a raw IndexError
+        for weights in ((0.25,) * 4, (0.5, 0.5)):
+            with pytest.raises(DomainError, match="exactly three weights"):
+                PsiSpec(1.0, 1.0, 1.0, weights=weights)
 
 
 class TestTiming:

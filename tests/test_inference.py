@@ -10,7 +10,6 @@ from debtregime.errors import ConfigError, DomainError, EstimationError
 from debtregime.inference import (
     MeasurementVariant,
     SubsampleConfig,
-    TierEnvelope,
     apply_pe_variant,
     apply_tf_variant,
     classify,
@@ -66,7 +65,7 @@ class TestEnvelope:
     def test_two_reading_band(self):
         env = envelope({"baseline": 0.03, "core_erosion": -0.01})
         assert (env.lower, env.upper) == (-0.01, 0.03)
-        assert classify(env, 0.0, 0.0, "PE") == "boundary-near"
+        assert classify(env.lower, env.upper, 0.0, 0.0, "PE") == "boundary-near"
 
     def test_tie_break_deterministic(self):
         env = envelope({"a": 0.01, "b": 0.01})
@@ -395,19 +394,14 @@ class TestSubsampling:
 
 class TestClassify:
     def test_pe_sign_rules(self):
-        env = TierEnvelope(0, 0.02, 0.04, "a", "b")
-        assert classify(env, 0.005, 0.005, "PE") == "robustly-interior"
-        env2 = TierEnvelope(0, -0.04, -0.02, "a", "b")
-        assert classify(env2, 0.005, 0.005, "PE") == "robustly-premium-emergent"
-        env3 = TierEnvelope(0, -0.01, 0.03, "a", "b")
-        assert classify(env3, 0.0, 0.0, "PE") == "boundary-near"
+        assert classify(0.02, 0.04, 0.005, 0.005, "PE") == "robustly-interior"
+        assert classify(-0.04, -0.02, 0.005, 0.005, "PE") == "robustly-premium-emergent"
+        assert classify(-0.01, 0.03, 0.0, 0.0, "PE") == "boundary-near"
 
     def test_tf_sign_rules(self):
-        env = TierEnvelope(0, 0.004, 0.009, "a", "b")
-        assert classify(env, 0.001, 0.001, "TF") == "feasible"
-        assert classify(env, 0.005, 0.001, "TF") == "marginal"
-        env2 = TierEnvelope(0, -0.009, -0.004, "a", "b")
-        assert classify(env2, 0.001, 0.001, "TF") == "infeasible"
+        assert classify(0.004, 0.009, 0.001, 0.001, "TF") == "feasible"
+        assert classify(0.004, 0.009, 0.005, 0.001, "TF") == "marginal"
+        assert classify(-0.009, -0.004, 0.001, 0.001, "TF") == "infeasible"
 
     def test_conservatism_never_interior_below_band(self):
         rng = np.random.default_rng(17)
@@ -415,23 +409,22 @@ class TestClassify:
             scores = {f"v{i}": float(rng.normal(0, 0.02)) for i in range(4)}
             c = float(rng.uniform(0, 0.01))
             env = envelope(scores)
-            label = classify(env, c, c, "PE")
+            label = classify(env.lower, env.upper, c, c, "PE")
             if label == "robustly-interior":
                 assert min(scores.values()) >= -c
 
     def test_exactly_one_label(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
-            env = TierEnvelope(0, float(rng.normal(0, 0.02)), 0.0, "a", "b")
-            env = TierEnvelope(0, min(env.lower, 0.0), max(env.lower, 0.0) + 0.01, "a", "b")
-            label = classify(env, 0.002, 0.002, "PE")
+            x = float(rng.normal(0, 0.02))
+            label = classify(min(x, 0.0), max(x, 0.0) + 0.01, 0.002, 0.002, "PE")
             assert label in (
                 "robustly-interior", "boundary-near", "robustly-premium-emergent"
             )
 
     def test_bad_mode(self):
         with pytest.raises(DomainError):
-            classify(TierEnvelope(0, 0.0, 0.0, "a", "b"), 0.0, 0.0, "XX")
+            classify(0.0, 0.0, 0.0, 0.0, "XX")
 
 
 class TestDetrendEnvelopeCommutation:

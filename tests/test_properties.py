@@ -21,8 +21,11 @@ from debtregime.closure import (
     solve_premium_bisection,
 )
 from debtregime.inference import (
+    PE_LABELS,
+    TF_LABELS,
     MeasurementVariant,
     SubsampleConfig,
+    classify,
     envelope,
     subsample_critical_value,
     tier_scores,
@@ -138,6 +141,24 @@ def test_tier3_envelope_contains_tier2(readings):
     env2 = envelope(tier_scores(base, variants, 2))
     env3 = envelope(tier_scores(base, variants, 3))
     assert env3.lower <= env2.lower <= env2.upper <= env3.upper
+
+
+@PROPERTY
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4),
+       st.lists(st.floats(min_value=0.0, allow_infinity=False), min_size=4, max_size=4),
+       st.sampled_from(["PE", "TF"]))
+def test_wider_band_or_envelope_never_flips_the_label(bounds, widths, mode):
+    # [lo, up] nests in [outer_lo, outer_up]; c <= c_wide on each side
+    outer_lo, lo, up, outer_up = sorted(bounds)
+    c_lo, c_lo_wide = sorted(widths[:2])
+    c_up, c_up_wide = sorted(widths[2:])
+    middle = (PE_LABELS if mode == "PE" else TF_LABELS)[1]
+    label = classify(lo, up, c_lo, c_up, mode)
+    for wider in (classify(lo, up, c_lo_wide, c_up_wide, mode),
+                  classify(outer_lo, outer_up, c_lo, c_up, mode),
+                  classify(outer_lo, outer_up, c_lo_wide, c_up_wide, mode)):
+        # the same label or the middle one, never the opposite point label
+        assert wider in (label, middle)
 
 
 @PROPERTY
