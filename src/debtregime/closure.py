@@ -11,6 +11,7 @@ de-captivation).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -52,31 +53,43 @@ class MarginDistribution:
     share of the margin with no captivity benefit at all), end at
     (c_bar, 1), and be strictly increasing in both coordinates.  A first
     knot c0 within 1e-15 above 0 extends the atom: G = G(c0) on [0, c0).
+    The knots are checked on construction; `validate(c_bar)` checks that the
+    last one lies within 1e-12 of c_bar.
     """
 
     kind: str = "uniform"
     knots: Optional[Tuple[Tuple[float, float], ...]] = None
 
+    def __post_init__(self):
+        # the knots are checked once, here; every margin sets the same
+        # attributes in the same order (None on uniform margins), so both
+        # kinds share one attribute layout and uniform lookups stay as fast
+        cs = None
+        if self.kind != "uniform":
+            if self.kind != "table":
+                raise ConfigError(f"unknown margin distribution kind {self.kind!r}")
+            if not self.knots or len(self.knots) < 2:
+                raise ConfigError("table CDF needs at least two knots")
+            for c, g in self.knots:
+                _require_finite("table CDF knot position", c)
+                _require_finite("table CDF knot value", g)
+            cs = tuple(k[0] for k in self.knots)
+            gs = [k[1] for k in self.knots]
+            if abs(cs[0]) > 1e-15 or not (0.0 <= gs[0] < 1.0):
+                raise ConfigError("table CDF must start at c=0 with 0 <= G(0) < 1")
+            if abs(gs[-1] - 1.0) > 1e-12:
+                raise ConfigError("table CDF must end at (c_bar, 1)")
+            if any(c1 <= c0 for c0, c1 in zip(cs, cs[1:])):
+                raise ConfigError("table CDF knot positions must be strictly increasing")
+            if any(g1 <= g0 for g0, g1 in zip(gs, gs[1:])):
+                raise ConfigError("table CDF values must be strictly increasing")
+        object.__setattr__(self, "_cs", cs)  # knot positions, for `bisect`
+
     def validate(self, c_bar: float) -> None:
-        if self.kind == "uniform":
-            return
-        if self.kind != "table":
-            raise ConfigError(f"unknown margin distribution kind {self.kind!r}")
-        if not self.knots or len(self.knots) < 2:
-            raise ConfigError("table CDF needs at least two knots")
-        for c, g in self.knots:
-            _require_finite("table CDF knot position", c)
-            _require_finite("table CDF knot value", g)
-        cs = [k[0] for k in self.knots]
-        gs = [k[1] for k in self.knots]
-        if abs(cs[0]) > 1e-15 or not (0.0 <= gs[0] < 1.0):
-            raise ConfigError("table CDF must start at c=0 with 0 <= G(0) < 1")
-        if abs(cs[-1] - c_bar) > 1e-12 or abs(gs[-1] - 1.0) > 1e-12:
+        """The one check that needs c_bar: a table's last knot lies within
+        1e-12 of it (the knots themselves are checked on construction)."""
+        if self._cs is not None and abs(self._cs[-1] - c_bar) > 1e-12:
             raise ConfigError("table CDF must end at (c_bar, 1)")
-        if any(c1 <= c0 for c0, c1 in zip(cs, cs[1:])):
-            raise ConfigError("table CDF knot positions must be strictly increasing")
-        if any(g1 <= g0 for g0, g1 in zip(gs, gs[1:])):
-            raise ConfigError("table CDF values must be strictly increasing")
 
     def cdf(self, c: float, c_bar: float) -> float:
         if c < 0.0:
@@ -85,13 +98,16 @@ class MarginDistribution:
             return 1.0
         if self.kind == "uniform":
             return c / c_bar
-        knots = self.knots
-        if c < knots[0][0]:
-            return knots[0][1]
-        for (c0, g0), (c1, g1) in zip(knots, knots[1:]):
-            if c0 <= c <= c1:
-                return g0 + (c - c0) / (c1 - c0) * (g1 - g0)
-        return 1.0  # pragma: no cover
+        cs = self._cs
+        i = bisect_left(cs, c)  # the first knot at or above c
+        if i == len(cs):
+            return 1.0  # between the last knot and c_bar
+        if i == 0:
+            if c != cs[0]:  # the atom below an offset first knot (NaN: 1.0)
+                return self.knots[0][1] if c < cs[0] else 1.0
+            i = 1
+        (c0, g0), (c1, g1) = self.knots[i - 1], self.knots[i]
+        return g0 + (c - c0) / (c1 - c0) * (g1 - g0)
 
     def cdf_array(self, c: np.ndarray, c_bar: float) -> np.ndarray:
         """`cdf` element by element on an array: the same clamps, the atom
@@ -101,14 +117,14 @@ class MarginDistribution:
         c = np.asarray(c, dtype=float)
         if self.kind == "uniform":
             return np.clip(c, 0.0, c_bar) / c_bar
-        cs = np.array([k[0] for k in self.knots])
+        cs = np.array(self._cs)
         gs = np.array([k[1] for k in self.knots])
         n_seg = len(cs) - 1
         seg = np.searchsorted(cs[1:], c)  # first segment with c <= c1
         covered = seg < n_seg
         seg = np.minimum(seg, n_seg - 1)
-        c0, c1, g0, g1 = cs[seg], cs[seg + 1], gs[seg], gs[seg + 1]
-        inner = np.where(covered, g0 + (c - c0) / (c1 - c0) * (g1 - g0), 1.0)
+        dc, dg = cs[1:] - cs[:-1], gs[1:] - gs[:-1]  # segment widths
+        inner = np.where(covered, gs[seg] + (c - cs[seg]) / dc[seg] * dg[seg], 1.0)
         inner = np.where(c < cs[0], gs[0], inner)
         return np.where(c < 0.0, 0.0, np.where(c >= c_bar, 1.0, inner))
 
@@ -117,11 +133,13 @@ class MarginDistribution:
             return 0.0
         if self.kind == "uniform":
             return 1.0 / c_bar
-        knots = self.knots
-        for (c0, g0), (c1, g1) in zip(knots, knots[1:]):
-            if c0 <= c <= c1:
-                return (g1 - g0) / (c1 - c0)
-        return 0.0  # G is flat below the first knot (the atom) and above the last
+        cs = self._cs
+        i = bisect_left(cs, c)  # the first knot at or above c, as in `cdf`
+        if i == len(cs) or (i == 0 and c != cs[0]):
+            return 0.0  # G is flat below the first knot (the atom) and past the last (NaN: 0.0)
+        i = max(i, 1)
+        (c0, g0), (c1, g1) = self.knots[i - 1], self.knots[i]
+        return (g1 - g0) / (c1 - c0)
 
 
 @dataclass(frozen=True)
@@ -328,12 +346,14 @@ def _premium_on_grid(p: TwoLayerParams, thetas: np.ndarray, z) -> np.ndarray:
         mid = 0.5 * (lo + hi)
         f_mid = _demand_on_grid(mid, th, zb, p) - p.phi_req
         done = np.abs(f_mid) <= _BISECT_TOL
-        rho[idx[done]] = mid[done]
-        go = ~done
-        below = f_mid[go] < 0
-        idx, th, zb, mid = idx[go], th[go], zb[go], mid[go]
-        lo = np.where(below, mid, lo[go])
-        hi = np.where(below, hi[go], mid)
+        below = f_mid < 0
+        if done.any():  # compact only when an element exits
+            rho[idx[done]] = mid[done]
+            go = ~done
+            idx, th, zb, mid, below, lo, hi = (
+                idx[go], th[go], zb[go], mid[go], below[go], lo[go], hi[go])
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
     rho[idx] = hi  # upper end: demand weakly above the requirement
     return rho
 

@@ -139,6 +139,8 @@ def tier_scores(base, variants: Sequence[MeasurementVariant], tier: int,
                 mode: str = "PE") -> Dict[str, float]:
     """Evaluate every variant admissible at a tier (nesting is by
     construction: a tier-k variant belongs to all tiers >= k)."""
+    if mode not in ("PE", "TF"):
+        raise DomainError(f"mode must be 'PE' or 'TF', got {mode!r}")
     apply = apply_pe_variant if mode == "PE" else apply_tf_variant
     out: Dict[str, float] = {}
     for v in variants:

@@ -1,8 +1,11 @@
+import hashlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from debtregime.closure import (
     _premium_on_grid,
@@ -578,18 +581,134 @@ class TestPremiumOnGrid:
         assert out == _reference_scan(p, law, pi, r_rep, grid=grid, sigma=0.001)
 
 
+# SHA-256 of repr(monotone_path) from theta = 0.95 under a law that erodes the
+# core through cases a, c and d, and of repr(fixed_point_scan), on each table
+# margin of GRID_STATES; recorded with the linear knot scan, before knot
+# bisection and the lockstep's compaction on exits
+TABLE_PATH_SCAN_SHA256 = {
+    4: ("11293e85587044bdec9810cd1fd65380519805b2a0c2a8c2be860ce7d114e0ee",
+        "37720e642590f3c68d4ab05410c8ff18993bdffb95dcc9ac226796db5d688d62"),
+    5: ("9c90bdce5c8adca4b3fd2d5fb15096e916b6d8bea6ea9748e2ce79c3161a7ced",
+        "b07d411cc654948320b9b202dd97dfa46e5a202746ce162da33cc32a13776b1c"),
+    6: ("bc9e24eaf34d564132c43bbd8c255493ddc572c2bf6765aa3dea2777b951d0e1",
+        "ea1bf98c24f5401631d242ce9fc9baa56da4a5ddc90a87298b7cc2a152661a1b"),
+    7: ("b4a1c796b58f4b97b149e3038b2547a2fdaf9a6dc92f04997c27ea9bbe58dba4",
+        "e3b745378764aed97e52c0a4e5c703eb41474157df2d77a4cc7a8aa799b9125e"),
+    8: ("4fd92f52d0208c4638022427ae034d7f10718ef0dc01d33a1fbcb626e09828f5",
+        "4e6e73c27e3c35fb6ad8af02a997044ef9519c8d55965fb94dcd66f31ae793d5"),
+}
+
+
+@pytest.mark.parametrize("i", sorted(TABLE_PATH_SCAN_SHA256))
+def test_table_margin_path_and_scan_pinned(i):
+    p = GRID_STATES[i]
+    assert p.dist.kind == "table"
+    path = monotone_path(p.with_theta(0.95), ThetaLaw(kappa_theta=0.01, g0=0.5), ECON, 50)
+    scan = fixed_point_scan(p, ThetaLaw(kappa_theta=0.002, g0=0.5), 0.03, 0.01,
+                            grid=1000, sigma=0.001)
+    got = tuple(hashlib.sha256(repr(out).encode()).hexdigest() for out in (path, scan))
+    assert got == TABLE_PATH_SCAN_SHA256[i]
+
+
+def _reference_cdf(dist, c, c_bar):
+    """The linear knot scan that `MarginDistribution.cdf` replaced by knot
+    bisection, kept as its exact-equality oracle."""
+    if c < 0.0:
+        return 0.0
+    if c >= c_bar:
+        return 1.0
+    if dist.kind == "uniform":
+        return c / c_bar
+    knots = dist.knots
+    if c < knots[0][0]:
+        return knots[0][1]
+    for (c0, g0), (c1, g1) in zip(knots, knots[1:]):
+        if c0 <= c <= c1:
+            return g0 + (c - c0) / (c1 - c0) * (g1 - g0)
+    return 1.0
+
+
+def _reference_density(dist, c, c_bar):
+    """The linear knot scan that `MarginDistribution.density` replaced."""
+    if c < 0.0 or c > c_bar:
+        return 0.0
+    if dist.kind == "uniform":
+        return 1.0 / c_bar
+    knots = dist.knots
+    for (c0, g0), (c1, g1) in zip(knots, knots[1:]):
+        if c0 <= c <= c1:
+            return (g1 - g0) / (c1 - c0)
+    return 0.0
+
+
+_unit = st.floats(1e-9, 1.0 - 1e-9)  # no subnormal knot widths
+
+
+@st.composite
+def _tables(draw):
+    """A valid table margin on [0, c_bar], with its first knot at 0 or up to
+    1e-15 above it and its last knot at c_bar or 5e-13 below it."""
+    c_bar = draw(st.floats(0.001, 0.5))
+    n_inner = draw(st.integers(0, 10))
+    inner_c = sorted({c_bar * u for u in draw(st.lists(_unit, min_size=n_inner,
+                                                        max_size=n_inner))})
+    c_first = draw(st.sampled_from([0.0, 1e-16, 5e-16, 1e-15]))
+    c_last = c_bar - draw(st.sampled_from([0.0, 5e-13]))
+    cs = [c_first] + [c for c in inner_c if c_first < c < c_last] + [c_last]
+    g_first = draw(st.sampled_from([0.0, 0.3]))
+    gs = sorted({g_first + (1.0 - g_first) * u
+                 for u in draw(st.lists(_unit, min_size=len(cs) - 2,
+                                        max_size=len(cs) - 2, unique=True))})
+    gs = [g_first] + [g for g in gs if g_first < g < 1.0] + [1.0]
+    n = min(len(cs), len(gs))  # a collapsed duplicate drops one inner knot
+    knots = tuple(zip(cs[:n - 1] + [cs[-1]], gs[:n - 1] + [gs[-1]]))
+    return MarginDistribution(kind="table", knots=knots), c_bar
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_tables(), extra=st.lists(st.floats(-0.01, 0.6), max_size=20))
+def test_knot_bisection_equals_linear_scan(table, extra):
+    dist, c_bar = table
+    TwoLayerParams(c_bar=c_bar, dist=dist)  # a valid margin for this c_bar
+    cs = [c for c, _ in dist.knots]
+    points = [0.0, -0.0, -1e-300, 5e-17, c_bar, c_bar + 1e-13, math.nan] + extra
+    points += [0.5 * (a + b) for a, b in zip(cs, cs[1:] + [c_bar])]
+    for c in cs:  # every knot, and the floats on either side of it
+        points += [c, math.nextafter(c, -math.inf), math.nextafter(c, math.inf)]
+    assert repr([dist.cdf(c, c_bar) for c in points]) == repr(
+        [_reference_cdf(dist, c, c_bar) for c in points])
+    assert repr([dist.density(c, c_bar) for c in points]) == repr(
+        [_reference_density(dist, c, c_bar) for c in points])
+    assert repr(dist.cdf_array(np.array(points), c_bar).tolist()) == repr(
+        [_reference_cdf(dist, c, c_bar) for c in points])
+
+
 class TestDistributionAndHelpers:
     def test_table_validation(self):
-        with pytest.raises(ConfigError):
-            MarginDistribution(kind="table", knots=((0.0, 0.0), (0.06, 0.9))).validate(0.06)
-        with pytest.raises(ConfigError):  # must start at c = 0
-            MarginDistribution(kind="table", knots=((0.01, 0.1), (0.06, 1.0))).validate(0.06)
-        with pytest.raises(ConfigError):  # atom must leave room to increase
-            MarginDistribution(kind="table", knots=((0.0, 1.0), (0.06, 1.0))).validate(0.06)
-        with pytest.raises(ConfigError):
-            MarginDistribution(
-                kind="table", knots=((0.0, 0.0), (0.03, 0.5), (0.03, 0.6), (0.06, 1.0))
-            ).validate(0.06)
+        # the knots are checked when the margin is built, with or without a c_bar
+        for knots, message in [
+            (((0.0, 0.0), (0.06, 0.9)), "must end at"),
+            (((0.01, 0.1), (0.06, 1.0)), "must start at c=0"),
+            (((0.0, 1.0), (0.06, 1.0)), "must start at c=0"),  # the atom leaves no room
+            (((0.0, 0.0), (0.03, 0.5), (0.03, 0.6), (0.06, 1.0)), "positions must be strictly"),
+            (((0.0, 0.0), (0.03, 0.5), (0.04, 0.5), (0.06, 1.0)), "values must be strictly"),
+            (((0.0, 0.0),), "at least two knots"),
+            (None, "at least two knots"),
+        ]:
+            with pytest.raises(ConfigError, match=message):
+                MarginDistribution(kind="table", knots=knots)
+
+    def test_table_must_end_at_c_bar(self):
+        # the one check that needs c_bar stays with the params
+        dist = MarginDistribution(kind="table", knots=((0.0, 0.0), (0.05, 1.0)))
+        with pytest.raises(ConfigError, match=r"table CDF must end at \(c_bar, 1\)"):
+            TwoLayerParams(c_bar=0.06, dist=dist)
+        with pytest.raises(ConfigError, match=r"table CDF must end at \(c_bar, 1\)"):
+            TwoLayerParams(c_bar=0.05 + 2e-12, dist=dist)
+        assert TwoLayerParams(c_bar=0.05 + 5e-13, dist=dist).dist is dist
+        assert TwoLayerParams(c_bar=0.05, dist=dist).with_theta(0.2).dist is dist
+        with pytest.raises(ConfigError, match="unknown margin distribution kind"):
+            MarginDistribution(kind="lognormal")
         # an atom of zero-benefit holders is a legitimate reading
         MarginDistribution(kind="table", knots=((0.0, 0.2), (0.06, 1.0))).validate(0.06)
 

@@ -131,6 +131,17 @@ class TestMeasurementVariants:
         e1, e2 = envelope(s1), envelope(s2)
         assert e2.lower <= e1.lower <= e1.upper <= e2.upper
 
+    @pytest.mark.parametrize("mode", ["pe", "XX", "tf", ""])
+    def test_bad_mode_is_the_classify_error(self, mode):
+        # a mode that is neither 'PE' nor 'TF' used to run the TF overlay on
+        # the closure params and end in a raw AttributeError
+        variants = [MeasurementVariant("a", {}, 1)]
+        with pytest.raises(DomainError) as raised:
+            tier_scores(TwoLayerParams(), variants, 1, mode=mode)
+        with pytest.raises(DomainError) as want:
+            classify(0.0, 0.0, 0.0, 0.0, mode)
+        assert str(raised.value) == str(want.value)
+
     def test_unknown_override_rejected(self):
         with pytest.raises(ConfigError):
             apply_pe_variant(TwoLayerParams(), MeasurementVariant("x", {"nope": 1}))
