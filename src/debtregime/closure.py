@@ -241,16 +241,20 @@ def demand_at(rho: float, p: TwoLayerParams) -> float:
     """Aggregate domestic demand theta + (1-theta)*[1 - G((z-rho)/psi)].
 
     Continuous and weakly increasing in rho; the CDF argument is clamped to
-    the distribution support.
+    the distribution support.  A premium that is negative, NaN or infinite
+    raises `DomainError`.
     """
-    if rho < 0:
-        raise DomainError(f"rho must be >= 0, got {rho}")
+    if not 0.0 <= rho < math.inf:
+        raise DomainError(f"rho must be finite and >= 0, got {rho}")
     arg = (p.z - rho) / p.psi
     return p.theta + (1.0 - p.theta) * (1.0 - p.dist.cdf(arg, p.c_bar))
 
 
 def demand_derivative(rho: float, p: TwoLayerParams) -> float:
-    """d(demand)/d(rho) = (1-theta)*g((z-rho)/psi)/psi."""
+    """d(demand)/d(rho) = (1-theta)*g((z-rho)/psi)/psi; the premium is
+    checked as in `demand_at`."""
+    if not 0.0 <= rho < math.inf:
+        raise DomainError(f"rho must be finite and >= 0, got {rho}")
     arg = (p.z - rho) / p.psi
     return (1.0 - p.theta) * p.dist.density(arg, p.c_bar) / p.psi
 

@@ -6,13 +6,15 @@ feasibility margin classifier (debt-concept ambiguity).  Replications are
 independent; each derives its generator from seed XOR replication index, so
 results are bit-identical for a fixed seed.  Demand, premium, core drift
 and growth threshold come from the closure and transition kernels.  Both
-experiments run the same stages on [replication, period] arrays: one draw
-helper, one AR(1) recursion advancing every state of every replication per
-period, one band pass per window length (one detrend call, and one band
-call per block length, on every horizon or premium bound sharing it), and
-one rate rule (the mean of 0/1 indicators over the replications).  The
-transition experiment's mean tier-2 width is summed in replication order.
-`threads` is accepted and has no effect.
+experiments stream their replications in consecutive blocks of at most
+`_BLOCK_REPS`, and each block runs the same stages on [replication, period]
+arrays: one draw helper, one AR(1) recursion advancing every state of every
+replication per period, one band pass per window length (one detrend call,
+and one band call per block length, on every horizon or premium bound
+sharing it), the sign-rule labels and the integer counts of the 0/1 outcome
+indicators.  A rate is the summed counts over `n_reps`, so it is exact
+whatever the block split.  The transition experiment's mean tier-2 width is
+summed in replication order.  `threads` is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, fields
-from typing import Callable, List, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -65,7 +67,7 @@ TF_METHODS = (
 
 
 _MONITOR_B = 1.574  # debt ratio under the monitoring (instrument-level) concept
-_BAND_REPS = 1024  # replications per band-kernel call: bounds the band stage's memory
+_BLOCK_REPS = 1024  # replications per block: bounds every stage's memory
 
 
 @dataclass(frozen=True)
@@ -168,18 +170,17 @@ def _rep_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(key))
 
 
+def _rep_blocks(n_reps: int) -> Iterator[range]:
+    """Consecutive replication blocks of at most `_BLOCK_REPS`, in order."""
+    return (range(r, min(r + _BLOCK_REPS, n_reps)) for r in range(0, n_reps, _BLOCK_REPS))
+
+
 def _draws(seed: int, reps: Sequence[int], draw: Callable) -> List[np.ndarray]:
     """`draw(rng)` on each replication's own stream returns its series in
     draw order; series i comes back as one [R, ...] array whose row j holds
-    reps[j]'s draws, written as drawn so no per-replication copy is kept."""
-    out = None
-    for j, r in enumerate(reps):
-        series = draw(_rep_rng(seed, r))
-        if out is None:
-            out = [np.empty((len(reps),) + np.shape(s)) for s in series]
-        for o, s in zip(out, series):
-            o[j] = s
-    return out
+    reps[j]'s draws.  Each replication's draws are held until they are
+    stacked; the experiments pass one replication block at a time."""
+    return [np.array(s) for s in zip(*(draw(_rep_rng(seed, r)) for r in reps))]
 
 
 def _ar1(coef: Union[float, np.ndarray], series: Sequence[np.ndarray]) -> np.ndarray:
@@ -283,23 +284,22 @@ def _bands(
     their windows of `demeaned` [d, R, T] (fixed-specification readings) are
     demeaned and appended as rows k to k + d - 1, and each block length runs
     one band call on every row.  Both kernels work row by row, so each row
-    equals a call on that series alone; replications pass in chunks of
-    `_BAND_REPS`, which bounds the kernels' working memory at large R.
+    equals a call on that series alone, whichever replications share the
+    call; the callers pass one replication block at a time, which bounds
+    the kernels' working memory.
     """
-    R = stack.shape[1]
-    out = np.empty((len(qs), len(blocks), len(stack) + len(demeaned), R))
+    out = np.empty((len(qs), len(blocks), len(stack) + len(demeaned), stack.shape[1]))
     widths = [min(window_h, q + 1) for q in qs]
     for w in dict.fromkeys(widths):
         group = [i for i, wi in enumerate(widths) if wi == w]
-        for reps in (slice(r, r + _BAND_REPS) for r in range(0, R, _BAND_REPS)):
-            # [m, series, reps, w]: the group's windows of each input
-            det, dem = (np.stack([x[:, reps, qs[i] + 1 - w : qs[i] + 1] for i in group])
-                        for x in (stack, demeaned))
-            rem = np.concatenate([detrend_local_linear(det, w)["remainder"],
-                                  dem - dem.mean(axis=-1, keepdims=True)], axis=1)
-            for bi, ell in enumerate(blocks):
-                sub = SubsampleConfig(window_h=w, block_len=min(ell, w - 1), alpha=alpha)
-                out[group, bi, :, reps] = subsample_critical_value(rem, sub)
+        # [m, series, R, w]: the group's windows of each input
+        det, dem = (np.stack([x[:, :, qs[i] + 1 - w : qs[i] + 1] for i in group])
+                    for x in (stack, demeaned))
+        rem = np.concatenate([detrend_local_linear(det, w)["remainder"],
+                              dem - dem.mean(axis=-1, keepdims=True)], axis=1)
+        for bi, ell in enumerate(blocks):
+            sub = SubsampleConfig(window_h=w, block_len=min(ell, w - 1), alpha=alpha)
+            out[group, bi] = subsample_critical_value(rem, sub)
     return out
 
 
@@ -329,20 +329,16 @@ def _outcomes(
     return np.stack([false_pos, false_neg, covered, label == middle], axis=-1)
 
 
-def run_mc_pe(cfg: MCConfig, threads: int = 1) -> dict:
-    """Premium-emergence classifier comparison.
+def _pe_counts(cfg: MCConfig, reps: range) -> np.ndarray:
+    """[horizon, block length, method, metric] outcome counts over the
+    replications `reps`: false safety, false alarm, coverage and warning,
+    with the block lengths of the grid and the methods in PE_METHODS order.
 
-    Returns rows keyed (horizon_yr, method, block_len) with false_safety,
-    false_alarm, coverage, and warning rates in percent.  Non-envelope
-    methods are reported at the default block length only; the proposed tier
-    methods appear once per entry of the block grid.  The five readings'
-    scores form one [reading, rep, period] array: tier 2 is the first three
-    (baseline and the two core-share shifts), tier 3 adds the two bowed
-    margin distributions.  A rate is the mean of 0/1 indicators over the
-    replications, so it is exact whatever the summation order.  `threads` is
-    accepted for compatibility and has no effect.
+    The five readings' scores form one [reading, rep, period] array: tier 2
+    is the first three (baseline and the two core-share shifts), tier 3 adds
+    the two bowed margin distributions.
     """
-    paths = simulate_pe_paths(cfg, range(cfg.n_reps))
+    paths = simulate_pe_paths(cfg, reps)
     theta_obs, z, true_scores = paths["theta_obs"], paths["z"], paths["true_scores"]
     shift = cfg.theta_reading_shift
     base = _params(cfg)
@@ -357,21 +353,17 @@ def run_mc_pe(cfg: MCConfig, threads: int = 1) -> dict:
     bounds = np.array([tier2.min(axis=0), tier2.max(axis=0),
                        scores.min(axis=0), scores.max(axis=0)])
     positive, middle, negative = PE_LABELS
-
-    blocks = list(cfg.block_grid)
-    default_bi = blocks.index(cfg.block_len)
     qs = _horizon_indices(cfg)
-    bands = _bands(bounds, scores[:1], qs, cfg.window_h, blocks, cfg.alpha)
-    rows = []
-    for h_yr, q, horizon_bands in zip(cfg.evaluation_horizons, qs, bands):
+    bands = _bands(bounds, scores[:1], qs, cfg.window_h, cfg.block_grid, cfg.alpha)
+    counts = []
+    for q, horizon_bands in zip(qs, bands):
         lo2, up2, lo3, up3 = bounds[:, :, q]
         point = scores[0, :, q]
         naive_plugin = np.where(point > 0, positive, negative)
         single_threshold = np.select(
             [point > cfg.dead_zone, point < -cfg.dead_zone], [positive, negative], middle
         )
-        # [block, method, rep] labels in PE_METHODS order; the block axis
-        # enumerates the grid, and the non-band methods repeat at every block
+        # [block, method, rep] labels; the non-band methods repeat at every block
         labels = np.array([
             [
                 _labels(lo2, up2, c_lo2, c_up2, "PE"),
@@ -382,40 +374,48 @@ def run_mc_pe(cfg: MCConfig, threads: int = 1) -> dict:
             ]
             for c_lo2, c_up2, c_lo3, c_up3, c_fix in horizon_bands
         ])
-        # [block, method, metric] rates: false safety, false alarm, coverage, warning
-        rates = _outcomes(labels, true_scores[:, q] > 0.0, PE_LABELS).mean(axis=2) * 100.0
+        counts.append(_outcomes(labels, true_scores[:, q] > 0.0, PE_LABELS).sum(axis=2))
+    return np.array(counts)
+
+
+def run_mc_pe(cfg: MCConfig, threads: int = 1) -> dict:
+    """Premium-emergence classifier comparison.
+
+    Returns rows keyed (horizon_yr, method, block_len) with false_safety,
+    false_alarm, coverage, and warning rates in percent.  Non-envelope
+    methods are reported at the default block length only; the proposed tier
+    methods appear once per entry of the block grid.  The replications run
+    in blocks of at most `_BLOCK_REPS`, each adding its integer outcome
+    counts; a rate is the total count over `n_reps`, so it is exact whatever
+    the block split.  `threads` is accepted for compatibility and has no
+    effect.
+    """
+    # [horizon, block length, method, metric] rates
+    rates = sum(_pe_counts(cfg, reps) for reps in _rep_blocks(cfg.n_reps)) / cfg.n_reps * 100.0
+    blocks = list(cfg.block_grid)
+    default_bi = blocks.index(cfg.block_len)
+    rows = []
+    for h_yr, horizon_rates in zip(cfg.evaluation_horizons, rates):
         for mi, method in enumerate(PE_METHODS):
             band_method = method in ("proposed_tier2", "proposed_tier3", "fixed_spec")
             for bi, ell in enumerate(blocks):
                 if bi != default_bi and not band_method:
                     continue
-                fs, fa, cov, warn = rates[bi, mi]
+                fs, fa, cov, warn = horizon_rates[bi, mi]
                 rows.append({"horizon_yr": h_yr, "method": method, "block_len": ell,
                              "false_safety": fs, "false_alarm": fa, "coverage": cov,
                              "warning": warn})
     return {"rows": rows, "config": cfg}
 
 
-def run_mc_tf(
-    cfg: MCConfig,
-    rho_bar_list: Sequence[float] = (0.0, 0.005, 0.01),
-    threads: int = 1,
-) -> dict:
-    """Transition-feasibility classifier comparison across premium bounds.
-
-    The true debt concept is drawn uniformly between the monitoring and
-    baseline readings each replication; tier 1 reads the baseline concept
-    only while tier 2 spans both.  The scores of every premium bound, on the
-    band window only, go through one `_bands` call.  Rates in percent; the
-    tier-2 envelope width is reported in basis points.  `threads` is
-    accepted for compatibility and has no effect.
-    """
-    rho_bars = list(rho_bar_list)
-    if not rho_bars or not all(math.isfinite(r) and r >= 0.0 for r in rho_bars):
-        raise DomainError(f"rho_bar_list must hold premium bounds, each finite and "
-                          f">= 0, got {rho_bar_list!r}")
-    R, T = cfg.n_reps, cfg.T
-    b_true, g_new, e_pi, e_d = _draws(cfg.seed, range(R), lambda rng: (
+def _tf_counts(cfg: MCConfig, rho: np.ndarray, reps: range) -> Tuple[np.ndarray, np.ndarray]:
+    """[method, bound, metric] outcome counts over the replications `reps`
+    (false feasible, false infeasible, coverage, marginal; methods in
+    TF_METHODS order) and their [bound, rep] tier-2 envelope widths, at the
+    premium bounds `rho` [bound, 1, 1].  The scores of every premium bound,
+    on the band window only, go through one `_bands` call."""
+    T = cfg.T
+    b_true, g_new, e_pi, e_d = _draws(cfg.seed, reps, lambda rng: (
         rng.uniform(cfg.tf_b_monitoring, cfg.tf_b_baseline),
         cfg.tf_g_star + rng.uniform(0.0, cfg.tf_g_spread),
         rng.normal(0.0, cfg.tf_sd, T),
@@ -428,7 +428,6 @@ def run_mc_tf(
     pi_path = cfg.tf_pi0 + uw[T - w :, 0].T
     d_path = cfg.tf_d0 + uw[T - w :, 1].T
     q = w - 1
-    rho = np.array(rho_bars, dtype=float)[:, None, None]
     # [bound, rep, period] scores of the baseline and monitoring concepts
     s_base, s_mon = (g_new[:, None] - _threshold(pi_path, d_path, 0.0, b, rho, cfg.tf_m)
                      for b in (cfg.tf_b_baseline, cfg.tf_b_monitoring))
@@ -436,7 +435,7 @@ def run_mc_tf(
     # one band call: base, tier-2 lower and upper (detrended), fixed-spec base
     ((bands,),) = _bands(np.concatenate([s_base, lo2, up2]), s_base, [q],
                          cfg.window_h, [cfg.block_len], cfg.alpha)
-    c_base, c_lo2, c_up2, c_fix = bands.reshape(4, -1, R)
+    c_base, c_lo2, c_up2, c_fix = bands.reshape(4, len(rho), -1)
     truth_feasible = g_new - _threshold(pi_path[:, q], d_path[:, q], 0.0, b_true,
                                         rho[..., 0], cfg.tf_m) > 0.0
     base_q, lo2_q, up2_q = s_base[..., q], lo2[..., q], up2[..., q]
@@ -449,10 +448,36 @@ def run_mc_tf(
         np.where(s_mon[..., q] > 0, feasible, infeasible),
         _labels(base_q, base_q, c_fix, c_fix, "TF"),
     ])
-    # [method, bound, metric] rates: false feasible, false infeasible, coverage, marginal
-    rates = _outcomes(labels, truth_feasible, TF_LABELS).mean(axis=2) * 100.0
-    # tier-2 envelope width per bound, summed in replication order
-    width_bp = np.cumsum(up2_q - lo2_q, axis=1)[:, -1] / R * 1e4
+    return _outcomes(labels, truth_feasible, TF_LABELS).sum(axis=2), up2_q - lo2_q
+
+
+def run_mc_tf(
+    cfg: MCConfig,
+    rho_bar_list: Sequence[float] = (0.0, 0.005, 0.01),
+    threads: int = 1,
+) -> dict:
+    """Transition-feasibility classifier comparison across premium bounds.
+
+    The true debt concept is drawn uniformly between the monitoring and
+    baseline readings each replication; tier 1 reads the baseline concept
+    only while tier 2 spans both.  Rates in percent; the tier-2 envelope
+    width is reported in basis points.  The replications run in blocks of
+    at most `_BLOCK_REPS`: a rate is the blocks' total outcome count over
+    `n_reps`, and the mean width sums every replication's width in
+    replication order across the blocks.  `threads` is accepted for
+    compatibility and has no effect.
+    """
+    rho_bars = list(rho_bar_list)
+    if not rho_bars or not all(math.isfinite(r) and r >= 0.0 for r in rho_bars):
+        raise DomainError(f"rho_bar_list must hold premium bounds, each finite and "
+                          f">= 0, got {rho_bar_list!r}")
+    rho = np.array(rho_bars, dtype=float)[:, None, None]
+    counts, widths = zip(*(_tf_counts(cfg, rho, reps) for reps in _rep_blocks(cfg.n_reps)))
+    # [method, bound, metric] rates
+    rates = sum(counts) / cfg.n_reps * 100.0
+    # tier-2 envelope width per bound, summed in replication order (per-block
+    # totals would round differently)
+    width_bp = np.cumsum(np.concatenate(widths, axis=1), axis=1)[:, -1] / cfg.n_reps * 1e4
     rows = []
     for ri, rho_bar in enumerate(rho_bars):
         for mi, method in enumerate(TF_METHODS):

@@ -63,6 +63,15 @@ class TestDemand:
                 fd = (demand_at(rho + h, p) - demand_at(rho - h, p)) / (2 * h)
                 assert fd == pytest.approx(demand_derivative(rho, p), abs=1e-6)
 
+    @pytest.mark.parametrize("fn", [demand_at, demand_derivative])
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf, -1.0])
+    def test_premium_outside_its_domain_rejected(self, fn, rho):
+        # on a table margin NaN used to read as demand theta and inf as full
+        # demand; the derivative took NaN and negative premiums
+        for p in (BASE, TwoLayerParams(dist=table_from_power(0.06, 1.3))):
+            with pytest.raises(DomainError, match=r"rho must be finite and >= 0"):
+                fn(rho, p)
+
 
 class TestSolvePremium:
     def test_baseline_interior(self):

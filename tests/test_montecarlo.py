@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -256,15 +257,20 @@ def test_rows_match_pinned_digests(name):
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest, fn.__name__
 
 
-def test_tf_rows_for_one_premium_bound_match_pinned_digest():
+def test_tf_rows_for_one_premium_bound_match_pinned_digest(monkeypatch):
     # with one premium bound the tier-2 widths form an [R, 1] block, which a
-    # numpy mean would sum pairwise; the rows sum them in replication order.
-    # At seed 8 the two sums differ in the last bit of mean_width_bp (at seed
-    # 42 they happen to agree)
-    rows = run_mc_tf(MCConfig(seed=8, n_reps=33), rho_bar_list=(0.0,))["rows"]
-    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
-        "923553c8b2e12ea136c22cd5072832c365e90eaa586c43d56fadf04448281177"
-    )
+    # numpy mean would sum pairwise; the rows sum them in replication order,
+    # across replication blocks too (summing per-block totals would round
+    # differently). At seed 8 the two sums differ in the last bit of
+    # mean_width_bp (at seed 42 they happen to agree)
+    import debtregime.montecarlo as mc
+
+    for block in (1, 7, 33, 34):
+        monkeypatch.setattr(mc, "_BLOCK_REPS", block)
+        rows = run_mc_tf(MCConfig(seed=8, n_reps=33), rho_bar_list=(0.0,))["rows"]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "923553c8b2e12ea136c22cd5072832c365e90eaa586c43d56fadf04448281177"
+        ), block
 
 
 @pytest.mark.parametrize("kw", [{"psi": 0.0}, {"c_bar": -0.01}, {"theta0": 1.2},
@@ -438,23 +444,41 @@ def test_stacked_bands_equal_per_series_calls(q, blocks):
                     assert got[hi, bi, k, r] == want, (qh, ell, k, r)
 
 
-def test_bands_equal_across_replication_chunks(monkeypatch):
-    # replications pass through the band kernels in chunks of _BAND_REPS;
-    # 7 reps in chunks of 3 give chunks of 3, 3 and 1
+@pytest.mark.parametrize("name", ["block_above_window", "g0_premium_branch"])
+def test_rows_equal_across_replication_blocks(monkeypatch, name):
+    # the replications stream in blocks of _BLOCK_REPS; one replication per
+    # block, blocks of 7 (the last one short), one block of exactly n_reps
+    # and one larger block all give the rows pinned above
     import debtregime.montecarlo as mc
 
-    rng = np.random.default_rng(4)
-    stack = np.cumsum(rng.normal(0.0, 0.01, (3, 7, 60)), axis=-1)
-    demeaned = rng.normal(0.0, 0.01, (2, 7, 60))
-    args = (stack, demeaned, [5, 14, 30, 59], 24, (4, 6, 16), 0.10)
-    whole = _bands(*args)
-    monkeypatch.setattr(mc, "_BAND_REPS", 3)
-    assert np.array_equal(_bands(*args), whole)
-    # 17 reps in chunks of 3, with a clamped block in the fallback
-    kw, pe_digest, tf_digest = PINNED_ROWS["block_above_window"]
-    for fn, digest in ((run_mc_pe, pe_digest), (run_mc_tf, tf_digest)):
-        rows = fn(MCConfig(**kw))["rows"]
-        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest, fn.__name__
+    kw, pe_digest, tf_digest = PINNED_ROWS[name]
+    cfg = MCConfig(**kw)
+    for block in (1, 7, cfg.n_reps, cfg.n_reps + 1):
+        monkeypatch.setattr(mc, "_BLOCK_REPS", block)
+        for fn, digest in ((run_mc_pe, pe_digest), (run_mc_tf, tf_digest)):
+            rows = fn(cfg)["rows"]
+            assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest, (fn.__name__,
+                                                                               block)
+
+
+@pytest.mark.parametrize("fn", [run_mc_pe, run_mc_tf])
+def test_peak_memory_is_bounded_by_the_replication_block(monkeypatch, fn):
+    # with blocks of 64 replications, a run of 512 peaks about as high as a
+    # run of 64: no stage keeps an array over every replication
+    import debtregime.montecarlo as mc
+
+    monkeypatch.setattr(mc, "_BLOCK_REPS", 64)
+
+    def peak(n_reps):
+        tracemalloc.start()
+        try:
+            fn(small_cfg(n_reps=n_reps))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    fn(small_cfg(n_reps=64))  # warm-up: one-off allocations are not counted
+    assert peak(512) <= 1.5 * peak(64)
 
 
 def test_rows_across_three_band_chunks_match_pinned_digest():

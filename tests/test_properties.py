@@ -1,7 +1,9 @@
 """Property tests of the closure's array kernels against the scalar
 definitions, the premium solvers against each other, the band and envelope
-invariants of the inference layer, the CSV round trip, and the allocation
-ascent's capped-simplex projection."""
+invariants of the inference layer, the CSV round trip, the allocation
+ascent's capped-simplex projection, and the preservation claims: the
+bounded debt shock's envelope, the fiscal response's Lipschitz bound, and
+demand's monotonicity with the premium case it implies."""
 
 import math
 import os
@@ -19,6 +21,12 @@ from debtregime.closure import (
     demand_at,
     solve_premium,
     solve_premium_bisection,
+)
+from debtregime.core import (
+    EconState,
+    FiscalResponse,
+    effective_deficit,
+    step_debt_stochastic,
 )
 from debtregime.inference import (
     PE_LABELS,
@@ -173,3 +181,61 @@ def test_emit_csv_round_trips_at_six_digits(points):
     assert [v for pair in zip(ts, vs) for v in pair] == [
         float(f"{v:.6g}") for p in points for v in p
     ]
+
+
+@PROPERTY
+@given(st.floats(0.01, 5.0), st.floats(-0.3, 0.3), st.floats(-0.3, 0.3),
+       st.floats(-0.1, 0.1), st.floats(0.0, 0.5), st.floats(-1.0, 1.0))
+def test_debt_shock_stays_between_its_extreme_shocks(b_prev, r_n, g_n, d, sigma, eta):
+    # b' is increasing in eta and every rounding step is monotone, so the
+    # bound holds exactly
+    state = EconState(b_prev=b_prev, r_n=r_n, g_n=g_n, pi=0.02, d=d)
+    low, high = (step_debt_stochastic(state, sigma, e) for e in (-1.0, 1.0))
+    assert low <= step_debt_stochastic(state, sigma, eta) <= high
+
+
+@st.composite
+def fiscal_responses(draw):
+    """A FiscalResponse in each mode; a general table has 1-8 knots at
+    least 0.01 apart in b, given in a shuffled order."""
+    mode = draw(st.sampled_from(["constant", "deficit_relief", "general"]))
+    if mode != "general":
+        return FiscalResponse(mode=mode, d0=draw(st.floats(-0.1, 0.1)),
+                              gamma=draw(st.floats(0.0, 0.5)), b_ref=draw(st.floats(0.5, 3.0)))
+    n = draw(st.integers(1, 8))
+    bs = draw(st.floats(0.1, 1.0)) + np.cumsum(draw(st.lists(
+        st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    ds = draw(st.lists(st.floats(-0.1, 0.1), min_size=n, max_size=n))
+    table = draw(st.permutations(list(zip(bs.tolist(), ds))))
+    return FiscalResponse(mode=mode, table=table)
+
+
+@PROPERTY
+@given(fiscal_responses(), st.floats(0.01, 10.0), st.floats(0.01, 10.0))
+def test_fiscal_response_within_its_lipschitz_constant(fr, b1, b2):
+    # slopes are at most 0.2 / 0.01, so rounding stays far below 1e-12
+    gap = abs(effective_deficit(fr, b1) - effective_deficit(fr, b2))
+    assert gap <= fr.lipschitz_constant() * abs(b1 - b2) + 1e-12
+
+
+@PROPERTY
+@given(margins(), st.floats(0.0, 1.0), st.floats(0.05, 1.0), st.floats(0.001, 0.05),
+       st.just(1.0) | st.floats(0.0, 1.0), st.sampled_from([None, 0.0, 1.0]),
+       st.lists(st.floats(0.0, 1.0), min_size=2, max_size=30))
+def test_demand_rises_with_the_premium_and_fixes_the_case(margin, theta, psi, z,
+                                                           phi_req, pin, fractions):
+    # `pin` sets phi_req to demand at premium 0 (the knife edge) or at z;
+    # phi_req = 1 above a margin's atom G(0) > 0 is a hard failure
+    dist, c_bar = margin
+    p = TwoLayerParams(theta=theta, psi=psi, z=z, c_bar=c_bar, phi_req=phi_req, dist=dist)
+    if pin is not None:
+        p = replace(p, phi_req=demand_at(pin * z, p))
+    demands = [demand_at(z * f, p) for f in [0.0] + sorted(fractions) + [1.0]]
+    # a knot value can round one ulp differently from its two segments
+    assert all(b >= a - 1e-15 for a, b in zip(demands, demands[1:]))
+    d0, dmax = demand_at(0.0, p), demand_at(z, p)
+    want = ("a_interior" if d0 > p.phi_req else "b_boundary" if d0 == p.phi_req
+            else "c_stress" if p.phi_req <= dmax else "d_hard_failure")
+    sol = solve_premium(p)
+    assert sol.case == want
+    assert (sol.phi_d_at_zero, sol.phi_d_max) == (d0, dmax)
