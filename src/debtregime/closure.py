@@ -205,8 +205,8 @@ class ThetaLaw:
 
     theta' = theta - kappa_theta + gamma_theta(eps), clamped to [0, 1].
     The maintenance response is capped-linear: gamma = g0*min(eps, eps_cap)
-    for eps > 0 and exactly 0 for eps <= 0; `sensitivity` is the slope g0 on
-    the uncapped branch.
+    for eps > 0 and exactly 0 for eps <= 0, so g0 is the slope on the
+    uncapped branch.
     """
 
     kappa_theta: float = 0.0
@@ -224,10 +224,6 @@ class ThetaLaw:
             raise DomainError("g0 must be >= 0")
         if self.eps_cap <= 0:
             raise DomainError("eps_cap must be > 0")
-
-    @property
-    def sensitivity(self) -> float:
-        return self.g0
 
 
 def gamma_theta(law: ThetaLaw, epsilon: float) -> float:
@@ -303,7 +299,7 @@ def solve_premium(p: TwoLayerParams) -> PremiumSolution:
         return PremiumSolution("b_boundary", 0.0, d0, dmax, slack)
     if p.phi_req > dmax:
         return PremiumSolution("d_hard_failure", None, d0, dmax, slack)
-    if p.dist.kind == "uniform" and p.theta < 1.0:
+    if p.dist.kind == "uniform":  # theta < 1 here: at theta = 1, d0 = 1 >= phi_req
         rho = p.z - p.psi * p.c_bar * (
             1.0 - (p.phi_req - p.theta) / (1.0 - p.theta)
         )
@@ -334,7 +330,7 @@ def _premium_on_grid(p: TwoLayerParams, thetas: np.ndarray, z) -> np.ndarray:
     failed = ~zero & (p.phi_req > dmax)  # case d
     stress = ~zero & ~failed  # case c
     rho = np.where(failed, np.nan, 0.0)
-    closed = stress & (thetas < 1.0) if p.dist.kind == "uniform" else np.zeros_like(stress)
+    closed = stress if p.dist.kind == "uniform" else np.zeros_like(stress)  # theta < 1 in case c
     th, zc = thetas[closed], z[closed]
     r = zc - p.psi * p.c_bar * (1.0 - (p.phi_req - th) / (1.0 - th))
     r = np.where(0.0 > r, 0.0, r)  # max(r, 0.0)
@@ -453,10 +449,10 @@ def _abs_drho_dtheta(p: TwoLayerParams) -> float:
 
 def feedback_gain(p: TwoLayerParams, law: ThetaLaw) -> float:
     """One-period gain of the premium -> repression loss -> core erosion loop:
-    eta = |d rho/d theta| * law.sensitivity.  theta = 1 returns +inf."""
+    eta = |d rho/d theta| * law.g0.  theta = 1 returns +inf."""
     if p.theta >= 1.0:
         return math.inf
-    return _abs_drho_dtheta(p) * law.sensitivity
+    return _abs_drho_dtheta(p) * law.g0
 
 
 def monotone_path(

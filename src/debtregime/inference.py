@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .closure import TwoLayerParams, demand_at
 from .core import _require_finite, _require_integer
@@ -198,8 +198,7 @@ def detrend_local_linear(series: Sequence[float], window_h: int) -> dict:
     if not np.isfinite(y).all():
         raise EstimationError("series contains non-finite values")
     # contiguous windows make every row reduce in the same order as a 1-D call
-    windows = as_strided(y, y.shape[:-1] + (n - window_h + 1, window_h),
-                         y.strides + y.strides[-1:], writeable=False).copy()
+    windows = sliding_window_view(y, window_h, axis=-1).copy()
     mean, slope = _line_fit(np.arange(window_h, dtype=float), windows)
     i = np.arange(n)
     start = np.clip(i - window_h // 2, 0, n - window_h)

@@ -124,12 +124,11 @@ class MCConfig:
     theta_reading_shift: float = 0.02
     dead_zone: float = 0.01
 
-    # transition-feasibility experiment
+    # transition-feasibility experiment: inflation starts at `pi`, and the
+    # monitoring debt concept is `_MONITOR_B`
     tf_b_baseline: float = 2.40
-    tf_b_monitoring: float = _MONITOR_B
     tf_g_star: float = 0.03
     tf_g_spread: float = 0.015
-    tf_pi0: float = 0.027
     tf_d0: float = 0.02
     tf_rho: float = 0.8
     tf_sd: float = 0.001
@@ -416,7 +415,7 @@ def _tf_counts(cfg: MCConfig, rho: np.ndarray, reps: range) -> Tuple[np.ndarray,
     on the band window only, go through one `_bands` call."""
     T = cfg.T
     b_true, g_new, e_pi, e_d = _draws(cfg.seed, reps, lambda rng: (
-        rng.uniform(cfg.tf_b_monitoring, cfg.tf_b_baseline),
+        rng.uniform(_MONITOR_B, cfg.tf_b_baseline),
         cfg.tf_g_star + rng.uniform(0.0, cfg.tf_g_spread),
         rng.normal(0.0, cfg.tf_sd, T),
         rng.normal(0.0, cfg.tf_sd, T),
@@ -425,12 +424,12 @@ def _tf_counts(cfg: MCConfig, rho: np.ndarray, reps: range) -> Tuple[np.ndarray,
     uw = _ar1(cfg.tf_rho, [e_pi, e_d])
     # only the band window is scored: the band reads its w periods, the labels the last
     w = cfg.window_h  # <= T (MCConfig)
-    pi_path = cfg.tf_pi0 + uw[T - w :, 0].T
+    pi_path = cfg.pi + uw[T - w :, 0].T
     d_path = cfg.tf_d0 + uw[T - w :, 1].T
     q = w - 1
     # [bound, rep, period] scores of the baseline and monitoring concepts
     s_base, s_mon = (g_new[:, None] - _threshold(pi_path, d_path, 0.0, b, rho, cfg.tf_m)
-                     for b in (cfg.tf_b_baseline, cfg.tf_b_monitoring))
+                     for b in (cfg.tf_b_baseline, _MONITOR_B))
     lo2, up2 = np.minimum(s_base, s_mon), np.maximum(s_base, s_mon)
     # one band call: base, tier-2 lower and upper (detrended), fixed-spec base
     ((bands,),) = _bands(np.concatenate([s_base, lo2, up2]), s_base, [q],

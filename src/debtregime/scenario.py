@@ -265,14 +265,12 @@ class Scenario:
             dist = MarginDistribution()
         else:
             dist = MarginDistribution(kind="table", knots=tuple(v["closure.dist_knots"]))
-        phi_req = v["closure.phi_req"]
-        if v["closure.phi_req_db"] or v["closure.phi_req_dpsi"] or v["closure.phi_req_dz"]:
-            phi_req = phi_req_affine(
-                base=v["closure.phi_req"], b=v["econ.b_prev"],
-                psi=v["closure.psi"], z=v["closure.z"],
-                d_b=v["closure.phi_req_db"], d_psi=v["closure.phi_req_dpsi"],
-                d_z=v["closure.phi_req_dz"],
-            )
+        phi_req = phi_req_affine(
+            base=v["closure.phi_req"], b=v["econ.b_prev"],
+            psi=v["closure.psi"], z=v["closure.z"],
+            d_b=v["closure.phi_req_db"], d_psi=v["closure.phi_req_dpsi"],
+            d_z=v["closure.phi_req_dz"],
+        )
         return TwoLayerParams(
             theta=v["closure.theta"], psi=v["closure.psi"], z=v["closure.z"],
             c_bar=v["closure.c_bar"], phi_req=phi_req, dist=dist,
@@ -312,28 +310,22 @@ class Scenario:
         return self._view(SubsampleConfig, "inference")
 
     def mc_config(self, seed: int, n_reps: Optional[int] = None) -> MCConfig:
+        """Each `mc.<name>` key sets the field of that name (a list as a
+        tuple); the closure, econ, regime and inference sections set the rest."""
         v = self.values
+        mc = {key[len("mc."):]: tuple(x) if _SCHEMA[key][1] == "nums" else x
+              for key, x in v.items() if key.startswith("mc.")}
+        if n_reps is not None:
+            mc["n_reps"] = n_reps
         return MCConfig(
-            n_reps=n_reps if n_reps is not None else v["mc.n_reps"],
-            T=v["mc.T"], alpha=v["mc.alpha"], seed=seed,
-            sigma_theta_obs=v["mc.sigma_theta_obs"],
-            theta0=v["closure.theta"], rho_theta=v["mc.rho_theta"],
-            sd_theta=v["mc.sd_theta"], kappa_theta=v["mc.kappa_theta"],
-            g0=v["mc.g0"],
-            z0=v["closure.z"], rho_z=v["mc.rho_z"], sd_z=v["mc.sd_z"],
-            stress_prob=v["mc.stress_prob"], stress_size=v["mc.stress_size"],
-            stress_decay=v["mc.stress_decay"],
-            psi=v["closure.psi"], c_bar=v["closure.c_bar"],
-            phi_req=v["closure.phi_req"], pi=v["econ.pi"], r_rep=self.r_rep(),
-            evaluation_horizons=tuple(v["mc.evaluation_horizons"]),
+            **mc, seed=seed,
+            theta0=v["closure.theta"], z0=v["closure.z"], psi=v["closure.psi"],
+            c_bar=v["closure.c_bar"], phi_req=v["closure.phi_req"],
+            pi=v["econ.pi"], r_rep=self.r_rep(),
             window_h=v["inference.window_h"], block_len=v["inference.block_len"],
             block_grid=tuple(v["inference.block_grid"]),
-            theta_reading_shift=v["mc.theta_reading_shift"],
-            dead_zone=v["mc.dead_zone"],
-            tf_b_baseline=v["econ.b_prev"],
-            tf_g_star=v["regime.g_star"], tf_g_spread=v["mc.tf_g_spread"],
-            tf_pi0=v["econ.pi"], tf_d0=v["econ.d"], tf_rho=v["mc.tf_rho"],
-            tf_sd=v["mc.tf_sd"], tf_m=v["mc.tf_m"],
+            tf_b_baseline=v["econ.b_prev"], tf_g_star=v["regime.g_star"],
+            tf_d0=v["econ.d"],
         )
 
     def sweep_rows(self, name: str) -> List[Tuple[str, Dict[str, object]]]:

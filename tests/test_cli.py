@@ -518,3 +518,46 @@ def test_every_csv_holds_finite_cells_except_documented_sentinels(
     # the hard-failure scenario reaches both sentinels; the others reach the
     # required-growth one only in a stress or sweep row that fails to close
     assert saw_inf or config != "hard_failure"
+
+
+# The ten scenario keys that no command reads, each moved to another valid
+# value: only the library views regime_params(), fiscal_response() and
+# theta_law() carry them, so they may move nothing but `# config_hash`.
+_UNREAD_KEYS_CFG = """\
+regime.psi_mon = 0.9
+regime.psi_abs = 0.8
+regime.psi_fx = 0.7
+fiscal.mode = general
+fiscal.d0 = 0.03
+fiscal.b_ref = 2.0
+fiscal.table = 1.5:0.01, 3.0:0.04
+closure.kappa_theta = 0.01
+closure.g0 = 0.5
+closure.eps_cap = 0.02
+"""
+
+
+def test_unread_scenario_keys_move_only_the_config_hash(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.cfg").write_text(_UNREAD_KEYS_CFG)
+    names = _write_readings(tmp_path)[:2]
+    commands = [*_ARTIFACT_COMMANDS.values(), ["tables", "--reps", "4"],
+                ["infer", "--series", names[0], "--series", names[1]]]
+    assert len(_UNREAD_KEYS_CFG.splitlines()) == 10
+    for k, argv in enumerate(commands):
+        runs = []
+        for config in ([], ["--config", "s.cfg"]):
+            out = f"o{k}{'c' if config else ''}"
+            capsys.readouterr()
+            assert run_cli(config + ["--out", out] + argv) == 0, argv
+            csvs = {p.name: p.read_text().splitlines() for p in (tmp_path / out).iterdir()}
+            runs.append((capsys.readouterr().out.replace(out, "o"), csvs))
+        (base_out, base_csvs), (out, csvs) = runs
+        assert out == base_out, argv
+        assert sorted(csvs) == sorted(base_csvs), argv
+        for name, lines in csvs.items():
+            hashed = [l.startswith("# config_hash") for l in lines]
+            assert hashed == [l.startswith("# config_hash") for l in base_csvs[name]]
+            assert any(hashed), (argv, name)
+            for line, base_line, is_hash in zip(lines, base_csvs[name], hashed):
+                assert (line != base_line) == is_hash, (argv, name, line)

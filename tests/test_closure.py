@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from debtregime.closure import (
+    _demand_on_grid,
     _premium_on_grid,
     MarginDistribution,
     ThetaLaw,
@@ -576,6 +577,18 @@ class TestPremiumOnGrid:
                 branches.add(branch)
         assert branches == {"a_interior", "b_boundary", "closed_form", "bisection",
                             "upper_end", "d_hard_failure"}
+
+    @pytest.mark.parametrize("dist", [MarginDistribution(), ATOM_TABLE])
+    @pytest.mark.parametrize("phi_req", [0.0, 0.5, 1.0])
+    def test_full_core_lands_in_case_a_or_b(self, dist, phi_req):
+        # at theta = 1 zero-premium demand is 1 >= phi_req, so neither path
+        # reaches the closed form's division by 1 - theta
+        p = TwoLayerParams(theta=1.0, phi_req=phi_req, dist=dist)
+        sol = solve_premium(p)
+        assert (sol.case, sol.rho) == ("b_boundary" if phi_req == 1.0 else "a_interior", 0.0)
+        thetas, zs = np.ones(3), np.array([0.001, p.z, 0.06])
+        assert (_demand_on_grid(0.0, thetas, zs, p) >= phi_req).all()
+        assert _premium_on_grid(p, thetas, zs).tolist() == [0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("p, law, pi, r_rep, grid", [
         (BASE, ThetaLaw(kappa_theta=0.0, g0=0.0), 0.027, 0.022, 1000),

@@ -482,8 +482,8 @@ def test_peak_memory_is_bounded_by_the_replication_block(monkeypatch, fn):
 
 
 def test_rows_across_three_band_chunks_match_pinned_digest():
-    # 2,100 replications pass the band kernels in three chunks of at most
-    # _BAND_REPS = 1,024; digests recorded with the per-experiment draw
+    # 2,100 replications stream as three _BLOCK_REPS blocks of 1,024, 1,024
+    # and 52 replications; digests recorded with the per-experiment draw
     # loops and recursions that the shared draw and AR(1) helpers replaced
     cfg = MCConfig(seed=3, n_reps=2100)
     for fn, digest in (

@@ -1,12 +1,14 @@
 """README's examples run as documented: the library quick start executes and
 prints what its comments say, the example scenario file loads through
-`load_scenario`, and the optional keys it names are the schema's."""
+`load_scenario`, the optional keys it names are the schema's, and its CLI
+usage line names the parser's global options."""
 
 import contextlib
 import io
 import re
 from pathlib import Path
 
+from debtregime.cli import _build_parser
 from debtregime.scenario import _SCHEMA, load_scenario
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -65,3 +67,11 @@ def test_optional_keys_named_are_the_schema_optional_keys():
     named = re.findall(r"`(\w+\.\w+)`", re.sub(r"\([^)]*\)", "", sentence.group(1)))
     assert set(named) == {k for k, (_, kind) in _SCHEMA.items() if kind.endswith("?")}
     assert len(named) == 2
+
+
+def test_usage_line_names_every_global_option():
+    usage = re.search(r"^debtregime (.*) <cmd>$", _text(), re.M).group(1)
+    documented = re.findall(r"\[(--[\w-]+)", usage)
+    flags = [s for a in _build_parser()._actions for s in a.option_strings
+             if s.startswith("--") and s != "--help"]
+    assert documented == flags
