@@ -16,9 +16,6 @@ import os
 import sys
 from typing import List, Optional
 
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-
 from .closure import solve_premium
 from .errors import ConfigError, DomainError, EngineError
 from .extensions import clock
@@ -179,6 +176,9 @@ def _cmd_infer(scenario: Scenario, args) -> int:
     which must share one finite, strictly increasing `t` column (exit 2 for
     another axis or an unordered one, 3 for a non-finite stamp): the detrend
     and the trailing band windows read the rows in order."""
+    import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
+
     readings = [load_series_csv(spath) for spath in args.series]
     ts = readings[0][0]
     for spath, (t, _) in zip(args.series, readings):

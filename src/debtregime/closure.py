@@ -15,8 +15,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from .core import EconState, _require_finite, _require_integer
 from .errors import ConfigError, DomainError, ScopeError
 
@@ -114,6 +112,8 @@ class MarginDistribution:
         below the first knot and, on table margins, the same interpolation
         formula on the first knot segment [c0, c1] holding c (not
         `np.interp`, which rounds differently)."""
+        import numpy as np
+
         c = np.asarray(c, dtype=float)
         if self.kind == "uniform":
             return np.clip(c, 0.0, c_bar) / c_bar
@@ -322,6 +322,8 @@ def _premium_on_grid(p: TwoLayerParams, thetas: np.ndarray, z) -> np.ndarray:
     the same clamped closed form, and a lockstep bisection on [0, s] in which
     each element stops at its own |f| <= 1e-12 or falls back to its upper
     end after the iteration cap."""
+    import numpy as np
+
     z = np.broadcast_to(z, thetas.shape)
     d0 = _demand_on_grid(0.0, thetas, z, p)
     dmax = _demand_on_grid(z, thetas, z, p)
@@ -361,6 +363,8 @@ def _premium_on_grid(p: TwoLayerParams, thetas: np.ndarray, z) -> np.ndarray:
 def _core_drift(rho: np.ndarray, law: ThetaLaw, pi: float, r_rep: float) -> np.ndarray:
     """gamma(pi - r_rep - rho) - kappa element by element; maintenance is off
     (drift -kappa) where rho is NaN (hard failure)."""
+    import numpy as np
+
     eps = pi - r_rep - rho
     capped = np.where(law.eps_cap < eps, law.eps_cap, eps)  # min(eps, eps_cap)
     gamma = np.where(eps <= 0.0, 0.0, law.g0 * capped)
@@ -639,6 +643,8 @@ def fixed_point_scan(
     safe points, the buffer to the zero-premium boundary less the
     shock-absorption allowance sigma*eta/(1 - eta).
     """
+    import numpy as np
+
     _require_integer("grid", grid)
     if grid < 1000:
         raise DomainError("grid must be >= 1000 points")

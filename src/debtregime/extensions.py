@@ -11,8 +11,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
 from .core import _require_finite, _require_integer
 from .errors import (
     DomainError,
@@ -247,6 +245,8 @@ def estimate_kappa(
     Non-finite input, or a sample or segment whose times do not vary, raises
     `EstimationError`.
     """
+    import numpy as np
+
     pts = [(float(t), float(v)) for t, v in series]
     if len(pts) < 8:
         raise EstimationError(f"need >= 8 observations, got {len(pts)}")

@@ -14,9 +14,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict, Sequence, Tuple, Union
 
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-
 from .closure import TwoLayerParams, demand_at
 from .core import _require_finite, _require_integer
 from .errors import ConfigError, DomainError, EstimationError
@@ -188,6 +185,9 @@ def detrend_local_linear(series: Sequence[float], window_h: int) -> dict:
     its window.  A `[..., n]` array is detrended row by row along its last
     axis.  Fitting an exact line leaves a remainder at rounding level.
     """
+    import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
+
     _require_integer("window_h", window_h)
     y = np.asarray(series, dtype=float)
     n = y.shape[-1]
@@ -222,6 +222,8 @@ def subsample_critical_value(
     A 1-D remainder gives a float; a `[..., n]` array gives one half-width
     per row, each equal to the 1-D call on that row.
     """
+    import numpy as np
+
     r = np.asarray(remainder, dtype=float)
     h = cfg.window_h
     if r.shape[-1] < h:
@@ -278,6 +280,8 @@ def trend_growth_estimate(
     OLS slope of log(GDP) on the quarter index, times 4.  Requires strictly
     positive values and an integer window of at least 8 quarters.
     """
+    import numpy as np
+
     _require_integer("window_quarters", window_quarters)
     y = np.asarray(gdp_series, dtype=float)
     if window_quarters < 8:

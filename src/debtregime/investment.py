@@ -16,8 +16,6 @@ from functools import reduce
 from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .core import EconState, RegimeParams, _require_finite, _require_integer
 from .errors import DomainError
 
@@ -222,6 +220,8 @@ def _ascent(problem: AllocationProblem, start: List[float], iters: int = 2000) -
     gradient stays a BLAS matvec, whose rounding no Python-float sum matches.
     A trial point that projects back onto x ends the ascent: on a convex set
     P(x + s*g) = x for one s > 0 implies it for every s > 0."""
+    import numpy as np
+
     mu = np.array(problem.mu_j)
     G = np.triu(np.array(problem.gamma_jk), 1)
     G = G + G.T
@@ -266,6 +266,8 @@ def allocate(problem: AllocationProblem, grid_resolution: int = 40) -> dict:
     if grid_resolution < 10:
         raise DomainError("grid_resolution must be >= 10 for J <= 3")
 
+    import numpy as np
+
     levels = np.linspace(0.0, problem.budget, grid_resolution + 1)
     total = levels.reshape((-1,) + (1,) * (J - 1))
     for j in range(1, J):
@@ -290,6 +292,8 @@ def allocate(problem: AllocationProblem, grid_resolution: int = 40) -> dict:
 def allocate_ascent(problem: AllocationProblem) -> dict:
     """Multi-start projected-ascent solution (the J > 3 path of `allocate`):
     from zero, the equal split and each vertex, keep the best end point."""
+    import numpy as np
+
     J = problem.n_sectors
     starts = [[0.0] * J, [problem.budget / J] * J]
     for j in range(J):

@@ -38,7 +38,7 @@ from .inference import (
     detrend_local_linear,
     subsample_critical_value,
 )
-from .transition import _threshold
+from .transition import _MONITOR_B, _threshold
 
 __all__ = [
     "MCConfig",
@@ -66,7 +66,6 @@ TF_METHODS = (
 )
 
 
-_MONITOR_B = 1.574  # debt ratio under the monitoring (instrument-level) concept
 _BLOCK_REPS = 1024  # replications per block: bounds every stage's memory
 
 

@@ -25,7 +25,6 @@ from .errors import ConfigError
 from .extensions import ClockSpec
 from .inference import SubsampleConfig
 from .investment import InvestmentInputs
-from .montecarlo import MCConfig
 from .transition import TransitionSpec
 
 __all__ = ["Scenario", "load_scenario", "load_series_csv", "DEFAULTS"]
@@ -311,7 +310,10 @@ class Scenario:
 
     def mc_config(self, seed: int, n_reps: Optional[int] = None) -> MCConfig:
         """Each `mc.<name>` key sets the field of that name (a list as a
-        tuple); the closure, econ, regime and inference sections set the rest."""
+        tuple); the closure, econ, regime and inference sections set the rest,
+        and `phi_req` is the one `two_layer` computes."""
+        from .montecarlo import MCConfig
+
         v = self.values
         mc = {key[len("mc."):]: tuple(x) if _SCHEMA[key][1] == "nums" else x
               for key, x in v.items() if key.startswith("mc.")}
@@ -320,7 +322,7 @@ class Scenario:
         return MCConfig(
             **mc, seed=seed,
             theta0=v["closure.theta"], z0=v["closure.z"], psi=v["closure.psi"],
-            c_bar=v["closure.c_bar"], phi_req=v["closure.phi_req"],
+            c_bar=v["closure.c_bar"], phi_req=self.two_layer().phi_req,
             pi=v["econ.pi"], r_rep=self.r_rep(),
             window_h=v["inference.window_h"], block_len=v["inference.block_len"],
             block_grid=tuple(v["inference.block_grid"]),

@@ -27,10 +27,10 @@ from .extensions import (
 )
 from .inference import classify, envelope, score_pe, score_tf
 from .investment import compute_bounds
-from .montecarlo import _MONITOR_B, run_mc_pe, run_mc_tf
 from .reference_values import STRESS_V2_RHO_REF, TIER_PE_SCORE_REF
 from .scenario import Scenario
 from .transition import (
+    _MONITOR_B,
     feasibility_label,
     joint_feasibility,
     required_growth_endogenous,
@@ -251,6 +251,8 @@ def _build_mc(table_id: str, scenario: Scenario, seed: int,
               n_reps: Optional[int]) -> TableArtifact:
     """A Monte Carlo table: one row per result row of its experiment, under
     the result rows' keys, with the premium bound in percent (`rho_bar_pct`)."""
+    from .montecarlo import run_mc_pe, run_mc_tf
+
     cfg = scenario.mc_config(seed=seed, n_reps=n_reps)
     res = (run_mc_pe if table_id == "mc_pe" else run_mc_tf)(cfg)["rows"]
     columns = tuple(k + "_pct" if k == "rho_bar" else k for k in res[0])

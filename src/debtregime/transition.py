@@ -26,6 +26,10 @@ __all__ = [
 _MU_CONDITIONAL = 0.05
 _MU_TIGHT = 0.07
 
+# Debt ratio under the monitoring (instrument-level) concept: the second debt
+# concept of the tier-2 table and of the transition Monte Carlo.
+_MONITOR_B = 1.574
+
 
 @dataclass(frozen=True)
 class TransitionSpec:

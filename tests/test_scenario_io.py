@@ -206,6 +206,13 @@ class TestSchema:
         assert sc.investment_inputs() == InvestmentInputs(state=econ, regime=RegimeParams())
         assert sc.transition_spec() == TransitionSpec(state=econ, closure=TwoLayerParams())
 
+    def test_monte_carlo_reads_the_scheduled_phi_req(self, tmp_path):
+        # the affine required-absorption schedule has one home, `two_layer`
+        path = tmp_path / "schedule.cfg"
+        path.write_text("econ.b_prev = 2.6\nclosure.phi_req_db = 0.1\n")
+        sc = load_scenario(str(path))
+        assert sc.mc_config(42).phi_req == sc.two_layer().phi_req == 0.87
+
     def test_unit_rules_by_kind(self):
         rates = [k for k, (_, kind) in _SCHEMA.items() if kind.rstrip("?") == "rate"]
         shares = [k for k, (_, kind) in _SCHEMA.items() if kind == "share"]
