@@ -11,10 +11,12 @@ experiments stream their replications in consecutive blocks of at most
 arrays: one draw helper, one AR(1) recursion advancing every state of every
 replication per period, one band pass per window length (one detrend call,
 and one band call per block length, on every horizon or premium bound
-sharing it), the sign-rule labels and the integer counts of the 0/1 outcome
-indicators.  A rate is the summed counts over `n_reps`, so it is exact
-whatever the block split.  The transition experiment's mean tier-2 width is
-summed in replication order.  `threads` is accepted and has no effect.
+sharing it), one label pass (the scalar `classify` on each element, kept as
+the integer code of its label) and the integer counts of the 0/1 outcome
+indicators of those codes.  A rate is the summed counts over `n_reps`, so
+it is exact whatever the block split.  The transition experiment's mean
+tier-2 width is summed in replication order.  `threads` is accepted and has
+no effect.
 """
 
 from __future__ import annotations
@@ -231,12 +233,13 @@ def simulate_pe_paths(cfg: MCConfig, rep: Union[int, Sequence[int]]) -> dict:
     the second is strictly larger, or smaller), so no -0.0 appears.
     """
     single = np.ndim(rep) == 0
-    e_u, e_v, e_stress, obs_noise = _draws(cfg.seed, [rep] if single else rep, lambda rng: (
+    e_u, e_v, u_stress, obs_noise = _draws(cfg.seed, [rep] if single else rep, lambda rng: (
         rng.normal(0.0, cfg.sd_theta, cfg.T),
         rng.normal(0.0, cfg.sd_z, cfg.T),
-        np.where(rng.uniform(0.0, 1.0, cfg.T) < cfg.stress_prob, cfg.stress_size, 0.0),
+        rng.uniform(0.0, 1.0, cfg.T),
         rng.normal(0.0, cfg.sigma_theta_obs, cfg.T),
     ))
+    e_stress = np.where(u_stress < cfg.stress_prob, cfg.stress_size, 0.0)
     law = ThetaLaw(kappa_theta=cfg.kappa_theta, g0=cfg.g0, eps_cap=cfg.eps_cap)
     base = _params(cfg)
     structural = cfg.g0 > 0.0 or cfg.kappa_theta > 0.0
@@ -304,22 +307,26 @@ def _bands(
 def _labels(
     lower: np.ndarray, upper: np.ndarray, c_lo: np.ndarray, c_up: np.ndarray, mode: str
 ) -> np.ndarray:
-    """Sign-rule label of each replication's bounds widened by its band
-    half-widths: `classify` on each element of the four same-shape arrays,
-    in C order, in an array of their shape."""
-    return np.array([
-        classify(lo, up, cl, cu, mode)
-        for lo, up, cl, cu in zip(lower.ravel().tolist(), upper.ravel().tolist(),
-                                  c_lo.ravel().tolist(), c_up.ravel().tolist())
-    ]).reshape(c_lo.shape)
+    """Sign-rule label code of each element of the broadcast bounds widened
+    by their band half-widths: `classify` on each element, in C order, as
+    the index of its label in PE_LABELS / TF_LABELS (0 positive, 1 middle,
+    2 negative), in an int8 array of the broadcast shape."""
+    code = {label: i for i, label in enumerate(PE_LABELS if mode == "PE" else TF_LABELS)}
+    arrays = np.broadcast_arrays(lower, upper, c_lo, c_up)
+    return np.fromiter(
+        (code[classify(lo, up, cl, cu, mode)]
+         for lo, up, cl, cu in zip(*(a.ravel().tolist() for a in arrays))),
+        np.int8, arrays[0].size,
+    ).reshape(arrays[0].shape)
 
 
 def _outcomes(
-    label: np.ndarray, truth_positive: np.ndarray, labels: Sequence[str]
+    label: np.ndarray, truth_positive: np.ndarray, labels: Sequence
 ) -> np.ndarray:
     """[..., 4] indicators per label: false positive, false negative,
     covered (the label's set contains the truth), set-valued middle label.
-    `labels` is (positive, middle, negative) as in PE_LABELS / TF_LABELS."""
+    `labels` is (positive, middle, negative): the codes (0, 1, 2), or the
+    strings of PE_LABELS / TF_LABELS."""
     positive, middle, negative = labels
     false_pos = (label == positive) & ~truth_positive
     false_neg = (label == negative) & truth_positive
@@ -350,30 +357,21 @@ def _pe_counts(cfg: MCConfig, reps: range) -> np.ndarray:
     tier2 = scores[:3]
     bounds = np.array([tier2.min(axis=0), tier2.max(axis=0),
                        scores.min(axis=0), scores.max(axis=0)])
-    positive, middle, negative = PE_LABELS
     qs = _horizon_indices(cfg)
     bands = _bands(bounds, scores[:1], qs, cfg.window_h, cfg.block_grid, cfg.alpha)
-    counts = []
-    for q, horizon_bands in zip(qs, bands):
-        lo2, up2, lo3, up3 = bounds[:, :, q]
-        point = scores[0, :, q]
-        naive_plugin = np.where(point > 0, positive, negative)
-        single_threshold = np.select(
-            [point > cfg.dead_zone, point < -cfg.dead_zone], [positive, negative], middle
-        )
-        # [block, method, rep] labels; the non-band methods repeat at every block
-        labels = np.array([
-            [
-                _labels(lo2, up2, c_lo2, c_up2, "PE"),
-                _labels(lo3, up3, c_lo3, c_up3, "PE"),
-                naive_plugin,
-                single_threshold,
-                _labels(point, point, c_fix, c_fix, "PE"),
-            ]
-            for c_lo2, c_up2, c_lo3, c_up3, c_fix in horizon_bands
-        ])
-        counts.append(_outcomes(labels, true_scores[:, q] > 0.0, PE_LABELS).sum(axis=2))
-    return np.array(counts)
+    at_q = np.concatenate([bounds, scores[:1]])[..., qs]  # [reading, rep, horizon]
+    # [horizon, 1, rep] tier-2 and tier-3 bounds and point score
+    lo2, up2, lo3, up3, point = at_q.swapaxes(1, 2)[:, :, None]
+    # [horizon, block, method, rep] label codes in PE_METHODS order; the non-band
+    # methods repeat at every block
+    codes = np.empty(bands.shape[:2] + (len(PE_METHODS), len(reps)), np.int8)
+    codes[:, :, [0, 1, 4]] = _labels(np.stack([lo2, lo3, point], axis=2),
+                                     np.stack([up2, up3, point], axis=2),
+                                     bands[:, :, [0, 2, 4]], bands[:, :, [1, 3, 4]], "PE")
+    codes[:, :, 2] = np.where(point > 0, 0, 2)
+    codes[:, :, 3] = np.where(point > cfg.dead_zone, 0, np.where(point < -cfg.dead_zone, 2, 1))
+    truth = true_scores[:, qs].T[:, None, None] > 0.0
+    return _outcomes(codes, truth, (0, 1, 2)).sum(axis=3)
 
 
 def run_mc_pe(cfg: MCConfig, threads: int = 1) -> dict:
@@ -413,12 +411,13 @@ def _tf_counts(cfg: MCConfig, rho: np.ndarray, reps: range) -> Tuple[np.ndarray,
     premium bounds `rho` [bound, 1, 1].  The scores of every premium bound,
     on the band window only, go through one `_bands` call."""
     T = cfg.T
-    b_true, g_new, e_pi, e_d = _draws(cfg.seed, reps, lambda rng: (
+    b_true, u_g, e_pi, e_d = _draws(cfg.seed, reps, lambda rng: (
         rng.uniform(_MONITOR_B, cfg.tf_b_baseline),
-        cfg.tf_g_star + rng.uniform(0.0, cfg.tf_g_spread),
+        rng.uniform(0.0, cfg.tf_g_spread),
         rng.normal(0.0, cfg.tf_sd, T),
         rng.normal(0.0, cfg.tf_sd, T),
     ))
+    g_new = cfg.tf_g_star + u_g
     e_pi[:, 0] = e_d[:, 0] = 0.0  # deviations start at 0; period 0's draws advance the streams
     uw = _ar1(cfg.tf_rho, [e_pi, e_d])
     # only the band window is scored: the band reads its w periods, the labels the last
@@ -437,16 +436,14 @@ def _tf_counts(cfg: MCConfig, rho: np.ndarray, reps: range) -> Tuple[np.ndarray,
     truth_feasible = g_new - _threshold(pi_path[:, q], d_path[:, q], 0.0, b_true,
                                         rho[..., 0], cfg.tf_m) > 0.0
     base_q, lo2_q, up2_q = s_base[..., q], lo2[..., q], up2[..., q]
-    feasible, _, infeasible = TF_LABELS
-    # [method, bound, rep] labels in TF_METHODS order
-    labels = np.array([
-        _labels(base_q, base_q, c_base, c_base, "TF"),
-        _labels(lo2_q, up2_q, c_lo2, c_up2, "TF"),
-        np.where(base_q > 0, feasible, infeasible),
-        np.where(s_mon[..., q] > 0, feasible, infeasible),
-        _labels(base_q, base_q, c_fix, c_fix, "TF"),
-    ])
-    return _outcomes(labels, truth_feasible, TF_LABELS).sum(axis=2), up2_q - lo2_q
+    tier1, tier2, fixed = _labels(np.array([base_q, lo2_q, base_q]),
+                                  np.array([base_q, up2_q, base_q]),
+                                  np.array([c_base, c_lo2, c_fix]),
+                                  np.array([c_base, c_up2, c_fix]), "TF")
+    # [method, bound, rep] label codes in TF_METHODS order
+    codes = np.array([tier1, tier2, np.where(base_q > 0, 0, 2),
+                      np.where(s_mon[..., q] > 0, 0, 2), fixed])
+    return _outcomes(codes, truth_feasible, (0, 1, 2)).sum(axis=2), up2_q - lo2_q
 
 
 def run_mc_tf(

@@ -8,7 +8,6 @@ files.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -68,11 +67,7 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return f"{value:.6g}"
+        return "%.6g" % value  # prints inf, -inf and nan as such
     return str(value)
 
 

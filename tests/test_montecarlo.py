@@ -13,6 +13,7 @@ from debtregime.inference import (
     PE_LABELS,
     TF_LABELS,
     SubsampleConfig,
+    classify,
     detrend_local_linear,
     score_pe,
     subsample_critical_value,
@@ -26,14 +27,21 @@ from debtregime.montecarlo import (
     simulate_pe_paths,
 )
 from debtregime.montecarlo import (
+    _ar1,
     _bands,
     _bowed_dist,
+    _draws,
+    _horizon_indices,
     _outcomes,
     _params,
+    _pe_counts,
     _pe_scores,
+    _rep_blocks,
     _rep_rng,
+    _tf_counts,
 )
 from debtregime.scenario import load_scenario
+from debtregime.transition import _MONITOR_B, _threshold
 
 
 def small_cfg(**kw):
@@ -283,7 +291,7 @@ def test_invalid_closure_inputs_rejected(kw):
 
 def test_outcomes_cover_every_label():
     truth = np.array([True, False, True, False, True, False])
-    for labels in (PE_LABELS, TF_LABELS):
+    for labels in (PE_LABELS, TF_LABELS, (0, 1, 2)):
         positive, middle, negative = labels
         label = np.array([positive, positive, middle, middle, negative, negative])
         fp, fn, covered, warn = _outcomes(label, truth, labels).T
@@ -459,6 +467,116 @@ def test_rows_equal_across_replication_blocks(monkeypatch, name):
             rows = fn(cfg)["rows"]
             assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest, (fn.__name__,
                                                                                block)
+
+
+def _labels_reference(lower, upper, c_lo, c_up, mode):
+    """String label of each element of four same-shape arrays, in C order."""
+    return np.array([
+        classify(lo, up, cl, cu, mode)
+        for lo, up, cl, cu in zip(lower.ravel().tolist(), upper.ravel().tolist(),
+                                  c_lo.ravel().tolist(), c_up.ravel().tolist())
+    ]).reshape(c_lo.shape)
+
+
+def _pe_counts_reference(cfg, reps):
+    """`_pe_counts` as a per-horizon loop over string labels."""
+    paths = simulate_pe_paths(cfg, reps)
+    theta_obs, z, true_scores = paths["theta_obs"], paths["z"], paths["true_scores"]
+    shift = cfg.theta_reading_shift
+    base = _params(cfg)
+    scores = np.array([
+        _pe_scores(theta_obs, z, base),
+        _pe_scores(np.clip(theta_obs - shift, 0, 1), z, base),
+        _pe_scores(np.clip(theta_obs + shift, 0, 1), z, base),
+        _pe_scores(theta_obs, z, _params(cfg, _bowed_dist(cfg.c_bar, 0.8))),
+        _pe_scores(theta_obs, z, _params(cfg, _bowed_dist(cfg.c_bar, 1.25))),
+    ])
+    tier2 = scores[:3]
+    bounds = np.array([tier2.min(axis=0), tier2.max(axis=0),
+                       scores.min(axis=0), scores.max(axis=0)])
+    positive, middle, negative = PE_LABELS
+    qs = _horizon_indices(cfg)
+    bands = _bands(bounds, scores[:1], qs, cfg.window_h, cfg.block_grid, cfg.alpha)
+    counts = []
+    for q, horizon_bands in zip(qs, bands):
+        lo2, up2, lo3, up3 = bounds[:, :, q]
+        point = scores[0, :, q]
+        naive_plugin = np.where(point > 0, positive, negative)
+        single_threshold = np.select(
+            [point > cfg.dead_zone, point < -cfg.dead_zone], [positive, negative], middle
+        )
+        labels = np.array([
+            [
+                _labels_reference(lo2, up2, c_lo2, c_up2, "PE"),
+                _labels_reference(lo3, up3, c_lo3, c_up3, "PE"),
+                naive_plugin,
+                single_threshold,
+                _labels_reference(point, point, c_fix, c_fix, "PE"),
+            ]
+            for c_lo2, c_up2, c_lo3, c_up3, c_fix in horizon_bands
+        ])
+        counts.append(_outcomes(labels, true_scores[:, q] > 0.0, PE_LABELS).sum(axis=2))
+    return np.array(counts)
+
+
+def _tf_counts_reference(cfg, rho, reps):
+    """`_tf_counts` with string labels, one `classify` pass per method and
+    the growth draw's offset added inside the draw."""
+    T = cfg.T
+    b_true, g_new, e_pi, e_d = _draws(cfg.seed, reps, lambda rng: (
+        rng.uniform(_MONITOR_B, cfg.tf_b_baseline),
+        cfg.tf_g_star + rng.uniform(0.0, cfg.tf_g_spread),
+        rng.normal(0.0, cfg.tf_sd, T),
+        rng.normal(0.0, cfg.tf_sd, T),
+    ))
+    e_pi[:, 0] = e_d[:, 0] = 0.0
+    uw = _ar1(cfg.tf_rho, [e_pi, e_d])
+    w = cfg.window_h
+    pi_path = cfg.pi + uw[T - w :, 0].T
+    d_path = cfg.tf_d0 + uw[T - w :, 1].T
+    q = w - 1
+    s_base, s_mon = (g_new[:, None] - _threshold(pi_path, d_path, 0.0, b, rho, cfg.tf_m)
+                     for b in (cfg.tf_b_baseline, _MONITOR_B))
+    lo2, up2 = np.minimum(s_base, s_mon), np.maximum(s_base, s_mon)
+    ((bands,),) = _bands(np.concatenate([s_base, lo2, up2]), s_base, [q],
+                         cfg.window_h, [cfg.block_len], cfg.alpha)
+    c_base, c_lo2, c_up2, c_fix = bands.reshape(4, len(rho), -1)
+    truth_feasible = g_new - _threshold(pi_path[:, q], d_path[:, q], 0.0, b_true,
+                                        rho[..., 0], cfg.tf_m) > 0.0
+    base_q, lo2_q, up2_q = s_base[..., q], lo2[..., q], up2[..., q]
+    feasible, _, infeasible = TF_LABELS
+    labels = np.array([
+        _labels_reference(base_q, base_q, c_base, c_base, "TF"),
+        _labels_reference(lo2_q, up2_q, c_lo2, c_up2, "TF"),
+        np.where(base_q > 0, feasible, infeasible),
+        np.where(s_mon[..., q] > 0, feasible, infeasible),
+        _labels_reference(base_q, base_q, c_fix, c_fix, "TF"),
+    ])
+    return _outcomes(labels, truth_feasible, TF_LABELS).sum(axis=2), up2_q - lo2_q
+
+
+ORACLE_CONFIGS = {name: MCConfig(**kw) for name, (kw, _, _) in PINNED_ROWS.items()}
+ORACLE_CONFIGS["baseline"] = load_scenario(None).mc_config(seed=1, n_reps=16)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+def test_label_codes_equal_the_string_label_loop(monkeypatch, name):
+    # each block labels once, as integer codes over every horizon, block
+    # length and band method; the per-horizon loop over string labels that
+    # it replaced must give the same counts (and widths) block for block
+    import debtregime.montecarlo as mc
+
+    cfg = ORACLE_CONFIGS[name]
+    rho = np.array([0.0, 0.005, 0.01])[:, None, None]
+    for block in (1, 7, cfg.n_reps):
+        monkeypatch.setattr(mc, "_BLOCK_REPS", block)
+        for reps in _rep_blocks(cfg.n_reps):
+            got, want = _pe_counts(cfg, reps), _pe_counts_reference(cfg, reps)
+            assert got.shape == want.shape and (got == want).all(), (block, reps)
+            (got, got_w), (want, want_w) = (_tf_counts(cfg, rho, reps),
+                                            _tf_counts_reference(cfg, rho, reps))
+            assert got.shape == want.shape and (got == want).all(), (block, reps)
+            assert got_w.tobytes() == want_w.tobytes(), (block, reps)
 
 
 @pytest.mark.parametrize("fn", [run_mc_pe, run_mc_tf])

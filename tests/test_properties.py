@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from debtregime.closure import (
     _premium_on_grid,
@@ -39,6 +40,7 @@ from debtregime.inference import (
     tier_scores,
 )
 from debtregime.investment import _project_capped_simplex
+from debtregime.montecarlo import _labels
 from debtregime.scenario import load_series_csv
 from debtregime.tables import TableArtifact, emit_csv
 
@@ -167,6 +169,30 @@ def test_wider_band_or_envelope_never_flips_the_label(bounds, widths, mode):
                   classify(outer_lo, outer_up, c_lo_wide, c_up_wide, mode)):
         # the same label or the middle one, never the opposite point label
         assert wider in (label, middle)
+
+
+# a small pool makes exact ties (lower - c_lower == 0, upper + c_upper == 0)
+# and inf - inf frequent; any float, NaN and infinities included, fills in
+LABEL_INPUTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, math.inf, -math.inf, math.nan]),
+    st.floats(),
+)
+
+
+@PROPERTY
+@given(hnp.mutually_broadcastable_shapes(num_shapes=4, max_dims=3, max_side=3),
+       st.sampled_from(["PE", "TF"]), st.data())
+def test_label_codes_index_the_scalar_labels(shapes, mode, data):
+    # lower, upper, c_lower, c_upper broadcast together; the code of each
+    # element indexes the label `classify` gives it
+    arrays = [data.draw(hnp.arrays(np.float64, shape, elements=LABEL_INPUTS))
+              for shape in shapes.input_shapes]
+    codes = _labels(*arrays, mode)
+    assert codes.shape == shapes.result_shape
+    labels = PE_LABELS if mode == "PE" else TF_LABELS
+    for idx, args in zip(np.ndindex(*codes.shape),
+                         zip(*(a.ravel().tolist() for a in np.broadcast_arrays(*arrays)))):
+        assert labels[codes[idx]] == classify(*args, mode), (idx, args)
 
 
 @PROPERTY

@@ -22,6 +22,7 @@ from debtregime.scenario import (
 from debtregime.tables import (
     TABLE_IDS,
     TableArtifact,
+    _fmt,
     build_table,
     emit_csv,
     scenario_report,
@@ -292,6 +293,15 @@ class TestEmitCsv:
         assert lines[4] == "none_cell,"
         assert lines[5] == "flag,true"
         assert "\r" not in text
+
+    @pytest.mark.parametrize("value, text", [
+        (None, ""), (True, "true"), (False, "false"), (0.0, "0"), (-0.0, "-0"),
+        (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"),
+        (np.float64(-1234567.891), "-1.23457e+06"), (12345678, "12345678"),
+        (np.int64(-7), "-7"), ("baseline", "baseline"),
+    ])
+    def test_cell_format(self, value, text):
+        assert _fmt(value) == text
 
     def test_empty_rows_header_only(self, tmp_path):
         art = TableArtifact("empty", ("a", "b"), [], {"seed": 1})
