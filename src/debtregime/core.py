@@ -75,7 +75,8 @@ class EconState:
 
 @dataclass(frozen=True)
 class RegimeParams:
-    """Repression and scope parameters.
+    """Repression and scope parameters.  The control-rights index has its
+    own inputs (`extensions.PsiSpec`, `TwoLayerParams.psi`), not these.
 
     epsilon  : repression bias, inflation minus repression-consistent yield
     g_star   : potential nominal growth
@@ -86,7 +87,6 @@ class RegimeParams:
     e_bar    : depreciation window bound
     alpha    : linear pass-through coefficient (>= 0)
     beta     : quadratic overshoot penalty coefficient (>= 0)
-    psi_mon, psi_abs, psi_fx : control-rights sub-indices in [0, 1]
     kappa_exp : optional proportional decay rate for the exponential clock
     """
 
@@ -99,9 +99,6 @@ class RegimeParams:
     e_bar: float = 0.0
     alpha: float = 0.0
     beta: float = 0.0
-    psi_mon: float = 1.0
-    psi_abs: float = 0.93
-    psi_fx: float = 1.0
     kappa_exp: Optional[float] = 0.01
 
     def __post_init__(self):
@@ -110,7 +107,7 @@ class RegimeParams:
             _require_finite(name, getattr(self, name))
         if self.kappa_exp is not None:
             _require_finite("kappa_exp", self.kappa_exp)
-        for name in ("phi", "phi_bar", "psi_mon", "psi_abs", "psi_fx"):
+        for name in ("phi", "phi_bar"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise DomainError(f"{name} must lie in [0, 1], got {v}")

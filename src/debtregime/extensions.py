@@ -209,7 +209,8 @@ def clock(spec: ClockSpec) -> dict:
 
     T_linear = (phi - phi_bar)/kappa; kappa <= 0 yields an infinite-horizon
     sentinel (paused clock), not an error.  T_exp = ln(phi/phi_bar)/kappa_exp
-    when a proportional decay rate is supplied.
+    when a proportional decay rate is supplied; it is the same +inf sentinel
+    when kappa_exp <= 0 or phi_bar = 0, which exponential decay never reaches.
     """
     if spec.kappa > 0:
         t_lin = (spec.phi - spec.phi_bar) / spec.kappa
@@ -217,7 +218,7 @@ def clock(spec: ClockSpec) -> dict:
         t_lin = math.inf
     t_exp = None
     if spec.kappa_exp is not None:
-        if spec.kappa_exp > 0:
+        if spec.kappa_exp > 0 and spec.phi_bar > 0:
             t_exp = math.log(spec.phi / spec.phi_bar) / spec.kappa_exp
         else:
             t_exp = math.inf

@@ -85,7 +85,9 @@ class MCConfig:
     must be integers (numpy integers included), else `DomainError`; the
     seed must lie in [0, 2**64), else `ConfigError`.  The non-band methods
     are reported at `block_len`, so it must be an entry of `block_grid`,
-    else `ConfigError`.
+    else `ConfigError`.  The shock scales, `tf_g_spread` and `tf_m` must be
+    >= 0, and the core-share law obeys `ThetaLaw`'s checks, else
+    `DomainError`.
     """
 
     n_reps: int = 500
@@ -144,6 +146,10 @@ class MCConfig:
                     _require_finite(f.name, v)
                 if f.name in counts:
                     _require_integer(f.name, v)
+        for name in ("sigma_theta_obs", "sd_theta", "sd_z", "tf_g_spread", "tf_sd", "tf_m"):
+            if getattr(self, name) < 0:
+                raise DomainError(f"{name} must be >= 0, got {getattr(self, name)}")
+        ThetaLaw(kappa_theta=self.kappa_theta, g0=self.g0, eps_cap=self.eps_cap)
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.n_reps < 1:

@@ -7,7 +7,10 @@ optional keys, `closure.r_rep` (unset means `econ.r_n`) and
 `regime.kappa_exp`; sweep rows are declared as
 `sweep.<name>.<row> = key=value,key=value`, each entry parsed and checked
 as the same `key = value` line would be.  Every parse, finiteness and unit
-error names its line.  The seed is not a scenario key:
+error names its line.  Each setting has one key: the Monte Carlo reads its
+core-share law from `closure`, its band level from `inference.alpha` and its
+safety margin from `transition.m`, so the `mc.` keys hold only the draws,
+counts and readings of its own harness.  The seed is not a scenario key:
 `Scenario.mc_config(seed)` (the CLI's `--seed`) takes an integer in
 [0, 2**64).
 """
@@ -28,13 +31,6 @@ from .investment import InvestmentInputs
 from .transition import TransitionSpec
 
 __all__ = ["Scenario", "load_scenario", "load_series_csv", "DEFAULTS"]
-
-
-def _norm_key(key: str) -> str:
-    # `core.` is an accepted alias for the econ block
-    if key.startswith("core."):
-        return "econ." + key[len("core.") :]
-    return key
 
 
 # Each key's default and kind.  The kind fixes the parse and the unit rule:
@@ -61,9 +57,6 @@ _SCHEMA: Dict[str, Tuple[object, str]] = {
     "regime.e_bar": (0.0, "rate"),
     "regime.alpha": (0.0, "num"),
     "regime.beta": (0.0, "num"),
-    "regime.psi_mon": (1.0, "share"),
-    "regime.psi_abs": (0.93, "share"),
-    "regime.psi_fx": (1.0, "share"),
     # fiscal response
     "fiscal.mode": ("constant", "text"),
     "fiscal.d0": (0.020, "rate"),
@@ -109,12 +102,9 @@ _SCHEMA: Dict[str, Tuple[object, str]] = {
     # Monte Carlo harness
     "mc.n_reps": (500, "int"),
     "mc.T": (60, "int"),
-    "mc.alpha": (0.10, "share"),
     "mc.sigma_theta_obs": (0.02, "rate"),
     "mc.rho_theta": (0.8, "share"),
     "mc.sd_theta": (0.005, "rate"),
-    "mc.kappa_theta": (0.0, "rate"),
-    "mc.g0": (0.0, "num"),
     "mc.rho_z": (0.9, "share"),
     "mc.sd_z": (0.0025, "rate"),
     "mc.stress_prob": (0.05, "share"),
@@ -126,7 +116,6 @@ _SCHEMA: Dict[str, Tuple[object, str]] = {
     "mc.tf_g_spread": (0.015, "rate"),
     "mc.tf_sd": (0.001, "rate"),
     "mc.tf_rho": (0.8, "share"),
-    "mc.tf_m": (0.0, "rate"),
 }
 DEFAULTS: Dict[str, object] = {key: default for key, (default, _) in _SCHEMA.items()}
 
@@ -220,11 +209,10 @@ class Scenario:
     def with_overrides(self, overrides: Dict[str, object]) -> "Scenario":
         merged = dict(self.values)
         for k, v in overrides.items():
-            nk = _norm_key(k)
-            if nk not in DEFAULTS:
+            if k not in DEFAULTS:
                 raise ConfigError(f"unknown override key {k!r}")
-            _check_units(nk, v)
-            merged[nk] = v
+            _check_units(k, v)
+            merged[k] = v
         return Scenario(values=merged, sweeps=self.sweeps)
 
     def config_hash(self) -> str:
@@ -261,6 +249,9 @@ class Scenario:
     def two_layer(self) -> TwoLayerParams:
         v = self.values
         if v["closure.dist"] == "uniform":
+            if v["closure.dist_knots"]:
+                raise ConfigError("closure.dist_knots is set but closure.dist is uniform; "
+                                  "knots need closure.dist = table")
             dist = MarginDistribution()
         else:
             dist = MarginDistribution(kind="table", knots=tuple(v["closure.dist_knots"]))
@@ -310,8 +301,11 @@ class Scenario:
 
     def mc_config(self, seed: int, n_reps: Optional[int] = None) -> MCConfig:
         """Each `mc.<name>` key sets the field of that name (a list as a
-        tuple); the closure, econ, regime and inference sections set the rest,
-        and `phi_req` is the one `two_layer` computes."""
+        tuple); every other field reads the one key that states its setting:
+        the operating point from `closure`, `econ` and `regime`, `phi_req` as
+        `two_layer` computes it, the core-share law as `theta_law` carries it,
+        the band settings from `inference` and the safety margin `tf_m` from
+        `transition.m`."""
         from .montecarlo import MCConfig
 
         v = self.values
@@ -319,15 +313,17 @@ class Scenario:
               for key, x in v.items() if key.startswith("mc.")}
         if n_reps is not None:
             mc["n_reps"] = n_reps
+        law = self.theta_law()
         return MCConfig(
             **mc, seed=seed,
             theta0=v["closure.theta"], z0=v["closure.z"], psi=v["closure.psi"],
             c_bar=v["closure.c_bar"], phi_req=self.two_layer().phi_req,
             pi=v["econ.pi"], r_rep=self.r_rep(),
-            window_h=v["inference.window_h"], block_len=v["inference.block_len"],
-            block_grid=tuple(v["inference.block_grid"]),
+            kappa_theta=law.kappa_theta, g0=law.g0, eps_cap=law.eps_cap,
+            alpha=v["inference.alpha"], window_h=v["inference.window_h"],
+            block_len=v["inference.block_len"], block_grid=tuple(v["inference.block_grid"]),
             tf_b_baseline=v["econ.b_prev"], tf_g_star=v["regime.g_star"],
-            tf_d0=v["econ.d"],
+            tf_d0=v["econ.d"], tf_m=v["transition.m"],
         )
 
     def sweep_rows(self, name: str) -> List[Tuple[str, Dict[str, object]]]:
@@ -350,7 +346,7 @@ def _parse_sweep_value(text: str, lineno: int) -> Dict[str, object]:
                 f"line {lineno}: sweep row entries must be key=value, got {item!r}"
             )
         k, val = item.split("=", 1)
-        k = _norm_key(k.strip())
+        k = k.strip()
         if k not in DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown sweep key {k!r}")
         overrides[k] = _parse_value(k, val, lineno)
@@ -379,7 +375,6 @@ def load_scenario(path: Optional[str] = None) -> Scenario:
             if "=" not in line:
                 raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
             key, text = (s.strip() for s in line.split("=", 1))
-            key = _norm_key(key)
             if key.startswith("sweep."):
                 parts = key.split(".")
                 if len(parts) != 3:

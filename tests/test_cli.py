@@ -190,41 +190,42 @@ _ARTIFACT_COMMANDS = {
 }
 
 # (config, command) -> SHA-256 prefixes of (stdout, the one CSV written): every
-# CLI artifact and summary is pinned byte for byte.
+# CLI artifact and summary is pinned byte for byte (recorded with Python 3.11
+# and numpy 2.4.6).
 _ARTIFACT_DIGESTS = {
-    ('baseline', 'bounds'): ('82100a5250871373', 'db6f36b1fe3b2f95'),
-    ('baseline', 'clock'): ('be0b19f07fc6e4b6', '59a4eb51143ed365'),
-    ('baseline', 'closure'): ('8f63adaa031cbdea', 'c2724a611caab5ac'),
-    ('baseline', 'scenario'): ('79360de5bc0ea5ce', 'c8fd3a0b52dab344'),
-    ('baseline', 'sweep_stress_v2'): ('2d21b1ba21c5c195', '75de057716852238'),
-    ('baseline', 'tables_calibration'): ('45e1dc9c70d59008', 'f76c5d01abbfb307'),
-    ('baseline', 'tables_psi_countries'): ('4b53de498d1097e7', '3c36b03d7666f318'),
-    ('baseline', 'tables_stress_v2'): ('2d21b1ba21c5c195', '75de057716852238'),
-    ('baseline', 'tables_tier_pe'): ('b4f2c083f7384634', '150949e229cdca82'),
-    ('baseline', 'tables_tier_tf'): ('1e193c83ed829b36', '1762ca0da750cce9'),
-    ('baseline', 'transition'): ('c7f44910cf2456fe', 'd89430d7ec58576b'),
-    ('hard_failure', 'bounds'): ('82100a5250871373', 'd2dffa5ea652394b'),
-    ('hard_failure', 'clock'): ('44e846aad8932c7a', '25594d119b1014bb'),
-    ('hard_failure', 'closure'): ('3e97444301e34868', 'e58418ea79304253'),
-    ('hard_failure', 'scenario'): ('be24570ba443178b', '82e7ebe3c7f75b4a'),
-    ('hard_failure', 'sweep_stress_v2'): ('2d21b1ba21c5c195', '6d0064a0b5de52d0'),
-    ('hard_failure', 'tables_calibration'): ('45e1dc9c70d59008', '12c42b10589c2fa6'),
-    ('hard_failure', 'tables_psi_countries'): ('4b53de498d1097e7', '9aa3582f1f9615ce'),
-    ('hard_failure', 'tables_stress_v2'): ('2d21b1ba21c5c195', '6d0064a0b5de52d0'),
-    ('hard_failure', 'tables_tier_pe'): ('b4f2c083f7384634', '69d912fb00281eee'),
-    ('hard_failure', 'tables_tier_tf'): ('1e193c83ed829b36', '7c3c6a57c5d197be'),
-    ('hard_failure', 'transition'): ('888a72c14d5bf3ee', '49e867da8071edd3'),
-    ('table_margin', 'bounds'): ('be8463b8a3492803', 'c3c087e7659bbe99'),
-    ('table_margin', 'clock'): ('be0b19f07fc6e4b6', '4843f51422953b0d'),
-    ('table_margin', 'closure'): ('eb483ac35e0dea8c', '5a5ab6ef94ccc385'),
-    ('table_margin', 'scenario'): ('cf5c100b1c883a04', '187cbe4b19f4e048'),
-    ('table_margin', 'sweep_stress_v2'): ('2d21b1ba21c5c195', '3901ea06d03f137d'),
-    ('table_margin', 'tables_calibration'): ('45e1dc9c70d59008', '80db75015a8b7027'),
-    ('table_margin', 'tables_psi_countries'): ('4b53de498d1097e7', 'e5524bfaac940d3a'),
-    ('table_margin', 'tables_stress_v2'): ('2d21b1ba21c5c195', '3901ea06d03f137d'),
-    ('table_margin', 'tables_tier_pe'): ('b4f2c083f7384634', '458f4f7cb681e7a1'),
-    ('table_margin', 'tables_tier_tf'): ('1e193c83ed829b36', 'e40d21fd4f3d934f'),
-    ('table_margin', 'transition'): ('5b8320af3b16e0f2', 'fca5e9b8404c2997'),
+    ('baseline', 'bounds'): ('82100a5250871373', '8225759f37f95cc9'),
+    ('baseline', 'clock'): ('be0b19f07fc6e4b6', '4dac4f8d8536dfd4'),
+    ('baseline', 'closure'): ('8f63adaa031cbdea', '87ce4bd83a01f816'),
+    ('baseline', 'scenario'): ('79360de5bc0ea5ce', 'e997d0b362df7441'),
+    ('baseline', 'sweep_stress_v2'): ('2d21b1ba21c5c195', '4327e0872dce056f'),
+    ('baseline', 'tables_calibration'): ('45e1dc9c70d59008', '80b52b96e225db4e'),
+    ('baseline', 'tables_psi_countries'): ('4b53de498d1097e7', 'a05834624e151f01'),
+    ('baseline', 'tables_stress_v2'): ('2d21b1ba21c5c195', '4327e0872dce056f'),
+    ('baseline', 'tables_tier_pe'): ('b4f2c083f7384634', '983f1d81dc04999b'),
+    ('baseline', 'tables_tier_tf'): ('1e193c83ed829b36', '637bbe139115bff0'),
+    ('baseline', 'transition'): ('c7f44910cf2456fe', 'fb034e6f6069d524'),
+    ('hard_failure', 'bounds'): ('82100a5250871373', '6f2885862d2e8a36'),
+    ('hard_failure', 'clock'): ('44e846aad8932c7a', '1f8d34d9f5cc9ec2'),
+    ('hard_failure', 'closure'): ('3e97444301e34868', 'dfd505a61675d61a'),
+    ('hard_failure', 'scenario'): ('be24570ba443178b', '3e4e5547e152d15d'),
+    ('hard_failure', 'sweep_stress_v2'): ('2d21b1ba21c5c195', '066a9c2548fa9ec6'),
+    ('hard_failure', 'tables_calibration'): ('45e1dc9c70d59008', '508d2d76ab6ea01a'),
+    ('hard_failure', 'tables_psi_countries'): ('4b53de498d1097e7', 'dc7fa393715117e6'),
+    ('hard_failure', 'tables_stress_v2'): ('2d21b1ba21c5c195', '066a9c2548fa9ec6'),
+    ('hard_failure', 'tables_tier_pe'): ('b4f2c083f7384634', '5a9c9c0892879b85'),
+    ('hard_failure', 'tables_tier_tf'): ('1e193c83ed829b36', '216fce3c339f0f2d'),
+    ('hard_failure', 'transition'): ('888a72c14d5bf3ee', '6d3001068422cfd6'),
+    ('table_margin', 'bounds'): ('be8463b8a3492803', 'c3061c53f9774717'),
+    ('table_margin', 'clock'): ('be0b19f07fc6e4b6', '6193f4930542f952'),
+    ('table_margin', 'closure'): ('eb483ac35e0dea8c', '785131b2d0f3731f'),
+    ('table_margin', 'scenario'): ('cf5c100b1c883a04', 'ea0e65874be32bba'),
+    ('table_margin', 'sweep_stress_v2'): ('2d21b1ba21c5c195', 'e38e8ba7172e060c'),
+    ('table_margin', 'tables_calibration'): ('45e1dc9c70d59008', '4085bff151bf2334'),
+    ('table_margin', 'tables_psi_countries'): ('4b53de498d1097e7', 'f6cca0def8232762'),
+    ('table_margin', 'tables_stress_v2'): ('2d21b1ba21c5c195', 'e38e8ba7172e060c'),
+    ('table_margin', 'tables_tier_pe'): ('b4f2c083f7384634', '4b6d61297cedd738'),
+    ('table_margin', 'tables_tier_tf'): ('1e193c83ed829b36', 'cc63230a9ace929a'),
+    ('table_margin', 'transition'): ('5b8320af3b16e0f2', 'd84abe4ac81fe464'),
 }
 
 
@@ -291,10 +292,10 @@ class TestArtifactPins:
 # both modes, at the baseline window and at a 12-period window.
 _INFER_CONFIGS = {"baseline": None, "window_12": "inference.window_h = 12\n"}
 _INFER_DIGESTS = {
-    ('baseline', 'PE'): ('659ecdbeaabc181e', 'f67208fb7ebab7a2'),
-    ('baseline', 'TF'): ('3ed2363613fea5c0', '178c15821294aca1'),
-    ('window_12', 'PE'): ('659ecdbeaabc181e', '9202265fe72279df'),
-    ('window_12', 'TF'): ('3ed2363613fea5c0', '55afbc77a540f2bd'),
+    ('baseline', 'PE'): ('659ecdbeaabc181e', 'f561571167db9a3e'),
+    ('baseline', 'TF'): ('3ed2363613fea5c0', 'ee1235a4dd03b4d3'),
+    ('window_12', 'PE'): ('659ecdbeaabc181e', '769872656e7ee575'),
+    ('window_12', 'TF'): ('3ed2363613fea5c0', '6f8fd84f14dade13'),
 }
 
 
@@ -520,20 +521,14 @@ def test_every_csv_holds_finite_cells_except_documented_sentinels(
     assert saw_inf or config != "hard_failure"
 
 
-# The ten scenario keys that no command reads, each moved to another valid
-# value: only the library views regime_params(), fiscal_response() and
-# theta_law() carry them, so they may move nothing but `# config_hash`.
+# The four scenario keys that no command reads, each moved to another valid
+# value: only the library view fiscal_response() carries them, so they may
+# move nothing but `# config_hash`.
 _UNREAD_KEYS_CFG = """\
-regime.psi_mon = 0.9
-regime.psi_abs = 0.8
-regime.psi_fx = 0.7
 fiscal.mode = general
 fiscal.d0 = 0.03
 fiscal.b_ref = 2.0
 fiscal.table = 1.5:0.01, 3.0:0.04
-closure.kappa_theta = 0.01
-closure.g0 = 0.5
-closure.eps_cap = 0.02
 """
 
 
@@ -543,7 +538,7 @@ def test_unread_scenario_keys_move_only_the_config_hash(tmp_path, monkeypatch, c
     names = _write_readings(tmp_path)[:2]
     commands = [*_ARTIFACT_COMMANDS.values(), ["tables", "--reps", "4"],
                 ["infer", "--series", names[0], "--series", names[1]]]
-    assert len(_UNREAD_KEYS_CFG.splitlines()) == 10
+    assert len(_UNREAD_KEYS_CFG.splitlines()) == 4
     for k, argv in enumerate(commands):
         runs = []
         for config in ([], ["--config", "s.cfg"]):
@@ -561,3 +556,53 @@ def test_unread_scenario_keys_move_only_the_config_hash(tmp_path, monkeypatch, c
             assert any(hashed), (argv, name)
             for line, base_line, is_hash in zip(lines, base_csvs[name], hashed):
                 assert (line != base_line) == is_hash, (argv, name, line)
+
+
+def _mc_body(tmp_path, monkeypatch, text, out):
+    """The non-`#` lines of `mc --reps 8`'s CSVs under the scenario `text`."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / f"{out}.cfg").write_text(text)
+    assert run_cli(["--config", f"{out}.cfg", "--out", out, "mc", "--reps", "8"]) == 0
+    return {p.name: [l for l in p.read_text().splitlines() if not l.startswith("#")]
+            for p in sorted((tmp_path / out).iterdir())}
+
+
+def test_closure_law_reaches_the_monte_carlo(tmp_path, monkeypatch):
+    # the Monte Carlo read its own mc.g0, so closure.g0 moved only the hash
+    base = _mc_body(tmp_path, monkeypatch, "", "base")
+    moved = _mc_body(tmp_path, monkeypatch, "closure.g0 = 0.5\n", "g0")
+    assert sorted(moved) == sorted(base) == ["mc_pe.csv", "mc_tf.csv"]
+    assert moved["mc_pe.csv"] != base["mc_pe.csv"]
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("mc.sd_theta", -0.001, "sd_theta"), ("mc.sd_z", -0.001, "sd_z"),
+    ("mc.tf_sd", -0.001, "tf_sd"), ("mc.sigma_theta_obs", -0.01, "sigma_theta_obs"),
+    ("mc.tf_g_spread", -0.001, "tf_g_spread"), ("transition.m", -0.01, "tf_m"),
+    ("closure.kappa_theta", -0.01, "kappa_theta"), ("closure.g0", -0.1, "g0"),
+    ("closure.eps_cap", 0.0, "eps_cap"),
+])
+def test_negative_monte_carlo_scale_is_exit_3(tmp_path, monkeypatch, capsys, key, value,
+                                              named):
+    # a negative scale used to reach numpy and end in a traceback with exit 1
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.cfg").write_text(f"{key} = {value}\n")
+    capsys.readouterr()
+    assert run_cli(["--config", "s.cfg", "--out", "o", "mc", "--reps", "2"]) == 3
+    assert f"{named} must be" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [["clock"], ["scenario"], ["transition"],
+                                  ["tables", "--only", "calibration"]])
+def test_zero_threshold_gives_an_infinite_exponential_clock(tmp_path, monkeypatch, capsys,
+                                                            argv):
+    # log(phi / 0) used to raise ZeroDivisionError, a traceback with exit 1
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.cfg").write_text("regime.phi_bar = 0\n")
+    assert run_cli(["--config", "s.cfg", "--out", "o"] + argv) == 0
+    rows = [l.split(",") for p in (tmp_path / "o").iterdir()
+            for l in p.read_text().splitlines() if not l.startswith("#")]
+    exp_rows = [row for row in rows if {"T_exp", "clock_exponential"} & set(row)]
+    assert all("inf" in row for row in exp_rows), exp_rows
+    assert exp_rows or argv == ["transition"]  # the transition table has no clock row

@@ -163,6 +163,11 @@ class TestClock:
         out = clock(spec)
         assert math.isinf(out["T_linear"]) and math.isinf(out["T_exp"])
 
+    def test_zero_threshold_exponential_sentinel(self):
+        # exponential decay never reaches a zero threshold
+        out = clock(ClockSpec(phi=0.88, phi_bar=0.0, kappa=0.01, kappa_exp=0.01))
+        assert out == {"T_linear": pytest.approx(88.0, abs=1e-12), "T_exp": math.inf}
+
     def test_normalized_exponential_exceeds_linear(self):
         # with kappa_exp = kappa/phi the proportional horizon is strictly longer
         for phi, bar, kappa in [(0.88, 0.85, 0.01), (0.95, 0.5, 0.02), (0.7, 0.69, 0.001)]:

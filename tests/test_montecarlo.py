@@ -289,6 +289,18 @@ def test_invalid_closure_inputs_rejected(kw):
         run_mc_pe(small_cfg(n_reps=2, **kw))
 
 
+@pytest.mark.parametrize("name, value", [
+    ("sigma_theta_obs", -0.01), ("sd_theta", -0.001), ("sd_z", -0.001),
+    ("tf_g_spread", -0.001), ("tf_sd", -0.001), ("tf_m", -0.01),
+    ("kappa_theta", -0.01), ("g0", -1.0), ("eps_cap", 0.0),
+])
+def test_negative_scales_and_law_rejected(name, value):
+    # numpy rejected a negative scale with a ValueError, and run_mc_tf ran a
+    # negative g0 that run_mc_pe rejected
+    with pytest.raises(DomainError, match=f"{name} must be"):
+        small_cfg(**{name: value})
+
+
 def test_outcomes_cover_every_label():
     truth = np.array([True, False, True, False, True, False])
     for labels in (PE_LABELS, TF_LABELS, (0, 1, 2)):

@@ -1,7 +1,8 @@
 """README's examples run as documented: the library quick start executes and
 prints what its comments say, the example scenario file loads through
-`load_scenario`, the optional keys it names are the schema's, and its CLI
-usage line names the parser's global options."""
+`load_scenario`, the optional keys it names are the schema's, every
+`section.key` it names is a schema key, and its CLI usage line names the
+parser's global options."""
 
 import contextlib
 import io
@@ -75,3 +76,10 @@ def test_usage_line_names_every_global_option():
     flags = [s for a in _build_parser()._actions for s in a.option_strings
              if s.startswith("--") and s != "--help"]
     assert documented == flags
+
+
+def test_every_key_named_is_a_schema_key():
+    # a key deleted from the schema cannot survive in the docs
+    sections = {key.split(".")[0] for key in _SCHEMA}
+    named = {f"{s}.{k}" for s, k in re.findall(r"`(\w+)\.(\w+)`", _text()) if s in sections}
+    assert named and named <= set(_SCHEMA), sorted(named - set(_SCHEMA))

@@ -57,10 +57,30 @@ class TestLoadScenario:
         assert sc.econ_state().b_prev == 1.574
         assert sc.two_layer().z == 0.03
 
-    def test_core_alias(self, tmp_path):
+    def test_core_is_an_unknown_section(self, tmp_path, capsys):
+        # `core.` was once an alias for `econ.`; each setting now has one key
         path = tmp_path / "alias.cfg"
-        path.write_text("core.b_prev = 1.574\n")
-        assert load_scenario(str(path)).econ_state().b_prev == 1.574
+        path.write_text("# old alias\ncore.b_prev = 1.574\n")
+        with pytest.raises(ConfigError) as exc:
+            load_scenario(str(path))
+        assert str(exc.value) == "line 2: unknown key 'core.b_prev'"
+        out = tmp_path / "o"
+        assert run_cli(["--config", str(path), "--out", str(out), "scenario"]) == 2
+        assert "line 2: unknown key 'core.b_prev'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_knots_without_a_table_margin_rejected(self, tmp_path, capsys):
+        # the knots used to be ignored, and the run went on the uniform margin
+        path = tmp_path / "knots.cfg"
+        path.write_text("closure.dist_knots = 0.0:0.3, 0.03:0.6, 0.06:1.0\n")
+        with pytest.raises(ConfigError, match="closure.dist_knots"):
+            load_scenario(str(path))
+        out = tmp_path / "o"
+        assert run_cli(["--config", str(path), "--out", str(out), "closure"]) == 2
+        assert "closure.dist_knots" in capsys.readouterr().err
+        assert not out.exists()
+        path.write_text("closure.dist = table\n" + path.read_text())
+        assert load_scenario(str(path)).two_layer().dist.kind == "table"
 
     def test_unknown_key_lists_the_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -214,10 +234,26 @@ class TestSchema:
         sc = load_scenario(str(path))
         assert sc.mc_config(42).phi_req == sc.two_layer().phi_req == 0.87
 
+    def test_monte_carlo_reads_one_key_per_setting(self, tmp_path):
+        # the core-share law, the band level and the safety margin used to have
+        # their own mc.* keys, and the Monte Carlo's law had no cap
+        path = tmp_path / "one_key.cfg"
+        path.write_text("closure.kappa_theta = 0.01\nclosure.g0 = 0.5\n"
+                        "closure.eps_cap = 0.02\ninference.alpha = 0.05\ntransition.m = 0.004\n")
+        sc = load_scenario(str(path))
+        cfg = sc.mc_config(42)
+        law = sc.theta_law()
+        assert (cfg.kappa_theta, cfg.g0, cfg.eps_cap) == (law.kappa_theta, law.g0, law.eps_cap)
+        assert (law.kappa_theta, law.g0, law.eps_cap) == (0.01, 0.5, 0.02)
+        assert (cfg.alpha, cfg.tf_m) == (0.05, 0.004)
+        assert cfg.alpha == sc.subsample_config().alpha
+        assert cfg.tf_m == sc.transition_spec().m
+        assert not {"mc.kappa_theta", "mc.g0", "mc.alpha", "mc.tf_m"} & set(_SCHEMA)
+
     def test_unit_rules_by_kind(self):
         rates = [k for k, (_, kind) in _SCHEMA.items() if kind.rstrip("?") == "rate"]
         shares = [k for k, (_, kind) in _SCHEMA.items() if kind == "share"]
-        assert (len(rates), len(shares)) == (38, 16)
+        assert (len(rates), len(shares)) == (36, 12)
         for key in rates:
             with pytest.raises(ConfigError, match="rate unit convention"):
                 _check_units(key, 1.5)
