@@ -8,8 +8,11 @@ results are bit-identical for a fixed seed.  Demand, premium, core drift
 and growth threshold come from the closure and transition kernels.  Both
 experiments stream their replications in consecutive blocks of at most
 `_BLOCK_REPS`, and each block runs the same stages on [replication, period]
-arrays: one draw helper, one AR(1) recursion advancing every state of every
-replication per period, one band pass per window length (one detrend call,
+arrays: one draw helper writing each replication's draws into the block's
+arrays, one AR(1) recursion advancing every state of every replication per
+period, the premium-emergence core share as one cumulative sum until a
+clamp binds (the clamp recursion from there on, and throughout on the
+structural branch), one band pass per window length (one detrend call,
 and one band call per block length, on every horizon or premium bound
 sharing it), one label pass (the scalar `classify` on each element, kept as
 the integer code of its label) and the integer counts of the 0/1 outcome
@@ -184,9 +187,15 @@ def _rep_blocks(n_reps: int) -> Iterator[range]:
 def _draws(seed: int, reps: Sequence[int], draw: Callable) -> List[np.ndarray]:
     """`draw(rng)` on each replication's own stream returns its series in
     draw order; series i comes back as one [R, ...] array whose row j holds
-    reps[j]'s draws.  Each replication's draws are held until they are
-    stacked; the experiments pass one replication block at a time."""
-    return [np.array(s) for s in zip(*(draw(_rep_rng(seed, r)) for r in reps))]
+    reps[j]'s draws.  Each replication's draws are written straight into
+    the preallocated arrays, so no replication's draws outlive its row."""
+    out: List[np.ndarray] = []
+    for j, r in enumerate(reps):
+        for i, x in enumerate(draw(_rep_rng(seed, r))):
+            if j == 0:
+                out.append(np.empty((len(reps),) + np.shape(x)))
+            out[i][j] = x
+    return out
 
 
 def _ar1(coef: Union[float, np.ndarray], series: Sequence[np.ndarray]) -> np.ndarray:
@@ -232,40 +241,61 @@ def simulate_pe_paths(cfg: MCConfig, rep: Union[int, Sequence[int]]) -> dict:
     sequence of reps gives `[R, T]` arrays whose row i is replication
     rep[i], bit for bit the same as the int call.  Each replication draws
     its shocks from its own stream.  The three AR(1) states (spread, stress,
-    core innovation) advance together through `_ar1`, and the
-    core-share loop adds one array premium solve per period when g0 > 0 or
-    kappa > 0.  The clamps mirror Python's `max(x, 1e-6)`,
+    core innovation u) advance together through `_ar1`.  On the reduced-form
+    branch (g0 = kappa = 0) the core share is the walk
+    theta0 + u[0] + u[1] + ..., one cumulative sum over the periods that
+    adds in the recursion's left-to-right order, so it equals the recursion
+    bit for bit until a clamp binds; from the period before the first value
+    a clamp would change (in any replication of the call) the recursion
+    runs for every replication.  On the structural branch (g0 > 0 or
+    kappa > 0) the recursion runs from period 0 and adds one array premium
+    solve per period.  The clamps mirror Python's `max(x, 1e-6)`,
     `max(0.0, x)` and `min(1.0, x)` (which keep the first argument unless
-    the second is strictly larger, or smaller), so no -0.0 appears.
+    the second is strictly larger, or smaller), so no -0.0 appears after
+    period 0.  Each [R, T] intermediate is overwritten or dropped once it is
+    consumed, so the call's peak memory stays under twice the size of the
+    arrays it returns.
     """
     single = np.ndim(rep) == 0
-    e_u, e_v, u_stress, obs_noise = _draws(cfg.seed, [rep] if single else rep, lambda rng: (
+    e_u, e_v, e_stress, obs_noise = _draws(cfg.seed, [rep] if single else rep, lambda rng: (
         rng.normal(0.0, cfg.sd_theta, cfg.T),
         rng.normal(0.0, cfg.sd_z, cfg.T),
         rng.uniform(0.0, 1.0, cfg.T),
         rng.normal(0.0, cfg.sigma_theta_obs, cfg.T),
     ))
-    e_stress = np.where(u_stress < cfg.stress_prob, cfg.stress_size, 0.0)
+    # the stress shifts overwrite their uniform draws
+    e_stress[:] = np.where(e_stress < cfg.stress_prob, cfg.stress_size, 0.0)
     law = ThetaLaw(kappa_theta=cfg.kappa_theta, g0=cfg.g0, eps_cap=cfg.eps_cap)
     base = _params(cfg)
     structural = cfg.g0 > 0.0 or cfg.kappa_theta > 0.0
     # [period, rep] paths of the spread v, stress and core innovation u
     v, stress, u = _ar1(np.array([cfg.rho_z, cfg.stress_decay, cfg.rho_theta])[:, None],
                         [e_v, e_stress, e_u]).transpose(1, 0, 2)
+    del e_u, e_v, e_stress
     z = cfg.z0 + v + stress
     z = np.where(1e-6 > z, 1e-6, z)
     theta = np.empty_like(z)
-    theta_t = np.full(z.shape[1], cfg.theta0)
-    for t in range(cfg.T):
-        theta[t] = theta_t
+    theta[0] = cfg.theta0
+    start = 0
+    if not structural:
+        # the walk, summed left to right as the recursion below sums it,
+        # holds until a clamp would change a value: below 0, -0.0 or above 1
+        theta[1:] = u[:-1]
+        np.add.accumulate(theta, axis=0, out=theta)
+        binds = (np.signbit(theta[1:]) | ~(theta[1:] <= 1.0)).any(axis=1)
+        start = int(binds.argmax()) if binds.any() else cfg.T - 1
+    for t in range(start, cfg.T - 1):
         # structural part of the law needs each replication's premium
-        drift = (_core_drift(_premium_on_grid(base, theta_t, z[t]), law, cfg.pi, cfg.r_rep)
+        drift = (_core_drift(_premium_on_grid(base, theta[t], z[t]), law, cfg.pi, cfg.r_rep)
                  if structural else 0.0)
-        theta_t = theta_t + drift + u[t]
+        theta_t = theta[t] + drift + u[t]
         theta_t = np.where(theta_t > 0.0, theta_t, 0.0)
-        theta_t = np.where(theta_t < 1.0, theta_t, 1.0)
+        theta[t + 1] = np.where(theta_t < 1.0, theta_t, 1.0)
+    del v, stress, u
     theta, z = np.ascontiguousarray(theta.T), np.ascontiguousarray(z.T)
-    paths = {"theta": theta, "z": z, "theta_obs": np.clip(theta + obs_noise, 0.0, 1.0),
+    theta_obs = np.clip(theta + obs_noise, 0.0, 1.0)
+    del obs_noise
+    paths = {"theta": theta, "z": z, "theta_obs": theta_obs,
              "true_scores": _pe_scores(theta, z, base)}
     return {k: a[0] for k, a in paths.items()} if single else paths
 

@@ -393,7 +393,71 @@ LOCKSTEP_CONFIGS.update({
     "stress_premium": dict(seed=9, n_reps=12, theta0=0.6, phi_req=0.88, g0=0.5,
                            eps_cap=0.002, kappa_theta=0.002),
 })
+
+
+def _walk_escapes(cfg, reps):
+    """(first period t >= 1 at which the unclamped core-share walk
+    theta0 + u[0] + ... + u[t - 1] of any replication in `reps` is below 0,
+    -0.0 or above 1, None if there is none; the number of replications whose
+    walk ever is), from the scalar AR(1) recursion on each replication's own
+    core-share draws."""
+    first, escaped = None, 0
+    for rep in reps:
+        eta = _rep_rng(cfg.seed, rep).normal(0.0, cfg.sd_theta, cfg.T)
+        u, walk = 0.0, cfg.theta0
+        for t in range(1, cfg.T):
+            u = cfg.rho_theta * u + eta[t - 1]
+            walk += u
+            if walk > 1.0 or math.copysign(1.0, walk) < 0.0:
+                first = t if first is None else min(first, t)
+                escaped += 1
+                break
+    return first, escaped
+
+
+# Reduced-form configs for the core-share walk, each with the first period at
+# which a clamp binds over range(n_reps) (None: the walk is never re-run) and
+# the number of replications whose walk leaves [0, 1]
+WALK_CASES = {
+    "walk_clamp_at_period_1_from_one": (dict(seed=11, n_reps=12, theta0=1.0), 1, 10),
+    "walk_clamp_at_period_1_from_zero": (dict(seed=12, n_reps=12, theta0=0.0), 1, 11),
+    "walk_clamp_mid_path": (dict(seed=11, n_reps=12, theta0=0.9), 23, 3),
+    "walk_clamp_in_last_period": (dict(seed=4, n_reps=12, theta0=0.6705), 59, 1),
+    "walk_never_clamped": (dict(seed=13, n_reps=12, sd_theta=0.0), None, 0),
+    "walk_from_negative_zero": (dict(seed=11, n_reps=12, theta0=-0.0), 1, 12),
+    # period 0 keeps the -0.0 as given; every later period is +0.0
+    "walk_from_negative_zero_never_clamped": (
+        dict(seed=11, n_reps=12, theta0=-0.0, sd_theta=0.0), None, 0),
+    "walk_one_replication_escapes": (dict(seed=1, n_reps=12, theta0=0.77), 49, 1),
+}
+LOCKSTEP_CONFIGS.update({name: kw for name, (kw, _, _) in WALK_CASES.items()})
+# the structural recursion from period 0, with the clamp at 1 binding
+LOCKSTEP_CONFIGS["walk_structural"] = dict(seed=14, n_reps=12, theta0=0.995, sd_theta=0.01,
+                                           g0=0.4, kappa_theta=0.001)
 PATH_KEYS = ("theta", "z", "theta_obs", "true_scores")
+
+
+@pytest.mark.parametrize("name", sorted(WALK_CASES))
+def test_walk_cases_reach_their_branch(name):
+    kw, first, escaped = WALK_CASES[name]
+    cfg = MCConfig(**kw)
+    assert not (cfg.g0 > 0.0 or cfg.kappa_theta > 0.0)
+    assert _walk_escapes(cfg, range(cfg.n_reps)) == (first, escaped)
+    theta = simulate_pe_paths(cfg, range(cfg.n_reps))["theta"]
+    if first is None:
+        assert (theta == theta[:, :1]).all()  # the walk is constant
+    else:
+        # the period the clamp binds holds a clamped value
+        assert ((theta[:, first] == 0.0) | (theta[:, first] == 1.0)).any()
+    assert np.signbit(theta[:, 0]).all() == (math.copysign(1.0, cfg.theta0) < 0.0)
+    assert not np.signbit(theta[:, 1:]).any()
+
+
+def test_structural_walk_case_clamps():
+    cfg = MCConfig(**LOCKSTEP_CONFIGS["walk_structural"])
+    theta = simulate_pe_paths(cfg, range(cfg.n_reps))["theta"]
+    assert cfg.g0 > 0.0 and cfg.kappa_theta > 0.0
+    assert (theta == 1.0).any() and not np.signbit(theta).any()
 
 
 @pytest.mark.parametrize("name", sorted(LOCKSTEP_CONFIGS))
@@ -609,6 +673,23 @@ def test_peak_memory_is_bounded_by_the_replication_block(monkeypatch, fn):
 
     fn(small_cfg(n_reps=64))  # warm-up: one-off allocations are not counted
     assert peak(512) <= 1.5 * peak(64)
+
+
+def test_direct_call_peaks_under_twice_its_result():
+    # a direct call over many replications is not split into blocks; each
+    # replication's draws go straight into the [R, T] arrays and every
+    # intermediate is dropped once consumed: the peak measured 1.78x the
+    # returned bytes, against 3.77x when each replication's draws were held
+    # until they were stacked (2.32x from that draw stage alone)
+    cfg = MCConfig(seed=1)
+    simulate_pe_paths(cfg, range(8))  # warm-up: one-off allocations are not counted
+    tracemalloc.start()
+    try:
+        paths = simulate_pe_paths(cfg, range(1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0 * sum(a.nbytes for a in paths.values())
 
 
 def test_rows_across_three_band_chunks_match_pinned_digest():

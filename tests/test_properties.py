@@ -3,7 +3,8 @@ definitions, the premium solvers against each other, the band and envelope
 invariants of the inference layer, the CSV round trip, the allocation
 ascent's capped-simplex projection, and the preservation claims: the
 bounded debt shock's envelope, the fiscal response's Lipschitz bound, and
-demand's monotonicity with the premium case it implies."""
+demand's monotonicity with the premium case it implies; and the Monte Carlo's
+core-share walk against the per-replication scalar recursion."""
 
 import math
 import os
@@ -40,9 +41,10 @@ from debtregime.inference import (
     tier_scores,
 )
 from debtregime.investment import _project_capped_simplex
-from debtregime.montecarlo import _labels
+from debtregime.montecarlo import MCConfig, _labels, simulate_pe_paths
 from debtregime.scenario import load_series_csv
 from debtregime.tables import TableArtifact, emit_csv
+from test_montecarlo import PATH_KEYS, _simulate_reference
 
 # a fixed example sequence per test keeps the suite deterministic
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -265,3 +267,22 @@ def test_demand_rises_with_the_premium_and_fixes_the_case(margin, theta, psi, z,
     sol = solve_premium(p)
     assert sol.case == want
     assert (sol.phi_d_at_zero, sol.phi_d_max) == (d0, dmax)
+
+
+@PROPERTY
+@given(st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0),
+       st.just(0.0) | st.floats(0.0, 0.2), st.floats(-0.99, 0.99),
+       st.integers(0, 2**64 - 1), st.integers(24, 60),
+       st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4))
+def test_core_share_walk_equals_the_scalar_recursion(theta0, sd_theta, rho_theta, seed, T,
+                                                      reps):
+    # the reduced-form walk is a cumulative sum until a clamp binds in any of
+    # the call's replications, then the clamp recursion; each row equals the
+    # per-replication scalar loop byte for byte
+    cfg = MCConfig(seed=seed, n_reps=len(reps), T=T, evaluation_horizons=(3.8,),
+                   theta0=theta0, sd_theta=sd_theta, rho_theta=rho_theta)
+    paths = simulate_pe_paths(cfg, reps)
+    for i, rep in enumerate(reps):
+        want = _simulate_reference(cfg, rep)
+        for key in PATH_KEYS:
+            assert paths[key][i].tobytes() == want[key].tobytes(), (rep, key)
