@@ -180,10 +180,12 @@ def detrend_local_linear(series: Sequence[float], window_h: int) -> dict:
     Each point's trend value comes from the OLS line fit on the length-
     window_h window centered on it (clamped at the edges, so the first and
     last points reuse the end windows).  The fits are closed form: each
-    distinct window's mean and centred-index slope is computed once on a
-    C-contiguous copy of the windows, and every point evaluates the line of
-    its window.  A `[..., n]` array is detrended row by row along its last
-    axis.  Fitting an exact line leaves a remainder at rounding level.
+    distinct window's mean and centred-index slope is computed once on
+    C-contiguous windows, copied only when they are not already (the one
+    window of a C-contiguous series of length window_h is the series
+    itself), and every point evaluates the line of its window.  A
+    `[..., n]` array is detrended row by row along its last axis.  Fitting
+    an exact line leaves a remainder at rounding level.
     """
     import numpy as np
     from numpy.lib.stride_tricks import sliding_window_view
@@ -198,7 +200,7 @@ def detrend_local_linear(series: Sequence[float], window_h: int) -> dict:
     if not np.isfinite(y).all():
         raise EstimationError("series contains non-finite values")
     # contiguous windows make every row reduce in the same order as a 1-D call
-    windows = sliding_window_view(y, window_h, axis=-1).copy()
+    windows = np.ascontiguousarray(sliding_window_view(y, window_h, axis=-1))
     mean, slope = _line_fit(np.arange(window_h, dtype=float), windows)
     i = np.arange(n)
     start = np.clip(i - window_h // 2, 0, n - window_h)
@@ -218,6 +220,17 @@ def subsample_critical_value(
 
     Fewer than 5 blocks triggers the maximally conservative fallback: the
     largest absolute remainder deviation in the window.
+
+    The block sums run on a period-major copy of the window, so each offset
+    adds one contiguous slice, in the left-to-right order a single row
+    would.  The deviation is nondecreasing in the block sum s (dividing by
+    l, subtracting tau and scaling by sqrt(l) each keep the order, rounding
+    included), so the selected order statistic of the deviations is the
+    deviation of the same order statistic of the sums: the kernel sorts the
+    sums and maps only the selected one.  The two agree bit for bit except
+    for the sign of a selected zero where a block sum is so small that s / l
+    underflows: sorting the deviations then left that sign to the tie order
+    of +0.0 and -0.0, and `np.maximum(0.0, -0.0)` keeps -0.0.
 
     A 1-D remainder gives a float; a `[..., n]` array gives one half-width
     per row, each equal to the 1-D call on that row.
@@ -239,13 +252,14 @@ def subsample_critical_value(
     if n_blocks < 5:
         half = np.max(np.abs(window - tau[..., None]), axis=-1)
     else:
-        # block sums accumulate one offset at a time: the same order per row
-        block_sums = window[..., :n_blocks]
+        # [block, ...] sums, accumulating one offset at a time in place
+        periods = np.ascontiguousarray(np.moveaxis(window, -1, 0))
+        block_sums = periods[:n_blocks].copy()
         for j in range(1, ell):
-            block_sums = block_sums + window[..., j : j + n_blocks]
-        devs = math.sqrt(ell) * (block_sums / ell - tau[..., None])
+            block_sums += periods[j : j + n_blocks]
         k = math.ceil((1.0 - cfg.alpha) * n_blocks)  # type-1 (right-continuous) quantile
-        q = np.sort(devs, axis=-1)[..., min(max(k, 1), n_blocks) - 1]
+        s = np.sort(block_sums, axis=0)[min(max(k, 1), n_blocks) - 1]
+        q = math.sqrt(ell) * (s / ell - tau)
         half = np.maximum(0.0, q / math.sqrt(h))
     return float(half) if r.ndim == 1 else half
 

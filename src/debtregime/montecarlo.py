@@ -5,36 +5,45 @@ with subsampling bands versus naive point rules) and the transition-
 feasibility margin classifier (debt-concept ambiguity).  Replications are
 independent; each derives its generator from seed XOR replication index, so
 results are bit-identical for a fixed seed.  Demand, premium, core drift
-and growth threshold come from the closure and transition kernels.  Both
-experiments stream their replications in consecutive blocks of at most
-`_BLOCK_REPS`, and each block runs the same stages on [replication, period]
-arrays: one draw helper writing each replication's draws into the block's
-arrays, one AR(1) recursion advancing every state of every replication per
-period, the premium-emergence core share as one cumulative sum until a
-clamp binds (the clamp recursion from there on, and throughout on the
-structural branch), one band pass per window length (one detrend call,
-and one band call per block length, on every horizon or premium bound
-sharing it), one label pass (the scalar `classify` on each element, kept as
-the integer code of its label) and the integer counts of the 0/1 outcome
-indicators of those codes.  A rate is the summed counts over `n_reps`, so
-it is exact whatever the block split.  The transition experiment's mean
-tier-2 width is summed in replication order.  `threads` is accepted and has
-no effect.
+and growth threshold come from the closure and transition kernels.
+
+Both experiments stream their replications in consecutive blocks of at
+most `_BLOCK_REPS`, and each block runs the same stages on [replication,
+period] arrays:
+- draws in place: each replication's own stream writes its standard
+  normals and uniforms straight into the block's preallocated arrays
+  (`standard_normal(out=)`, `random(out=)`), and each array is then scaled
+  once, in place, as numpy scales one draw (loc + scale * z for a normal,
+  lo + (hi - lo) * u for a uniform), so every value is numpy's own
+  `normal` or `uniform` draw bit for bit;
+- one AR(1) recursion advancing every state of every replication per
+  period, through one preallocated step buffer;
+- the premium-emergence core share as one cumulative sum until a clamp
+  binds (the clamp recursion from there on, and throughout on the
+  structural branch);
+- one score call for the three uniform-margin readings;
+- one band pass per window length: one detrend call, and one band call per
+  block length, on every horizon or premium bound sharing it;
+- one label pass: the scalar `classify` on each element, kept as the
+  integer code of its label;
+- the integer counts of the 0/1 outcome indicators of those codes.
+A rate is the summed counts over `n_reps`, so it is exact whatever the
+block split.  The transition experiment's mean tier-2 width is summed in
+replication order.  `threads` is accepted and has no effect.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, fields
-from typing import Callable, Iterator, List, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .closure import MarginDistribution, ThetaLaw, TwoLayerParams
 from .closure import _core_drift, _demand_on_grid, _premium_on_grid
-from .core import _require_finite, _require_integer
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 from .inference import (
     PE_LABELS,
     TF_LABELS,
@@ -43,6 +52,7 @@ from .inference import (
     detrend_local_linear,
     subsample_critical_value,
 )
+from .scenario import _check_mc_fields, _horizon_index
 from .transition import _MONITOR_B, _threshold
 
 __all__ = [
@@ -88,9 +98,11 @@ class MCConfig:
     must be integers (numpy integers included), else `DomainError`; the
     seed must lie in [0, 2**64), else `ConfigError`.  The non-band methods
     are reported at `block_len`, so it must be an entry of `block_grid`,
-    else `ConfigError`.  The shock scales, `tf_g_spread` and `tf_m` must be
-    >= 0, and the core-share law obeys `ThetaLaw`'s checks, else
-    `DomainError`.
+    else `ConfigError`.  The shock scales, `tf_g_spread`, `tf_m` and
+    `dead_zone` must be >= 0, `stress_prob` must lie in [0, 1], and the
+    core-share law obeys `ThetaLaw`'s checks, else `DomainError`.  The rules
+    are `scenario._check_mc_fields`, which `load_scenario` also runs, so a
+    scenario file breaking one fails at load, naming its key and line.
     """
 
     n_reps: int = 500
@@ -141,35 +153,7 @@ class MCConfig:
     tf_m: float = 0.0
 
     def __post_init__(self):
-        counts = ("seed", "n_reps", "T", "window_h", "block_len", "block_grid")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            for v in value if isinstance(value, tuple) else (value,):
-                if not (f.name == "eps_cap" and v == math.inf):
-                    _require_finite(f.name, v)
-                if f.name in counts:
-                    _require_integer(f.name, v)
-        for name in ("sigma_theta_obs", "sd_theta", "sd_z", "tf_g_spread", "tf_sd", "tf_m"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be >= 0, got {getattr(self, name)}")
-        ThetaLaw(kappa_theta=self.kappa_theta, g0=self.g0, eps_cap=self.eps_cap)
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
-        if self.n_reps < 1:
-            raise DomainError("n_reps must be >= 1")
-        if self.T < self.window_h:
-            raise DomainError("T must be at least window_h")
-        if self.block_len not in self.block_grid:
-            raise ConfigError(
-                f"block_len {self.block_len} must be an entry of block_grid "
-                f"{self.block_grid}"
-            )
-        if not self.evaluation_horizons:
-            raise ConfigError("evaluation_horizons must hold at least one horizon")
-        for h_yr, q in zip(self.evaluation_horizons, _horizon_indices(self)):
-            if not 3 <= q < self.T:  # quarters 4 to T: 1 to T/4 years
-                raise ConfigError(f"evaluation horizon {h_yr} must lie within "
-                                  f"[1, {self.T / 4:g}] years (T = {self.T} quarters)")
+        _check_mc_fields(vars(self))
 
 
 def _rep_rng(seed: int, rep: int) -> np.random.Generator:
@@ -184,30 +168,69 @@ def _rep_blocks(n_reps: int) -> Iterator[range]:
     return (range(r, min(r + _BLOCK_REPS, n_reps)) for r in range(0, n_reps, _BLOCK_REPS))
 
 
-def _draws(seed: int, reps: Sequence[int], draw: Callable) -> List[np.ndarray]:
-    """`draw(rng)` on each replication's own stream returns its series in
-    draw order; series i comes back as one [R, ...] array whose row j holds
-    reps[j]'s draws.  Each replication's draws are written straight into
-    the preallocated arrays, so no replication's draws outlive its row."""
-    out: List[np.ndarray] = []
-    for j, r in enumerate(reps):
-        for i, x in enumerate(draw(_rep_rng(seed, r))):
-            if j == 0:
-                out.append(np.empty((len(reps),) + np.shape(x)))
-            out[i][j] = x
+# the standard draw that fills each kind of series in place
+_FILLS = {"normal": np.random.Generator.standard_normal, "uniform": np.random.Generator.random}
+
+
+def _draws(seed: int, reps: Sequence[int], *series: tuple) -> List[np.ndarray]:
+    """One [R, *shape] array per (kind, shape, loc, scale) entry of
+    `series`, row j of each holding reps[j]'s draws.  Each replication's own
+    stream fills its rows in place, in the order of `series`: standard
+    normals for kind 'normal' (`standard_normal(out=)`), standard uniforms
+    in [0, 1) for kind 'uniform' (`random(out=)`).  Each array is then
+    scaled once, in place, as numpy scales one draw: `normal(loc, scale)` is
+    loc + scale * z and `uniform(lo, hi)` is lo + (hi - lo) * u (so scale =
+    hi - lo), multiplied and then added.  So every value equals numpy's own
+    `normal`/`uniform` call at the same stream position, bit for bit (the
+    added 0.0 of a zero loc turns -0.0 into +0.0, as numpy's does)."""
+    out = [np.empty((len(reps),) + shape) for _, shape, _, _ in series]
+    fills = [_FILLS[kind] for kind, *_ in series]
+    for r, rows in zip(reps, zip(*out)):
+        rng = _rep_rng(seed, r)
+        for fill, row in zip(fills, rows):
+            fill(rng, out=row)
+    for (_, _, loc, scale), a in zip(series, out):
+        a *= scale
+        a += loc
     return out
+
+
+def _pe_draws(cfg: MCConfig, reps: Sequence[int]) -> List[np.ndarray]:
+    """The premium-emergence draws of `reps`, as each replication's stream
+    gives normal(0, sd_theta, T), normal(0, sd_z, T), uniform(0, 1, T) and
+    normal(0, sigma_theta_obs, T): the [R, 2, T] core-share and spread
+    shocks (2T consecutive normals), the [R, T] stress uniforms and the
+    [R, T] observation noise."""
+    T = cfg.T
+    return _draws(cfg.seed, reps, ("normal", (2, T), 0.0, np.array([[cfg.sd_theta], [cfg.sd_z]])),
+                  ("uniform", (T,), 0.0, 1.0), ("normal", (T,), 0.0, cfg.sigma_theta_obs))
+
+
+def _tf_draws(cfg: MCConfig, reps: Sequence[int]) -> List[np.ndarray]:
+    """The transition-feasibility draws of `reps`, as each replication's
+    stream gives uniform(_MONITOR_B, tf_b_baseline), uniform(0, tf_g_spread)
+    and normal(0, tf_sd, T) twice: the [R, 2] true debt concept and growth
+    spread, and the [R, 2, T] inflation and deficit shocks (2T consecutive
+    normals)."""
+    return _draws(cfg.seed, reps,
+                  ("uniform", (2,), np.array([_MONITOR_B, 0.0]),
+                   np.array([cfg.tf_b_baseline - _MONITOR_B, cfg.tf_g_spread - 0.0])),
+                  ("normal", (2, cfg.T), 0.0, cfg.tf_sd))
 
 
 def _ar1(coef: Union[float, np.ndarray], series: Sequence[np.ndarray]) -> np.ndarray:
     """[period, state, R] AR(1) paths x[t] = coef * x[t - 1] + e[t] from
     x[-1] = 0, one state per [R, T] shock series e: every state and
-    replication advances in one multiply-add on a contiguous block per
-    period, in place on a period-major copy of the shocks."""
+    replication advances in one multiply into a preallocated step buffer and
+    one add on a contiguous block per period, in place on a period-major
+    copy of the shocks."""
     paths = np.empty((series[0].shape[1], len(series), len(series[0])))
     for k, e in enumerate(series):
         paths[:, k] = e.T
+    step = np.empty_like(paths[0])
     for t in range(1, len(paths)):
-        paths[t] += coef * paths[t - 1]  # e[t] + c * x == c * x + e[t] exactly
+        np.multiply(coef, paths[t - 1], out=step)
+        paths[t] += step  # e[t] + c * x == c * x + e[t] exactly
     return paths
 
 
@@ -257,12 +280,7 @@ def simulate_pe_paths(cfg: MCConfig, rep: Union[int, Sequence[int]]) -> dict:
     arrays it returns.
     """
     single = np.ndim(rep) == 0
-    e_u, e_v, e_stress, obs_noise = _draws(cfg.seed, [rep] if single else rep, lambda rng: (
-        rng.normal(0.0, cfg.sd_theta, cfg.T),
-        rng.normal(0.0, cfg.sd_z, cfg.T),
-        rng.uniform(0.0, 1.0, cfg.T),
-        rng.normal(0.0, cfg.sigma_theta_obs, cfg.T),
-    ))
+    shocks, e_stress, obs_noise = _pe_draws(cfg, [rep] if single else rep)
     # the stress shifts overwrite their uniform draws
     e_stress[:] = np.where(e_stress < cfg.stress_prob, cfg.stress_size, 0.0)
     law = ThetaLaw(kappa_theta=cfg.kappa_theta, g0=cfg.g0, eps_cap=cfg.eps_cap)
@@ -270,8 +288,8 @@ def simulate_pe_paths(cfg: MCConfig, rep: Union[int, Sequence[int]]) -> dict:
     structural = cfg.g0 > 0.0 or cfg.kappa_theta > 0.0
     # [period, rep] paths of the spread v, stress and core innovation u
     v, stress, u = _ar1(np.array([cfg.rho_z, cfg.stress_decay, cfg.rho_theta])[:, None],
-                        [e_v, e_stress, e_u]).transpose(1, 0, 2)
-    del e_u, e_v, e_stress
+                        [shocks[:, 1], e_stress, shocks[:, 0]]).transpose(1, 0, 2)
+    del shocks, e_stress
     z = cfg.z0 + v + stress
     z = np.where(1e-6 > z, 1e-6, z)
     theta = np.empty_like(z)
@@ -302,7 +320,7 @@ def simulate_pe_paths(cfg: MCConfig, rep: Union[int, Sequence[int]]) -> dict:
 
 def _horizon_indices(cfg: MCConfig) -> List[int]:
     """Period index of each evaluation horizon (years to quarters)."""
-    return [int(round(h_yr * 4.0)) - 1 for h_yr in cfg.evaluation_horizons]
+    return [_horizon_index(h_yr) for h_yr in cfg.evaluation_horizons]
 
 
 def _bands(
@@ -382,14 +400,12 @@ def _pe_counts(cfg: MCConfig, reps: range) -> np.ndarray:
     paths = simulate_pe_paths(cfg, reps)
     theta_obs, z, true_scores = paths["theta_obs"], paths["z"], paths["true_scores"]
     shift = cfg.theta_reading_shift
-    base = _params(cfg)
-    scores = np.array([
-        _pe_scores(theta_obs, z, base),
-        _pe_scores(np.clip(theta_obs - shift, 0, 1), z, base),
-        _pe_scores(np.clip(theta_obs + shift, 0, 1), z, base),
-        _pe_scores(theta_obs, z, _params(cfg, _bowed_dist(cfg.c_bar, 0.8))),
-        _pe_scores(theta_obs, z, _params(cfg, _bowed_dist(cfg.c_bar, 1.25))),
-    ])
+    scores = np.empty((5,) + theta_obs.shape)
+    # the three uniform-margin readings share one call (and one margin CDF)
+    scores[:3] = _pe_scores(np.array([theta_obs, np.clip(theta_obs - shift, 0, 1),
+                                      np.clip(theta_obs + shift, 0, 1)]), z, _params(cfg))
+    for i, power in ((3, 0.8), (4, 1.25)):
+        scores[i] = _pe_scores(theta_obs, z, _params(cfg, _bowed_dist(cfg.c_bar, power)))
     tier2 = scores[:3]
     bounds = np.array([tier2.min(axis=0), tier2.max(axis=0),
                        scores.min(axis=0), scores.max(axis=0)])
@@ -447,15 +463,12 @@ def _tf_counts(cfg: MCConfig, rho: np.ndarray, reps: range) -> Tuple[np.ndarray,
     premium bounds `rho` [bound, 1, 1].  The scores of every premium bound,
     on the band window only, go through one `_bands` call."""
     T = cfg.T
-    b_true, u_g, e_pi, e_d = _draws(cfg.seed, reps, lambda rng: (
-        rng.uniform(_MONITOR_B, cfg.tf_b_baseline),
-        rng.uniform(0.0, cfg.tf_g_spread),
-        rng.normal(0.0, cfg.tf_sd, T),
-        rng.normal(0.0, cfg.tf_sd, T),
-    ))
+    uniforms, shocks = _tf_draws(cfg, reps)
+    b_true, u_g = uniforms.T
     g_new = cfg.tf_g_star + u_g
-    e_pi[:, 0] = e_d[:, 0] = 0.0  # deviations start at 0; period 0's draws advance the streams
-    uw = _ar1(cfg.tf_rho, [e_pi, e_d])
+    shocks[:, :, 0] = 0.0  # deviations start at 0; period 0's draws advance the streams
+    uw = _ar1(cfg.tf_rho, shocks.swapaxes(0, 1))
+    del shocks
     # only the band window is scored: the band reads its w periods, the labels the last
     w = cfg.window_h  # <= T (MCConfig)
     pi_path = cfg.pi + uw[T - w :, 0].T

@@ -20,11 +20,11 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .closure import MarginDistribution, ThetaLaw, TwoLayerParams, phi_req_affine
-from .core import EconState, FiscalResponse, RegimeParams
-from .errors import ConfigError
+from .core import EconState, FiscalResponse, RegimeParams, _require_finite, _require_integer
+from .errors import ConfigError, DomainError
 from .extensions import ClockSpec
 from .inference import SubsampleConfig
 from .investment import InvestmentInputs
@@ -129,6 +129,76 @@ STRESS_V2_ROWS: Tuple[Tuple[str, Dict[str, float]], ...] = (
     ("combined", {"closure.theta": 0.55, "closure.z": 0.030}),
     ("severe", {"closure.theta": 0.45, "closure.z": 0.035}),
 )
+
+
+# The key that states each `MCConfig` field that no `mc.<field>` key sets
+# (the seed is no key); `phi_req` is read as `two_layer` schedules it and
+# `r_rep` as `r_rep()` resolves it
+_MC_KEYS = {
+    "theta0": "closure.theta", "z0": "closure.z", "psi": "closure.psi",
+    "c_bar": "closure.c_bar", "phi_req": "closure.phi_req", "pi": "econ.pi",
+    "r_rep": "closure.r_rep", "kappa_theta": "closure.kappa_theta", "g0": "closure.g0",
+    "eps_cap": "closure.eps_cap", "alpha": "inference.alpha",
+    "window_h": "inference.window_h", "block_len": "inference.block_len",
+    "block_grid": "inference.block_grid", "tf_b_baseline": "econ.b_prev",
+    "tf_g_star": "regime.g_star", "tf_d0": "econ.d", "tf_m": "transition.m",
+}
+_MC_COUNTS = ("seed", "n_reps", "T", "window_h", "block_len", "block_grid")
+_MC_SCALES = ("sigma_theta_obs", "sd_theta", "sd_z", "tf_g_spread", "tf_sd", "tf_m",
+              "dead_zone")
+
+
+def _horizon_index(h_yr: float) -> int:
+    """Period index of an evaluation horizon (years to quarters)."""
+    return int(round(h_yr * 4.0)) - 1
+
+
+def _check_mc_fields(cfg: Dict[str, object],
+                     where: Callable[[str], str] = lambda name: "") -> None:
+    """`MCConfig`'s field rules on `cfg`, its fields by name (the seed may
+    be left out), without numpy: `MCConfig` runs them on itself and
+    `load_scenario` on the fields `mc_config` would pass.  The rules run in
+    a fixed order (every value finite and every count an integer first),
+    and the first one broken raises, its message starting with
+    `where(name)` for the field `name` it is about."""
+    name = ""
+    try:
+        for name, value in cfg.items():
+            for v in value if isinstance(value, tuple) else (value,):
+                if not (name == "eps_cap" and v == math.inf):
+                    _require_finite(name, v)
+                if name in _MC_COUNTS:
+                    _require_integer(name, v)
+        for name in _MC_SCALES:
+            if cfg[name] < 0:
+                raise DomainError(f"{name} must be >= 0, got {cfg[name]}")
+        name = "stress_prob"
+        if not 0 <= cfg[name] <= 1:
+            raise DomainError(f"stress_prob must lie in [0, 1], got {cfg[name]}")
+        for name in ("kappa_theta", "g0", "eps_cap"):
+            ThetaLaw(**{name: cfg[name]})
+        name = "seed"
+        if name in cfg and not 0 <= cfg[name] < 2**64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {cfg[name]}")
+        name = "n_reps"
+        if cfg[name] < 1:
+            raise DomainError("n_reps must be >= 1")
+        name = "T"
+        if cfg[name] < cfg["window_h"]:
+            raise DomainError("T must be at least window_h")
+        name = "block_len"
+        if cfg[name] not in cfg["block_grid"]:
+            raise ConfigError(f"block_len {cfg[name]} must be an entry of block_grid "
+                              f"{cfg['block_grid']}")
+        name = "evaluation_horizons"
+        if not cfg[name]:
+            raise ConfigError("evaluation_horizons must hold at least one horizon")
+        for h_yr in cfg[name]:
+            if not 3 <= _horizon_index(h_yr) < cfg["T"]:  # quarters 4 to T: 1 to T/4 years
+                raise ConfigError(f"evaluation horizon {h_yr} must lie within "
+                                  f"[1, {cfg['T'] / 4:g}] years (T = {cfg['T']} quarters)")
+    except (ConfigError, DomainError) as exc:
+        raise type(exc)(f"{where(name)}{exc}") from None
 
 
 def _finite(key: str, value: float, lineno: int) -> float:
@@ -299,32 +369,31 @@ class Scenario:
     def subsample_config(self) -> SubsampleConfig:
         return self._view(SubsampleConfig, "inference")
 
+    def _mc_fields(self) -> Dict[str, object]:
+        """The `MCConfig` fields but the seed, each read from the one key
+        that states its setting: each `mc.<name>` key sets the field of that
+        name (a list as a tuple), every other field the key `_MC_KEYS` names
+        (the operating point from `closure`, `econ` and `regime`, `phi_req`
+        as `two_layer` computes it, the core-share law as `theta_law`
+        carries it, the band settings from `inference` and the safety
+        margin `tf_m` from `transition.m`)."""
+        v = self.values
+        out = {key[len("mc."):]: tuple(x) if _SCHEMA[key][1] == "nums" else x
+               for key, x in v.items() if key.startswith("mc.")}
+        out.update({name: v[key] for name, key in _MC_KEYS.items()})
+        out.update(phi_req=self.two_layer().phi_req, r_rep=self.r_rep(),
+                   block_grid=tuple(out["block_grid"]))
+        return out
+
     def mc_config(self, seed: int, n_reps: Optional[int] = None) -> MCConfig:
-        """Each `mc.<name>` key sets the field of that name (a list as a
-        tuple); every other field reads the one key that states its setting:
-        the operating point from `closure`, `econ` and `regime`, `phi_req` as
-        `two_layer` computes it, the core-share law as `theta_law` carries it,
-        the band settings from `inference` and the safety margin `tf_m` from
-        `transition.m`."""
+        """The Monte Carlo settings of `_mc_fields`, at `seed` and, when
+        given, `n_reps` replications."""
         from .montecarlo import MCConfig
 
-        v = self.values
-        mc = {key[len("mc."):]: tuple(x) if _SCHEMA[key][1] == "nums" else x
-              for key, x in v.items() if key.startswith("mc.")}
+        mc = self._mc_fields()
         if n_reps is not None:
             mc["n_reps"] = n_reps
-        law = self.theta_law()
-        return MCConfig(
-            **mc, seed=seed,
-            theta0=v["closure.theta"], z0=v["closure.z"], psi=v["closure.psi"],
-            c_bar=v["closure.c_bar"], phi_req=self.two_layer().phi_req,
-            pi=v["econ.pi"], r_rep=self.r_rep(),
-            kappa_theta=law.kappa_theta, g0=law.g0, eps_cap=law.eps_cap,
-            alpha=v["inference.alpha"], window_h=v["inference.window_h"],
-            block_len=v["inference.block_len"], block_grid=tuple(v["inference.block_grid"]),
-            tf_b_baseline=v["econ.b_prev"], tf_g_star=v["regime.g_star"],
-            tf_d0=v["econ.d"], tf_m=v["transition.m"],
-        )
+        return MCConfig(**mc, seed=seed)
 
     def sweep_rows(self, name: str) -> List[Tuple[str, Dict[str, object]]]:
         if name in self.sweeps:
@@ -366,6 +435,7 @@ def load_scenario(path: Optional[str] = None) -> Scenario:
     """Load and validate a scenario file; None or an empty file yields the
     March-2026 baseline defaults."""
     values = dict(DEFAULTS)
+    lines: Dict[str, int] = {}  # the line that set each key the file sets
     sweeps: Dict[str, List[Tuple[str, Dict[str, object]]]] = {}
     if path is not None:
         for lineno, raw in enumerate(_read_lines(path, "scenario"), start=1):
@@ -389,15 +459,23 @@ def load_scenario(path: Optional[str] = None) -> Scenario:
             if key not in DEFAULTS:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
             values[key] = _parse_value(key, text, lineno)
+            lines[key] = lineno
     scenario = Scenario(values=values, sweeps=sweeps)
     # fail fast on invariant violations in the typed views
     scenario.econ_state()
     scenario.regime_params()
     scenario.fiscal_response()
     scenario.two_layer()
-    scenario.theta_law()
     scenario.investment_inputs()
     scenario.subsample_config()
+
+    def where(name: str) -> str:
+        key = _MC_KEYS.get(name, f"mc.{name}")
+        return f"line {lines[key]}: {key}: " if key in lines else f"{key}: "
+
+    # the Monte Carlo's rules (the core-share law's included), each error
+    # naming the key that broke it and its line
+    _check_mc_fields(scenario._mc_fields(), where)
     return scenario
 
 

@@ -593,6 +593,30 @@ def test_negative_monte_carlo_scale_is_exit_3(tmp_path, monkeypatch, capsys, key
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("key, value, named", [
+    ("mc.sd_theta", -0.001, "sd_theta must be >= 0"), ("mc.sd_z", -0.001, "sd_z must be >= 0"),
+    ("mc.tf_sd", -0.001, "tf_sd must be >= 0"),
+    ("mc.sigma_theta_obs", -0.01, "sigma_theta_obs must be >= 0"),
+    ("mc.tf_g_spread", -0.001, "tf_g_spread must be >= 0"),
+    ("transition.m", -0.01, "tf_m must be >= 0"),
+    ("closure.kappa_theta", -0.01, "kappa_theta must be >= 0"),
+    ("closure.g0", -0.1, "g0 must be >= 0"), ("closure.eps_cap", 0.0, "eps_cap must be > 0"),
+    ("mc.dead_zone", -0.01, "dead_zone must be >= 0"),
+])
+@pytest.mark.parametrize("argv", [["scenario"], ["closure"], ["mc", "--reps", "50"]])
+def test_monte_carlo_rules_fail_at_load(tmp_path, monkeypatch, capsys, key, value, named,
+                                        argv):
+    # these files used to load, so `scenario` and `closure` exited 0 on them;
+    # a negative dead zone also ran `mc` and wrote a single-threshold warning
+    # rate of 0 at every horizon
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.cfg").write_text(f"# comment\n{key} = {value}\n")
+    capsys.readouterr()
+    assert run_cli(["--config", "s.cfg", "--out", "o"] + argv) == 3
+    assert f"domain error: line 2: {key}: {named}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("argv", [["clock"], ["scenario"], ["transition"],
                                   ["tables", "--only", "calibration"]])
 def test_zero_threshold_gives_an_infinite_exponential_clock(tmp_path, monkeypatch, capsys,

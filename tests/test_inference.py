@@ -239,6 +239,23 @@ class TestDetrend:
             assert np.array_equal(out["trend"][idx], row["trend"])
             assert np.array_equal(out["remainder"][idx], row["remainder"])
 
+    @pytest.mark.parametrize("n, w", [(24, 24), (15, 15), (40, 24), (31, 9)])
+    def test_strided_view_equals_contiguous_array(self, n, w):
+        # the windows are copied only when they are not C-contiguous; a
+        # series of length w is its own window and is not copied, so a
+        # strided view (copied) must give the same bytes as the array
+        rng = np.random.default_rng(n * 7 + w)
+        wide = np.cumsum(rng.normal(0, 1, (3, 5, 2 * n)), axis=-1)
+        view = wide[:, ::2, ::2]  # every other row and period: strided
+        flat = np.ascontiguousarray(view)
+        assert not view.flags.c_contiguous and flat.flags.c_contiguous
+        got, want = detrend_local_linear(view, w), detrend_local_linear(flat, w)
+        for key in ("trend", "remainder"):
+            assert got[key].tobytes() == want[key].tobytes(), key
+        for idx in np.ndindex(*flat.shape[:-1]):
+            row = detrend_local_linear(flat[idx], w)
+            assert got["remainder"][idx].tobytes() == row["remainder"].tobytes()
+
     def test_index_line_fit_equals_closed_denominator(self):
         # the index fit used to divide by sum(c**2) = m(m^2 - 1)/12 written out
         rng = np.random.default_rng(11)

@@ -30,15 +30,16 @@ from debtregime.montecarlo import (
     _ar1,
     _bands,
     _bowed_dist,
-    _draws,
     _horizon_indices,
     _outcomes,
     _params,
     _pe_counts,
+    _pe_draws,
     _pe_scores,
     _rep_blocks,
     _rep_rng,
     _tf_counts,
+    _tf_draws,
 )
 from debtregime.scenario import load_scenario
 from debtregime.transition import _MONITOR_B, _threshold
@@ -299,6 +300,59 @@ def test_negative_scales_and_law_rejected(name, value):
     # negative g0 that run_mc_pe rejected
     with pytest.raises(DomainError, match=f"{name} must be"):
         small_cfg(**{name: value})
+
+
+@pytest.mark.parametrize("kw, named", [
+    ({"dead_zone": -0.01}, "dead_zone must be >= 0"),
+    ({"stress_prob": 1.5}, r"stress_prob must lie in \[0, 1\]"),
+    ({"stress_prob": -0.2}, r"stress_prob must lie in \[0, 1\]"),
+])
+def test_dead_zone_and_stress_probability_ranges(kw, named):
+    # a negative dead zone removed the single-threshold rule's middle label,
+    # and a probability outside [0, 1] made stress certain or impossible
+    with pytest.raises(DomainError, match=named):
+        small_cfg(**kw)
+    for kw in ({"dead_zone": 0.0}, {"stress_prob": 0.0}, {"stress_prob": 1.0}):
+        small_cfg(**kw)
+
+
+# Draw configs: every shock scale 0, a zero growth spread, the two seed ends
+# and the shortest sample (T = window_h = 24)
+DRAW_CONFIGS = {
+    "zero_scales": dict(seed=3, sd_theta=0.0, sd_z=0.0, sigma_theta_obs=0.0, tf_sd=0.0,
+                        tf_g_spread=0.0),
+    "zero_growth_spread": dict(seed=4, tf_g_spread=0.0),
+    "seed_zero": dict(seed=0),
+    "seed_max": dict(seed=2**64 - 1),
+    "short_sample": dict(seed=5, T=24, window_h=24, evaluation_horizons=(3.8, 6.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRAW_CONFIGS))
+def test_block_draws_equal_numpys_own_draw_calls(name):
+    # each replication's stream fills its block rows with standard draws,
+    # scaled once per block; every value must be the bytes numpy's own
+    # normal/uniform calls return, in the order each replication made them
+    cfg = MCConfig(**DRAW_CONFIGS[name])
+    T = cfg.T
+    for reps in (range(6), [5, 2, 9]):
+        pe, tf = [], []
+        for rep in reps:
+            rng = _rep_rng(cfg.seed, rep)
+            pe.append([rng.normal(0.0, cfg.sd_theta, T), rng.normal(0.0, cfg.sd_z, T),
+                       rng.uniform(0.0, 1.0, T), rng.normal(0.0, cfg.sigma_theta_obs, T)])
+            rng = _rep_rng(cfg.seed, rep)
+            tf.append([rng.uniform(_MONITOR_B, cfg.tf_b_baseline),
+                       rng.uniform(0.0, cfg.tf_g_spread),
+                       rng.normal(0.0, cfg.tf_sd, T), rng.normal(0.0, cfg.tf_sd, T)])
+        shocks, uniforms, noise = _pe_draws(cfg, reps)
+        got = (shocks[:, 0], shocks[:, 1], uniforms, noise)
+        for i, series in enumerate(got):
+            assert series.tobytes() == np.array([p[i] for p in pe]).tobytes(), (reps, i)
+        uniforms, shocks = _tf_draws(cfg, reps)
+        got = (uniforms[:, 0], uniforms[:, 1], shocks[:, 0], shocks[:, 1])
+        for i, series in enumerate(got):
+            assert series.tobytes() == np.array([t[i] for t in tf]).tobytes(), (reps, i)
 
 
 def test_outcomes_cover_every_label():
@@ -599,12 +653,12 @@ def _tf_counts_reference(cfg, rho, reps):
     """`_tf_counts` with string labels, one `classify` pass per method and
     the growth draw's offset added inside the draw."""
     T = cfg.T
-    b_true, g_new, e_pi, e_d = _draws(cfg.seed, reps, lambda rng: (
-        rng.uniform(_MONITOR_B, cfg.tf_b_baseline),
-        cfg.tf_g_star + rng.uniform(0.0, cfg.tf_g_spread),
-        rng.normal(0.0, cfg.tf_sd, T),
-        rng.normal(0.0, cfg.tf_sd, T),
-    ))
+    b_true, g_new, e_pi, e_d = (np.array(x) for x in zip(*(
+        (rng.uniform(_MONITOR_B, cfg.tf_b_baseline),
+         cfg.tf_g_star + rng.uniform(0.0, cfg.tf_g_spread),
+         rng.normal(0.0, cfg.tf_sd, T),
+         rng.normal(0.0, cfg.tf_sd, T))
+        for rng in (_rep_rng(cfg.seed, r) for r in reps))))
     e_pi[:, 0] = e_d[:, 0] = 0.0
     uw = _ar1(cfg.tf_rho, [e_pi, e_d])
     w = cfg.window_h

@@ -15,6 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from numpy.lib.stride_tricks import sliding_window_view
 
 from debtregime.closure import (
     _premium_on_grid,
@@ -244,6 +245,66 @@ def test_fiscal_response_within_its_lipschitz_constant(fr, b1, b2):
     # slopes are at most 0.2 / 0.01, so rounding stays far below 1e-12
     gap = abs(effective_deficit(fr, b1) - effective_deficit(fr, b2))
     assert gap <= fr.lipschitz_constant() * abs(b1 - b2) + 1e-12
+
+
+def _subsample_reference(remainder, cfg):
+    """The band kernel as it was before it selected one block sum: every
+    row's block deviations, each block summed along the row, are sorted and
+    the selected one is kept."""
+    r = np.asarray(remainder, dtype=float)
+    h = cfg.window_h
+    window = np.ascontiguousarray(r[..., -h:])
+    ell = cfg.block_len
+    tau = window.mean(axis=-1)
+    n_blocks = h - ell + 1
+    if n_blocks < 5:
+        half = np.max(np.abs(window - tau[..., None]), axis=-1)
+    else:
+        block_sums = window[..., :n_blocks]
+        for j in range(1, ell):
+            block_sums = block_sums + window[..., j : j + n_blocks]
+        devs = math.sqrt(ell) * (block_sums / ell - tau[..., None])
+        k = math.ceil((1.0 - cfg.alpha) * n_blocks)
+        q = np.sort(devs, axis=-1)[..., min(max(k, 1), n_blocks) - 1]
+        half = np.maximum(0.0, q / math.sqrt(h))
+    return float(half) if r.ndim == 1 else half
+
+
+@st.composite
+def band_inputs(draw):
+    """(remainder, SubsampleConfig): a 1-D series, a [a, b, n] batch or, as
+    `infer` passes it, the non-contiguous sliding-window view [2, m, h] of two
+    series; values from a small pool (ties, +-0.0) or any float of moderate
+    size, or one value repeated everywhere (all-equal windows).  No
+    subnormals: where a block sum underflows s / l to zero, the sign of the
+    old kernel's selected zero followed its sort's tie order."""
+    h = draw(st.integers(4, 30))
+    cfg = SubsampleConfig(window_h=h, block_len=draw(st.integers(3, h - 1)),
+                          alpha=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
+    layout = draw(st.sampled_from(["1-D", "batched", "sliding"]))
+    n = h + draw(st.integers(0, 8))
+    shape = {"1-D": (n,), "batched": (draw(st.integers(1, 3)), draw(st.integers(1, 4)), n),
+             "sliding": (2, n)}[layout]
+    values = st.sampled_from([0.0, -0.0, 0.25, -0.25, 1.0]) | st.floats(
+        -1e3, 1e3, allow_subnormal=False)
+    if draw(st.booleans()):
+        r = np.full(shape, draw(values))
+    else:
+        r = draw(hnp.arrays(np.float64, shape, elements=values))
+    if layout == "sliding":
+        r = sliding_window_view(r, h, axis=-1)
+    return r, cfg
+
+
+@PROPERTY
+@given(band_inputs())
+def test_band_kernel_equals_the_sorted_deviations(case):
+    # the kernel sorts the block sums and maps the selected one, because the
+    # deviation is nondecreasing in the block sum; the bytes must be those of
+    # sorting every deviation
+    r, cfg = case
+    got, want = subsample_critical_value(r, cfg), _subsample_reference(r, cfg)
+    assert type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 @PROPERTY

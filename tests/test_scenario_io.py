@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from debtregime.cli import run_cli
 from debtregime.closure import ThetaLaw, TwoLayerParams
 from debtregime.core import EconState, FiscalResponse, RegimeParams
-from debtregime.errors import ConfigError
+from debtregime.errors import ConfigError, DomainError
 from debtregime.extensions import ClockSpec, estimate_kappa
 from debtregime.inference import SubsampleConfig
 from debtregime.investment import InvestmentInputs
@@ -121,6 +122,24 @@ class TestLoadScenario:
         # the one key whose default is infinite keeps accepting inf
         path.write_text("closure.eps_cap = inf\n")
         assert load_scenario(str(path)).theta_law().eps_cap == float("inf")
+
+    @pytest.mark.parametrize("line, error, named", [
+        ("transition.m = -0.01", DomainError, "line 3: transition.m: tf_m must be >= 0"),
+        ("mc.dead_zone = -0.01", DomainError, "line 3: mc.dead_zone: dead_zone must be >= 0"),
+        ("inference.block_len = 5", ConfigError,
+         "line 3: inference.block_len: block_len 5 must be an entry of block_grid"),
+        ("mc.evaluation_horizons = 3.8, 20", ConfigError,
+         "line 3: mc.evaluation_horizons: evaluation horizon 20.0 must lie within"),
+        # a rule on a key the file leaves at its default names the key alone
+        ("inference.window_h = 70", DomainError, "mc.T: T must be at least window_h"),
+    ])
+    def test_monte_carlo_rules_name_the_key_and_line(self, tmp_path, line, error, named):
+        # `MCConfig`'s rules run at load, on the values `mc_config` passes,
+        # so every command fails on them, not only the Monte Carlo ones
+        path = tmp_path / "mc.cfg"
+        path.write_text(f"# comment\nscenario.name = bad\n{line}\n")
+        with pytest.raises(error, match=re.escape(named)):
+            load_scenario(str(path))
 
     def test_sweep_rows(self, tmp_path):
         path = tmp_path / "sweep.cfg"
