@@ -62,7 +62,7 @@ class MarginDistribution:
         # the knots are checked once, here; every margin sets the same
         # attributes in the same order (None on uniform margins), so both
         # kinds share one attribute layout and uniform lookups stay as fast
-        cs = None
+        cs = gs = None
         if self.kind != "uniform":
             if self.kind != "table":
                 raise ConfigError(f"unknown margin distribution kind {self.kind!r}")
@@ -72,7 +72,7 @@ class MarginDistribution:
                 _require_finite("table CDF knot position", c)
                 _require_finite("table CDF knot value", g)
             cs = tuple(k[0] for k in self.knots)
-            gs = [k[1] for k in self.knots]
+            gs = tuple(k[1] for k in self.knots)
             if abs(cs[0]) > 1e-15 or not (0.0 <= gs[0] < 1.0):
                 raise ConfigError("table CDF must start at c=0 with 0 <= G(0) < 1")
             if abs(gs[-1] - 1.0) > 1e-12:
@@ -82,6 +82,7 @@ class MarginDistribution:
             if any(g1 <= g0 for g0, g1 in zip(gs, gs[1:])):
                 raise ConfigError("table CDF values must be strictly increasing")
         object.__setattr__(self, "_cs", cs)  # knot positions, for `bisect`
+        object.__setattr__(self, "_gs", gs)  # knot values, for the premium's segment
 
     def validate(self, c_bar: float) -> None:
         """The one check that needs c_bar: a table's last knot lies within
@@ -117,8 +118,7 @@ class MarginDistribution:
         c = np.asarray(c, dtype=float)
         if self.kind == "uniform":
             return np.clip(c, 0.0, c_bar) / c_bar
-        cs = np.array(self._cs)
-        gs = np.array([k[1] for k in self.knots])
+        cs, gs = np.array(self._cs), np.array(self._gs)
         n_seg = len(cs) - 1
         seg = np.searchsorted(cs[1:], c)  # first segment with c <= c1
         covered = seg < n_seg
@@ -273,13 +273,38 @@ def _bisect(f, p: TwoLayerParams, target: float, lo: float, hi: float,
 
 
 def solve_premium_bisection(p: TwoLayerParams) -> float:
-    """Case-c premium by bisection on [0, z] to |demand - phi_req| <= 1e-12.
+    """Case-c premium on a piecewise-linear margin: a bisection over the knot
+    segments, then the linear root on the one segment that holds it.
+
+    Demand meets phi_req where G(c) = G* = (1 - phi_req)/(1 - theta), with
+    c = (z - rho)/psi.  The first knot value at or above G* (`bisect_left`)
+    ends the segment [(c0, g0), (c1, g1)] that holds G*; there
+    c* = c0 + (G* - g0)/(g1 - g0)*(c1 - c0), or c* = 0 when G* is at the
+    atom G(0), and rho* = z - psi*c* clamped to [0, z] as in the uniform
+    closed form.  On a segment so steep that the rounded root leaves demand
+    below phi_req - 1e-12 (one ulp of rho moves demand by more than that),
+    the premium is the segment's upper end z - psi*c0 instead, where demand
+    is weakly above the requirement.  A uniform margin is the two-knot table
+    ((0, 0), (c_bar, 1)).
 
     Assumes demand_at(0) < phi_req <= demand_at(z); raises otherwise.
     """
     if demand_at(0.0, p) - p.phi_req >= 0 or demand_at(p.z, p) - p.phi_req < 0:
         raise ScopeError("bisection requires demand_at(0) < phi_req <= demand_at(z)")
-    return _bisect(demand_at, p, p.phi_req, 0.0, p.z, True)[0]
+    cs, gs = (0.0, p.c_bar), (0.0, 1.0)
+    if p.dist.kind != "uniform":
+        cs, gs = p.dist._cs, p.dist._gs
+    g_star = (1.0 - p.phi_req) / (1.0 - p.theta)  # theta < 1 in case c
+    i = bisect_left(gs, g_star)  # the first knot value at or above G*
+    if i == 0:
+        return float(p.z)  # G* at the atom: c* = 0
+    i = min(i, len(gs) - 1)  # G* above a last value within 1e-12 of 1
+    (c0, c1), (g0, g1) = cs[i - 1:i + 1], gs[i - 1:i + 1]
+    rho = p.z - p.psi * (c0 + (g_star - g0) / (g1 - g0) * (c1 - c0))
+    rho = min(max(rho, 0.0), p.z)
+    if demand_at(rho, p) - p.phi_req < -_BISECT_TOL:  # steep segment: upper end
+        rho = min(max(p.z - p.psi * c0, 0.0), p.z)
+    return float(rho)
 
 
 def solve_premium(p: TwoLayerParams) -> PremiumSolution:
@@ -287,8 +312,10 @@ def solve_premium(p: TwoLayerParams) -> PremiumSolution:
 
     Uniform margins use the closed form
         rho* = z - psi*c_bar*(1 - (phi_req - theta)/(1 - theta)),
-    table margins use bisection.  Hard failure (case d) is a valid outcome,
-    not an error.
+    table margins the exact knot-segment solve of `solve_premium_bisection`
+    (the linear root on the knot segment holding the root, or that segment's
+    upper premium end where the segment is too steep to resolve).  Hard
+    failure (case d) is a valid outcome, not an error.
     """
     d0 = demand_at(0.0, p)
     dmax = demand_at(p.z, p)
@@ -319,9 +346,9 @@ def _premium_on_grid(p: TwoLayerParams, thetas: np.ndarray, z) -> np.ndarray:
     """`solve_premium(replace(p, theta=t, z=s)).rho` for each pair (t, s) of
     `thetas` [n] and `z` ([n] or one value), NaN in case d, evaluated as
     arrays with the scalar solver's exact arithmetic: the same case tests,
-    the same clamped closed form, and a lockstep bisection on [0, s] in which
-    each element stops at its own |f| <= 1e-12 or falls back to its upper
-    end after the iteration cap."""
+    the same clamped closed form on uniform margins, and on table margins the
+    same knot-segment solve (`np.searchsorted` on the knot values, the
+    linear root, the steep segment's upper premium end), with no iteration."""
     import numpy as np
 
     z = np.broadcast_to(z, thetas.shape)
@@ -330,33 +357,26 @@ def _premium_on_grid(p: TwoLayerParams, thetas: np.ndarray, z) -> np.ndarray:
     slack = d0 - p.phi_req
     zero = (slack > 0.0) | (slack == 0.0)  # cases a and b
     failed = ~zero & (p.phi_req > dmax)  # case d
-    stress = ~zero & ~failed  # case c
+    stress = ~zero & ~failed  # case c: theta < 1
     rho = np.where(failed, np.nan, 0.0)
-    closed = stress if p.dist.kind == "uniform" else np.zeros_like(stress)  # theta < 1 in case c
-    th, zc = thetas[closed], z[closed]
-    r = zc - p.psi * p.c_bar * (1.0 - (p.phi_req - th) / (1.0 - th))
-    r = np.where(0.0 > r, 0.0, r)  # max(r, 0.0)
-    rho[closed] = np.where(zc < r, zc, r)  # min(r, z)
+    th, zc = thetas[stress], z[stress]
 
-    idx = np.flatnonzero(stress & ~closed)
-    th, zb = thetas[idx], z[idx]
-    lo = np.zeros(len(idx))
-    hi = zb
-    for _ in range(_BISECT_MAX_ITER):
-        if not len(idx):
-            break
-        mid = 0.5 * (lo + hi)
-        f_mid = _demand_on_grid(mid, th, zb, p) - p.phi_req
-        done = np.abs(f_mid) <= _BISECT_TOL
-        below = f_mid < 0
-        if done.any():  # compact only when an element exits
-            rho[idx[done]] = mid[done]
-            go = ~done
-            idx, th, zb, mid, below, lo, hi = (
-                idx[go], th[go], zb[go], mid[go], below[go], lo[go], hi[go])
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    rho[idx] = hi  # upper end: demand weakly above the requirement
+    def clamp(r):  # min(max(r, 0.0), z)
+        r = np.where(0.0 > r, 0.0, r)
+        return np.where(zc < r, zc, r)
+
+    if p.dist.kind == "uniform":
+        rho[stress] = clamp(zc - p.psi * p.c_bar * (1.0 - (p.phi_req - th) / (1.0 - th)))
+        return rho
+    cs, gs = np.array(p.dist._cs), np.array(p.dist._gs)
+    g_star = (1.0 - p.phi_req) / (1.0 - th)
+    i = np.searchsorted(gs, g_star, side="left")  # the first knot value at or above G*
+    seg = np.clip(i, 1, len(gs) - 1)
+    c0, c1, g0, g1 = cs[seg - 1], cs[seg], gs[seg - 1], gs[seg]
+    c_star = np.where(i == 0, 0.0, c0 + (g_star - g0) / (g1 - g0) * (c1 - c0))
+    r = clamp(zc - p.psi * c_star)
+    steep = _demand_on_grid(r, th, zc, p) - p.phi_req < -_BISECT_TOL
+    rho[stress] = np.where(steep, clamp(zc - p.psi * c0), r)
     return rho
 
 

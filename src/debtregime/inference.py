@@ -227,10 +227,10 @@ def subsample_critical_value(
     l, subtracting tau and scaling by sqrt(l) each keep the order, rounding
     included), so the selected order statistic of the deviations is the
     deviation of the same order statistic of the sums: the kernel sorts the
-    sums and maps only the selected one.  The two agree bit for bit except
-    for the sign of a selected zero where a block sum is so small that s / l
-    underflows: sorting the deviations then left that sign to the tie order
-    of +0.0 and -0.0, and `np.maximum(0.0, -0.0)` keeps -0.0.
+    sums and maps only the selected one.  The two agree bit for bit up to
+    the sign of a selected zero, which the floor settles: `np.maximum(0.0,
+    -0.0)` keeps -0.0, so 0.0 is added after it and a zero half-width is
+    always +0.0.
 
     A 1-D remainder gives a float; a `[..., n]` array gives one half-width
     per row, each equal to the 1-D call on that row.
@@ -260,7 +260,7 @@ def subsample_critical_value(
         k = math.ceil((1.0 - cfg.alpha) * n_blocks)  # type-1 (right-continuous) quantile
         s = np.sort(block_sums, axis=0)[min(max(k, 1), n_blocks) - 1]
         q = math.sqrt(ell) * (s / ell - tau)
-        half = np.maximum(0.0, q / math.sqrt(h))
+        half = np.maximum(0.0, q / math.sqrt(h)) + 0.0  # -0.0 + 0.0 is +0.0
     return float(half) if r.ndim == 1 else half
 
 

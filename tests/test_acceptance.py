@@ -19,7 +19,6 @@ from debtregime.closure import (
     pe_sensitivities,
     perturbation_response,
     solve_premium,
-    solve_premium_bisection,
     zero_premium_boundary_theta,
 )
 from debtregime.core import EconState
@@ -28,6 +27,7 @@ from debtregime.inference import score_pe
 from debtregime.scenario import load_scenario
 from debtregime.tables import build_table
 from debtregime.transition import TransitionSpec, required_growth_exogenous
+from test_closure import interval_bisection
 
 ECON = EconState(b_prev=2.40, r_n=0.022, g_n=0.030, pi=0.027, d=0.020)
 
@@ -151,7 +151,7 @@ def test_criterion_06_complementarity_suite():
         assert sol.rho * gap <= 1e-10
         if sol.case == "c_stress":
             n_case_c += 1
-            assert abs(sol.rho - solve_premium_bisection(p)) <= 1e-10
+            assert abs(sol.rho - interval_bisection(p)) <= 1e-10
     elapsed = time.perf_counter() - t0
     assert n_case_c >= 100  # the stress branch is genuinely exercised
     assert elapsed < 5.0
@@ -246,7 +246,7 @@ def test_criterion_10_stress_divergence(tmp_path):
         1.0 - (p.phi_req - p.theta) / (1.0 - p.theta)
     )
     assert abs(sol.rho - closed_form) <= 1e-10
-    assert abs(sol.rho - solve_premium_bisection(p)) <= 1e-10
+    assert abs(sol.rho - interval_bisection(p)) <= 1e-10
 
     art = build_table("stress_v2", load_scenario(None), seed=42)
     path = tmp_path / "stress_v2.csv"

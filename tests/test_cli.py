@@ -8,7 +8,7 @@ import pytest
 
 from debtregime.cli import run_cli
 from debtregime.errors import ConfigError
-from debtregime.scenario import load_scenario
+from debtregime.scenario import _SCHEMA, load_scenario
 from test_readme import _block  # README's fenced example blocks
 
 
@@ -217,7 +217,7 @@ _ARTIFACT_DIGESTS = {
     ('hard_failure', 'transition'): ('888a72c14d5bf3ee', '6d3001068422cfd6'),
     ('table_margin', 'bounds'): ('be8463b8a3492803', 'c3061c53f9774717'),
     ('table_margin', 'clock'): ('be0b19f07fc6e4b6', '6193f4930542f952'),
-    ('table_margin', 'closure'): ('eb483ac35e0dea8c', '785131b2d0f3731f'),
+    ('table_margin', 'closure'): ('b02b2ab33b935d99', '785131b2d0f3731f'),
     ('table_margin', 'scenario'): ('cf5c100b1c883a04', 'ea0e65874be32bba'),
     ('table_margin', 'sweep_stress_v2'): ('2d21b1ba21c5c195', 'e38e8ba7172e060c'),
     ('table_margin', 'tables_calibration'): ('45e1dc9c70d59008', '4085bff151bf2334'),
@@ -225,7 +225,7 @@ _ARTIFACT_DIGESTS = {
     ('table_margin', 'tables_stress_v2'): ('2d21b1ba21c5c195', 'e38e8ba7172e060c'),
     ('table_margin', 'tables_tier_pe'): ('b4f2c083f7384634', '4b6d61297cedd738'),
     ('table_margin', 'tables_tier_tf'): ('1e193c83ed829b36', 'cc63230a9ace929a'),
-    ('table_margin', 'transition'): ('5b8320af3b16e0f2', 'd84abe4ac81fe464'),
+    ('table_margin', 'transition'): ('8c0fb53b6526311f', 'd84abe4ac81fe464'),
 }
 
 
@@ -345,6 +345,20 @@ class TestInferPins:
         assert len(labels) == 4, labels
         got = (_sha(out.out.encode()), _sha(csv.read_bytes()))
         assert got == _INFER_DIGESTS[(config, mode)], (config, mode, got)
+
+
+def test_infer_over_a_negative_zero_series_writes_positive_zero_bands(
+        tmp_path, monkeypatch, capsys):
+    # 30 periods of -0, then 0: every band cell is the zero half-width,
+    # written as 0, not -0
+    rows = "".join(f"{i},-0\n" for i in range(30)) + "30,0\n"
+    (tmp_path / "negzero.csv").write_text("t,value\n" + rows)
+    code, out, csv = _infer(tmp_path, monkeypatch, capsys, ["negzero.csv"])
+    assert code == 0, out.err
+    banded = [line.split(",") for line in csv.read_text().splitlines()
+              if line[:1].isdigit() and not line.endswith("insufficient-window")]
+    assert len(banded) == 31 - 23
+    assert {(row[3], row[4]) for row in banded} == {("0", "0")}
 
 
 class TestOneCheckedPath:
@@ -519,6 +533,38 @@ def test_every_csv_holds_finite_cells_except_documented_sentinels(
     # the hard-failure scenario reaches both sentinels; the others reach the
     # required-growth one only in a stress or sweep row that fails to close
     assert saw_inf or config != "hard_failure"
+
+
+# Each numeric closure.*, transition.* and econ.* key at both ends of its unit
+# rule (rate [-1, 1], share [0, 1], num the largest finite magnitudes), alone,
+# on a uniform and on a table margin.
+_EXTREMES = {"rate": (-1.0, 1.0), "share": (0.0, 1.0),
+             "num": (-sys.float_info.max, sys.float_info.max)}
+_EXTREME_KEYS = sorted(key for key, (_, kind) in _SCHEMA.items()
+                       if key.split(".")[0] in ("closure", "transition", "econ")
+                       and kind.rstrip("?") in _EXTREMES)
+
+
+@pytest.mark.parametrize("key", _EXTREME_KEYS)
+def test_unit_rule_extremes_end_in_a_documented_exit(tmp_path, monkeypatch, capsys, key):
+    # exit 0, 2 (configuration) or 3 (numeric or domain), never 1, and never
+    # a CSV cell that reads nan
+    monkeypatch.chdir(tmp_path)
+    assert len(_EXTREME_KEYS) == 25
+    margins = ("", "closure.dist = table\nclosure.dist_knots = 0.0:0.3, 0.02:0.5, 0.04:0.8, 0.06:1.0\n")
+    k = 0
+    for value in _EXTREMES[_SCHEMA[key][1].rstrip("?")]:
+        for margin in margins:
+            (tmp_path / "s.cfg").write_text(f"{margin}{key} = {value!r}\n")
+            for command in ("scenario", "closure", "transition"):
+                k += 1
+                code = run_cli(["--config", "s.cfg", "--out", f"o{k}", command])
+                where = (key, value, bool(margin), command, capsys.readouterr())
+                assert code in (0, 2, 3), where
+                for path in (tmp_path / f"o{k}").glob("*.csv"):
+                    cells = [cell.strip().lower() for line in path.read_text().splitlines()
+                             if not line.startswith("#") for cell in line.split(",")]
+                    assert not {"nan", "-nan"} & set(cells), where
 
 
 # The four scenario keys that no command reads, each moved to another valid

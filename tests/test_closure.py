@@ -35,6 +35,25 @@ BASE = TwoLayerParams()  # theta 0.65, psi 0.97, z 2%, c_bar 6%, phi_req 0.85
 ECON = EconState(b_prev=2.40, r_n=0.022, g_n=0.030, pi=0.027, d=0.020)
 
 
+def interval_bisection(p):
+    """The case-c premium by bisection on [0, z] to |demand - phi_req| <= 1e-12:
+    the first midpoint within the tolerance, or the upper end after 200
+    halvings.  `solve_premium_bisection` solved this way before it became the
+    exact knot-segment solve; the bisection is kept as its oracle."""
+    assert demand_at(0.0, p) < p.phi_req <= demand_at(p.z, p)
+    lo, hi = 0.0, p.z
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f = demand_at(mid, p) - p.phi_req
+        if abs(f) <= 1e-12:
+            return mid
+        if f < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def table_from_power(c_bar, power, n=9):
     fr = np.linspace(0.0, 1.0, n)
     return MarginDistribution(kind="table", knots=tuple((f * c_bar, f**power) for f in fr))
@@ -104,8 +123,44 @@ class TestSolvePremium:
 
     def test_closed_form_matches_bisection(self):
         p = TwoLayerParams(z=0.03)
-        rho_b = solve_premium_bisection(p)
+        rho_b = interval_bisection(p)
         assert abs(solve_premium(p).rho - rho_b) <= 1e-10
+
+    def test_segment_solve_takes_a_uniform_margin_as_the_two_knot_table(self):
+        p = TwoLayerParams(z=0.03)
+        table = replace(p, dist=MarginDistribution(
+            kind="table", knots=((0.0, 0.0), (p.c_bar, 1.0))))
+        rho = solve_premium_bisection(p)
+        assert type(rho) is float and repr(rho) == repr(solve_premium(table).rho)
+        assert abs(rho - solve_premium(p).rho) <= 1e-15
+        assert abs(demand_at(rho, p) - p.phi_req) <= 2 * math.ulp(1.0)
+
+    def test_segment_solve_scope_and_python_floats(self):
+        # numpy knot values stay out of the result; outside case c the
+        # solver refuses, as the bisection did
+        p = TwoLayerParams(z=0.03, phi_req=0.9, dist=table_from_power(0.06, 0.8))
+        assert isinstance(p.dist.knots[1][0], np.float64)
+        rho = solve_premium_bisection(p)
+        assert type(rho) is float and type(solve_premium(p).rho) is float
+        assert abs(demand_at(rho, p) - p.phi_req) <= 2 * math.ulp(1.0)
+        for phi_req in (0.5, 1.0):  # cases a and d
+            with pytest.raises(ScopeError, match="demand_at"):
+                solve_premium_bisection(replace(p, phi_req=phi_req, dist=ATOM_TABLE))
+
+    def test_segment_solve_edge_cases(self):
+        # phi_req = dmax sits on the atom: rho = z; a last knot 1e-12 below
+        # c_bar; a first knot 1e-15 above 0
+        p = TwoLayerParams(theta=0.2, psi=0.9, z=0.05, dist=ATOM_TABLE)
+        p = replace(p, phi_req=demand_at(p.z, p))
+        assert solve_premium(p).rho == p.z
+        assert _premium_on_grid(p, np.array([p.theta]), p.z).tolist() == [p.z]
+        knots = ((1e-15, 0.0), (0.03, 0.4), (0.06 - 1e-12, 1.0))
+        for phi_req in (0.8, 0.99, 0.999999):
+            q = TwoLayerParams(theta=0.5, z=0.07, phi_req=phi_req,
+                               dist=MarginDistribution(kind="table", knots=knots))
+            rho = solve_premium(q).rho
+            assert abs(demand_at(rho, q) - phi_req) <= 2 * math.ulp(1.0)
+            assert abs(rho - interval_bisection(q)) <= 1e-12 / demand_derivative(rho, q)
 
     def test_complementarity_on_random_instances(self):
         rng = np.random.default_rng(99)
@@ -605,20 +660,39 @@ class TestPremiumOnGrid:
 
 # SHA-256 of repr(monotone_path) from theta = 0.95 under a law that erodes the
 # core through cases a, c and d, and of repr(fixed_point_scan), on each table
-# margin of GRID_STATES; recorded with the linear knot scan, before knot
-# bisection and the lockstep's compaction on exits
+# margin of GRID_STATES (7 never reaches case c: its atom caps demand below
+# phi_req = 1), recorded with Python 3.11 and numpy 2.4.6
 TABLE_PATH_SCAN_SHA256 = {
-    4: ("11293e85587044bdec9810cd1fd65380519805b2a0c2a8c2be860ce7d114e0ee",
-        "37720e642590f3c68d4ab05410c8ff18993bdffb95dcc9ac226796db5d688d62"),
-    5: ("9c90bdce5c8adca4b3fd2d5fb15096e916b6d8bea6ea9748e2ce79c3161a7ced",
-        "b07d411cc654948320b9b202dd97dfa46e5a202746ce162da33cc32a13776b1c"),
-    6: ("bc9e24eaf34d564132c43bbd8c255493ddc572c2bf6765aa3dea2777b951d0e1",
-        "ea1bf98c24f5401631d242ce9fc9baa56da4a5ddc90a87298b7cc2a152661a1b"),
+    4: ("dd7f4d3a6467f5f5d1095b43f14b7eda4c7be8243e44bac2f041a2614b78feef",
+        "b0d5e87d25d4e0672bbf70207337e3762828980eda5679733481994d3116c616"),
+    5: ("4887c7adc185737a8e67f74116cf5755acaed10851ffaa3096d85f193486e717",
+        "a300e29fff9b5647155ac7bf206119b827bc0fd24b0342e4c98be4b08b4de64f"),
+    6: ("cb9cb5ad53fdb01d2cda93d389496561228c90d8b68c8413f062729ac3427954",
+        "6669e12bd948d171bac80b2a3a4e918b290a9c39932ea4e0ec350dacad99af66"),
     7: ("b4a1c796b58f4b97b149e3038b2547a2fdaf9a6dc92f04997c27ea9bbe58dba4",
         "e3b745378764aed97e52c0a4e5c703eb41474157df2d77a4cc7a8aa799b9125e"),
-    8: ("4fd92f52d0208c4638022427ae034d7f10718ef0dc01d33a1fbcb626e09828f5",
-        "4e6e73c27e3c35fb6ad8af02a997044ef9519c8d55965fb94dcd66f31ae793d5"),
+    8: ("49a9f442e216916a95691165cf2aa74d3e65adca4d5f6059fdc0b0cbc0880ab2",
+        "4be9a06169da1b01d18fffacf56f8da62ed45874597241834961d4cbf5ec954b"),
 }
+
+
+@pytest.mark.parametrize("i", [4, 5, 6])
+def test_table_margin_path_and_scan_agree_with_interval_bisection(i):
+    # the pinned states against the oracle: each case-c period's premium
+    # within 1e-12 / slope of the interval bisection, and each fixed point a
+    # root of the core map to 1e-12
+    p = GRID_STATES[i]
+    path = monotone_path(p.with_theta(0.95), ThetaLaw(kappa_theta=0.01, g0=0.5), ECON, 50)
+    stressed = [row for row in path["periods"] if row["case"] == "c_stress"]
+    assert len(stressed) >= 5
+    for row in stressed:
+        q = p.with_theta(row["theta"])
+        bound = 1e-12 / demand_derivative(row["rho"], q) + 2 * math.ulp(q.z)
+        assert abs(row["rho"] - interval_bisection(q)) <= bound
+    scan = fixed_point_scan(p, ThetaLaw(kappa_theta=0.002, g0=0.5), 0.03, 0.01,
+                            grid=1000, sigma=0.001)
+    assert [pt["type"] for pt in scan["fixed_points"]] == ["stress", "safe"]
+    assert all(pt["residual"] <= 1e-12 for pt in scan["fixed_points"])
 
 
 @pytest.mark.parametrize("i", sorted(TABLE_PATH_SCAN_SHA256))

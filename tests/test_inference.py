@@ -411,6 +411,17 @@ class TestSubsampling:
         r = np.random.default_rng(4).normal(0, 1, 30)
         assert subsample_critical_value(r, cfg) == subsample_critical_value(r, self.CFG)
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.5, 0.9])
+    def test_zero_half_width_is_positive_zero(self, alpha):
+        # np.maximum(0.0, -0.0) keeps -0.0: a window of -0 values selected a
+        # -0.0 half-width at alpha = 0.1, 0.5 and 0.9 before the floor added 0.0
+        window = np.array([-0.0] * 20 + [0.0] * 4)
+        cfg = SubsampleConfig(block_len=4, alpha=alpha)
+        half = subsample_critical_value(window, cfg)
+        assert half == 0.0 and math.copysign(1.0, half) == 1.0
+        rows = subsample_critical_value(np.array([window, -window]), cfg)
+        assert np.signbit(rows).tolist() == [False, False]
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             SubsampleConfig(window_h=8, block_len=8)

@@ -12,7 +12,7 @@ import tempfile
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.lib.stride_tricks import sliding_window_view
@@ -22,8 +22,8 @@ from debtregime.closure import (
     MarginDistribution,
     TwoLayerParams,
     demand_at,
+    demand_derivative,
     solve_premium,
-    solve_premium_bisection,
 )
 from debtregime.core import (
     EconState,
@@ -45,6 +45,7 @@ from debtregime.investment import _project_capped_simplex
 from debtregime.montecarlo import MCConfig, _labels, simulate_pe_paths
 from debtregime.scenario import load_series_csv
 from debtregime.tables import TableArtifact, emit_csv
+from test_closure import interval_bisection
 from test_montecarlo import PATH_KEYS, _simulate_reference
 
 # a fixed example sequence per test keeps the suite deterministic
@@ -113,18 +114,90 @@ def test_projection_feasible_and_idempotent(x, budget):
 @given(st.floats(0.0, 0.99), st.floats(0.05, 1.0), st.floats(0.001, 0.05),
        st.floats(0.005, 0.1), st.floats(0.0, 1.0))
 def test_closed_form_agrees_with_bisection(theta, psi, z, c_bar, phi_req):
-    # the uniform margin written as the two-knot table goes through bisection;
-    # bisection stops at a demand residual of 1e-12, a premium error of at most
-    # 1e-12 * psi * c_bar / (1 - theta) <= 1e-11 on this domain
+    # the uniform margin written as the two-knot table goes through the
+    # knot-segment solve; the interval bisection stops at a demand residual of
+    # 1e-12, a premium error of at most 1e-12 * psi * c_bar / (1 - theta) <=
+    # 1e-11 on this domain
     p = TwoLayerParams(theta=theta, psi=psi, z=z, c_bar=c_bar, phi_req=phi_req)
     table = replace(p, dist=MarginDistribution(kind="table", knots=((0.0, 0.0), (c_bar, 1.0))))
-    closed, bisected = solve_premium(p), solve_premium(table)
-    assert closed.case == bisected.case
+    closed, segment = solve_premium(p), solve_premium(table)
+    assert closed.case == segment.case
     if closed.case == "c_stress":
-        assert abs(closed.rho - bisected.rho) <= 1e-10
-        assert abs(closed.rho - solve_premium_bisection(p)) <= 1e-10
+        assert abs(closed.rho - segment.rho) <= 1e-10
+        assert abs(closed.rho - interval_bisection(p)) <= 1e-10
     else:
-        assert closed.rho == bisected.rho
+        assert closed.rho == segment.rho
+
+
+@st.composite
+def case_c_tables(draw):
+    """A case-c state on a table margin of 2-6 knots, with the segment solve's
+    edge cases: an atom G(0) > 0, a first knot offset up to 1e-15 from 0, a
+    last knot 1e-12 below c_bar, a last knot value 5e-13 below 1, a segment
+    1e-14 wide (steep: one ulp of rho moves demand by up to about 1e-4), and
+    phi_req = dmax (rho = z), a root on the steep segment, or G* above the
+    last knot value (the jump to 1 past the last knot)."""
+    c_bar = draw(st.floats(0.005, 0.1))
+    n = draw(st.integers(2, 6))
+    weights = st.lists(st.floats(0.05, 1.0), min_size=n - 1, max_size=n - 1)
+    dc, dg = np.cumsum(draw(weights)), np.cumsum(draw(weights))
+    g_first = draw(st.sampled_from([0.0, 0.0, 0.2]))
+    c_first = draw(st.sampled_from([0.0, 0.0, 1e-16, 1e-15]))
+    c_last = c_bar - draw(st.sampled_from([0.0, 1e-12]))
+    if c_bar - c_last > 1e-12:  # rounding took it past the 1e-12 the knots allow
+        c_last = math.nextafter(c_last, c_bar)
+    cs = [c_first] + (c_first + (c_last - c_first) * dc[:-1] / dc[-1]).tolist() + [c_last]
+    g_last = draw(st.sampled_from([1.0, 1.0, 1.0 - 5e-13]))
+    gs = [g_first] + (g_first + (1.0 - g_first) * dg[:-1] / dg[-1]).tolist() + [g_last]
+    steep = draw(st.none() | st.integers(0, n - 2))  # the knot a steep segment starts at
+    if steep is not None:
+        cs.insert(steep + 1, cs[steep] + 1e-14)
+        gs.insert(steep + 1, 0.5 * (gs[steep] + gs[steep + 1]))
+    dist = MarginDistribution(kind="table", knots=tuple(zip(cs, gs)))
+    targets = ["between", "dmax"] + (["steep"] if steep is not None else ["between"])
+    target = draw(st.sampled_from(targets + (["top"] if g_last < 1.0 else [])))
+    theta, psi = draw(st.floats(0.0, 0.99)), draw(st.floats(0.05, 1.0))
+    reach = draw(st.floats(1.0 if target == "top" else 0.05, 1.5))  # z/psi over c_bar
+    p = TwoLayerParams(theta=theta, psi=psi, z=psi * c_bar * reach, c_bar=c_bar, dist=dist)
+    if target in ("steep", "top"):  # G* = (1 - phi_req)/(1 - theta) on that stretch
+        lo, hi = (gs[steep], gs[steep + 1]) if target == "steep" else (g_last, 1.0)
+        phi_req = 1.0 - (1.0 - theta) * (lo + draw(st.floats(0.0, 1.0)) * (hi - lo))
+    else:
+        d0, dmax = demand_at(0.0, p), demand_at(p.z, p)
+        phi_req = dmax if target == "dmax" else d0 + draw(st.floats(0.0, 1.0)) * (dmax - d0)
+    p = replace(p, phi_req=min(max(phi_req, 0.0), 1.0))
+    assume(demand_at(0.0, p) < p.phi_req <= demand_at(p.z, p))
+    return p
+
+
+@PROPERTY
+@given(case_c_tables())
+def test_table_premium_is_the_segment_root(p):
+    # the knot-segment solve on a case-c table: the scalar and array paths
+    # agree by repr; demand meets phi_req to within a few ulps, plus what one
+    # ulp of rho moves it by and the jump of G to 1 past a last knot value
+    # below 1; there rho lies within 1e-12 / slope (plus two ulps of rho) of
+    # the interval bisection's answer; otherwise the steep-segment rule took
+    # the segment's upper premium end, where demand is weakly above phi_req
+    sol = solve_premium(p)
+    rho = sol.rho
+    assert sol.case == "c_stress" and type(rho) is float and 0.0 <= rho <= p.z
+    thetas = np.array([p.theta, 1.0, p.theta])
+    got = _premium_on_grid(p, thetas, p.z).tolist()
+    assert repr(got) == repr([rho, solve_premium(p.with_theta(1.0)).rho, rho])
+
+    cs, gs = zip(*p.dist.knots)
+    slopes = [(g1 - g0) / (c1 - c0) for c0, c1, g0, g1 in zip(cs, cs[1:], gs, gs[1:])]
+    d_max = (1.0 - p.theta) * max(slopes) / p.psi  # the steepest demand slope in rho
+    jump = (1.0 - p.theta) * (1.0 - gs[-1])  # where G jumps to 1 past the last knot
+    gap = demand_at(rho, p) - p.phi_req
+    if abs(gap) <= 4 * math.ulp(1.0) + d_max * 2 * math.ulp(p.z) + jump:
+        slope = min(demand_derivative(r, p) for r in (rho, interval_bisection(p)))
+        if slope > 0.0:
+            assert abs(rho - interval_bisection(p)) <= 1e-12 / slope + 2 * math.ulp(p.z)
+    else:  # the steep segment's upper premium end z - psi*c0
+        assert gap >= 0.0
+        assert rho in [min(max(p.z - p.psi * c, 0.0), p.z) for c in cs]
 
 
 @PROPERTY
