@@ -231,7 +231,7 @@ def _ols_line(t: np.ndarray, y: np.ndarray, sample: str) -> tuple:
         raise EstimationError(f"the {sample}'s time stamps do not vary")
     mean, slope = _line_fit(t, y)
     resid = y - (mean + slope * (t - t.mean()))
-    return float(slope), float(resid @ resid)
+    return float(slope), float((resid * resid).sum())
 
 
 def estimate_kappa(

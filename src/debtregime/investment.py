@@ -10,10 +10,8 @@ envelope takes the most conservative of each side.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import accumulate
+from itertools import chain, combinations
 from typing import List, Optional, Sequence, Tuple
 
 from .core import EconState, RegimeParams, _require_finite, _require_integer
@@ -72,8 +70,9 @@ class AllocationProblem:
 
     Objective: base_surplus + sum_j mu_j*x_j + sum_{j<k} gamma_jk*x_j*x_k,
     maximized over x >= 0 with sum(x) <= budget.  gamma_jk is supplied
-    upper-triangular and treated symmetrically in evaluation.  Coefficients
-    are stored as Python floats; `objective` also takes a [J, N] array.
+    upper-triangular: a nonzero entry on or below the diagonal raises
+    DomainError, since the objective would not read it.  Coefficients are
+    stored as Python floats; `objective` also takes a [J, N] array.
     """
 
     mu_j: Tuple[float, ...]
@@ -96,6 +95,9 @@ class AllocationProblem:
             _require_finite(f"mu_j[{j}]", self.mu_j[j])
             for k in range(J):
                 _require_finite(f"gamma_jk[{j}][{k}]", self.gamma_jk[j][k])
+                if k <= j and self.gamma_jk[j][k] != 0.0:
+                    raise DomainError(f"gamma_jk[{j}][{k}] = {self.gamma_jk[j][k]} is on or "
+                                      "below the diagonal; gamma_jk must be upper-triangular")
         _require_finite("budget", self.budget)
         _require_finite("base_surplus", self.base_surplus)
 
@@ -197,52 +199,26 @@ def cumulative_upper_bound(
     return total
 
 
-def _project_capped_simplex(x: List[float], budget: float) -> List[float]:
-    """Euclidean projection onto {x >= 0, sum(x) <= budget} on Python floats:
-    the sort algorithm of Duchi et al. (ICML 2008) in numpy's IEEE operations
-    and order (numpy sums up to 7 terms sequentially; `sum` compensates from
-    Python 3.12 on)."""
-    y = [v if v > 0.0 else 0.0 for v in x]
-    if reduce(operator.add, y) <= budget:
-        return y
-    # the last i with u_i - (css_i - budget)/i > 0 sets theta; i = 1 (which
-    # qualifies in exact arithmetic if budget > 0) stands in when none does
-    u = sorted(x, reverse=True)
-    theta = u[0] - budget
-    for i, c in enumerate(accumulate(u), 1):
-        if u[i - 1] - (c - budget) / i > 0:
-            theta = (c - budget) / i
-    return [v - theta if v - theta > 0.0 else 0.0 for v in x]
-
-
-def _ascent(problem: AllocationProblem, start: List[float], iters: int = 2000) -> List[float]:
-    """Projected gradient ascent with backtracking from one start point; the
-    gradient stays a BLAS matvec, whose rounding no Python-float sum matches.
-    A trial point that projects back onto x ends the ascent: on a convex set
-    P(x + s*g) = x for one s > 0 implies it for every s > 0."""
-    import numpy as np
-
-    mu = np.array(problem.mu_j)
-    G = np.triu(np.array(problem.gamma_jk), 1)
-    G = G + G.T
-    x = _project_capped_simplex(start, problem.budget)
-    obj = problem.objective(x)
-    step = max(problem.budget, 1e-6)
-    for _ in range(iters):
-        grad = (mu + G @ np.array(x)).tolist()
-        moved = False
-        s = step
-        for _ in range(40):
-            cand = _project_capped_simplex([a + s * b for a, b in zip(x, grad)], problem.budget)
-            if cand == x:
-                break
-            cand_obj = problem.objective(cand)
-            if cand_obj > obj + 1e-15:
-                x, obj, moved = cand, cand_obj, True
-                break
-            s *= 0.5
-        if not moved:
-            break
+def _solve(a: List[List[float]], b: List[float]) -> Optional[List[float]]:
+    """Solve a x = b by Gaussian elimination on Python floats, pivoting on the
+    first row of largest |entry| and summing left to right; None when a pivot
+    is zero."""
+    n = len(b)
+    m = [row + [v] for row, v in zip(a, b)]
+    for c in range(n):
+        p = max(range(c, n), key=lambda r: abs(m[r][c]))
+        if m[p][c] == 0.0:
+            return None
+        m[c], m[p] = m[p], m[c]
+        for r in range(c + 1, n):
+            f = m[r][c] / m[c][c]
+            m[r][c + 1:] = [u - f * w for u, w in zip(m[r][c + 1:], m[c][c + 1:])]
+    x = [0.0] * n
+    for c in range(n - 1, -1, -1):
+        v = m[c][n]
+        for k in range(c + 1, n):
+            v -= m[c][k] * x[k]
+        x[c] = v / m[c][c]
     return x
 
 
@@ -254,7 +230,8 @@ def allocate(problem: AllocationProblem, grid_resolution: int = 40) -> dict:
     budget is evaluated, in `itertools.product` order, as one array.  A
     point replaces the incumbent only if it improves the objective by more
     than 1e-15, so ties resolve to the earliest point in that order (the
-    lexicographically smallest).  For J > 3 this is `allocate_ascent`.
+    lexicographically smallest).  For J > 3 this is `allocate_ascent`, the
+    exact face enumeration (at most 12 sectors).
     """
     _require_integer("grid_resolution", grid_resolution)
     J = problem.n_sectors
@@ -290,20 +267,36 @@ def allocate(problem: AllocationProblem, grid_resolution: int = 40) -> dict:
 
 
 def allocate_ascent(problem: AllocationProblem) -> dict:
-    """Multi-start projected-ascent solution (the J > 3 path of `allocate`):
-    from zero, the equal split and each vertex, keep the best end point."""
+    """Exact solution by face enumeration (the J > 3 path of `allocate`).
+
+    A maximiser lies in the relative interior of a face of the feasible set
+    whose stationarity system is nonsingular.  From the incumbent x = 0, the
+    supports S are walked by size, then in `itertools.combinations` order;
+    each solves H_SS x_S = -mu_S (budget slack), then [[H_SS, -1], [1, 0]]
+    [x_S; lam] = [-mu_S; budget] (budget tight), with H the symmetric gamma.
+    A solution with every x_S >= 0 (and, if slack, sum(x) <= budget)
+    replaces the incumbent only if it improves the objective by more than
+    1e-15, so ties go to the first face in the walk.  There are
+    2 * (2^J - 1) systems, so J is capped at 12.
+    """
     import numpy as np
 
-    J = problem.n_sectors
-    starts = [[0.0] * J, [problem.budget / J] * J]
-    for j in range(J):
-        e = [0.0] * J
-        e[j] = problem.budget
-        starts.append(e)
-    best_x, best_obj = None, -math.inf
-    for s in starts:
-        x = _ascent(problem, s)
-        val = problem.objective(x)
-        if val > best_obj:
-            best_x, best_obj = x, val
-    return {"allocation": best_x, "objective": np.float64(best_obj)}  # as the grid returns
+    J, g, budget = problem.n_sectors, problem.gamma_jk, problem.budget
+    if J > 12:
+        raise DomainError(f"allocate_ascent solves at most 12 sectors, got {J}")
+    best_x = [0.0] * J
+    best = problem.objective(best_x)
+    for S in chain.from_iterable(combinations(range(J), n) for n in range(1, J + 1)):
+        H = [[g[min(j, k)][max(j, k)] for k in S] for j in S]
+        rhs = [-problem.mu_j[j] for j in S]
+        slack = _solve(H, rhs)
+        tight = _solve([row + [-1.0] for row in H] + [[1.0] * len(S) + [0.0]], rhs + [budget])
+        for sol, cap in ((slack, budget), (tight and tight[:-1], math.inf)):  # drop lam
+            if sol is None or not all(v >= 0.0 for v in sol) or math.fsum(sol) > cap:
+                continue
+            at = dict(zip(S, sol))
+            x = [at.get(j, 0.0) for j in range(J)]
+            val = problem.objective(x)
+            if val > best + 1e-15:
+                best_x, best = x, val
+    return {"allocation": best_x, "objective": np.float64(best)}  # as the grid returns

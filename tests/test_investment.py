@@ -15,7 +15,6 @@ from debtregime.investment import (
     compute_bounds,
     cumulative_upper_bound,
 )
-from debtregime.investment import _project_capped_simplex
 
 
 def baseline_inputs(**kw):
@@ -144,6 +143,31 @@ class TestCumulativeUpperBound:
             cumulative_upper_bound(periods, T_star)
 
 
+def objective_scale(problem):
+    """A bound on the magnitude of every term of the objective on the
+    feasible set, the scale of its rounding error."""
+    B = problem.budget
+    return (abs(problem.base_surplus) + B * sum(abs(m) for m in problem.mu_j)
+            + B * B * sum(abs(g) for row in problem.gamma_jk for g in row))
+
+
+def assert_kkt(problem, x):
+    """Check x against the KKT conditions of max f(x) s.t. x >= 0, sum(x) <=
+    budget: a multiplier lam >= 0, zero unless the budget binds, equals the
+    gradient on the support and bounds it off the support."""
+    J, B = problem.n_sectors, problem.budget
+    assert len(x) == J and min(x) >= 0.0 and math.fsum(x) <= B * (1.0 + 1e-15)
+    H = np.triu(np.array(problem.gamma_jk), 1)
+    grad = np.array(problem.mu_j) + (H + H.T).dot(np.array(x))
+    tol = 1e-9 * (max(map(abs, problem.mu_j)) + B * np.abs(H).max(initial=0.0))
+    support = np.array(x) > 0.0
+    tight = math.fsum(x) >= B * (1.0 - 1e-12) and B > 0.0
+    lam = grad[support].max(initial=0.0) if tight else 0.0
+    assert lam >= -tol
+    assert np.all(np.abs(grad[support] - lam) <= tol)
+    assert np.all(grad[~support] <= lam + tol)
+
+
 def brute_force_grid(problem, resolution):
     """Independent exhaustive search used as the optimality oracle."""
     levels = np.linspace(0.0, problem.budget, resolution + 1)
@@ -186,22 +210,25 @@ class TestAllocate:
         assert out["objective"] == pytest.approx(oracle_val, abs=1e-15)
 
     def test_ascent_matches_grid_on_random_instances(self):
+        # the exact solution is at least the best point of a fine grid (whose
+        # points may overshoot the budget by 1e-15), and not far above it
         rng = np.random.default_rng(314159)
-        for _ in range(100):
-            J = int(rng.integers(1, 4))
+        for i in range(24):
+            J = 1 + i % 3
             mu = tuple(rng.uniform(0.01, 0.10, J))
             gamma = [[0.0] * J for _ in range(J)]
             for j in range(J):
                 for k in range(j + 1, J):
-                    gamma[j][k] = float(rng.uniform(0.0, 0.2))
+                    gamma[j][k] = float(rng.uniform(-0.2, 0.2))
             problem = AllocationProblem(
                 mu_j=mu,
                 gamma_jk=tuple(tuple(row) for row in gamma),
                 budget=float(rng.uniform(0.005, 0.02)),
             )
-            grid = allocate(problem, grid_resolution=40)
+            grid = allocate(problem, grid_resolution=200)
             ascent = allocate_ascent(problem)
-            assert abs(ascent["objective"] - grid["objective"]) <= 1e-6
+            assert ascent["objective"] >= grid["objective"] - 1e-15 * objective_scale(problem)
+            assert ascent["objective"] - grid["objective"] <= 1e-6
 
     def test_feasibility_of_returned_allocation(self):
         rng = np.random.default_rng(2718)
@@ -255,7 +282,8 @@ class TestAllocate:
 
 
 def _oracle_project(x, budget):
-    """The numpy projection the Python-float `_project_capped_simplex` replaced."""
+    """Euclidean projection onto {x >= 0, sum(x) <= budget} (the sort
+    algorithm of Duchi et al., ICML 2008)."""
     y = np.maximum(x, 0.0)
     if y.sum() <= budget:
         return y
@@ -269,7 +297,8 @@ def _oracle_project(x, budget):
 
 
 def _oracle_ascent(problem, start, iters=2000):
-    """The numpy `_ascent` the Python-float one replaced."""
+    """Projected gradient ascent with backtracking from one start: the
+    heuristic the exact face enumeration replaced, kept as an oracle."""
     mu = np.asarray(problem.mu_j, dtype=float)
     J = problem.n_sectors
     G = np.zeros((J, J))
@@ -332,13 +361,12 @@ def ascent_problems(J, rng):
 
 
 class TestAscentEqualsNumpyOracle:
-    """The Python-float ascent against the numpy ascent it replaced.
-
-    Up to 7 sectors the two do the same IEEE operations in the same order
-    (numpy's sum is sequential below 8 terms), so results must match to the
-    last bit.  From 8 terms numpy's sum unrolls 8 ways, so for J = 8..10 the
-    result need only be feasible and within 1e-12 of the oracle's objective.
-    """
+    """The exact face enumeration (`allocate_ascent`) against the numpy
+    multi-start ascent kept as an oracle.  The ascent is a local method, so
+    the exact objective must be at least the oracle's, up to rounding of
+    1e-15 of the objective's scale; and the exact result must be the same,
+    bit for bit, for numpy and Python-float coefficients and through
+    `allocate`."""
 
     @pytest.mark.parametrize("J", range(1, 8))
     def test_repr_equal(self, J):
@@ -346,26 +374,16 @@ class TestAscentEqualsNumpyOracle:
         for kw in ascent_problems(J, rng):
             want = oracle_allocate_ascent(AllocationProblem(**kw))
             # mu_j as np.float64 and as Python float
+            results = set()
             for mu in (tuple(np.float64(m) for m in kw["mu_j"]),
                        tuple(float(m) for m in kw["mu_j"])):
                 problem = AllocationProblem(**{**kw, "mu_j": mu})
                 got = allocate_ascent(problem)
-                assert repr(got) == repr(want)
+                results.add(repr(got))
                 if J > 3:
-                    assert repr(allocate(problem)) == repr(want)
-
-    def test_projection_repr_equal(self):
-        # random points, and points on the budget face, where the feasibility
-        # test turns on the last bit of the sum
-        rng = np.random.default_rng(6000)
-        for _ in range(2000):
-            J = int(rng.integers(1, 8))
-            budget = float(10 ** rng.uniform(-4.0, math.log10(0.5)))
-            x = (rng.uniform(-1.0, 1.0, J) * budget * 3.0).tolist()
-            on_face = _oracle_project(np.array(x), budget).tolist()
-            for point in (x, on_face, [v * (1.0 + 1e-15) for v in on_face]):
-                want = _oracle_project(np.array(point), budget).tolist()
-                assert repr(_project_capped_simplex(point, budget)) == repr(want)
+                    results.add(repr(allocate(problem)))
+            assert len(results) == 1
+            assert got["objective"] >= want["objective"] - 1e-15 * objective_scale(problem)
 
     @pytest.mark.parametrize("J", [8, 9, 10])
     def test_large_j_within_tolerance(self, J):
@@ -376,7 +394,7 @@ class TestAscentEqualsNumpyOracle:
             got = allocate(problem)
             x = got["allocation"]
             assert min(x) >= 0.0 and sum(x) <= problem.budget + 1e-12
-            assert abs(got["objective"] - want["objective"]) <= 1e-12
+            assert got["objective"] >= want["objective"] - 1e-15 * objective_scale(problem)
 
     def test_zero_budget_ascent_returns_zero(self):
         # the numpy projection found no qualifying index at budget 0 and
@@ -391,3 +409,65 @@ class TestAscentEqualsNumpyOracle:
         assert problem.mu_j == (0.05, 0.03)
         assert problem.gamma_jk == ((0.0, -1.0), (0.0, 0.0))
         assert all(type(v) is float for v in problem.mu_j + sum(problem.gamma_jk, ()))
+
+
+class TestExactAllocation:
+    @pytest.mark.parametrize("J", range(1, 11))
+    def test_kkt_certificate(self, J):
+        rng = np.random.default_rng(7000 + J)
+        for kw in ascent_problems(J, rng):
+            problem = AllocationProblem(**kw)
+            got = allocate_ascent(problem)
+            assert type(got["objective"]) is np.float64
+            assert all(type(v) is float for v in got["allocation"])
+            assert got["objective"] == problem.objective(got["allocation"])
+            assert_kkt(problem, got["allocation"])
+
+    def test_ties_go_to_the_first_face(self):
+        # equal returns and no interaction: every point of the budget face is
+        # optimal, and the first face of the walk is the vertex on sector 0
+        problem = AllocationProblem(mu_j=(0.03,) * 4, budget=0.01)
+        assert repr(allocate_ascent(problem)) == repr(
+            {"allocation": [0.01, 0.0, 0.0, 0.0], "objective": np.float64(0.0003)})
+        # nothing beats x = 0 when every return and interaction is negative
+        problem = AllocationProblem(mu_j=(-0.01,) * 4, budget=0.01, base_surplus=0.001,
+                                    gamma_jk=tuple(tuple(-1.0 if k > j else 0.0 for k in range(4))
+                                                   for j in range(4)))
+        assert repr(allocate_ascent(problem)) == repr(
+            {"allocation": [0.0] * 4, "objective": np.float64(0.001)})
+
+    def test_interior_optimum_on_the_budget_face(self):
+        # complements: the optimum is the equal split on the budget face
+        gamma = tuple(tuple(0.05 if k > j else 0.0 for k in range(4)) for j in range(4))
+        problem = AllocationProblem(mu_j=(0.05,) * 4, gamma_jk=gamma, budget=0.01)
+        got = allocate_ascent(problem)
+        assert got["allocation"] == pytest.approx([0.0025] * 4, rel=1e-14)
+        # on x0 + x1 = 0.01 the objective is concave with its peak at
+        # x0 = (0.01 + 0.01 / 2) / 2; sectors 2 and 3 earn nothing
+        gamma = ((0.0, 2.0, 0.0, 0.0),) + ((0.0,) * 4,) * 3
+        problem = AllocationProblem(mu_j=(0.05, 0.04, 0.0, 0.0), gamma_jk=gamma, budget=0.01)
+        got = allocate_ascent(problem)
+        assert got["allocation"] == pytest.approx([0.0075, 0.0025, 0.0, 0.0], rel=1e-14)
+
+    def test_size_cap(self):
+        problem = AllocationProblem(mu_j=tuple(0.01 * (1 + j % 5) for j in range(12)), budget=0.01)
+        assert allocate(problem)["allocation"] == [0.0, 0.0, 0.0, 0.0, 0.01] + [0.0] * 7
+        problem = AllocationProblem(mu_j=(0.05,) * 13, budget=0.01)
+        for solve in (allocate, allocate_ascent):
+            with pytest.raises(DomainError, match="at most 12 sectors, got 13"):
+                solve(problem)
+
+    @pytest.mark.parametrize("gamma, entry", [
+        (((0.0, 0.0), (8.0, 0.0)), r"gamma_jk\[1\]\[0\]"),
+        (((5.0, 0.0), (0.0, 0.0)), r"gamma_jk\[0\]\[0\]"),
+        (((0.0, 1.0), (0.0, -2.0)), r"gamma_jk\[1\]\[1\]"),
+    ], ids=["below", "first_diagonal", "last_diagonal"])
+    def test_entries_on_or_below_the_diagonal_rejected(self, gamma, entry):
+        # the objective reads only j < k, so these entries would be dropped
+        with pytest.raises(DomainError, match=entry + ".*upper-triangular"):
+            AllocationProblem(mu_j=(0.05, 0.05), gamma_jk=gamma)
+        # upper-triangular (signed zeros below it are zeros), the interaction
+        # pulls the optimum to the equal split
+        problem = AllocationProblem(mu_j=(0.05, 0.05), gamma_jk=((-0.0, 8.0), (-0.0, 0.0)),
+                                    budget=0.012)
+        assert allocate(problem)["allocation"] == pytest.approx([0.006, 0.006], abs=1e-15)

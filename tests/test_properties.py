@@ -1,7 +1,7 @@
 """Property tests of the closure's array kernels against the scalar
 definitions, the premium solvers against each other, the band and envelope
-invariants of the inference layer, the CSV round trip, the allocation
-ascent's capped-simplex projection, and the preservation claims: the
+invariants of the inference layer, the CSV round trip, the exact allocation
+against random feasible points, and the preservation claims: the
 bounded debt shock's envelope, the fiscal response's Lipschitz bound, and
 demand's monotonicity with the premium case it implies; and the Monte Carlo's
 core-share walk against the per-replication scalar recursion."""
@@ -41,11 +41,12 @@ from debtregime.inference import (
     subsample_critical_value,
     tier_scores,
 )
-from debtregime.investment import _project_capped_simplex
+from debtregime.investment import AllocationProblem, allocate_ascent
 from debtregime.montecarlo import MCConfig, _labels, simulate_pe_paths
 from debtregime.scenario import load_series_csv
 from debtregime.tables import TableArtifact, emit_csv
 from test_closure import interval_bisection
+from test_investment import objective_scale
 from test_montecarlo import PATH_KEYS, _simulate_reference
 
 # a fixed example sequence per test keeps the suite deterministic
@@ -100,14 +101,31 @@ def test_premium_grid_complementarity(margin, psi, spreads, phi_req):
         assert abs(rho * gap) <= 1e-10
 
 
+@st.composite
+def allocations(draw):
+    """(problem, points): 1-6 sectors, returns and interactions of either sign
+    (zero often), and up to 5 feasible points, on and inside the budget face."""
+    J = draw(st.integers(1, 6))
+    coef = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+    problem = AllocationProblem(
+        mu_j=tuple(draw(st.lists(st.floats(-0.05, 0.1), min_size=J, max_size=J))),
+        gamma_jk=tuple(tuple(draw(coef) if k > j else 0.0 for k in range(J)) for j in range(J)),
+        budget=draw(st.floats(0.0, 0.5)), base_surplus=draw(st.floats(-1e-3, 1e-3)))
+    points = []
+    for _ in range(draw(st.integers(1, 5))):
+        w = draw(st.lists(st.floats(0.0, 1.0), min_size=J, max_size=J))
+        share = draw(st.sampled_from([1.0, 0.5])) * problem.budget / max(math.fsum(w), 1e-300)
+        points.append([v * share for v in w])
+    return problem, points
+
+
 @PROPERTY
-@given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=10), st.floats(0.0, 0.5))
-def test_projection_feasible_and_idempotent(x, budget):
-    y = _project_capped_simplex(x, budget)
-    assert len(y) == len(x) and min(y) >= 0.0
-    assert sum(y) <= budget + 4 * len(x) * math.ulp(max(budget, max(map(abs, x))))
-    again = _project_capped_simplex(y, budget)
-    assert max(abs(a - b) for a, b in zip(again, y)) <= 1e-15
+@given(allocations())
+def test_exact_allocation_beats_feasible_points(case):
+    problem, points = case
+    best = allocate_ascent(problem)["objective"]
+    for x in points:
+        assert best >= problem.objective(x) - 1e-15 * objective_scale(problem)
 
 
 @PROPERTY
