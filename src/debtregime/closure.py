@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .core import EconState, _require_finite, _require_integer
 from .errors import ConfigError, DomainError, ScopeError
@@ -342,13 +342,15 @@ def _demand_on_grid(rho, theta: np.ndarray, z, p: TwoLayerParams) -> np.ndarray:
     return theta + (1.0 - theta) * (1.0 - p.dist.cdf_array(arg, p.c_bar))
 
 
-def _premium_on_grid(p: TwoLayerParams, thetas: np.ndarray, z) -> np.ndarray:
+def _premium_on_grid(p: TwoLayerParams, thetas: np.ndarray,
+                     z) -> Tuple[np.ndarray, np.ndarray]:
     """`solve_premium(replace(p, theta=t, z=s)).rho` for each pair (t, s) of
     `thetas` [n] and `z` ([n] or one value), NaN in case d, evaluated as
     arrays with the scalar solver's exact arithmetic: the same case tests,
     the same clamped closed form on uniform margins, and on table margins the
     same knot-segment solve (`np.searchsorted` on the knot values, the
-    linear root, the steep segment's upper premium end), with no iteration."""
+    linear root, the steep segment's upper premium end), with no iteration.
+    Returned with the case-c mask (`.case == "c_stress"` per element)."""
     import numpy as np
 
     z = np.broadcast_to(z, thetas.shape)
@@ -367,7 +369,7 @@ def _premium_on_grid(p: TwoLayerParams, thetas: np.ndarray, z) -> np.ndarray:
 
     if p.dist.kind == "uniform":
         rho[stress] = clamp(zc - p.psi * p.c_bar * (1.0 - (p.phi_req - th) / (1.0 - th)))
-        return rho
+        return rho, stress
     cs, gs = np.array(p.dist._cs), np.array(p.dist._gs)
     g_star = (1.0 - p.phi_req) / (1.0 - th)
     i = np.searchsorted(gs, g_star, side="left")  # the first knot value at or above G*
@@ -377,7 +379,7 @@ def _premium_on_grid(p: TwoLayerParams, thetas: np.ndarray, z) -> np.ndarray:
     r = clamp(zc - p.psi * c_star)
     steep = _demand_on_grid(r, th, zc, p) - p.phi_req < -_BISECT_TOL
     rho[stress] = np.where(steep, clamp(zc - p.psi * c0), r)
-    return rho
+    return rho, stress
 
 
 def _core_drift(rho: np.ndarray, law: ThetaLaw, pi: float, r_rep: float) -> np.ndarray:
@@ -445,38 +447,46 @@ def theta_step(theta: float, law: ThetaLaw, epsilon: float) -> float:
     return min(1.0, max(0.0, theta - law.kappa_theta + gamma_theta(law, epsilon)))
 
 
-def _abs_drho_dtheta(p: TwoLayerParams) -> float:
-    """|d rho/d theta| at the stress boundary for the current theta.
+def _abs_drho_dtheta(p: TwoLayerParams, thetas: Sequence[float]) -> List[float]:
+    """|d rho/d theta| at each core share of `thetas`, p giving the rest.
 
-    Closed form for uniform margins; two-sided finite difference of the
-    solver otherwise.  Zero when the core alone covers the requirement.
+    +inf at theta >= 1 and 0 where the core alone covers the requirement
+    (phi_req <= theta).  Uniform margins use the closed form
+    psi*c_bar*(1 - phi_req)/(1 - theta)^2; table margins the two-sided
+    difference |rho(hi) - rho(lo)|/(hi - lo), lo = max(0, theta - 1e-6) and
+    hi = min(1, theta + 1e-6), which is 0 where a neighbour is outside
+    case c.  All the neighbours' premiums come from one `_premium_on_grid`
+    call, equal to per-theta `solve_premium` calls bit for bit.
     """
-    if p.theta >= 1.0:
-        return math.inf
-    if p.phi_req <= p.theta:
-        return 0.0
     if p.dist.kind == "uniform":
-        one_m_t = 1.0 - p.theta
-        return p.psi * p.c_bar * (1.0 - p.phi_req) / (one_m_t * one_m_t)
-    h = 1e-6
-    lo = max(0.0, p.theta - h)
-    hi = min(1.0, p.theta + h)
-    stressed = p.with_theta(lo), p.with_theta(hi)
-    rhos = []
-    for q in stressed:
-        sol = solve_premium(q)
-        if sol.case != "c_stress":
-            return 0.0
-        rhos.append(sol.rho)
-    return abs(rhos[1] - rhos[0]) / (hi - lo)
+        scale = p.psi * p.c_bar * (1.0 - p.phi_req)
+        return [math.inf if t >= 1.0 else 0.0 if p.phi_req <= t else
+                scale / ((1.0 - t) * (1.0 - t)) for t in thetas]
+    import numpy as np
+
+    t = np.asarray(thetas, dtype=float)
+    d = np.where(t >= 1.0, np.inf, 0.0)
+    live = (t < 1.0) & (p.phi_req > t)
+    if live.any():
+        t = t[live]
+        h = 1e-6
+        lo, hi = np.maximum(0.0, t - h), np.minimum(1.0, t + h)
+        rho, stress = _premium_on_grid(p, np.concatenate([lo, hi]), p.z)
+        n = t.size
+        d[live] = np.where(stress[:n] & stress[n:], np.abs(rho[n:] - rho[:n]) / (hi - lo), 0.0)
+    return d.tolist()
+
+
+def _feedback_gains(p: TwoLayerParams, law: ThetaLaw, thetas: Sequence[float]) -> List[float]:
+    """`feedback_gain` at each core share of `thetas` from one kernel call."""
+    d = _abs_drho_dtheta(p, thetas)
+    return [math.inf if t >= 1.0 else v * law.g0 for t, v in zip(thetas, d)]
 
 
 def feedback_gain(p: TwoLayerParams, law: ThetaLaw) -> float:
     """One-period gain of the premium -> repression loss -> core erosion loop:
     eta = |d rho/d theta| * law.g0.  theta = 1 returns +inf."""
-    if p.theta >= 1.0:
-        return math.inf
-    return _abs_drho_dtheta(p) * law.g0
+    return _feedback_gains(p, law, [p.theta])[0]
 
 
 def monotone_path(
@@ -489,9 +499,11 @@ def monotone_path(
     """Forward-simulate the coupled premium/core system.
 
     Each period: solve the premium at the current core share, derive the
-    repression bias eps = pi - r_rep - rho, evaluate the feedback gain, and
-    step the core.  Reports the first period with eta >= 1 (contraction
-    failure) and the first case-c period.  `horizon` is an integer >= 1.
+    repression bias eps = pi - r_rep - rho, and step the core.  The feedback
+    gain never feeds back into theta, so every period's eta comes from one
+    `_abs_drho_dtheta` call on the path's core shares once the path is
+    done.  Reports the first period with eta >= 1 (contraction failure) and
+    the first case-c period.  `horizon` is an integer >= 1.
     """
     _require_integer("horizon", horizon)
     if horizon < 1:
@@ -499,28 +511,28 @@ def monotone_path(
     r_rep = econ.r_n if r_rep is None else r_rep
     theta = p.theta
     periods: List[dict] = []
-    first_eta_ge_1 = None
     first_case_c = None
     for t in range(horizon):
-        pt = p.with_theta(theta)
-        sol = solve_premium(pt)
+        sol = solve_premium(p.with_theta(theta))
         if sol.case == "d_hard_failure":
             rho = math.nan
             eps = math.nan
         else:
             rho = sol.rho
             eps = econ.pi - r_rep - rho
-        eta = feedback_gain(pt, law)
-        if first_eta_ge_1 is None and eta >= 1.0:
-            first_eta_ge_1 = t
         if first_case_c is None and sol.case == "c_stress":
             first_case_c = t
         periods.append(
             {"t": t, "theta": theta, "rho": rho, "epsilon": eps,
-             "eta": eta, "case": sol.case}
+             "eta": None, "case": sol.case}
         )
         eps_for_step = eps if math.isfinite(eps) else 0.0
         theta = theta_step(theta, law, eps_for_step)
+    first_eta_ge_1 = None
+    for row, eta in zip(periods, _feedback_gains(p, law, [row["theta"] for row in periods])):
+        row["eta"] = eta
+        if first_eta_ge_1 is None and eta >= 1.0:
+            first_eta_ge_1 = row["t"]
     return {
         "periods": periods,
         "first_eta_ge_1": first_eta_ge_1,
@@ -557,7 +569,9 @@ def perturbation_response(
     cum_rho = 0.0
     max_eta = 0.0
     max_drho = 0.0
-    for row_b, row_p in zip(base["periods"], pert["periods"]):
+    drho = [_abs_drho_dtheta(p, [row["theta"] for row in path["periods"]])
+            for path in (base, pert)]
+    for row_b, row_p, d_b, d_p in zip(base["periods"], pert["periods"], *drho):
         dev_t = abs(row_p["theta"] - row_b["theta"])
         max_theta = max(max_theta, dev_t)
         cum_theta += dev_t
@@ -568,8 +582,7 @@ def perturbation_response(
         eta = max(row_b["eta"], row_p["eta"])
         if math.isfinite(eta):
             max_eta = max(max_eta, eta)
-        for row in (row_b, row_p):
-            d = _abs_drho_dtheta(p.with_theta(row["theta"]))
+        for d in (d_b, d_p):
             if math.isfinite(d):
                 max_drho = max(max_drho, d)
     bound_theta = delta / (1.0 - max_eta) if max_eta < 1.0 else math.inf
@@ -673,7 +686,7 @@ def fixed_point_scan(
         return _core_drift_at(state.with_theta(theta), law, pi, r_rep)
 
     n = grid
-    vals = _core_drift(_premium_on_grid(p, np.arange(n + 1) / n, p.z), law, pi, r_rep)
+    vals = _core_drift(_premium_on_grid(p, np.arange(n + 1) / n, p.z)[0], law, pi, r_rep)
 
     diagnostics: List[str] = []
     if np.all(np.abs(vals) <= 1e-12):

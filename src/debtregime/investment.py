@@ -226,8 +226,12 @@ def allocate(problem: AllocationProblem, grid_resolution: int = 40) -> dict:
     """Solve the allocation problem.
 
     For J <= 3 the exhaustive simplex grid is the authority: every point of
-    the grid with grid_resolution + 1 levels per sector and sum(x) <=
-    budget is evaluated, in `itertools.product` order, as one array.  A
+    the grid with grid_resolution + 1 levels per sector whose sum, added
+    left to right, is not above budget + 1e-15 is evaluated, in
+    `itertools.product` order, as one array.  The leading sums (all
+    coordinates but the last) are formed once; float addition is monotone,
+    so each leading cell keeps a prefix of the last coordinate's levels,
+    whose length `searchsorted` finds and the exact sum test settles.  A
     point replaces the incumbent only if it improves the objective by more
     than 1e-15, so ties resolve to the earliest point in that order (the
     lexicographically smallest).  For J > 3 this is `allocate_ascent`, the
@@ -245,24 +249,43 @@ def allocate(problem: AllocationProblem, grid_resolution: int = 40) -> dict:
 
     import numpy as np
 
-    levels = np.linspace(0.0, problem.budget, grid_resolution + 1)
-    total = levels.reshape((-1,) + (1,) * (J - 1))
-    for j in range(1, J):
-        total = total + levels.reshape((-1,) + (1,) * (J - 1 - j))
-    # np.nonzero walks the grid in C order, which is the product order
-    x = levels[np.array(np.nonzero(~(total > problem.budget + 1e-15)))]
+    n_lev = grid_resolution + 1
+    levels = np.linspace(0.0, problem.budget, n_lev)
+    thr = problem.budget + 1e-15
+    # the leading cells in product order: their coordinates, and their sums
+    # added left to right as in sum(x)
+    lead_x = [np.repeat(np.tile(levels, n_lev ** j), n_lev ** (J - 2 - j))
+              for j in range(J - 1)]
+    lead = sum(lead_x[1:], lead_x[0]) if J > 1 else np.zeros(1)
+    # a point is kept where ~(lead + level > thr): a prefix of the levels
+    # per cell, of length `count`
+    count = np.searchsorted(levels, thr - lead, side="right")
+    while True:  # settle each count against the sum test itself
+        up = count < n_lev
+        up[up] = ~(lead[up] + levels[count[up]] > thr)
+        down = count > 0
+        down[down] = lead[down] + levels[count[down] - 1] > thr
+        if not (up.any() or down.any()):
+            break
+        count += up
+        count -= down
+    n = int(count.sum())
+    x = np.empty((J, n))
+    for j in range(J - 1):
+        x[j] = np.repeat(lead_x[j], count)
+    start = np.cumsum(count) - count  # first point of each leading cell
+    x[J - 1] = levels[np.arange(n) - np.repeat(start, count)]
     val = problem.objective(x)  # x[j] is row j: one value per point
     # Walk the chain of strict improvements (> incumbent + 1e-15).  Every point
-    # before the incumbent is at most incumbent + 1e-15, so the first later
-    # point above the threshold is the first index where the running maximum
-    # passes it.
+    # before the incumbent is at most incumbent + 1e-15, so the next one is
+    # the first point above the threshold, where the running maximum rises:
+    # a record.  One pass over the records in order picks the same chain.
     running_max = np.maximum.accumulate(val)
-    best = 0
-    while True:
-        nxt = int(np.searchsorted(running_max, val[best] + 1e-15, side="right"))
-        if nxt == len(val):
-            break
-        best = nxt
+    records = (np.flatnonzero(val[1:] > running_max[:-1]) + 1).tolist()
+    best, best_val = 0, float(val[0])
+    for i, v in zip(records, val[records].tolist()):
+        if v > best_val + 1e-15:
+            best, best_val = i, v
     return {"allocation": list(x[:, best]), "objective": val[best]}
 
 
@@ -270,14 +293,24 @@ def allocate_ascent(problem: AllocationProblem) -> dict:
     """Exact solution by face enumeration (the J > 3 path of `allocate`).
 
     A maximiser lies in the relative interior of a face of the feasible set
-    whose stationarity system is nonsingular.  From the incumbent x = 0, the
-    supports S are walked by size, then in `itertools.combinations` order;
-    each solves H_SS x_S = -mu_S (budget slack), then [[H_SS, -1], [1, 0]]
-    [x_S; lam] = [-mu_S; budget] (budget tight), with H the symmetric gamma.
-    A solution with every x_S >= 0 (and, if slack, sum(x) <= budget)
-    replaces the incumbent only if it improves the objective by more than
-    1e-15, so ties go to the first face in the walk.  There are
-    2 * (2^J - 1) systems, so J is capped at 12.
+    whose stationarity system is nonsingular, and it is x = 0 or has the
+    budget tight: H (the symmetric gamma) is zero-diagonal, so a
+    nonsingular slack system H_SS x_S = -mu_S has |S| >= 2 and a trace-0
+    H_SS with a positive eigenvalue, and its solution with every x_S > 0 is
+    a saddle.  From the incumbent x = 0, the supports S are walked by size,
+    then in `itertools.combinations` order; each solves the budget-tight
+    system [[H_SS, -1], [1, 0]] [x_S; lam] = [-mu_S; budget].  A solution
+    with every x_S >= 0 replaces the incumbent only if it improves the
+    objective by more than 1e-15, so ties go to the first face in the walk.
+    There are 2^J - 1 systems, so J is capped at 12.
+
+    A walk that also solved the slack systems gives the same result but for
+    rounding: at a slack solution the objective, linear in each x_j, has
+    zero slope in every x_j of S, so setting one to 0 keeps its value, and
+    the smaller faces, walked first, reach at least that value.  A slack
+    solution could still win the tie where its rounded objective passes an
+    incumbent that sits almost 1e-15 below that value; the tests keep the
+    two-system walk and find no such case.
     """
     import numpy as np
 
@@ -287,16 +320,13 @@ def allocate_ascent(problem: AllocationProblem) -> dict:
     best_x = [0.0] * J
     best = problem.objective(best_x)
     for S in chain.from_iterable(combinations(range(J), n) for n in range(1, J + 1)):
-        H = [[g[min(j, k)][max(j, k)] for k in S] for j in S]
-        rhs = [-problem.mu_j[j] for j in S]
-        slack = _solve(H, rhs)
-        tight = _solve([row + [-1.0] for row in H] + [[1.0] * len(S) + [0.0]], rhs + [budget])
-        for sol, cap in ((slack, budget), (tight and tight[:-1], math.inf)):  # drop lam
-            if sol is None or not all(v >= 0.0 for v in sol) or math.fsum(sol) > cap:
-                continue
-            at = dict(zip(S, sol))
-            x = [at.get(j, 0.0) for j in range(J)]
-            val = problem.objective(x)
-            if val > best + 1e-15:
-                best_x, best = x, val
+        H = [[g[min(j, k)][max(j, k)] for k in S] + [-1.0] for j in S]
+        sol = _solve(H + [[1.0] * len(S) + [0.0]], [-problem.mu_j[j] for j in S] + [budget])
+        if sol is None or not all(v >= 0.0 for v in sol[:-1]):  # sol[-1] is lam
+            continue
+        at = dict(zip(S, sol))
+        x = [at.get(j, 0.0) for j in range(J)]
+        val = problem.objective(x)
+        if val > best + 1e-15:
+            best_x, best = x, val
     return {"allocation": best_x, "objective": np.float64(best)}  # as the grid returns

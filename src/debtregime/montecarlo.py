@@ -304,7 +304,7 @@ def simulate_pe_paths(cfg: MCConfig, rep: Union[int, Sequence[int]]) -> dict:
         start = int(binds.argmax()) if binds.any() else cfg.T - 1
     for t in range(start, cfg.T - 1):
         # structural part of the law needs each replication's premium
-        drift = (_core_drift(_premium_on_grid(base, theta[t], z[t]), law, cfg.pi, cfg.r_rep)
+        drift = (_core_drift(_premium_on_grid(base, theta[t], z[t])[0], law, cfg.pi, cfg.r_rep)
                  if structural else 0.0)
         theta_t = theta[t] + drift + u[t]
         theta_t = np.where(theta_t > 0.0, theta_t, 0.0)

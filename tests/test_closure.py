@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from debtregime.closure import (
+    _abs_drho_dtheta,
     _demand_on_grid,
     _premium_on_grid,
     MarginDistribution,
@@ -153,7 +154,7 @@ class TestSolvePremium:
         p = TwoLayerParams(theta=0.2, psi=0.9, z=0.05, dist=ATOM_TABLE)
         p = replace(p, phi_req=demand_at(p.z, p))
         assert solve_premium(p).rho == p.z
-        assert _premium_on_grid(p, np.array([p.theta]), p.z).tolist() == [p.z]
+        assert _premium_on_grid(p, np.array([p.theta]), p.z)[0].tolist() == [p.z]
         knots = ((1e-15, 0.0), (0.03, 0.4), (0.06 - 1e-12, 1.0))
         for phi_req in (0.8, 0.99, 0.999999):
             q = TwoLayerParams(theta=0.5, z=0.07, phi_req=phi_req,
@@ -601,11 +602,20 @@ class TestPremiumOnGrid:
     @pytest.mark.parametrize("p", GRID_STATES)
     def test_matches_per_theta_solve_premium(self, p):
         thetas = np.arange(2001) / 2000
-        got = _premium_on_grid(p, thetas, p.z).tolist()
+        got = _premium_on_grid(p, thetas, p.z)[0].tolist()
         assert repr(got) == repr(_reference_rho(p, thetas.tolist()))
         zs = _spreads(p, thetas.size)
-        got = _premium_on_grid(p, thetas, zs).tolist()
+        got = _premium_on_grid(p, thetas, zs)[0].tolist()
         assert repr(got) == repr(_reference_rho(p, thetas.tolist(), zs.tolist()))
+
+    @pytest.mark.parametrize("p", GRID_STATES)
+    def test_case_c_mask_matches_solve_premium(self, p):
+        thetas = np.arange(2001) / 2000
+        for zs in (p.z, _spreads(p, thetas.size)):
+            _, stress = _premium_on_grid(p, thetas, zs)
+            want = [solve_premium(replace(p, theta=t, z=s)).case == "c_stress"
+                    for t, s in zip(thetas.tolist(), np.broadcast_to(zs, thetas.shape).tolist())]
+            assert stress.tolist() == want
 
     def test_states_cover_every_case(self):
         cases = {solve_premium(p.with_theta(t)).case
@@ -643,7 +653,7 @@ class TestPremiumOnGrid:
         assert (sol.case, sol.rho) == ("b_boundary" if phi_req == 1.0 else "a_interior", 0.0)
         thetas, zs = np.ones(3), np.array([0.001, p.z, 0.06])
         assert (_demand_on_grid(0.0, thetas, zs, p) >= phi_req).all()
-        assert _premium_on_grid(p, thetas, zs).tolist() == [0.0, 0.0, 0.0]
+        assert _premium_on_grid(p, thetas, zs)[0].tolist() == [0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("p, law, pi, r_rep, grid", [
         (BASE, ThetaLaw(kappa_theta=0.0, g0=0.0), 0.027, 0.022, 1000),
@@ -777,6 +787,94 @@ def test_knot_bisection_equals_linear_scan(table, extra):
         [_reference_density(dist, c, c_bar) for c in points])
     assert repr(dist.cdf_array(np.array(points), c_bar).tolist()) == repr(
         [_reference_cdf(dist, c, c_bar) for c in points])
+
+
+# SHA-256 of repr(perturbation_response) from theta = 0.95 with a 0.02 shock
+# on each table margin of GRID_STATES, recorded before the feedback gains
+# became one array solve per path, with Python 3.11 and numpy 2.4.6
+TABLE_PERTURBATION_SHA256 = {
+    4: "8e4e0928d8f76c7be20d20c787b9fbe5feffba09bbf76d8f74c0ec1db95df5b2",
+    5: "f3e6f3e83c92b48980f1c626e2135fb6e3d94a86e41858df83f8977c7260caf5",
+    6: "f7878960f297fa022da3398b8f67e2a977172c425c817a1812241cc9ea51c911",
+    7: "92b07b0d135f573e9bc59aa205748c88481f943a899f9c0799c3238b3b7505c4",
+    8: "fb0c293499cbfe8271205dae8cc89e267b316827694a096c3103858435821505",
+}
+
+
+@pytest.mark.parametrize("i", sorted(TABLE_PERTURBATION_SHA256))
+def test_table_margin_perturbation_response_pinned(i):
+    p = GRID_STATES[i]
+    out = perturbation_response(p.with_theta(0.95), ThetaLaw(kappa_theta=0.01, g0=0.5),
+                                ECON, 50, 0.02)
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == TABLE_PERTURBATION_SHA256[i]
+
+
+def scalar_abs_drho_dtheta(p):
+    """|d rho/d theta| at p's core share, one theta at a time, as
+    `_abs_drho_dtheta` took it before it became a kernel over a sequence of
+    core shares: the closed form on uniform margins, and on table margins a
+    difference of two scalar `solve_premium` calls at theta -/+ 1e-6 (0 if
+    either is outside case c).  Kept as the kernel's oracle."""
+    if p.theta >= 1.0:
+        return math.inf
+    if p.phi_req <= p.theta:
+        return 0.0
+    if p.dist.kind == "uniform":
+        one_m_t = 1.0 - p.theta
+        return p.psi * p.c_bar * (1.0 - p.phi_req) / (one_m_t * one_m_t)
+    h = 1e-6
+    lo = max(0.0, p.theta - h)
+    hi = min(1.0, p.theta + h)
+    rhos = []
+    for q in (p.with_theta(lo), p.with_theta(hi)):
+        sol = solve_premium(q)
+        if sol.case != "c_stress":
+            return 0.0
+        rhos.append(sol.rho)
+    return abs(rhos[1] - rhos[0]) / (hi - lo)
+
+
+def _eta_thetas(p):
+    """Core shares for the gain kernel: a grid, both ends and 1e-7 inside
+    them, phi_req and its neighbours, and points around the zero-premium
+    boundary where one finite-difference neighbour leaves case c."""
+    thetas = (np.arange(201) / 200).tolist() + [0.0, 1e-7, 1.0 - 1e-7, 1.0]
+    thetas += [min(1.0, max(0.0, p.phi_req + e)) for e in (-1e-6, -1e-9, 0.0, 1e-9)]
+    b = zero_premium_boundary_theta(p)
+    if b is not None:
+        thetas += [min(1.0, max(0.0, b + e)) for e in (-2e-6, -5e-7, 0.0, 5e-7, 2e-6)]
+    return [float(t) for t in thetas]  # the knots of `table_from_power` are numpy floats
+
+
+def _assert_gains_match(p, thetas):
+    want = [scalar_abs_drho_dtheta(p.with_theta(t)) for t in thetas]
+    assert repr(_abs_drho_dtheta(p, thetas)) == repr(want)
+    for g0 in (0.0, 0.5):
+        law = ThetaLaw(g0=g0)
+        assert repr([feedback_gain(p.with_theta(t), law) for t in thetas]) == repr(
+            [math.inf if t >= 1.0 else d * g0 for t, d in zip(thetas, want)])
+
+
+@pytest.mark.parametrize("p", GRID_STATES)
+def test_drho_kernel_equals_scalar_difference(p):
+    thetas = _eta_thetas(p)
+    _assert_gains_match(p, thetas)
+    assert _abs_drho_dtheta(p, []) == []
+    if p.dist.kind == "table" and p.phi_req < 1.0:
+        # a neighbour leaves case c at some live core share: the gain is 0
+        # there although the core alone does not cover the requirement
+        assert any(t < p.phi_req and scalar_abs_drho_dtheta(p.with_theta(t)) == 0.0
+                   and solve_premium(p.with_theta(t)).case == "c_stress" for t in thetas)
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=_tables(), psi=st.floats(0.3, 1.0), z_frac=st.floats(0.05, 2.0),
+       phi_req=st.floats(0.0, 1.0), thetas=st.lists(st.floats(0.0, 1.0), max_size=12))
+def test_drho_kernel_equals_scalar_difference_on_random_tables(table, psi, z_frac, phi_req,
+                                                               thetas):
+    dist, c_bar = table
+    p = TwoLayerParams(psi=psi, z=z_frac * psi * c_bar, c_bar=c_bar, phi_req=phi_req, dist=dist)
+    _assert_gains_match(p, thetas + _eta_thetas(p)[::7])
 
 
 class TestDistributionAndHelpers:

@@ -1,5 +1,7 @@
 import itertools
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from debtregime.investment import (
     InvestmentBounds,
     AllocationProblem,
     InvestmentInputs,
+    _solve,
     allocate,
     allocate_ascent,
     compute_bounds,
@@ -263,7 +266,32 @@ class TestAllocate:
         ]
         problems.append(AllocationProblem(mu_j=(0.05,) * J, budget=0.01))
         problems.append(AllocationProblem(mu_j=(0.03,) * J, budget=float(rng.uniform(0.005, 0.02))))
+        # budgets below the absolute 1e-15 slack: points up to budget + 1e-15
+        # count, beyond the index simplex (at 1e-16 the whole cube)
+        tiny = (1e-16, 1e-15, 1e-14, 1e-13) if J < 3 or resolution <= 20 else (1e-16, 1e-14)
+        problems += [
+            AllocationProblem(mu_j=tuple(rng.uniform(-0.02, 0.08, J)), budget=budget,
+                              gamma_jk=tuple(tuple(rng.uniform(-2.0, 2.0) if k > j else 0.0
+                                                   for k in range(J)) for j in range(J)))
+            for budget in tiny
+        ]
         for problem in problems:
+            best, best_val = brute_force_grid(problem, resolution)
+            out = allocate(problem, grid_resolution=resolution)
+            assert repr(out) == repr({"allocation": list(best), "objective": best_val})
+
+    @pytest.mark.parametrize("J, resolution, budget", [
+        (2, 10, 7024.716), (2, 20, 6337.0), (3, 10, 2045.6), (3, 20, 142.093),
+        (2, 10, 2635.77), (2, 20, 52.82), (3, 10, 6428.61), (3, 20, 59.04),
+    ])
+    def test_grid_sum_test_where_the_level_search_misses(self, J, resolution, budget):
+        # budgets above 1 where the slack is below one ulp: the search on
+        # budget + 1e-15 - lead misses a level of some leading cell by one
+        # (too few in the first four cases, too many in the last four), and
+        # the kept points must still be exactly those of the sum test
+        rng = np.random.default_rng(J * resolution)
+        for mu in ((0.05,) * J, tuple(rng.uniform(-0.02, 0.08, J)), (-0.01,) * (J - 1) + (0.05,)):
+            problem = AllocationProblem(mu_j=mu, budget=budget)
             best, best_val = brute_force_grid(problem, resolution)
             out = allocate(problem, grid_resolution=resolution)
             assert repr(out) == repr({"allocation": list(best), "objective": best_val})
@@ -411,7 +439,69 @@ class TestAscentEqualsNumpyOracle:
         assert all(type(v) is float for v in problem.mu_j + sum(problem.gamma_jk, ()))
 
 
+def two_system_walk(problem):
+    """`allocate_ascent` as it was before it dropped the budget-slack
+    systems: each support solves H_SS x_S = -mu_S (kept if every x_S >= 0
+    and `math.fsum(x) <= budget`) and then the budget-tight system, kept as
+    the oracle that no slack solution decides a result."""
+    J, g, budget = problem.n_sectors, problem.gamma_jk, problem.budget
+    best_x = [0.0] * J
+    best = problem.objective(best_x)
+    for n in range(1, J + 1):
+        for S in itertools.combinations(range(J), n):
+            H = [[g[min(j, k)][max(j, k)] for k in S] for j in S]
+            rhs = [-problem.mu_j[j] for j in S]
+            slack = _solve(H, rhs)
+            tight = _solve([row + [-1.0] for row in H] + [[1.0] * n + [0.0]], rhs + [budget])
+            for sol, cap in ((slack, budget), (tight and tight[:-1], math.inf)):
+                if sol is None or not all(v >= 0.0 for v in sol) or math.fsum(sol) > cap:
+                    continue
+                at = dict(zip(S, sol))
+                x = [at.get(j, 0.0) for j in range(J)]
+                val = problem.objective(x)
+                if val > best + 1e-15:
+                    best_x, best = x, val
+    return {"allocation": best_x, "objective": np.float64(best)}
+
+
+def bench_allocation_problems(seed=1):
+    """The allocation problems of the benchmark's closure rounds at `seed`
+    (`bench/workloads.py::ClosureSolvers`, loaded from its file)."""
+    import importlib.util
+    import types
+
+    import debtregime
+
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  os.path.join(bench, "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look the module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    dr = types.SimpleNamespace(**{name: getattr(debtregime, name) for name in
+                                  ("closure", "core", "investment", "transition")})
+    wl = workloads.ClosureSolvers(dr, seed, False, None)
+    return [args[0] for specs in wl.rounds for _, module, _, args, _ in specs
+            if module == "investment"]
+
+
 class TestExactAllocation:
+    @pytest.mark.parametrize("J", range(1, 8))
+    def test_tight_faces_equal_the_two_system_walk(self, J):
+        rng = np.random.default_rng(9000 + J)
+        for kw in ascent_problems(J, rng) + ascent_problems(J, rng):
+            problem = AllocationProblem(**kw)
+            assert repr(allocate_ascent(problem)) == repr(two_system_walk(problem))
+
+    def test_tight_faces_equal_the_two_system_walk_on_the_bench_problems(self):
+        problems = bench_allocation_problems()
+        assert len(problems) == 3 * 128
+        for problem in problems:
+            assert repr(allocate_ascent(problem)) == repr(two_system_walk(problem))
+
     @pytest.mark.parametrize("J", range(1, 11))
     def test_kkt_certificate(self, J):
         rng = np.random.default_rng(7000 + J)

@@ -89,7 +89,7 @@ def test_premium_grid_complementarity(margin, psi, spreads, phi_req):
     p = TwoLayerParams(psi=psi, c_bar=c_bar, phi_req=phi_req, dist=dist)
     thetas = np.arange(201) / 200
     zs = np.resize(spreads, thetas.size)
-    rhos = _premium_on_grid(p, thetas, zs).tolist()
+    rhos = _premium_on_grid(p, thetas, zs)[0].tolist()
     for theta, z, rho in zip(thetas.tolist(), zs.tolist(), rhos):
         q = replace(p, theta=theta, z=z)
         if math.isnan(rho):  # case d: even the full premium z cannot fill the gap
@@ -201,7 +201,7 @@ def test_table_premium_is_the_segment_root(p):
     rho = sol.rho
     assert sol.case == "c_stress" and type(rho) is float and 0.0 <= rho <= p.z
     thetas = np.array([p.theta, 1.0, p.theta])
-    got = _premium_on_grid(p, thetas, p.z).tolist()
+    got = _premium_on_grid(p, thetas, p.z)[0].tolist()
     assert repr(got) == repr([rho, solve_premium(p.with_theta(1.0)).rho, rho])
 
     cs, gs = zip(*p.dist.knots)
