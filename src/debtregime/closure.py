@@ -255,14 +255,13 @@ def demand_derivative(rho: float, p: TwoLayerParams) -> float:
     return (1.0 - p.theta) * p.dist.density(arg, p.c_bar) / p.psi
 
 
-def _bisect(f, p: TwoLayerParams, target: float, lo: float, hi: float,
-            lo_negative: bool) -> Tuple[float, bool]:
-    """Bisect g(x) = f(x, p) - target (no wrapper call per step) on [lo, hi],
-    where g < 0 at lo exactly when `lo_negative`: (the first midpoint with
-    |g| <= 1e-12, True), or (hi, False) after 200 halvings."""
+def _bisect(f, lo: float, hi: float, lo_negative: bool) -> Tuple[float, bool]:
+    """Bisect f on [lo, hi], where f < 0 at lo exactly when `lo_negative`:
+    (the first midpoint with |f| <= 1e-12, True), or (hi, False) after 200
+    halvings."""
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        f_mid = f(mid, p) - target
+        f_mid = f(mid)
         if abs(f_mid) <= _BISECT_TOL:
             return mid, True
         if (f_mid < 0.0) == lo_negative:
@@ -291,10 +290,15 @@ def solve_premium_bisection(p: TwoLayerParams) -> float:
     """
     if demand_at(0.0, p) - p.phi_req >= 0 or demand_at(p.z, p) - p.phi_req < 0:
         raise ScopeError("bisection requires demand_at(0) < phi_req <= demand_at(z)")
+    return _segment_rho(p, p.theta)
+
+
+def _segment_rho(p: TwoLayerParams, theta: float) -> float:
+    """`solve_premium_bisection` at core share theta in case c, unchecked."""
     cs, gs = (0.0, p.c_bar), (0.0, 1.0)
     if p.dist.kind != "uniform":
         cs, gs = p.dist._cs, p.dist._gs
-    g_star = (1.0 - p.phi_req) / (1.0 - p.theta)  # theta < 1 in case c
+    g_star = (1.0 - p.phi_req) / (1.0 - theta)  # theta < 1 in case c
     i = bisect_left(gs, g_star)  # the first knot value at or above G*
     if i == 0:
         return float(p.z)  # G* at the atom: c* = 0
@@ -302,7 +306,8 @@ def solve_premium_bisection(p: TwoLayerParams) -> float:
     (c0, c1), (g0, g1) = cs[i - 1:i + 1], gs[i - 1:i + 1]
     rho = p.z - p.psi * (c0 + (g_star - g0) / (g1 - g0) * (c1 - c0))
     rho = min(max(rho, 0.0), p.z)
-    if demand_at(rho, p) - p.phi_req < -_BISECT_TOL:  # steep segment: upper end
+    demand = theta + (1.0 - theta) * (1.0 - p.dist.cdf((p.z - rho) / p.psi, p.c_bar))
+    if demand - p.phi_req < -_BISECT_TOL:  # steep segment: upper end
         rho = min(max(p.z - p.psi * c0, 0.0), p.z)
     return float(rho)
 
@@ -334,6 +339,24 @@ def solve_premium(p: TwoLayerParams) -> PremiumSolution:
     else:
         rho = solve_premium_bisection(p)
     return PremiumSolution("c_stress", rho, d0, dmax, slack)
+
+
+def _premium_at(p: TwoLayerParams, theta: float) -> Tuple[str, Optional[float]]:
+    """(case, rho) of `solve_premium(p.with_theta(theta))`, theta in [0, 1],
+    with its arithmetic but no object built and no check run."""
+    dist, z, psi, c_bar, phi_req = p.dist, p.z, p.psi, p.c_bar, p.phi_req
+    # demand at rho = 0 and at rho = z, whose CDF arguments are z/psi and 0
+    slack = theta + (1.0 - theta) * (1.0 - dist.cdf(z / psi, c_bar)) - phi_req
+    if slack > 0.0:
+        return "a_interior", 0.0
+    if slack == 0.0:
+        return "b_boundary", 0.0
+    if phi_req > theta + (1.0 - theta) * (1.0 - dist.cdf(0.0, c_bar)):
+        return "d_hard_failure", None
+    if dist.kind == "uniform":
+        rho = z - psi * c_bar * (1.0 - (phi_req - theta) / (1.0 - theta))
+        return "c_stress", min(max(rho, 0.0), z)
+    return "c_stress", _segment_rho(p, theta)
 
 
 def _demand_on_grid(rho, theta: np.ndarray, z, p: TwoLayerParams) -> np.ndarray:
@@ -393,11 +416,13 @@ def _core_drift(rho: np.ndarray, law: ThetaLaw, pi: float, r_rep: float) -> np.n
     return np.where(np.isnan(rho), -law.kappa_theta, gamma - law.kappa_theta)
 
 
-def _core_drift_at(p: TwoLayerParams, law: ThetaLaw, pi: float, r_rep: float) -> float:
-    """gamma(pi - r_rep - rho) - kappa at p's premium rho, the scalar form of
-    `_core_drift` (which serves the scan's grid and the Monte Carlo DGP);
-    maintenance is off (drift -kappa) in hard failure."""
-    rho = solve_premium(p).rho
+def _core_drift_at(p: TwoLayerParams, theta: float, law: ThetaLaw, pi: float,
+                   r_rep: float) -> float:
+    """gamma(pi - r_rep - rho) - kappa at the premium rho of p at core share
+    theta in [0, 1], the scalar form of `_core_drift` (which serves the
+    scan's grid and the Monte Carlo DGP); maintenance is off (drift -kappa)
+    in hard failure."""
+    rho = _premium_at(p, theta)[1]
     if rho is None:
         return -law.kappa_theta
     return gamma_theta(law, pi - r_rep - rho) - law.kappa_theta
@@ -444,6 +469,11 @@ def theta_step(theta: float, law: ThetaLaw, epsilon: float) -> float:
     _require_finite("epsilon", epsilon)
     if not (0.0 <= theta <= 1.0):
         raise DomainError(f"theta must lie in [0, 1], got {theta}")
+    return _step(theta, law, epsilon)
+
+
+def _step(theta: float, law: ThetaLaw, epsilon: float) -> float:
+    """`theta_step` without its checks."""
     return min(1.0, max(0.0, theta - law.kappa_theta + gamma_theta(law, epsilon)))
 
 
@@ -496,14 +526,15 @@ def monotone_path(
     horizon: int,
     r_rep: Optional[float] = None,
 ) -> dict:
-    """Forward-simulate the coupled premium/core system.
+    """Forward-simulate the coupled premium/core system for `horizon` periods
+    (an integer >= 1).
 
-    Each period: solve the premium at the current core share, derive the
-    repression bias eps = pi - r_rep - rho, and step the core.  The feedback
-    gain never feeds back into theta, so every period's eta comes from one
-    `_abs_drho_dtheta` call on the path's core shares once the path is
-    done.  Reports the first period with eta >= 1 (contraction failure) and
-    the first case-c period.  `horizon` is an integer >= 1.
+    Each period solves the premium at the current core share, derives the
+    repression bias eps = pi - r_rep - rho (NaN with rho in hard failure,
+    where the core steps as at eps = 0) and steps the core by `theta_step`.
+    Each period row holds t, theta, rho, epsilon, the feedback gain eta and
+    the premium case; the result also names the first period with
+    eta >= 1 (contraction failure) and the first case-c period.
     """
     _require_integer("horizon", horizon)
     if horizon < 1:
@@ -513,21 +544,18 @@ def monotone_path(
     periods: List[dict] = []
     first_case_c = None
     for t in range(horizon):
-        sol = solve_premium(p.with_theta(theta))
-        if sol.case == "d_hard_failure":
-            rho = math.nan
-            eps = math.nan
+        case, rho = _premium_at(p, theta)
+        if rho is None:
+            rho = eps = math.nan
         else:
-            rho = sol.rho
             eps = econ.pi - r_rep - rho
-        if first_case_c is None and sol.case == "c_stress":
+        if first_case_c is None and case == "c_stress":
             first_case_c = t
         periods.append(
             {"t": t, "theta": theta, "rho": rho, "epsilon": eps,
-             "eta": None, "case": sol.case}
+             "eta": None, "case": case}
         )
-        eps_for_step = eps if math.isfinite(eps) else 0.0
-        theta = theta_step(theta, law, eps_for_step)
+        theta = _step(theta, law, eps if math.isfinite(eps) else 0.0)
     first_eta_ge_1 = None
     for row, eta in zip(periods, _feedback_gains(p, law, [row["theta"] for row in periods])):
         row["eta"] = eta
@@ -649,32 +677,21 @@ def fixed_point_scan(
     sigma: float = 0.0,
 ) -> dict:
     """Scan the one-period core map Phi(theta) = theta - kappa + gamma(eps(rho(theta)))
-    for stationary points.
+    on a grid of `grid` (>= 1000) cells for stationary points.
 
-    Interior fixed points are transversal zeros of Phi(theta) - theta found
-    by sign-change bracketing on the grid and refined by bisection, and
-    isolated zeros on the grid; adjacent zeros on the grid (with kappa = 0,
-    wherever eps <= 0) are an interval reported as the `stationary_interval`
-    diagnostic, with no fixed point inside.  The upper corner theta = 1 is
-    reported as a safe stationary point of the clamped dynamics when the
-    unclamped map points upward there (maintenance saturates the share); a
-    downward exit at theta = 0 is de-captivation, reported as a diagnostic
-    rather than an equilibrium.
-
-    The premium rho(theta) on the grid is evaluated for all grid points at
-    once; refinement, slopes and residuals use the scalar solver.  A bracket
-    whose bisection ends without |Phi(theta) - theta| <= 1e-12 straddles a
-    jump of the premium in theta, not a root (where z/psi >= c_bar, the
-    premium jumps up from zero as theta falls below phi_req): it is
-    reported once as the `premium_jump` diagnostic, never as a fixed point.
-    Other diagnostics: `degenerate_continuum` (the map is the identity),
-    `exits_at_floor`, and `above_diagonal`/`below_diagonal` when no
-    stationary point or interval exists.
-
-    Each fixed point carries the branch label (safe: rho = 0; stress:
-    rho > 0), the local slope |dPhi/dtheta| by central differences, and, for
-    safe points, the buffer to the zero-premium boundary less the
-    shock-absorption allowance sigma*eta/(1 - eta).
+    `fixed_points` lists the interior roots of Phi(theta) - theta and, when
+    the unclamped map points upward at theta = 1, that corner (maintenance
+    saturates the share).  Each carries `theta_star`, its branch `type`
+    (safe: rho = 0; stress otherwise), the central-difference `slope`
+    |dPhi/dtheta| over one cell, the `residual` |Phi(theta*) - theta*| and,
+    for a safe point, the `buffer` to the zero-premium boundary less the
+    shock-absorption allowance sigma*eta/(1 - eta) (0 where eta >= 1),
+    with eta the feedback gain at that boundary.  `diagnostics` names
+    `degenerate_continuum` (the map is the identity), `stationary_interval`
+    (an interval of stationary states), `premium_jump` (the map jumps across
+    the diagonal without meeting it), `exits_at_floor` (a downward exit at
+    theta = 0, de-captivation, not an equilibrium), and `above_diagonal` or
+    `below_diagonal` when neither a stationary point nor an interval exists.
     """
     import numpy as np
 
@@ -682,8 +699,8 @@ def fixed_point_scan(
     if grid < 1000:
         raise DomainError("grid must be >= 1000 points")
 
-    def G(theta: float, state: TwoLayerParams = p) -> float:
-        return _core_drift_at(state.with_theta(theta), law, pi, r_rep)
+    def G(theta: float) -> float:
+        return _core_drift_at(p, theta, law, pi, r_rep)
 
     n = grid
     vals = _core_drift(_premium_on_grid(p, np.arange(n + 1) / n, p.z)[0], law, pi, r_rep)
@@ -705,7 +722,7 @@ def fixed_point_scan(
         if on_grid[i]:
             roots.append(a)
         if crossing[i]:
-            root, met = _bisect(G, p, 0.0, a, b, bool(vals[i] < 0.0))
+            root, met = _bisect(G, a, b, bool(vals[i] < 0.0))
             if met:
                 roots.append(root)
             elif "premium_jump" not in diagnostics:
@@ -729,13 +746,13 @@ def fixed_point_scan(
 
     theta_b = zero_premium_boundary_theta(p)
     eta_b = None
-    if theta_b is not None:
+    if theta_b is not None and sigma != 0.0:  # eta only scales sigma
         eta_b = feedback_gain(p.with_theta(theta_b), law)
 
     h = 1.0 / n
     results = []
     for r in roots:
-        kind = "safe" if solve_premium(p.with_theta(r)).rho == 0.0 else "stress"
+        kind = "safe" if _premium_at(p, r)[1] == 0.0 else "stress"
         lo = max(0.0, r - h)
         hi = min(1.0, r + h)
         phi_lo = min(1.0, max(0.0, lo + G(lo)))

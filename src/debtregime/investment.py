@@ -222,6 +222,10 @@ def _solve(a: List[List[float]], b: List[float]) -> Optional[List[float]]:
     return x
 
 
+def _overflow(problem: AllocationProblem) -> DomainError:
+    return DomainError(f"the allocation objective is not finite at budget {problem.budget}")
+
+
 def allocate(problem: AllocationProblem, grid_resolution: int = 40) -> dict:
     """Solve the allocation problem.
 
@@ -235,7 +239,8 @@ def allocate(problem: AllocationProblem, grid_resolution: int = 40) -> dict:
     point replaces the incumbent only if it improves the objective by more
     than 1e-15, so ties resolve to the earliest point in that order (the
     lexicographically smallest).  For J > 3 this is `allocate_ascent`, the
-    exact face enumeration (at most 12 sectors).
+    exact face enumeration (at most 12 sectors).  An objective that is not
+    finite at an evaluated point raises `DomainError`.
     """
     _require_integer("grid_resolution", grid_resolution)
     J = problem.n_sectors
@@ -249,33 +254,36 @@ def allocate(problem: AllocationProblem, grid_resolution: int = 40) -> dict:
 
     import numpy as np
 
-    n_lev = grid_resolution + 1
-    levels = np.linspace(0.0, problem.budget, n_lev)
-    thr = problem.budget + 1e-15
-    # the leading cells in product order: their coordinates, and their sums
-    # added left to right as in sum(x)
-    lead_x = [np.repeat(np.tile(levels, n_lev ** j), n_lev ** (J - 2 - j))
-              for j in range(J - 1)]
-    lead = sum(lead_x[1:], lead_x[0]) if J > 1 else np.zeros(1)
-    # a point is kept where ~(lead + level > thr): a prefix of the levels
-    # per cell, of length `count`
-    count = np.searchsorted(levels, thr - lead, side="right")
-    while True:  # settle each count against the sum test itself
-        up = count < n_lev
-        up[up] = ~(lead[up] + levels[count[up]] > thr)
-        down = count > 0
-        down[down] = lead[down] + levels[count[down] - 1] > thr
-        if not (up.any() or down.any()):
-            break
-        count += up
-        count -= down
-    n = int(count.sum())
-    x = np.empty((J, n))
-    for j in range(J - 1):
-        x[j] = np.repeat(lead_x[j], count)
-    start = np.cumsum(count) - count  # first point of each leading cell
-    x[J - 1] = levels[np.arange(n) - np.repeat(start, count)]
-    val = problem.objective(x)  # x[j] is row j: one value per point
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: rejected below
+        n_lev = grid_resolution + 1
+        levels = np.linspace(0.0, problem.budget, n_lev)
+        thr = problem.budget + 1e-15
+        # the leading cells in product order: their coordinates, and their sums
+        # added left to right as in sum(x)
+        lead_x = [np.repeat(np.tile(levels, n_lev ** j), n_lev ** (J - 2 - j))
+                  for j in range(J - 1)]
+        lead = sum(lead_x[1:], lead_x[0]) if J > 1 else np.zeros(1)
+        # a point is kept where ~(lead + level > thr): a prefix of the levels
+        # per cell, of length `count`
+        count = np.searchsorted(levels, thr - lead, side="right")
+        while True:  # settle each count against the sum test itself
+            up = count < n_lev
+            up[up] = ~(lead[up] + levels[count[up]] > thr)
+            down = count > 0
+            down[down] = lead[down] + levels[count[down] - 1] > thr
+            if not (up.any() or down.any()):
+                break
+            count += up
+            count -= down
+        n = int(count.sum())
+        x = np.empty((J, n))
+        for j in range(J - 1):
+            x[j] = np.repeat(lead_x[j], count)
+        start = np.cumsum(count) - count  # first point of each leading cell
+        x[J - 1] = levels[np.arange(n) - np.repeat(start, count)]
+        val = problem.objective(x)  # x[j] is row j: one value per point
+    if not np.isfinite(val).all():
+        raise _overflow(problem)
     # Walk the chain of strict improvements (> incumbent + 1e-15).  Every point
     # before the incumbent is at most incumbent + 1e-15, so the next one is
     # the first point above the threshold, where the running maximum rises:
@@ -302,7 +310,8 @@ def allocate_ascent(problem: AllocationProblem) -> dict:
     system [[H_SS, -1], [1, 0]] [x_S; lam] = [-mu_S; budget].  A solution
     with every x_S >= 0 replaces the incumbent only if it improves the
     objective by more than 1e-15, so ties go to the first face in the walk.
-    There are 2^J - 1 systems, so J is capped at 12.
+    There are 2^J - 1 systems, so J is capped at 12, and an objective that
+    is not finite at a solution raises `DomainError`.
 
     A walk that also solved the slack systems gives the same result but for
     rounding: at a slack solution the objective, linear in each x_j, has
@@ -327,6 +336,8 @@ def allocate_ascent(problem: AllocationProblem) -> dict:
         at = dict(zip(S, sol))
         x = [at.get(j, 0.0) for j in range(J)]
         val = problem.objective(x)
+        if not math.isfinite(val):
+            raise _overflow(problem)
         if val > best + 1e-15:
             best_x, best = x, val
     return {"allocation": best_x, "objective": np.float64(best)}  # as the grid returns

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from debtregime.closure import (
     _abs_drho_dtheta,
     _demand_on_grid,
+    _premium_at,
     _premium_on_grid,
+    _step,
     MarginDistribution,
     ThetaLaw,
     TwoLayerParams,
@@ -664,8 +666,66 @@ class TestPremiumOnGrid:
         (GRID_STATES[6], ThetaLaw(kappa_theta=0.002, g0=0.5), 0.03, 0.01, 1000),
     ])
     def test_scan_equals_per_point_reference(self, p, law, pi, r_rep, grid):
-        out = fixed_point_scan(p, law, pi=pi, r_rep=r_rep, grid=grid, sigma=0.001)
-        assert out == _reference_scan(p, law, pi, r_rep, grid=grid, sigma=0.001)
+        # at sigma = 0 the scan skips the boundary gain the reference computes
+        for sigma in (0.001, 0.0):
+            out = fixed_point_scan(p, law, pi=pi, r_rep=r_rep, grid=grid, sigma=sigma)
+            assert repr(out) == repr(_reference_scan(p, law, pi, r_rep, grid=grid, sigma=sigma))
+
+
+def _knot_thetas(p):
+    """Core shares whose G* = (1 - phi_req)/(1 - theta) is exactly a knot
+    value of p's margin (the uniform margin's are 0 and 1)."""
+    gs = p.dist._gs if p.dist.kind == "table" else (0.0, 1.0)
+    out = []
+    for g in gs:
+        if g <= 0.0 or not 0.0 <= 1.0 - (1.0 - p.phi_req) / g < 1.0:
+            continue
+        t = 1.0 - (1.0 - p.phi_req) / g
+        for _ in range(8):  # walk a few ulps to where the quotient rounds to g
+            if (1.0 - p.phi_req) / (1.0 - t) == g:
+                out.append(t)
+                break
+            t = math.nextafter(t, 0.0 if (1.0 - p.phi_req) / (1.0 - t) > g else 1.0)
+    return out
+
+
+@pytest.mark.parametrize("p", GRID_STATES)
+def test_premium_kernel_equals_solve_premium(p):
+    # the loops' scalar kernel against the public solver, by repr: both ends,
+    # a grid, the zero-premium boundary, and core shares whose G* sits
+    # exactly on a knot value (state 8 puts its root in the 1e-14 segment)
+    thetas = (np.arange(401) / 400).tolist() + [1e-7, 1.0 - 1e-7, p.theta]
+    b = zero_premium_boundary_theta(p)
+    if b is not None:
+        thetas += [b, math.nextafter(b, 0.0), math.nextafter(b, 1.0)]
+    knots = _knot_thetas(p)
+    assert knots or p.phi_req == 1.0  # then G* = 0 for every theta < 1
+    for t in thetas + knots:
+        sol = solve_premium(p.with_theta(t))
+        assert repr(_premium_at(p, t)) == repr((sol.case, sol.rho)), t
+
+
+def test_premium_kernel_states_reach_every_branch():
+    # the states above reach cases a-d, and on tables both the linear root
+    # and the steep segment's upper end
+    seen = set()
+    for p in GRID_STATES:
+        for t in (np.arange(401) / 400).tolist() + _knot_thetas(p):
+            case, rho = _premium_at(p, t)
+            if case == "c_stress" and p.dist.kind == "table":
+                demand = demand_at(rho, p.with_theta(t))
+                case = "root" if abs(demand - p.phi_req) <= 1e-12 else "upper_end"
+            seen.add(case)
+    assert seen == {"a_interior", "b_boundary", "c_stress", "d_hard_failure", "root",
+                    "upper_end"}
+
+
+@pytest.mark.parametrize("law", [ThetaLaw(), ThetaLaw(kappa_theta=0.01, g0=0.5),
+                                 ThetaLaw(kappa_theta=0.002, g0=30.0, eps_cap=0.01)])
+def test_unchecked_step_equals_theta_step(law):
+    for t in (np.arange(101) / 100).tolist():
+        for eps in (-0.05, -0.0, 0.0, 1e-9, 0.005, 0.01, 0.3, 1e300):
+            assert repr(_step(t, law, eps)) == repr(theta_step(t, law, eps))
 
 
 # SHA-256 of repr(monotone_path) from theta = 0.95 under a law that erodes the

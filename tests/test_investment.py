@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -302,6 +303,28 @@ class TestAllocate:
                    {"mu_j": (0.05, 0.05), "gamma_jk": ((0.0, math.inf), (0.0, 0.0))}):
             with pytest.raises(DomainError, match="finite"):
                 AllocationProblem(**kw)
+
+    def test_overflowing_objective_rejected(self):
+        # finite coefficients whose objective overflows at a finite budget:
+        # the J = 3 grid, the J = 4 face walk and allocate_ascent raise, and
+        # no numpy warning escapes; a budget whose grid sums overflow but
+        # whose objective does not still solves
+        g3 = ((0.0, 1.0, -1.0), (0.0, 0.0, 1.0), (0.0, 0.0, 0.0))
+        g4 = tuple(tuple((1.0 if (j + k) % 2 else -1.0) if k > j else 0.0 for k in range(4))
+                   for j in range(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for problem in (AllocationProblem(mu_j=(0.05, 0.03, 0.04), gamma_jk=g3, budget=1e200),
+                            AllocationProblem(mu_j=(0.05, 0.03, 0.04, 0.02), gamma_jk=g4,
+                                              budget=1e200)):
+                for solve in (allocate, allocate_ascent):
+                    with pytest.raises(DomainError, match="objective is not finite"):
+                        solve(problem)
+            problem = AllocationProblem(mu_j=(0.05, 0.03, 0.04), budget=1.7e308)
+            for solve in (allocate, allocate_ascent):
+                out = solve(problem)
+                assert out["allocation"] == [1.7e308, 0.0, 0.0]
+                assert out["objective"] == 0.05 * 1.7e308
 
     def test_base_surplus_passes_through(self):
         problem = AllocationProblem(mu_j=(0.05,), budget=0.01, base_surplus=-0.0003)

@@ -420,8 +420,7 @@ def _simulate_reference(cfg, rep):
         theta[t] = theta_t
         z[t] = z_t
         if cfg.g0 > 0.0 or cfg.kappa_theta > 0.0:
-            drift = _core_drift_at(replace(base, theta=theta_t, z=z_t), law,
-                                   cfg.pi, cfg.r_rep)
+            drift = _core_drift_at(replace(base, z=z_t), theta_t, law, cfg.pi, cfg.r_rep)
         else:
             drift = 0.0
         u = cfg.rho_theta * u + eta_theta[t]
