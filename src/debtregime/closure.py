@@ -41,6 +41,8 @@ __all__ = [
 
 _BISECT_TOL = 1e-12
 _BISECT_MAX_ITER = 200
+# the (b, psi, z) point around which `phi_req_affine` moves phi_req
+_PHI_REQ_ANCHOR = (2.40, 0.97, 0.02)
 
 
 @dataclass(frozen=True)
@@ -540,6 +542,7 @@ def monotone_path(
     if horizon < 1:
         raise DomainError("horizon must be >= 1")
     r_rep = econ.r_n if r_rep is None else r_rep
+    _require_finite("r_rep", r_rep)
     theta = p.theta
     periods: List[dict] = []
     first_case_c = None
@@ -587,6 +590,7 @@ def perturbation_response(
     whenever a displacement persists, so they are not what the geometric
     bound limits).
     """
+    _require_finite("delta", delta)
     base = monotone_path(p, law, econ, horizon, r_rep)
     pert = monotone_path(
         p.with_theta(max(0.0, p.theta - delta)), law, econ, horizon, r_rep
@@ -651,11 +655,11 @@ def phi_req_affine(
     d_b: float = 0.0,
     d_psi: float = 0.0,
     d_z: float = 0.0,
-    anchor: Tuple[float, float, float] = (2.40, 0.97, 0.02),
 ) -> float:
-    """Optional affine required-absorption schedule around an anchor point,
-    clamped to [0, 1].  Signs are structural: d_b >= 0 (higher debt needs
-    broader absorption), d_psi <= 0 (stronger institutions need less)."""
+    """Optional affine required-absorption schedule around the fixed anchor
+    (b, psi, z) = (2.40, 0.97, 0.02), clamped to [0, 1].  Signs are
+    structural: d_b >= 0 (higher debt needs broader absorption), d_psi <= 0
+    (stronger institutions need less)."""
     for name, value in dict(base=base, b=b, psi=psi, z=z, d_b=d_b, d_psi=d_psi,
                             d_z=d_z).items():
         _require_finite(name, value)
@@ -663,7 +667,7 @@ def phi_req_affine(
         raise ConfigError("phi_req debt coefficient must be >= 0")
     if d_psi > 0:
         raise ConfigError("phi_req psi coefficient must be <= 0")
-    b0, psi0, z0 = anchor
+    b0, psi0, z0 = _PHI_REQ_ANCHOR
     val = base + d_b * (b - b0) + d_psi * (psi - psi0) + d_z * (z - z0)
     return min(1.0, max(0.0, val))
 
@@ -685,16 +689,20 @@ def fixed_point_scan(
     (safe: rho = 0; stress otherwise), the central-difference `slope`
     |dPhi/dtheta| over one cell, the `residual` |Phi(theta*) - theta*| and,
     for a safe point, the `buffer` to the zero-premium boundary less the
-    shock-absorption allowance sigma*eta/(1 - eta) (0 where eta >= 1),
-    with eta the feedback gain at that boundary.  `diagnostics` names
-    `degenerate_continuum` (the map is the identity), `stationary_interval`
-    (an interval of stationary states), `premium_jump` (the map jumps across
-    the diagonal without meeting it), `exits_at_floor` (a downward exit at
-    theta = 0, de-captivation, not an equilibrium), and `above_diagonal` or
-    `below_diagonal` when neither a stationary point nor an interval exists.
+    shock-absorption allowance sigma*eta/(1 - eta), with eta the feedback
+    gain at that boundary: -inf where sigma != 0 and eta >= 1 (the loop
+    does not contract, as `perturbation_response`'s inf bound says).
+    `diagnostics` names `degenerate_continuum` (the map is the identity),
+    `stationary_interval` (an interval of stationary states), `premium_jump`
+    (the map jumps across the diagonal without meeting it), `exits_at_floor`
+    (a downward exit at theta = 0, de-captivation, not an equilibrium), and
+    `above_diagonal` or `below_diagonal` when neither a stationary point nor
+    an interval exists.
     """
     import numpy as np
 
+    for name, value in dict(pi=pi, r_rep=r_rep, sigma=sigma).items():
+        _require_finite(name, value)
     _require_integer("grid", grid)
     if grid < 1000:
         raise DomainError("grid must be >= 1000 points")
@@ -760,10 +768,9 @@ def fixed_point_scan(
         slope = abs(phi_hi - phi_lo) / (hi - lo)
         buffer = None
         if kind == "safe" and theta_b is not None:
-            allowance = 0.0
-            if eta_b is not None and math.isfinite(eta_b) and eta_b < 1.0:
-                allowance = sigma * eta_b / (1.0 - eta_b)
-            buffer = (r - theta_b) - allowance
+            buffer = r - theta_b
+            if eta_b is not None:  # no allowance contains shocks once eta >= 1
+                buffer -= sigma * eta_b / (1.0 - eta_b) if eta_b < 1.0 else math.inf
         residual = abs(min(1.0, max(0.0, r + G(r))) - r)
         results.append(
             {"theta_star": r, "type": kind, "slope": slope,

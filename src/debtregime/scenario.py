@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .closure import MarginDistribution, ThetaLaw, TwoLayerParams, phi_req_affine
-from .core import EconState, FiscalResponse, RegimeParams, _require_finite, _require_integer
+from .core import EconState, RegimeParams, _require_finite, _require_integer
 from .errors import ConfigError, DomainError
 from .extensions import ClockSpec
 from .inference import SubsampleConfig
@@ -57,12 +57,8 @@ _SCHEMA: Dict[str, Tuple[object, str]] = {
     "regime.e_bar": (0.0, "rate"),
     "regime.alpha": (0.0, "num"),
     "regime.beta": (0.0, "num"),
-    # fiscal response
-    "fiscal.mode": ("constant", "text"),
-    "fiscal.d0": (0.020, "rate"),
+    # the fiscal response's slope, read by the paradox test (>= 0)
     "fiscal.gamma": (0.0, "rate"),
-    "fiscal.b_ref": (2.40, "num"),
-    "fiscal.table": ((), "pairs"),
     # two-layer closure
     "closure.theta": (0.65, "share"),
     "closure.psi": (0.97, "share"),
@@ -223,8 +219,9 @@ def _pair(key: str, item: str, lineno: int) -> Tuple[float, float]:
 
 
 def _parse_value(key: str, text: str, lineno: int):
-    """Parse and check one raw value by the key's kind in `_SCHEMA`: the one
-    parser for file lines and sweep entries alike, so every error names the line."""
+    """Parse and check one raw value by the key's kind in `_SCHEMA` (and
+    `fiscal.gamma` for its sign): the one parser for file lines and sweep
+    entries alike, so every error names the line."""
     kind = _SCHEMA[key][1]
     text = text.strip()
     if kind.endswith("?") and text.lower() in ("none", "null"):
@@ -245,6 +242,8 @@ def _parse_value(key: str, text: str, lineno: int):
     if kind == "nums":
         return tuple(_finite(key, v, lineno) for v in value)
     _check_units(key, _finite(key, value, lineno), f"line {lineno}: ")
+    if key == "fiscal.gamma" and value < 0:
+        raise DomainError(f"line {lineno}: fiscal.gamma: gamma must be >= 0, got {value}")
     return value
 
 
@@ -307,14 +306,6 @@ class Scenario:
 
     def clock_spec(self) -> ClockSpec:
         return self._view(ClockSpec, "regime")
-
-    def fiscal_response(self) -> FiscalResponse:
-        v = self.values
-        return FiscalResponse(
-            mode=v["fiscal.mode"], d0=v["fiscal.d0"], gamma=v["fiscal.gamma"],
-            b_ref=v["fiscal.b_ref"],
-            table=v["fiscal.table"] if v["fiscal.table"] else None,
-        )
 
     def two_layer(self) -> TwoLayerParams:
         v = self.values
@@ -464,7 +455,6 @@ def load_scenario(path: Optional[str] = None) -> Scenario:
     # fail fast on invariant violations in the typed views
     scenario.econ_state()
     scenario.regime_params()
-    scenario.fiscal_response()
     scenario.two_layer()
     scenario.investment_inputs()
     scenario.subsample_config()

@@ -193,39 +193,39 @@ _ARTIFACT_COMMANDS = {
 # CLI artifact and summary is pinned byte for byte (recorded with Python 3.11
 # and numpy 2.4.6).
 _ARTIFACT_DIGESTS = {
-    ('baseline', 'bounds'): ('82100a5250871373', '8225759f37f95cc9'),
-    ('baseline', 'clock'): ('be0b19f07fc6e4b6', '4dac4f8d8536dfd4'),
-    ('baseline', 'closure'): ('8f63adaa031cbdea', '87ce4bd83a01f816'),
-    ('baseline', 'scenario'): ('79360de5bc0ea5ce', 'e997d0b362df7441'),
-    ('baseline', 'sweep_stress_v2'): ('2d21b1ba21c5c195', '4327e0872dce056f'),
-    ('baseline', 'tables_calibration'): ('45e1dc9c70d59008', '80b52b96e225db4e'),
-    ('baseline', 'tables_psi_countries'): ('4b53de498d1097e7', 'a05834624e151f01'),
-    ('baseline', 'tables_stress_v2'): ('2d21b1ba21c5c195', '4327e0872dce056f'),
-    ('baseline', 'tables_tier_pe'): ('b4f2c083f7384634', '983f1d81dc04999b'),
-    ('baseline', 'tables_tier_tf'): ('1e193c83ed829b36', '637bbe139115bff0'),
-    ('baseline', 'transition'): ('c7f44910cf2456fe', 'fb034e6f6069d524'),
-    ('hard_failure', 'bounds'): ('82100a5250871373', '6f2885862d2e8a36'),
-    ('hard_failure', 'clock'): ('44e846aad8932c7a', '1f8d34d9f5cc9ec2'),
-    ('hard_failure', 'closure'): ('3e97444301e34868', 'dfd505a61675d61a'),
-    ('hard_failure', 'scenario'): ('be24570ba443178b', '3e4e5547e152d15d'),
-    ('hard_failure', 'sweep_stress_v2'): ('2d21b1ba21c5c195', '066a9c2548fa9ec6'),
-    ('hard_failure', 'tables_calibration'): ('45e1dc9c70d59008', '508d2d76ab6ea01a'),
-    ('hard_failure', 'tables_psi_countries'): ('4b53de498d1097e7', 'dc7fa393715117e6'),
-    ('hard_failure', 'tables_stress_v2'): ('2d21b1ba21c5c195', '066a9c2548fa9ec6'),
-    ('hard_failure', 'tables_tier_pe'): ('b4f2c083f7384634', '5a9c9c0892879b85'),
-    ('hard_failure', 'tables_tier_tf'): ('1e193c83ed829b36', '216fce3c339f0f2d'),
-    ('hard_failure', 'transition'): ('888a72c14d5bf3ee', '6d3001068422cfd6'),
-    ('table_margin', 'bounds'): ('be8463b8a3492803', 'c3061c53f9774717'),
-    ('table_margin', 'clock'): ('be0b19f07fc6e4b6', '6193f4930542f952'),
-    ('table_margin', 'closure'): ('b02b2ab33b935d99', '785131b2d0f3731f'),
-    ('table_margin', 'scenario'): ('cf5c100b1c883a04', 'ea0e65874be32bba'),
-    ('table_margin', 'sweep_stress_v2'): ('2d21b1ba21c5c195', 'e38e8ba7172e060c'),
-    ('table_margin', 'tables_calibration'): ('45e1dc9c70d59008', '4085bff151bf2334'),
-    ('table_margin', 'tables_psi_countries'): ('4b53de498d1097e7', 'f6cca0def8232762'),
-    ('table_margin', 'tables_stress_v2'): ('2d21b1ba21c5c195', 'e38e8ba7172e060c'),
-    ('table_margin', 'tables_tier_pe'): ('b4f2c083f7384634', '4b6d61297cedd738'),
-    ('table_margin', 'tables_tier_tf'): ('1e193c83ed829b36', 'cc63230a9ace929a'),
-    ('table_margin', 'transition'): ('8c0fb53b6526311f', 'd84abe4ac81fe464'),
+    ('baseline', 'bounds'): ('82100a5250871373', '43e04662627658f7'),
+    ('baseline', 'clock'): ('be0b19f07fc6e4b6', '324216953cf0b4d2'),
+    ('baseline', 'closure'): ('8f63adaa031cbdea', 'bbf29c4d3a5fb9e3'),
+    ('baseline', 'scenario'): ('79360de5bc0ea5ce', '4aeb9ec5065fc1de'),
+    ('baseline', 'sweep_stress_v2'): ('2d21b1ba21c5c195', '436f901ce1e9cc27'),
+    ('baseline', 'tables_calibration'): ('45e1dc9c70d59008', '62bafa9c90b1480d'),
+    ('baseline', 'tables_psi_countries'): ('4b53de498d1097e7', 'c1452462d0969b2d'),
+    ('baseline', 'tables_stress_v2'): ('2d21b1ba21c5c195', '436f901ce1e9cc27'),
+    ('baseline', 'tables_tier_pe'): ('b4f2c083f7384634', '791db864bf6a552f'),
+    ('baseline', 'tables_tier_tf'): ('1e193c83ed829b36', '00b0de718df77b42'),
+    ('baseline', 'transition'): ('c7f44910cf2456fe', '0427c8a61adba45d'),
+    ('hard_failure', 'bounds'): ('82100a5250871373', '9dc36cdaa4843f6b'),
+    ('hard_failure', 'clock'): ('44e846aad8932c7a', '15d34509ebcda91a'),
+    ('hard_failure', 'closure'): ('3e97444301e34868', '7a44da1f0b30fb7d'),
+    ('hard_failure', 'scenario'): ('be24570ba443178b', 'a476180408aa973f'),
+    ('hard_failure', 'sweep_stress_v2'): ('2d21b1ba21c5c195', '179c0a56c836890f'),
+    ('hard_failure', 'tables_calibration'): ('45e1dc9c70d59008', '6bd7636e2fd574d9'),
+    ('hard_failure', 'tables_psi_countries'): ('4b53de498d1097e7', '4dd4b6d7054e413d'),
+    ('hard_failure', 'tables_stress_v2'): ('2d21b1ba21c5c195', '179c0a56c836890f'),
+    ('hard_failure', 'tables_tier_pe'): ('b4f2c083f7384634', 'ba9485444eedde42'),
+    ('hard_failure', 'tables_tier_tf'): ('1e193c83ed829b36', 'ea4f11207544387b'),
+    ('hard_failure', 'transition'): ('888a72c14d5bf3ee', 'a19ec76e76e22464'),
+    ('table_margin', 'bounds'): ('be8463b8a3492803', '0fbe3f1bee495366'),
+    ('table_margin', 'clock'): ('be0b19f07fc6e4b6', '8b939e1e212ac52e'),
+    ('table_margin', 'closure'): ('b02b2ab33b935d99', 'f41c6493f0b3a082'),
+    ('table_margin', 'scenario'): ('cf5c100b1c883a04', '46326f91691618ff'),
+    ('table_margin', 'sweep_stress_v2'): ('2d21b1ba21c5c195', 'e0e09c575e2f2a07'),
+    ('table_margin', 'tables_calibration'): ('45e1dc9c70d59008', '189b5c1f9fed95c6'),
+    ('table_margin', 'tables_psi_countries'): ('4b53de498d1097e7', '9fa0854eeabd8bba'),
+    ('table_margin', 'tables_stress_v2'): ('2d21b1ba21c5c195', 'e0e09c575e2f2a07'),
+    ('table_margin', 'tables_tier_pe'): ('b4f2c083f7384634', 'a276927d658c7115'),
+    ('table_margin', 'tables_tier_tf'): ('1e193c83ed829b36', 'd7d2d956de60bd9c'),
+    ('table_margin', 'transition'): ('8c0fb53b6526311f', '431813b01ec9fe45'),
 }
 
 
@@ -292,10 +292,10 @@ class TestArtifactPins:
 # both modes, at the baseline window and at a 12-period window.
 _INFER_CONFIGS = {"baseline": None, "window_12": "inference.window_h = 12\n"}
 _INFER_DIGESTS = {
-    ('baseline', 'PE'): ('659ecdbeaabc181e', 'f561571167db9a3e'),
-    ('baseline', 'TF'): ('3ed2363613fea5c0', 'ee1235a4dd03b4d3'),
-    ('window_12', 'PE'): ('659ecdbeaabc181e', '769872656e7ee575'),
-    ('window_12', 'TF'): ('3ed2363613fea5c0', '6f8fd84f14dade13'),
+    ('baseline', 'PE'): ('659ecdbeaabc181e', '20d0c060512a2cda'),
+    ('baseline', 'TF'): ('3ed2363613fea5c0', 'b844411c38236f90'),
+    ('window_12', 'PE'): ('659ecdbeaabc181e', '0d3c2686c6f44e59'),
+    ('window_12', 'TF'): ('3ed2363613fea5c0', '794afb6778011176'),
 }
 
 
@@ -567,41 +567,37 @@ def test_unit_rule_extremes_end_in_a_documented_exit(tmp_path, monkeypatch, caps
                     assert not {"nan", "-nan"} & set(cells), where
 
 
-# The four scenario keys that no command reads, each moved to another valid
-# value: only the library view fiscal_response() carries them, so they may
-# move nothing but `# config_hash`.
-_UNREAD_KEYS_CFG = """\
-fiscal.mode = general
-fiscal.d0 = 0.03
-fiscal.b_ref = 2.0
-fiscal.table = 1.5:0.01, 3.0:0.04
-"""
+# The four `fiscal.*` keys that no command read were deleted from the schema:
+# a file line or a sweep entry that sets one is an unknown key.
+_DELETED_KEYS = {"fiscal.mode": "general", "fiscal.d0": "0.03", "fiscal.b_ref": "2.0",
+                 "fiscal.table": "1.5:0.01, 3.0:0.04"}
 
 
-def test_unread_scenario_keys_move_only_the_config_hash(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("key", sorted(_DELETED_KEYS))
+def test_deleted_fiscal_keys_are_unknown(tmp_path, monkeypatch, capsys, key):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "s.cfg").write_text(_UNREAD_KEYS_CFG)
-    names = _write_readings(tmp_path)[:2]
-    commands = [*_ARTIFACT_COMMANDS.values(), ["tables", "--reps", "4"],
-                ["infer", "--series", names[0], "--series", names[1]]]
-    assert len(_UNREAD_KEYS_CFG.splitlines()) == 4
-    for k, argv in enumerate(commands):
-        runs = []
-        for config in ([], ["--config", "s.cfg"]):
-            out = f"o{k}{'c' if config else ''}"
-            capsys.readouterr()
-            assert run_cli(config + ["--out", out] + argv) == 0, argv
-            csvs = {p.name: p.read_text().splitlines() for p in (tmp_path / out).iterdir()}
-            runs.append((capsys.readouterr().out.replace(out, "o"), csvs))
-        (base_out, base_csvs), (out, csvs) = runs
-        assert out == base_out, argv
-        assert sorted(csvs) == sorted(base_csvs), argv
-        for name, lines in csvs.items():
-            hashed = [l.startswith("# config_hash") for l in lines]
-            assert hashed == [l.startswith("# config_hash") for l in base_csvs[name]]
-            assert any(hashed), (argv, name)
-            for line, base_line, is_hash in zip(lines, base_csvs[name], hashed):
-                assert (line != base_line) == is_hash, (argv, name, line)
+    value = _DELETED_KEYS[key].split(",")[0]
+    for text, message in ((f"{key} = {_DELETED_KEYS[key]}", f"unknown key {key!r}"),
+                          (f"sweep.g.a = {key}={value}", f"unknown sweep key {key!r}")):
+        (tmp_path / "s.cfg").write_text(f"# comment\n{text}\n")
+        capsys.readouterr()
+        assert run_cli(["--config", "s.cfg", "--out", "o", "scenario"]) == 2, text
+        assert f"line 2: {message}" in capsys.readouterr().err, text
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [["scenario"], ["closure"], ["tables", "--only", "calibration"]])
+def test_negative_fiscal_gamma_fails_at_load(tmp_path, monkeypatch, capsys, argv):
+    # the paradox test's slope: the rule ran in a view that no command needs,
+    # and without it `tables` wrote paradox_derivative = -1.8
+    monkeypatch.chdir(tmp_path)
+    for text in ("fiscal.gamma = -0.01", "sweep.g.a = fiscal.gamma=-0.01"):
+        (tmp_path / "s.cfg").write_text(f"# comment\n{text}\n")
+        capsys.readouterr()
+        assert run_cli(["--config", "s.cfg", "--out", "o"] + argv) == 3, text
+        err = capsys.readouterr().err
+        assert "domain error: line 2: fiscal.gamma: gamma must be >= 0, got -0.01" in err, text
+        assert not (tmp_path / "o").exists()
 
 
 def _mc_body(tmp_path, monkeypatch, text, out):

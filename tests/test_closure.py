@@ -489,6 +489,49 @@ class TestFixedPointScan:
         assert out["diagnostics"] == ["stationary_interval"]
         assert [fp["theta_star"] for fp in out["fixed_points"]] == [0.25, 1.0]
 
+    def test_buffer_is_minus_inf_once_the_loop_stops_contracting(self):
+        # on the default state the boundary gain eta_b crosses 1 between
+        # g0 = 21 and 23; the buffer used to jump back to the raw distance
+        # 0.4365 there, while perturbation_response's bound reads inf
+        buffers = {g0: [fp["buffer"] for fp in fixed_point_scan(
+            BASE, ThetaLaw(g0=g0), 0.02, 0.01, sigma=0.05)["fixed_points"]]
+            for g0 in (21.0, 23.0, 25.0)}
+        assert buffers == {21.0: [-0.836227272727254], 23.0: [-math.inf],
+                           25.0: [-math.inf]}
+        boundary = BASE.with_theta(zero_premium_boundary_theta(BASE))
+        assert feedback_gain(boundary, ThetaLaw(g0=21.0)) < 1.0
+        assert feedback_gain(boundary, ThetaLaw(g0=23.0)) >= 1.0
+        # at sigma = 0 the gain is skipped: the raw distance to the boundary
+        out = fixed_point_scan(BASE, ThetaLaw(g0=25.0), 0.02, 0.01)
+        assert [fp["buffer"] for fp in out["fixed_points"]] == [0.4365000000000001]
+        # phi_req = 1: the boundary is theta = 1, where eta_b = inf
+        full = TwoLayerParams(phi_req=1.0)
+        assert feedback_gain(full.with_theta(1.0), ThetaLaw(g0=0.5)) == math.inf
+        out = fixed_point_scan(full, ThetaLaw(g0=0.5), 0.03, 0.01, sigma=0.05)
+        assert [(fp["theta_star"], fp["buffer"]) for fp in out["fixed_points"]] == [
+            (1.0, -math.inf)]
+
+
+_NAN_CALLS = {
+    ("monotone_path", "r_rep"): lambda: monotone_path(BASE, ThetaLaw(), ECON, 3, r_rep=math.nan),
+    ("fixed_point_scan", "pi"): lambda: fixed_point_scan(BASE, ThetaLaw(), math.nan, 0.01),
+    ("fixed_point_scan", "r_rep"): lambda: fixed_point_scan(BASE, ThetaLaw(), 0.02, math.nan),
+    ("fixed_point_scan", "sigma"): lambda: fixed_point_scan(BASE, ThetaLaw(), 0.02, 0.01,
+                                                            sigma=math.nan),
+    ("perturbation_response", "delta"): lambda: perturbation_response(
+        BASE, ThetaLaw(), ECON, 3, math.nan),
+    ("perturbation_response", "r_rep"): lambda: perturbation_response(
+        BASE, ThetaLaw(), ECON, 3, 0.01, r_rep=math.nan),
+}
+
+
+@pytest.mark.parametrize("function, name", sorted(_NAN_CALLS))
+def test_non_finite_raw_float_rejected(function, name):
+    # nan used to give a path with eps = nan, a below_diagonal scan, a nan
+    # buffer, or a perturbed path started from theta = 0
+    with pytest.raises(DomainError, match=f"^{name} must be finite, got nan$"):
+        _NAN_CALLS[function, name]()
+
 
 def _reference_rho(p, thetas, zs=None):
     """Per-element scalar solves (at p's spread unless `zs` gives one per
@@ -570,8 +613,10 @@ def _reference_scan(p, law, pi, r_rep, grid=2000, sigma=0.0):
         buffer = None
         if kind == "safe" and theta_b is not None:
             allowance = 0.0
-            if eta_b is not None and math.isfinite(eta_b) and eta_b < 1.0:
+            if eta_b is not None and eta_b < 1.0:
                 allowance = sigma * eta_b / (1.0 - eta_b)
+            elif eta_b is not None and sigma != 0.0:
+                allowance = math.inf  # the loop no longer contracts
             buffer = (r - theta_b) - allowance
         residual = abs(min(1.0, max(0.0, r + G(r))) - r)
         results.append({"theta_star": r, "type": kind, "slope": slope,
@@ -731,7 +776,8 @@ def test_unchecked_step_equals_theta_step(law):
 # SHA-256 of repr(monotone_path) from theta = 0.95 under a law that erodes the
 # core through cases a, c and d, and of repr(fixed_point_scan), on each table
 # margin of GRID_STATES (7 never reaches case c: its atom caps demand below
-# phi_req = 1), recorded with Python 3.11 and numpy 2.4.6
+# phi_req = 1, and its safe ceiling's buffer is -inf, eta = inf at the
+# boundary theta = 1), recorded with Python 3.11 and numpy 2.4.6
 TABLE_PATH_SCAN_SHA256 = {
     4: ("dd7f4d3a6467f5f5d1095b43f14b7eda4c7be8243e44bac2f041a2614b78feef",
         "b0d5e87d25d4e0672bbf70207337e3762828980eda5679733481994d3116c616"),
@@ -740,7 +786,7 @@ TABLE_PATH_SCAN_SHA256 = {
     6: ("cb9cb5ad53fdb01d2cda93d389496561228c90d8b68c8413f062729ac3427954",
         "6669e12bd948d171bac80b2a3a4e918b290a9c39932ea4e0ec350dacad99af66"),
     7: ("b4a1c796b58f4b97b149e3038b2547a2fdaf9a6dc92f04997c27ea9bbe58dba4",
-        "e3b745378764aed97e52c0a4e5c703eb41474157df2d77a4cc7a8aa799b9125e"),
+        "58d9f6339ef2f23d0e7ce88d356686b8feaae84faa4ac05c6811e6651ed9a581"),
     8: ("49a9f442e216916a95691165cf2aa74d3e65adca4d5f6059fdc0b0cbc0880ab2",
         "4be9a06169da1b01d18fffacf56f8da62ed45874597241834961d4cbf5ec954b"),
 }

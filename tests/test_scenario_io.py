@@ -163,15 +163,6 @@ class TestLoadScenario:
         with pytest.raises(ConfigError):
             sc.with_overrides({"closure.thetaa": 0.5})
 
-    def test_fiscal_table_pairs(self, tmp_path):
-        path = tmp_path / "fr.cfg"
-        path.write_text(
-            "fiscal.mode = general\n"
-            "fiscal.table = 2.0:0.018, 2.4:0.020, 2.8:0.026\n"
-        )
-        fr = load_scenario(str(path)).fiscal_response()
-        assert fr.table == ((2.0, 0.018), (2.4, 0.020), (2.8, 0.026))
-
     def test_r_rep_defaults_to_nominal_rate(self, tmp_path):
         sc = load_scenario(None)
         assert sc.r_rep() == sc.econ_state().r_n
@@ -212,7 +203,7 @@ _MALFORMED = [
     ("int", "mc.T", "60.5", "expects an integer, got '60.5'"),
     ("ints", "inference.block_grid", "4, six", "expects integers, got '4, six'"),
     ("nums", "mc.evaluation_horizons", "3.8; 7.5", "expects numbers, got '3.8; 7.5'"),
-    ("pairs", "fiscal.table", "2.0-0.018", "expects x:y pairs, got '2.0-0.018'"),
+    ("pairs", "closure.dist_knots", "2.0-0.018", "expects x:y pairs, got '2.0-0.018'"),
     ("pairs", "closure.dist_knots", "0:0, 0.03:x", "has a malformed number in '0.03:x'"),
 ]
 _VIEWS = [("econ_state", EconState, "econ"), ("regime_params", RegimeParams, "regime"),
@@ -242,7 +233,7 @@ class TestSchema:
         assert sc.regime_params() == RegimeParams()
         assert sc.subsample_config() == SubsampleConfig()
         assert sc.theta_law() == ThetaLaw()
-        assert sc.fiscal_response() == FiscalResponse()
+        assert sc.get("fiscal.gamma") == FiscalResponse().gamma
         assert sc.investment_inputs() == InvestmentInputs(state=econ, regime=RegimeParams())
         assert sc.transition_spec() == TransitionSpec(state=econ, closure=TwoLayerParams())
 
@@ -272,7 +263,7 @@ class TestSchema:
     def test_unit_rules_by_kind(self):
         rates = [k for k, (_, kind) in _SCHEMA.items() if kind.rstrip("?") == "rate"]
         shares = [k for k, (_, kind) in _SCHEMA.items() if kind == "share"]
-        assert (len(rates), len(shares)) == (36, 12)
+        assert (len(rates), len(shares)) == (35, 12)
         for key in rates:
             with pytest.raises(ConfigError, match="rate unit convention"):
                 _check_units(key, 1.5)
