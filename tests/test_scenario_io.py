@@ -203,7 +203,8 @@ _MALFORMED = [
     ("int", "mc.T", "60.5", "expects an integer, got '60.5'"),
     ("ints", "inference.block_grid", "4, six", "expects integers, got '4, six'"),
     ("nums", "mc.evaluation_horizons", "3.8; 7.5", "expects numbers, got '3.8; 7.5'"),
-    ("pairs", "closure.dist_knots", "2.0-0.018", "expects x:y pairs, got '2.0-0.018'"),
+    pytest.param("pairs", "closure.dist_knots", "2.0-0.018",
+                 "expects x:y pairs, got '2.0-0.018'", id="pairs-no-colon"),
     ("pairs", "closure.dist_knots", "0:0, 0.03:x", "has a malformed number in '0.03:x'"),
 ]
 _VIEWS = [("econ_state", EconState, "econ"), ("regime_params", RegimeParams, "regime"),
