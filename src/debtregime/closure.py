@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .core import EconState, _require_finite, _require_integer
 from .errors import ConfigError, DomainError, ScopeError
@@ -295,13 +295,21 @@ def solve_premium_bisection(p: TwoLayerParams) -> float:
     return _segment_rho(p, p.theta)
 
 
-def _segment_rho(p: TwoLayerParams, theta: float) -> float:
-    """`solve_premium_bisection` at core share theta in case c, unchecked."""
+def _knot_lookup(p: TwoLayerParams, theta: float):
+    """(G*, i, cs, gs) at core share theta < 1: G* = (1 - phi_req)/(1 - theta),
+    the margin's knot positions cs and values gs (a uniform margin is the
+    two-knot table ((0, 0), (c_bar, 1))) and i = `bisect_left(gs, G*)`, the
+    first knot value at or above G*."""
     cs, gs = (0.0, p.c_bar), (0.0, 1.0)
     if p.dist.kind != "uniform":
         cs, gs = p.dist._cs, p.dist._gs
-    g_star = (1.0 - p.phi_req) / (1.0 - theta)  # theta < 1 in case c
-    i = bisect_left(gs, g_star)  # the first knot value at or above G*
+    g_star = (1.0 - p.phi_req) / (1.0 - theta)
+    return g_star, bisect_left(gs, g_star), cs, gs
+
+
+def _segment_rho(p: TwoLayerParams, theta: float) -> float:
+    """`solve_premium_bisection` at core share theta in case c, unchecked."""
+    g_star, i, cs, gs = _knot_lookup(p, theta)  # theta < 1 in case c
     if i == 0:
         return float(p.z)  # G* at the atom: c* = 0
     i = min(i, len(gs) - 1)  # G* above a last value within 1e-12 of 1
@@ -444,10 +452,9 @@ def comparative_statics(p: TwoLayerParams) -> dict:
     sol = solve_premium(p)
     if sol.case != "c_stress":
         raise ScopeError(f"comparative statics defined in case c, got {sol.case}")
-    one_m_t = 1.0 - p.theta
     return {
-        "d_rho_d_theta": -p.psi * p.c_bar * (1.0 - p.phi_req) / (one_m_t * one_m_t),
-        "d_rho_d_psi": -p.c_bar * (1.0 - (p.phi_req - p.theta) / one_m_t),
+        "d_rho_d_theta": -_abs_drho_dtheta(p, p.theta),
+        "d_rho_d_psi": -p.c_bar * (1.0 - (p.phi_req - p.theta) / (1.0 - p.theta)),
         "d_rho_d_z": 1.0,
     }
 
@@ -479,46 +486,36 @@ def _step(theta: float, law: ThetaLaw, epsilon: float) -> float:
     return min(1.0, max(0.0, theta - law.kappa_theta + gamma_theta(law, epsilon)))
 
 
-def _abs_drho_dtheta(p: TwoLayerParams, thetas: Sequence[float]) -> List[float]:
-    """|d rho/d theta| at each core share of `thetas`, p giving the rest.
-
-    +inf at theta >= 1 and 0 where the core alone covers the requirement
-    (phi_req <= theta).  Uniform margins use the closed form
-    psi*c_bar*(1 - phi_req)/(1 - theta)^2; table margins the two-sided
-    difference |rho(hi) - rho(lo)|/(hi - lo), lo = max(0, theta - 1e-6) and
-    hi = min(1, theta + 1e-6), which is 0 where a neighbour is outside
-    case c.  All the neighbours' premiums come from one `_premium_on_grid`
-    call, equal to per-theta `solve_premium` calls bit for bit.
+def _abs_drho_dtheta(p: TwoLayerParams, theta: float) -> float:
+    """|d rho/d theta| of the case-c branch rho_c = z - psi*G^-1(G*) at core
+    share theta, p giving the rest: +inf at theta >= 1, 0 where phi_req <=
+    theta or G* lies below the atom G(0), and otherwise
+    psi*(c1 - c0)/(g1 - g0)*(1 - phi_req)/(1 - theta)^2 on the knot segment
+    holding G* (the steeper of the two at an interior knot), in case a too.
     """
-    if p.dist.kind == "uniform":
-        scale = p.psi * p.c_bar * (1.0 - p.phi_req)
-        return [math.inf if t >= 1.0 else 0.0 if p.phi_req <= t else
-                scale / ((1.0 - t) * (1.0 - t)) for t in thetas]
-    import numpy as np
-
-    t = np.asarray(thetas, dtype=float)
-    d = np.where(t >= 1.0, np.inf, 0.0)
-    live = (t < 1.0) & (p.phi_req > t)
-    if live.any():
-        t = t[live]
-        h = 1e-6
-        lo, hi = np.maximum(0.0, t - h), np.minimum(1.0, t + h)
-        rho, stress = _premium_on_grid(p, np.concatenate([lo, hi]), p.z)
-        n = t.size
-        d[live] = np.where(stress[:n] & stress[n:], np.abs(rho[n:] - rho[:n]) / (hi - lo), 0.0)
-    return d.tolist()
+    if theta >= 1.0:
+        return math.inf
+    if p.phi_req <= theta:
+        return 0.0
+    g_star, i, cs, gs = _knot_lookup(p, theta)
+    if g_star < gs[0]:
+        return 0.0
+    i = min(max(i, 1), len(gs) - 1)
+    slope = (cs[i] - cs[i - 1]) / (gs[i] - gs[i - 1])
+    if g_star == gs[i] and i + 1 < len(gs):
+        slope = max(slope, (cs[i + 1] - cs[i]) / (gs[i + 1] - gs[i]))
+    return float(p.psi * slope * (1.0 - p.phi_req) / ((1.0 - theta) * (1.0 - theta)))
 
 
-def _feedback_gains(p: TwoLayerParams, law: ThetaLaw, thetas: Sequence[float]) -> List[float]:
-    """`feedback_gain` at each core share of `thetas` from one kernel call."""
-    d = _abs_drho_dtheta(p, thetas)
-    return [math.inf if t >= 1.0 else v * law.g0 for t, v in zip(thetas, d)]
+def _eta(p: TwoLayerParams, law: ThetaLaw, theta: float) -> float:
+    """`feedback_gain` at core share theta."""
+    return math.inf if theta >= 1.0 else _abs_drho_dtheta(p, theta) * law.g0
 
 
 def feedback_gain(p: TwoLayerParams, law: ThetaLaw) -> float:
-    """One-period gain of the premium -> repression loss -> core erosion loop:
-    eta = |d rho/d theta| * law.g0.  theta = 1 returns +inf."""
-    return _feedback_gains(p, law, [p.theta])[0]
+    """eta = |d rho/d theta| * law.g0, the one-period gain of the premium ->
+    repression loss -> core erosion loop; +inf at theta = 1."""
+    return _eta(p, law, p.theta)
 
 
 def monotone_path(
@@ -528,15 +525,12 @@ def monotone_path(
     horizon: int,
     r_rep: Optional[float] = None,
 ) -> dict:
-    """Forward-simulate the coupled premium/core system for `horizon` periods
-    (an integer >= 1).
+    """Forward-simulate the premium/core system for `horizon` (>= 1) periods.
 
-    Each period solves the premium at the current core share, derives the
-    repression bias eps = pi - r_rep - rho (NaN with rho in hard failure,
-    where the core steps as at eps = 0) and steps the core by `theta_step`.
-    Each period row holds t, theta, rho, epsilon, the feedback gain eta and
-    the premium case; the result also names the first period with
-    eta >= 1 (contraction failure) and the first case-c period.
+    Each period row holds t, theta, rho, the repression bias
+    epsilon = pi - r_rep - rho (NaN in hard failure, where the core steps
+    as at eps = 0), the feedback gain eta and the premium case; the result
+    also names the first period with eta >= 1 and the first case-c period.
     """
     _require_integer("horizon", horizon)
     if horizon < 1:
@@ -545,25 +539,23 @@ def monotone_path(
     _require_finite("r_rep", r_rep)
     theta = p.theta
     periods: List[dict] = []
-    first_case_c = None
+    first_case_c = first_eta_ge_1 = None
     for t in range(horizon):
         case, rho = _premium_at(p, theta)
         if rho is None:
             rho = eps = math.nan
         else:
             eps = econ.pi - r_rep - rho
+        eta = _eta(p, law, theta)
         if first_case_c is None and case == "c_stress":
             first_case_c = t
+        if first_eta_ge_1 is None and eta >= 1.0:
+            first_eta_ge_1 = t
         periods.append(
             {"t": t, "theta": theta, "rho": rho, "epsilon": eps,
-             "eta": None, "case": case}
+             "eta": eta, "case": case}
         )
         theta = _step(theta, law, eps if math.isfinite(eps) else 0.0)
-    first_eta_ge_1 = None
-    for row, eta in zip(periods, _feedback_gains(p, law, [row["theta"] for row in periods])):
-        row["eta"] = eta
-        if first_eta_ge_1 is None and eta >= 1.0:
-            first_eta_ge_1 = row["t"]
     return {
         "periods": periods,
         "first_eta_ge_1": first_eta_ge_1,
@@ -591,6 +583,8 @@ def perturbation_response(
     bound limits).
     """
     _require_finite("delta", delta)
+    if delta < 0:
+        raise DomainError(f"delta must be >= 0, got {delta}")
     base = monotone_path(p, law, econ, horizon, r_rep)
     pert = monotone_path(
         p.with_theta(max(0.0, p.theta - delta)), law, econ, horizon, r_rep
@@ -601,9 +595,7 @@ def perturbation_response(
     cum_rho = 0.0
     max_eta = 0.0
     max_drho = 0.0
-    drho = [_abs_drho_dtheta(p, [row["theta"] for row in path["periods"]])
-            for path in (base, pert)]
-    for row_b, row_p, d_b, d_p in zip(base["periods"], pert["periods"], *drho):
+    for row_b, row_p in zip(base["periods"], pert["periods"]):
         dev_t = abs(row_p["theta"] - row_b["theta"])
         max_theta = max(max_theta, dev_t)
         cum_theta += dev_t
@@ -614,7 +606,7 @@ def perturbation_response(
         eta = max(row_b["eta"], row_p["eta"])
         if math.isfinite(eta):
             max_eta = max(max_eta, eta)
-        for d in (d_b, d_p):
+        for d in (_abs_drho_dtheta(p, row_b["theta"]), _abs_drho_dtheta(p, row_p["theta"])):
             if math.isfinite(d):
                 max_drho = max(max_drho, d)
     bound_theta = delta / (1.0 - max_eta) if max_eta < 1.0 else math.inf
@@ -703,6 +695,8 @@ def fixed_point_scan(
 
     for name, value in dict(pi=pi, r_rep=r_rep, sigma=sigma).items():
         _require_finite(name, value)
+    if sigma < 0:
+        raise DomainError(f"sigma must be >= 0, got {sigma}")
     _require_integer("grid", grid)
     if grid < 1000:
         raise DomainError("grid must be >= 1000 points")
@@ -755,7 +749,7 @@ def fixed_point_scan(
     theta_b = zero_premium_boundary_theta(p)
     eta_b = None
     if theta_b is not None and sigma != 0.0:  # eta only scales sigma
-        eta_b = feedback_gain(p.with_theta(theta_b), law)
+        eta_b = _eta(p, law, theta_b)
 
     h = 1.0 / n
     results = []

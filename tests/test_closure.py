@@ -1,5 +1,6 @@
 import hashlib
 import math
+from bisect import bisect_left
 from dataclasses import replace
 
 import numpy as np
@@ -533,6 +534,21 @@ def test_non_finite_raw_float_rejected(function, name):
         _NAN_CALLS[function, name]()
 
 
+_NEGATIVE_CALLS = {
+    "sigma": lambda: fixed_point_scan(BASE, ThetaLaw(g0=21.0), 0.02, 0.01, sigma=-0.05),
+    "delta": lambda: perturbation_response(
+        BASE, ThetaLaw(kappa_theta=0.02, g0=5.0, eps_cap=0.01), ECON, 10, -0.01),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NEGATIVE_CALLS))
+def test_negative_shock_size_rejected(name):
+    # a negative sigma used to add room to the safe buffer (+1.709 where
+    # +0.05 gives -0.836), and a negative delta gave negative bounds
+    with pytest.raises(DomainError, match=f"^{name} must be >= 0, got -0.0[15]$"):
+        _NEGATIVE_CALLS[name]()
+
+
 def _reference_rho(p, thetas, zs=None):
     """Per-element scalar solves (at p's spread unless `zs` gives one per
     theta): the oracle for the array kernel."""
@@ -779,16 +795,16 @@ def test_unchecked_step_equals_theta_step(law):
 # phi_req = 1, and its safe ceiling's buffer is -inf, eta = inf at the
 # boundary theta = 1), recorded with Python 3.11 and numpy 2.4.6
 TABLE_PATH_SCAN_SHA256 = {
-    4: ("dd7f4d3a6467f5f5d1095b43f14b7eda4c7be8243e44bac2f041a2614b78feef",
-        "b0d5e87d25d4e0672bbf70207337e3762828980eda5679733481994d3116c616"),
-    5: ("4887c7adc185737a8e67f74116cf5755acaed10851ffaa3096d85f193486e717",
-        "a300e29fff9b5647155ac7bf206119b827bc0fd24b0342e4c98be4b08b4de64f"),
-    6: ("cb9cb5ad53fdb01d2cda93d389496561228c90d8b68c8413f062729ac3427954",
-        "6669e12bd948d171bac80b2a3a4e918b290a9c39932ea4e0ec350dacad99af66"),
+    4: ("45896838d6f80a1653134fe9ca88532b1e9f9d585d9e35f97d2b658f45d243ca",
+        "8ac5a244e96c2ae9e00e1ee41fa1bae0ffcfedef35dca18e695182e7cc346d6d"),
+    5: ("e75032b0826d12ee90125d6864acb4d4bc7b9beaf599f9a6201012f701bb013e",
+        "4842702a8dec99c093c163189273e42636eca541b1e0a763c8eb0714ca919957"),
+    6: ("5bc97b9ac79d16d88a61dd0ef90082e12fbc7007735f091664db644d850b1f06",
+        "ca5785f9ffefd4f77ff4baa5a093c0a314f3929d7ef5e8a5b7682941d0dd307d"),
     7: ("b4a1c796b58f4b97b149e3038b2547a2fdaf9a6dc92f04997c27ea9bbe58dba4",
         "58d9f6339ef2f23d0e7ce88d356686b8feaae84faa4ac05c6811e6651ed9a581"),
-    8: ("49a9f442e216916a95691165cf2aa74d3e65adca4d5f6059fdc0b0cbc0880ab2",
-        "4be9a06169da1b01d18fffacf56f8da62ed45874597241834961d4cbf5ec954b"),
+    8: ("ac6c641f50fc3dc78b7c18856afa3d76d376906679f64269281ee043eaed07cd",
+        "f71b6f34c771668dae3418161e6c8961b4ab59911db0f9f1e5e8b4e930df46fe"),
 }
 
 
@@ -896,14 +912,14 @@ def test_knot_bisection_equals_linear_scan(table, extra):
 
 
 # SHA-256 of repr(perturbation_response) from theta = 0.95 with a 0.02 shock
-# on each table margin of GRID_STATES, recorded before the feedback gains
-# became one array solve per path, with Python 3.11 and numpy 2.4.6
+# on each table margin of GRID_STATES, recorded with the closed-form table
+# gain, Python 3.11 and numpy 2.4.6
 TABLE_PERTURBATION_SHA256 = {
-    4: "8e4e0928d8f76c7be20d20c787b9fbe5feffba09bbf76d8f74c0ec1db95df5b2",
-    5: "f3e6f3e83c92b48980f1c626e2135fb6e3d94a86e41858df83f8977c7260caf5",
-    6: "f7878960f297fa022da3398b8f67e2a977172c425c817a1812241cc9ea51c911",
+    4: "0274fd07f0ab7eaaf811457708203b81a82d3a368c464971736eef9353c42be5",
+    5: "b55fdc7d020c02c94a3b73167eb0ff416a32e3d40028feb8f69237aae8e4e05c",
+    6: "64b0659e0780a154b59784c282286558589210993706cb968a86123ecf81e5f4",
     7: "92b07b0d135f573e9bc59aa205748c88481f943a899f9c0799c3238b3b7505c4",
-    8: "fb0c293499cbfe8271205dae8cc89e267b316827694a096c3103858435821505",
+    8: "eb421b0b455304b74c8b6ea15bcab7851f5e1f3036f736c2b602c68bc4d7123b",
 }
 
 
@@ -916,11 +932,12 @@ def test_table_margin_perturbation_response_pinned(i):
 
 
 def scalar_abs_drho_dtheta(p):
-    """|d rho/d theta| at p's core share, one theta at a time, as
-    `_abs_drho_dtheta` took it before it became a kernel over a sequence of
-    core shares: the closed form on uniform margins, and on table margins a
-    difference of two scalar `solve_premium` calls at theta -/+ 1e-6 (0 if
-    either is outside case c).  Kept as the kernel's oracle."""
+    """|d rho/d theta| at p's core share as `_abs_drho_dtheta` took it before
+    the closed form covered table margins: the closed form on uniform
+    margins, and on table margins a difference of two scalar `solve_premium`
+    calls at theta -/+ 1e-6 (0 if either is outside case c).  Kept as the
+    kernel's oracle: bit for bit on uniform margins, within O(h) on one knot
+    segment."""
     if p.theta >= 1.0:
         return math.inf
     if p.phi_req <= p.theta:
@@ -942,35 +959,69 @@ def scalar_abs_drho_dtheta(p):
 
 def _eta_thetas(p):
     """Core shares for the gain kernel: a grid, both ends and 1e-7 inside
-    them, phi_req and its neighbours, and points around the zero-premium
-    boundary where one finite-difference neighbour leaves case c."""
+    them, phi_req and its neighbours, points around the zero-premium
+    boundary, and the core shares whose G* sits exactly on a knot."""
     thetas = (np.arange(201) / 200).tolist() + [0.0, 1e-7, 1.0 - 1e-7, 1.0]
     thetas += [min(1.0, max(0.0, p.phi_req + e)) for e in (-1e-6, -1e-9, 0.0, 1e-9)]
     b = zero_premium_boundary_theta(p)
     if b is not None:
         thetas += [min(1.0, max(0.0, b + e)) for e in (-2e-6, -5e-7, 0.0, 5e-7, 2e-6)]
-    return [float(t) for t in thetas]  # the knots of `table_from_power` are numpy floats
+    # `table_from_power` knots are numpy floats
+    return [float(t) for t in thetas + _knot_thetas(p)]
+
+
+def _stencil_segment(p, theta):
+    """The slope (c1 - c0)/(g1 - g0) of the one knot segment that holds G*
+    strictly inside it at both stencil points theta -/+ 1e-6 of the
+    difference, where both are case-c linear roots (|demand - phi_req| <=
+    1e-12, not a steep segment's upper end); otherwise None."""
+    cs, gs = p.dist._cs, p.dist._gs
+    segments = set()
+    for t in (max(0.0, theta - 1e-6), min(1.0, theta + 1e-6)):
+        q = p.with_theta(t)
+        sol = solve_premium(q)
+        if sol.case != "c_stress" or abs(demand_at(sol.rho, q) - q.phi_req) > 1e-12:
+            return None
+        g_star = (1.0 - p.phi_req) / (1.0 - t)
+        i = bisect_left(gs, g_star)
+        if not 0 < i < len(gs) or g_star == gs[i]:
+            return None
+        segments.add(i)
+    if len(segments) != 1:
+        return None
+    i = segments.pop()
+    return (cs[i] - cs[i - 1]) / (gs[i] - gs[i - 1])
 
 
 def _assert_gains_match(p, thetas):
-    want = [scalar_abs_drho_dtheta(p.with_theta(t)) for t in thetas]
-    assert repr(_abs_drho_dtheta(p, thetas)) == repr(want)
+    """The kernel equals the closed form by repr on uniform margins, and on
+    one knot segment of a table margin the difference to 1e-5 relative, or
+    to the difference's own rounding (a few ulps of each premium over the
+    stencil width) where the gain is that small; `feedback_gain` is the
+    kernel times g0, and +inf at theta = 1."""
+    got = [_abs_drho_dtheta(p, t) for t in thetas]
+    if p.dist.kind == "uniform":
+        assert repr(got) == repr([scalar_abs_drho_dtheta(p.with_theta(t)) for t in thetas])
+    else:
+        for t, d in zip(thetas, got):
+            slope = _stencil_segment(p, t)
+            if slope is not None:
+                width = min(1.0, t + 1e-6) - max(0.0, t - 1e-6)
+                noise = 4.0 * (math.ulp(p.z) + p.psi * slope * math.ulp(1.0)) / width
+                assert d == pytest.approx(scalar_abs_drho_dtheta(p.with_theta(t)), rel=1e-5,
+                                          abs=noise), t
     for g0 in (0.0, 0.5):
         law = ThetaLaw(g0=g0)
         assert repr([feedback_gain(p.with_theta(t), law) for t in thetas]) == repr(
-            [math.inf if t >= 1.0 else d * g0 for t, d in zip(thetas, want)])
+            [math.inf if t >= 1.0 else d * g0 for t, d in zip(thetas, got)])
 
 
 @pytest.mark.parametrize("p", GRID_STATES)
 def test_drho_kernel_equals_scalar_difference(p):
     thetas = _eta_thetas(p)
     _assert_gains_match(p, thetas)
-    assert _abs_drho_dtheta(p, []) == []
     if p.dist.kind == "table" and p.phi_req < 1.0:
-        # a neighbour leaves case c at some live core share: the gain is 0
-        # there although the core alone does not cover the requirement
-        assert any(t < p.phi_req and scalar_abs_drho_dtheta(p.with_theta(t)) == 0.0
-                   and solve_premium(p.with_theta(t)).case == "c_stress" for t in thetas)
+        assert sum(_stencil_segment(p, t) is not None for t in thetas) >= 10
 
 
 @settings(max_examples=150, deadline=None)
@@ -979,8 +1030,49 @@ def test_drho_kernel_equals_scalar_difference(p):
 def test_drho_kernel_equals_scalar_difference_on_random_tables(table, psi, z_frac, phi_req,
                                                                thetas):
     dist, c_bar = table
-    p = TwoLayerParams(psi=psi, z=z_frac * psi * c_bar, c_bar=c_bar, phi_req=phi_req, dist=dist)
-    _assert_gains_match(p, thetas + _eta_thetas(p)[::7])
+    for margin in (dist, MarginDistribution()):
+        p = TwoLayerParams(psi=psi, z=z_frac * psi * c_bar, c_bar=c_bar, phi_req=phi_req,
+                           dist=margin)
+        _assert_gains_match(p, thetas + _eta_thetas(p)[::7])
+
+
+def test_drho_kernel_at_knots_atom_and_case_a():
+    # the steeper side at an interior knot, 0 below the atom, the branch
+    # slope in case a, and the slope of the segment above an atom's value
+    dist = MarginDistribution(kind="table", knots=((0.0, 0.2), (0.02, 0.6), (0.06, 1.0)))
+    p = TwoLayerParams(psi=0.9, z=0.03, phi_req=0.9, dist=dist)
+
+    def kernel(slope, theta):
+        return 0.9 * slope * (1.0 - 0.9) / ((1.0 - theta) * (1.0 - theta))
+
+    knot = [t for t in _knot_thetas(p) if (1.0 - 0.9) / (1.0 - t) == 0.6]
+    assert len(knot) == 1
+    assert _abs_drho_dtheta(p, knot[0]) == kernel((0.06 - 0.02) / (1.0 - 0.6), knot[0])
+    assert _abs_drho_dtheta(p, 0.4) == 0.0  # G* = 1/6 < G(0) = 0.2: case d
+    assert solve_premium(p.with_theta(0.4)).case == "d_hard_failure"
+    at_atom = 1.0 - (1.0 - 0.9) / 0.2
+    assert (1.0 - 0.9) / (1.0 - at_atom) == 0.2
+    assert _abs_drho_dtheta(p, at_atom) == kernel((0.02 - 0.0) / (0.6 - 0.2), at_atom)
+    assert solve_premium(p.with_theta(0.88)).case == "a_interior"
+    assert _abs_drho_dtheta(p, 0.88) == kernel((0.06 - 0.02) / (1.0 - 0.6), 0.88)
+
+
+def test_table_on_the_uniform_cdf_has_the_uniform_gain():
+    # knots on the uniform CDF: the zero-premium boundary's gain used to read
+    # 0 (one difference neighbour in case a), which dropped the scan's sigma
+    # allowance and left a buffer of +0.4365 where the uniform margin has -0.836
+    table = TwoLayerParams(dist=MarginDistribution(
+        kind="table", knots=((0.0, 0.0), (0.015, 0.25), (0.03, 0.5), (0.045, 0.75),
+                             (0.06, 1.0))))
+    law = ThetaLaw(g0=21.0)
+    b = zero_premium_boundary_theta(BASE)
+    eta_uniform = feedback_gain(BASE.with_theta(b), law)
+    eta_table = feedback_gain(table.with_theta(zero_premium_boundary_theta(table)), law)
+    assert 0.96 < eta_uniform < 1.0
+    assert eta_table == pytest.approx(eta_uniform, rel=1e-12, abs=0.0)
+    buffers = [fp["buffer"] for fp in fixed_point_scan(table, law, 0.02, 0.01,
+                                                       sigma=0.05)["fixed_points"]]
+    assert len(buffers) == 1 and buffers[0] == pytest.approx(-0.836227272727254, rel=1e-9)
 
 
 class TestDistributionAndHelpers:

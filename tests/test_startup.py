@@ -109,3 +109,24 @@ def test_public_names_are_unchanged():
         montecarlo.MCConfig, montecarlo.run_mc_pe, montecarlo.run_mc_tf)
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         debtregime.no_such_name
+
+
+def test_table_margin_gain_and_path_without_numpy():
+    # the table gain is a closed form: no array premium solve loads numpy
+    code = """
+import sys
+from debtregime.closure import (MarginDistribution, ThetaLaw, TwoLayerParams, feedback_gain,
+                                monotone_path)
+from debtregime.core import EconState
+dist = MarginDistribution(kind="table", knots=((0.0, 0.3), (0.02, 0.55), (0.06, 1.0)))
+p = TwoLayerParams(theta=0.95, psi=0.9, z=0.03, phi_req=0.9, dist=dist)
+law = ThetaLaw(kappa_theta=0.01, g0=0.5)
+econ = EconState(b_prev=2.40, r_n=0.022, g_n=0.030, pi=0.027, d=0.020)
+path = monotone_path(p, law, econ, 50)
+assert {row["case"] for row in path["periods"]} >= {"a_interior", "c_stress"}
+assert 0.0 < feedback_gain(p.with_theta(0.8), law) < 1.0
+print("numpy" in sys.modules)
+"""
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"
