@@ -53,8 +53,8 @@ class MarginDistribution:
     share of the margin with no captivity benefit at all), end at
     (c_bar, 1), and be strictly increasing in both coordinates.  A first
     knot c0 within 1e-15 above 0 extends the atom: G = G(c0) on [0, c0).
-    The knots are checked on construction; `validate(c_bar)` checks that the
-    last one lies within 1e-12 of c_bar.
+    The knots are checked on construction and stored as Python floats;
+    `validate(c_bar)` checks that the last one lies within 1e-12 of c_bar.
     """
 
     kind: str = "uniform"
@@ -73,6 +73,7 @@ class MarginDistribution:
             for c, g in self.knots:
                 _require_finite("table CDF knot position", c)
                 _require_finite("table CDF knot value", g)
+            object.__setattr__(self, "knots", tuple((float(c), float(g)) for c, g in self.knots))
             cs = tuple(k[0] for k in self.knots)
             gs = tuple(k[1] for k in self.knots)
             if abs(cs[0]) > 1e-15 or not (0.0 <= gs[0] < 1.0):
@@ -351,19 +352,27 @@ def solve_premium(p: TwoLayerParams) -> PremiumSolution:
     return PremiumSolution("c_stress", rho, d0, dmax, slack)
 
 
-def _premium_at(p: TwoLayerParams, theta: float) -> Tuple[str, Optional[float]]:
+def _cdf_ends(p: TwoLayerParams) -> Tuple[float, float]:
+    """G at the CDF arguments of demand at rho = 0 and at rho = z (z/psi and
+    0), which no core share changes: the `ends` of `_premium_at`."""
+    return p.dist.cdf(p.z / p.psi, p.c_bar), p.dist.cdf(0.0, p.c_bar)
+
+
+def _premium_at(p: TwoLayerParams, theta: float,
+                ends: Tuple[float, float]) -> Tuple[str, Optional[float]]:
     """(case, rho) of `solve_premium(p.with_theta(theta))`, theta in [0, 1],
-    with its arithmetic but no object built and no check run."""
-    dist, z, psi, c_bar, phi_req = p.dist, p.z, p.psi, p.c_bar, p.phi_req
-    # demand at rho = 0 and at rho = z, whose CDF arguments are z/psi and 0
-    slack = theta + (1.0 - theta) * (1.0 - dist.cdf(z / psi, c_bar)) - phi_req
+    with its arithmetic but no object built and no check run; `ends` is
+    `_cdf_ends(p)`."""
+    z, psi, c_bar, phi_req = p.z, p.psi, p.c_bar, p.phi_req
+    q_zero, q_top = ends
+    slack = theta + (1.0 - theta) * (1.0 - q_zero) - phi_req
     if slack > 0.0:
         return "a_interior", 0.0
     if slack == 0.0:
         return "b_boundary", 0.0
-    if phi_req > theta + (1.0 - theta) * (1.0 - dist.cdf(0.0, c_bar)):
+    if phi_req > theta + (1.0 - theta) * (1.0 - q_top):
         return "d_hard_failure", None
-    if dist.kind == "uniform":
+    if p.dist.kind == "uniform":
         rho = z - psi * c_bar * (1.0 - (phi_req - theta) / (1.0 - theta))
         return "c_stress", min(max(rho, 0.0), z)
     return "c_stress", _segment_rho(p, theta)
@@ -386,9 +395,9 @@ def _premium_on_grid(p: TwoLayerParams, thetas: np.ndarray,
     Returned with the case-c mask (`.case == "c_stress"` per element)."""
     import numpy as np
 
-    z = np.broadcast_to(z, thetas.shape)
-    d0 = _demand_on_grid(0.0, thetas, z, p)
+    d0 = _demand_on_grid(0.0, thetas, z, p)  # one CDF value where z is one value
     dmax = _demand_on_grid(z, thetas, z, p)
+    z = np.broadcast_to(z, thetas.shape)
     slack = d0 - p.phi_req
     zero = (slack > 0.0) | (slack == 0.0)  # cases a and b
     failed = ~zero & (p.phi_req > dmax)  # case d
@@ -426,13 +435,13 @@ def _core_drift(rho: np.ndarray, law: ThetaLaw, pi: float, r_rep: float) -> np.n
     return np.where(np.isnan(rho), -law.kappa_theta, gamma - law.kappa_theta)
 
 
-def _core_drift_at(p: TwoLayerParams, theta: float, law: ThetaLaw, pi: float,
-                   r_rep: float) -> float:
+def _core_drift_at(p: TwoLayerParams, theta: float, ends: Tuple[float, float],
+                   law: ThetaLaw, pi: float, r_rep: float) -> float:
     """gamma(pi - r_rep - rho) - kappa at the premium rho of p at core share
-    theta in [0, 1], the scalar form of `_core_drift` (which serves the
-    scan's grid and the Monte Carlo DGP); maintenance is off (drift -kappa)
-    in hard failure."""
-    rho = _premium_at(p, theta)[1]
+    theta in [0, 1] (`ends` is `_cdf_ends(p)`), the scalar form of
+    `_core_drift` (which serves the scan's grid and the Monte Carlo DGP);
+    maintenance is off (drift -kappa) in hard failure."""
+    rho = _premium_at(p, theta, ends)[1]
     if rho is None:
         return -law.kappa_theta
     return gamma_theta(law, pi - r_rep - rho) - law.kappa_theta
@@ -538,10 +547,11 @@ def monotone_path(
     r_rep = econ.r_n if r_rep is None else r_rep
     _require_finite("r_rep", r_rep)
     theta = p.theta
+    ends = _cdf_ends(p)
     periods: List[dict] = []
     first_case_c = first_eta_ge_1 = None
     for t in range(horizon):
-        case, rho = _premium_at(p, theta)
+        case, rho = _premium_at(p, theta, ends)
         if rho is None:
             rho = eps = math.nan
         else:
@@ -701,8 +711,10 @@ def fixed_point_scan(
     if grid < 1000:
         raise DomainError("grid must be >= 1000 points")
 
+    ends = _cdf_ends(p)
+
     def G(theta: float) -> float:
-        return _core_drift_at(p, theta, law, pi, r_rep)
+        return _core_drift_at(p, theta, ends, law, pi, r_rep)
 
     n = grid
     vals = _core_drift(_premium_on_grid(p, np.arange(n + 1) / n, p.z)[0], law, pi, r_rep)
@@ -754,7 +766,7 @@ def fixed_point_scan(
     h = 1.0 / n
     results = []
     for r in roots:
-        kind = "safe" if _premium_at(p, r)[1] == 0.0 else "stress"
+        kind = "safe" if _premium_at(p, r, ends)[1] == 0.0 else "stress"
         lo = max(0.0, r - h)
         hi = min(1.0, r + h)
         phi_lo = min(1.0, max(0.0, lo + G(lo)))

@@ -206,13 +206,17 @@ def _solve(a: List[List[float]], b: List[float]) -> Optional[List[float]]:
     n = len(b)
     m = [row + [v] for row, v in zip(a, b)]
     for c in range(n):
-        p = max(range(c, n), key=lambda r: abs(m[r][c]))
-        if m[p][c] == 0.0:
+        p, big = c, abs(m[c][c])
+        for r in range(c + 1, n):
+            if abs(m[r][c]) > big:
+                p, big = r, abs(m[r][c])
+        if big == 0.0:
             return None
         m[c], m[p] = m[p], m[c]
+        piv, tail = m[c][c], m[c][c + 1:]
         for r in range(c + 1, n):
-            f = m[r][c] / m[c][c]
-            m[r][c + 1:] = [u - f * w for u, w in zip(m[r][c + 1:], m[c][c + 1:])]
+            f = m[r][c] / piv
+            m[r][c + 1:] = [u - f * w for u, w in zip(m[r][c + 1:], tail)]
     x = [0.0] * n
     for c in range(n - 1, -1, -1):
         v = m[c][n]
@@ -300,37 +304,26 @@ def allocate(problem: AllocationProblem, grid_resolution: int = 40) -> dict:
 def allocate_ascent(problem: AllocationProblem) -> dict:
     """Exact solution by face enumeration (the J > 3 path of `allocate`).
 
-    A maximiser lies in the relative interior of a face of the feasible set
-    whose stationarity system is nonsingular, and it is x = 0 or has the
-    budget tight: H (the symmetric gamma) is zero-diagonal, so a
-    nonsingular slack system H_SS x_S = -mu_S has |S| >= 2 and a trace-0
-    H_SS with a positive eigenvalue, and its solution with every x_S > 0 is
-    a saddle.  From the incumbent x = 0, the supports S are walked by size,
-    then in `itertools.combinations` order; each solves the budget-tight
-    system [[H_SS, -1], [1, 0]] [x_S; lam] = [-mu_S; budget].  A solution
-    with every x_S >= 0 replaces the incumbent only if it improves the
-    objective by more than 1e-15, so ties go to the first face in the walk.
-    There are 2^J - 1 systems, so J is capped at 12, and an objective that
-    is not finite at a solution raises `DomainError`.
-
-    A walk that also solved the slack systems gives the same result but for
-    rounding: at a slack solution the objective, linear in each x_j, has
-    zero slope in every x_j of S, so setting one to 0 keeps its value, and
-    the smaller faces, walked first, reach at least that value.  A slack
-    solution could still win the tie where its rounded objective passes an
-    incumbent that sits almost 1e-15 below that value; the tests keep the
-    two-system walk and find no such case.
+    From the incumbent x = 0, the supports S are walked by size, then in
+    `itertools.combinations` order; each solves the budget-tight system
+    [[H_SS, -1], [1, 0]] [x_S; lam] = [-mu_S; budget], H the symmetric
+    gamma.  A solution with every x_S >= 0 replaces the incumbent only if it
+    improves the objective by more than 1e-15, so ties go to the first face
+    in the walk.  There are 2^J - 1 systems, so J is capped at 12, and an
+    objective that is not finite at a solution raises `DomainError`.
     """
     import numpy as np
 
     J, g, budget = problem.n_sectors, problem.gamma_jk, problem.budget
     if J > 12:
         raise DomainError(f"allocate_ascent solves at most 12 sectors, got {J}")
+    sym = [[g[min(j, k)][max(j, k)] for k in range(J)] for j in range(J)]
+    neg_mu = [-m for m in problem.mu_j]
     best_x = [0.0] * J
     best = problem.objective(best_x)
     for S in chain.from_iterable(combinations(range(J), n) for n in range(1, J + 1)):
-        H = [[g[min(j, k)][max(j, k)] for k in S] + [-1.0] for j in S]
-        sol = _solve(H + [[1.0] * len(S) + [0.0]], [-problem.mu_j[j] for j in S] + [budget])
+        H = [[sym[j][k] for k in S] + [-1.0] for j in S]
+        sol = _solve(H + [[1.0] * len(S) + [0.0]], [neg_mu[j] for j in S] + [budget])
         if sol is None or not all(v >= 0.0 for v in sol[:-1]):  # sol[-1] is lam
             continue
         at = dict(zip(S, sol))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from debtregime.closure import (
     _abs_drho_dtheta,
+    _cdf_ends,
     _demand_on_grid,
     _premium_at,
     _premium_on_grid,
@@ -140,10 +141,11 @@ class TestSolvePremium:
         assert abs(demand_at(rho, p) - p.phi_req) <= 2 * math.ulp(1.0)
 
     def test_segment_solve_scope_and_python_floats(self):
-        # numpy knot values stay out of the result; outside case c the
-        # solver refuses, as the bisection did
+        # numpy knot values (from np.linspace) are stored as Python floats
+        # and stay out of the result; outside case c the solver refuses, as
+        # the bisection did
         p = TwoLayerParams(z=0.03, phi_req=0.9, dist=table_from_power(0.06, 0.8))
-        assert isinstance(p.dist.knots[1][0], np.float64)
+        assert all(type(v) is float for knot in p.dist.knots for v in knot)
         rho = solve_premium_bisection(p)
         assert type(rho) is float and type(solve_premium(p).rho) is float
         assert abs(demand_at(rho, p) - p.phi_req) <= 2 * math.ulp(1.0)
@@ -672,6 +674,15 @@ class TestPremiumOnGrid:
         assert repr(got) == repr(_reference_rho(p, thetas.tolist(), zs.tolist()))
 
     @pytest.mark.parametrize("p", GRID_STATES)
+    def test_one_spread_equals_the_spread_per_element(self, p):
+        # a scalar spread computes demand's CDF once; the bytes of rho and
+        # of the mask are those of the same spread given per element
+        thetas = np.arange(2001) / 2000
+        one = _premium_on_grid(p, thetas, p.z)
+        each = _premium_on_grid(p, thetas, np.full_like(thetas, p.z))
+        assert [a.tobytes() for a in one] == [a.tobytes() for a in each]
+
+    @pytest.mark.parametrize("p", GRID_STATES)
     def test_case_c_mask_matches_solve_premium(self, p):
         thetas = np.arange(2001) / 2000
         for zs in (p.z, _spreads(p, thetas.size)):
@@ -761,9 +772,10 @@ def test_premium_kernel_equals_solve_premium(p):
         thetas += [b, math.nextafter(b, 0.0), math.nextafter(b, 1.0)]
     knots = _knot_thetas(p)
     assert knots or p.phi_req == 1.0  # then G* = 0 for every theta < 1
+    ends = _cdf_ends(p)
     for t in thetas + knots:
         sol = solve_premium(p.with_theta(t))
-        assert repr(_premium_at(p, t)) == repr((sol.case, sol.rho)), t
+        assert repr(_premium_at(p, t, ends)) == repr((sol.case, sol.rho)), t
 
 
 def test_premium_kernel_states_reach_every_branch():
@@ -772,7 +784,7 @@ def test_premium_kernel_states_reach_every_branch():
     seen = set()
     for p in GRID_STATES:
         for t in (np.arange(401) / 400).tolist() + _knot_thetas(p):
-            case, rho = _premium_at(p, t)
+            case, rho = _premium_at(p, t, _cdf_ends(p))
             if case == "c_stress" and p.dist.kind == "table":
                 demand = demand_at(rho, p.with_theta(t))
                 case = "root" if abs(demand - p.phi_req) <= 1e-12 else "upper_end"
@@ -796,9 +808,9 @@ def test_unchecked_step_equals_theta_step(law):
 # boundary theta = 1), recorded with Python 3.11 and numpy 2.4.6
 TABLE_PATH_SCAN_SHA256 = {
     4: ("45896838d6f80a1653134fe9ca88532b1e9f9d585d9e35f97d2b658f45d243ca",
-        "8ac5a244e96c2ae9e00e1ee41fa1bae0ffcfedef35dca18e695182e7cc346d6d"),
+        "23d01f5b67df85c76f0585971284227a5b174f771bda199bbd4b90c72699d269"),
     5: ("e75032b0826d12ee90125d6864acb4d4bc7b9beaf599f9a6201012f701bb013e",
-        "4842702a8dec99c093c163189273e42636eca541b1e0a763c8eb0714ca919957"),
+        "bd84830b82884b9bec2f083369fdd32724f733d62a34519a21fff0564a0ecb7e"),
     6: ("5bc97b9ac79d16d88a61dd0ef90082e12fbc7007735f091664db644d850b1f06",
         "ca5785f9ffefd4f77ff4baa5a093c0a314f3929d7ef5e8a5b7682941d0dd307d"),
     7: ("b4a1c796b58f4b97b149e3038b2547a2fdaf9a6dc92f04997c27ea9bbe58dba4",
@@ -825,6 +837,26 @@ def test_table_margin_path_and_scan_agree_with_interval_bisection(i):
                             grid=1000, sigma=0.001)
     assert [pt["type"] for pt in scan["fixed_points"]] == ["stress", "safe"]
     assert all(pt["residual"] <= 1e-12 for pt in scan["fixed_points"])
+
+
+@pytest.mark.parametrize("i", [4, 5])
+def test_numpy_and_python_float_knots_give_the_same_results(i):
+    # the knots of states 4 and 5 come from np.linspace; as Python floats
+    # every path, scan and solution keeps its repr
+    knots = GRID_STATES[i].dist.knots
+    p, q = (replace(GRID_STATES[i], dist=MarginDistribution(
+        kind="table", knots=tuple((cast(c), cast(g)) for c, g in knots)))
+        for cast in (np.float64, float))
+    assert all(type(v) is float for knot in p.dist.knots for v in knot)
+    for t in (0.95, 0.3):
+        for law in (ThetaLaw(kappa_theta=0.01, g0=0.5), ThetaLaw(kappa_theta=0.002, g0=0.5)):
+            assert (repr(monotone_path(p.with_theta(t), law, ECON, 50))
+                    == repr(monotone_path(q.with_theta(t), law, ECON, 50)))
+    for sigma in (0.0, 0.001, 0.05):
+        law = ThetaLaw(kappa_theta=0.002, g0=0.5)
+        assert (repr(fixed_point_scan(p, law, 0.03, 0.01, grid=1000, sigma=sigma))
+                == repr(fixed_point_scan(q, law, 0.03, 0.01, grid=1000, sigma=sigma)))
+    assert repr(solve_premium(p)) == repr(solve_premium(q))
 
 
 @pytest.mark.parametrize("i", sorted(TABLE_PATH_SCAN_SHA256))

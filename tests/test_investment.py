@@ -462,11 +462,48 @@ class TestAscentEqualsNumpyOracle:
         assert all(type(v) is float for v in problem.mu_j + sum(problem.gamma_jk, ()))
 
 
+def _oracle_solve(a, b):
+    """`investment._solve` before it hoisted the pivot row: Gaussian
+    elimination on Python floats, pivoting on the first row of largest
+    |entry| (found by `max`), None when a pivot is zero; kept as the
+    exact-equality oracle of the elimination."""
+    n = len(b)
+    m = [row + [v] for row, v in zip(a, b)]
+    for c in range(n):
+        p = max(range(c, n), key=lambda r: abs(m[r][c]))
+        if m[p][c] == 0.0:
+            return None
+        m[c], m[p] = m[p], m[c]
+        for r in range(c + 1, n):
+            f = m[r][c] / m[c][c]
+            m[r][c + 1:] = [u - f * w for u, w in zip(m[r][c + 1:], m[c][c + 1:])]
+    x = [0.0] * n
+    for c in range(n - 1, -1, -1):
+        v = m[c][n]
+        for k in range(c + 1, n):
+            v -= m[c][k] * x[k]
+        x[c] = v / m[c][c]
+    return x
+
+
 def two_system_walk(problem):
     """`allocate_ascent` as it was before it dropped the budget-slack
     systems: each support solves H_SS x_S = -mu_S (kept if every x_S >= 0
     and `math.fsum(x) <= budget`) and then the budget-tight system, kept as
-    the oracle that no slack solution decides a result."""
+    the oracle that no slack solution decides a result.
+
+    That a walk over the budget-tight systems alone gives the same result
+    but for rounding: a maximiser lies in the relative interior of a face
+    whose stationarity system is nonsingular, and it is x = 0 or has the
+    budget tight.  H (the symmetric gamma) is zero-diagonal, so a
+    nonsingular slack system has |S| >= 2 and a trace-0 H_SS with a
+    positive eigenvalue, and its solution with every x_S > 0 is a saddle:
+    the objective, linear in each x_j, has zero slope in every x_j of S
+    there, so setting one to 0 keeps its value, and the smaller faces,
+    walked first, reach at least that value.  A slack solution could still
+    win the tie where its rounded objective passes an incumbent that sits
+    almost 1e-15 below that value; the tests below find no such case.
+    """
     J, g, budget = problem.n_sectors, problem.gamma_jk, problem.budget
     best_x = [0.0] * J
     best = problem.objective(best_x)
@@ -474,8 +511,9 @@ def two_system_walk(problem):
         for S in itertools.combinations(range(J), n):
             H = [[g[min(j, k)][max(j, k)] for k in S] for j in S]
             rhs = [-problem.mu_j[j] for j in S]
-            slack = _solve(H, rhs)
-            tight = _solve([row + [-1.0] for row in H] + [[1.0] * n + [0.0]], rhs + [budget])
+            slack = _oracle_solve(H, rhs)
+            tight = _oracle_solve([row + [-1.0] for row in H] + [[1.0] * n + [0.0]],
+                                  rhs + [budget])
             for sol, cap in ((slack, budget), (tight and tight[:-1], math.inf)):
                 if sol is None or not all(v >= 0.0 for v in sol) or math.fsum(sol) > cap:
                     continue
@@ -509,6 +547,45 @@ def bench_allocation_problems(seed=1):
     wl = workloads.ClosureSolvers(dr, seed, False, None)
     return [args[0] for specs in wl.rounds for _, module, _, args, _ in specs
             if module == "investment"]
+
+
+class TestSolveEqualsOracle:
+    @pytest.mark.parametrize("J", range(1, 9))
+    def test_repr_equal_on_slack_and_bordered_systems(self, J):
+        # symmetric zero-diagonal H as the face walk builds it, alone (the
+        # slack system) and bordered by the budget row; entries drawn from a
+        # few values so |pivot| ties, zero pivots and -0.0 come up often
+        rng = np.random.default_rng(8100 + J)
+        values = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]
+
+        def draw(n):
+            return float(rng.choice(values) if n % 2 else rng.uniform(-2.0, 2.0))
+
+        seen = set()
+        for n in range(300):
+            H = [[0.0] * J for _ in range(J)]
+            for j in range(J):
+                for k in range(j + 1, J):
+                    H[j][k] = H[k][j] = draw(n)
+            rhs = [draw(n) for _ in range(J)]
+            for a, b in ((H, rhs), ([row + [-1.0] for row in H] + [[1.0] * J + [0.0]],
+                                    rhs + [draw(n)])):
+                want = _oracle_solve(a, b)
+                assert repr(_solve(a, b)) == repr(want), (a, b)
+                seen.add(want is None)
+                col = [abs(row[0]) for row in a]
+                if col.count(max(col)) > 1:
+                    seen.add("tie")
+        assert seen == ({True, False, "tie"} if J > 1 else {True, False})
+
+    def test_zero_pivot_and_signed_zeros(self):
+        # a zero pivot, also one left by the elimination, gives None; a tie
+        # pivots on the first row, and signed zeros come out as the oracle's
+        for a, b in (([[0.0]], [1.0]), ([[-0.0, 1.0], [0.0, 1.0]], [1.0, 1.0]),
+                     ([[1.0, -1.0], [-1.0, 1.0]], [1.0, -0.0])):
+            assert _solve(a, b) is None and _oracle_solve(a, b) is None
+        a, b = [[2.0, -0.0], [-2.0, 1.0]], [-0.0, -0.0]
+        assert repr(_solve(a, b)) == repr(_oracle_solve(a, b)) == "[-0.0, -0.0]"
 
 
 class TestExactAllocation:

@@ -7,7 +7,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from debtregime.closure import ThetaLaw, TwoLayerParams, _core_drift_at, solve_premium
+from debtregime.closure import (
+    ThetaLaw,
+    TwoLayerParams,
+    _cdf_ends,
+    _core_drift_at,
+    solve_premium,
+)
 from debtregime.errors import ConfigError, DomainError
 from debtregime.inference import (
     PE_LABELS,
@@ -420,7 +426,8 @@ def _simulate_reference(cfg, rep):
         theta[t] = theta_t
         z[t] = z_t
         if cfg.g0 > 0.0 or cfg.kappa_theta > 0.0:
-            drift = _core_drift_at(replace(base, z=z_t), theta_t, law, cfg.pi, cfg.r_rep)
+            p_t = replace(base, z=z_t)
+            drift = _core_drift_at(p_t, theta_t, _cdf_ends(p_t), law, cfg.pi, cfg.r_rep)
         else:
             drift = 0.0
         u = cfg.rho_theta * u + eta_theta[t]
