@@ -4,9 +4,8 @@ each artifact, write its CSV and print a summary.
 Subcommands: scenario, clock, bounds, closure, transition, infer, mc,
 tables.  `closure --sweep NAME` emits the stress grid over the built-in
 `stress_v2` rows or a scenario file's `sweep.NAME.*` rows.  Global flags:
---config, --seed, --out, --threads (accepted for compatibility; the
-engine runs batched on one thread).  Exit codes: 0 success, 1 usage,
-2 configuration, 3 numeric/domain.
+--config, --seed, --out.  Exit codes: 0 success, 1 usage, 2 configuration,
+3 numeric/domain.
 """
 
 from __future__ import annotations
@@ -55,10 +54,6 @@ def _build_parser() -> _Parser:
     parser.add_argument("--config", default=None, help="scenario file path")
     parser.add_argument("--seed", type=int, default=42, help="seed in [0, 2**64)")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument(
-        "--threads", type=int, default=1,
-        help="accepted for compatibility; the engine runs batched on one thread",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("scenario", help="full single-scenario report")

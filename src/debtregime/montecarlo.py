@@ -29,7 +29,7 @@ period] arrays:
 - the integer counts of the 0/1 outcome indicators of those codes.
 A rate is the summed counts over `n_reps`, so it is exact whatever the
 block split.  The transition experiment's mean tier-2 width is summed in
-replication order.  `threads` is accepted and has no effect.
+replication order.  `threads` has no effect (`bench/workloads.py` passes it).
 """
 
 from __future__ import annotations
@@ -435,8 +435,8 @@ def run_mc_pe(cfg: MCConfig, threads: int = 1) -> dict:
     methods appear once per entry of the block grid.  The replications run
     in blocks of at most `_BLOCK_REPS`, each adding its integer outcome
     counts; a rate is the total count over `n_reps`, so it is exact whatever
-    the block split.  `threads` is accepted for compatibility and has no
-    effect.
+    the block split.  `threads` has no effect (`bench/workloads.py` passes
+    it).
     """
     # [horizon, block length, method, metric] rates
     rates = sum(_pe_counts(cfg, reps) for reps in _rep_blocks(cfg.n_reps)) / cfg.n_reps * 100.0
@@ -508,8 +508,8 @@ def run_mc_tf(
     width is reported in basis points.  The replications run in blocks of
     at most `_BLOCK_REPS`: a rate is the blocks' total outcome count over
     `n_reps`, and the mean width sums every replication's width in
-    replication order across the blocks.  `threads` is accepted for
-    compatibility and has no effect.
+    replication order across the blocks.  `threads` has no effect
+    (`bench/workloads.py` passes it).
     """
     rho_bars = list(rho_bar_list)
     if not rho_bars or not all(math.isfinite(r) and r >= 0.0 for r in rho_bars):

@@ -586,6 +586,15 @@ def test_deleted_fiscal_keys_are_unknown(tmp_path, monkeypatch, capsys, key):
         assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv", [["--threads", "8"], ["--threads=8"]])
+def test_removed_threads_option_is_a_usage_error(tmp_path, monkeypatch, argv):
+    # `--threads` changed no run and was deleted; the spaced form leaves `8`
+    # where the command belongs, the joined form is an unrecognized argument
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv + ["--out", "o", "scenario"]) == 1
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("argv", [["scenario"], ["closure"], ["tables", "--only", "calibration"]])
 def test_negative_fiscal_gamma_fails_at_load(tmp_path, monkeypatch, capsys, argv):
     # the paradox test's slope: the rule ran in a view that no command needs,

@@ -1,9 +1,10 @@
 """README's examples run as documented: the library quick start executes and
 prints what its comments say, the example scenario file loads through
 `load_scenario`, the optional keys it names are the schema's, every
-`section.key` it names is a schema key, and its CLI usage line names the
-parser's global options."""
+`section.key` it names is a schema key, its CLI usage line names the
+parser's global options, and every `--flag` it names is a parser option."""
 
+import argparse
 import contextlib
 import io
 import re
@@ -76,6 +77,17 @@ def test_usage_line_names_every_global_option():
     flags = [s for a in _build_parser()._actions for s in a.option_strings
              if s.startswith("--") and s != "--help"]
     assert documented == flags
+
+
+def test_every_flag_named_is_a_parser_option():
+    # a flag deleted from the parser cannot survive in the docs
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {s for p in [parser, *sub.choices.values()] for a in p._actions
+               for s in a.option_strings}
+    named = {flag for span in re.findall(r"`([^`\n]+)`", _text())
+             for flag in re.findall(r"(?<![\w-])--[\w-]+", span)}
+    assert named and named <= options, sorted(named - options)
 
 
 def test_every_key_named_is_a_schema_key():
