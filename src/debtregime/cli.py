@@ -20,7 +20,7 @@ from .errors import ConfigError, DomainError, EngineError
 from .extensions import clock
 from .inference import classify, detrend_local_linear, subsample_critical_value
 from .investment import compute_bounds
-from .scenario import Scenario, load_scenario, load_series_csv
+from .scenario import Scenario, _check_seed, load_scenario, load_series_csv
 from .tables import (
     TABLE_IDS,
     TableArtifact,
@@ -39,6 +39,10 @@ EXIT_NUMERIC = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    # one spelling per option: no unique-prefix matching, in the subcommands too
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse exits 2 on usage errors; the contract here is exit 1
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -256,6 +260,7 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
+        _check_seed(args.seed)
         scenario = load_scenario(args.config)
         return _COMMANDS[args.command](scenario, args)
     except ConfigError as exc:

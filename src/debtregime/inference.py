@@ -291,8 +291,8 @@ def trend_growth_estimate(
 ) -> float:
     """Annualized log-linear trend growth over the trailing window.
 
-    OLS slope of log(GDP) on the quarter index, times 4.  Requires strictly
-    positive values and an integer window of at least 8 quarters.
+    OLS slope of log(GDP) on the quarter index, times 4.  Requires finite,
+    strictly positive values and an integer window of at least 8 quarters.
     """
     import numpy as np
 
@@ -305,6 +305,8 @@ def trend_growth_estimate(
             f"series length {len(y)} shorter than window {window_quarters}"
         )
     tail = y[-window_quarters:]
+    if not np.isfinite(tail).all():
+        raise EstimationError("GDP window contains non-finite values")
     if np.any(tail <= 0):
         raise DomainError("GDP values must be strictly positive")
     _, slope = _line_fit(np.arange(window_quarters, dtype=float), np.log(tail))

@@ -43,7 +43,6 @@ import numpy as np
 
 from .closure import MarginDistribution, ThetaLaw, TwoLayerParams
 from .closure import _core_drift, _demand_on_grid, _premium_on_grid
-from .errors import DomainError
 from .inference import (
     PE_LABELS,
     TF_LABELS,
@@ -82,6 +81,8 @@ TF_METHODS = (
 
 
 _BLOCK_REPS = 1024  # replications per block: bounds every stage's memory
+
+_RHO_BARS = (0.0, 0.005, 0.01)  # the transition experiment's premium bounds: 0, 0.5, 1 pp
 
 
 @dataclass(frozen=True)
@@ -256,15 +257,14 @@ def _pe_scores(theta: np.ndarray, z: np.ndarray, p: TwoLayerParams) -> np.ndarra
     return _demand_on_grid(0.0, theta, z, p) - p.phi_req
 
 
-def simulate_pe_paths(cfg: MCConfig, rep: Union[int, Sequence[int]]) -> dict:
-    """Replications of the premium-emergence DGP, run in lockstep.
+def simulate_pe_paths(cfg: MCConfig, reps: Sequence[int]) -> dict:
+    """Replications `reps` of the premium-emergence DGP, run in lockstep.
 
     Returns the true core and spread paths, the noisy observed core, and the
-    true per-period boundary scores.  An int `rep` gives `[T]` arrays; a
-    sequence of reps gives `[R, T]` arrays whose row i is replication
-    rep[i], bit for bit the same as the int call.  Each replication draws
-    its shocks from its own stream.  The three AR(1) states (spread, stress,
-    core innovation u) advance together through `_ar1`.  On the reduced-form
+    true per-period boundary scores as `[R, T]` arrays, row i holding
+    replication reps[i].  Each replication draws its shocks from its own
+    stream.  The three AR(1) states (spread, stress, core innovation u)
+    advance together through `_ar1`.  On the reduced-form
     branch (g0 = kappa = 0) the core share is the walk
     theta0 + u[0] + u[1] + ..., one cumulative sum over the periods that
     adds in the recursion's left-to-right order, so it equals the recursion
@@ -279,8 +279,7 @@ def simulate_pe_paths(cfg: MCConfig, rep: Union[int, Sequence[int]]) -> dict:
     consumed, so the call's peak memory stays under twice the size of the
     arrays it returns.
     """
-    single = np.ndim(rep) == 0
-    shocks, e_stress, obs_noise = _pe_draws(cfg, [rep] if single else rep)
+    shocks, e_stress, obs_noise = _pe_draws(cfg, reps)
     # the stress shifts overwrite their uniform draws
     e_stress[:] = np.where(e_stress < cfg.stress_prob, cfg.stress_size, 0.0)
     law = ThetaLaw(kappa_theta=cfg.kappa_theta, g0=cfg.g0, eps_cap=cfg.eps_cap)
@@ -313,9 +312,8 @@ def simulate_pe_paths(cfg: MCConfig, rep: Union[int, Sequence[int]]) -> dict:
     theta, z = np.ascontiguousarray(theta.T), np.ascontiguousarray(z.T)
     theta_obs = np.clip(theta + obs_noise, 0.0, 1.0)
     del obs_noise
-    paths = {"theta": theta, "z": z, "theta_obs": theta_obs,
-             "true_scores": _pe_scores(theta, z, base)}
-    return {k: a[0] for k, a in paths.items()} if single else paths
+    return {"theta": theta, "z": z, "theta_obs": theta_obs,
+            "true_scores": _pe_scores(theta, z, base)}
 
 
 def _horizon_indices(cfg: MCConfig) -> List[int]:
@@ -495,12 +493,8 @@ def _tf_counts(cfg: MCConfig, rho: np.ndarray, reps: range) -> Tuple[np.ndarray,
     return _outcomes(codes, truth_feasible, (0, 1, 2)).sum(axis=2), up2_q - lo2_q
 
 
-def run_mc_tf(
-    cfg: MCConfig,
-    rho_bar_list: Sequence[float] = (0.0, 0.005, 0.01),
-    threads: int = 1,
-) -> dict:
-    """Transition-feasibility classifier comparison across premium bounds.
+def run_mc_tf(cfg: MCConfig, threads: int = 1) -> dict:
+    """Transition-feasibility classifier comparison at the premium bounds `_RHO_BARS`.
 
     The true debt concept is drawn uniformly between the monitoring and
     baseline readings each replication; tier 1 reads the baseline concept
@@ -511,11 +505,7 @@ def run_mc_tf(
     replication order across the blocks.  `threads` has no effect
     (`bench/workloads.py` passes it).
     """
-    rho_bars = list(rho_bar_list)
-    if not rho_bars or not all(math.isfinite(r) and r >= 0.0 for r in rho_bars):
-        raise DomainError(f"rho_bar_list must hold premium bounds, each finite and "
-                          f">= 0, got {rho_bar_list!r}")
-    rho = np.array(rho_bars, dtype=float)[:, None, None]
+    rho = np.array(_RHO_BARS)[:, None, None]
     counts, widths = zip(*(_tf_counts(cfg, rho, reps) for reps in _rep_blocks(cfg.n_reps)))
     # [method, bound, metric] rates
     rates = sum(counts) / cfg.n_reps * 100.0
@@ -523,7 +513,7 @@ def run_mc_tf(
     # totals would round differently)
     width_bp = np.cumsum(np.concatenate(widths, axis=1), axis=1)[:, -1] / cfg.n_reps * 1e4
     rows = []
-    for ri, rho_bar in enumerate(rho_bars):
+    for ri, rho_bar in enumerate(_RHO_BARS):
         for mi, method in enumerate(TF_METHODS):
             ff, fi, cov, marg = rates[mi, ri]
             rows.append({"rho_bar": rho_bar, "method": method, "false_feasible": ff,

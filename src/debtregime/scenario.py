@@ -88,7 +88,6 @@ _SCHEMA: Dict[str, Tuple[object, str]] = {
     "transition.m": (0.0, "rate"),
     "transition.T_invest": (2.0, "num"),
     "transition.x_max_label": (0.16, "num"),
-    "transition.mu_lo": (0.02, "rate"),
     "transition.mu_hi": (0.08, "rate"),
     # inference bands
     "inference.window_h": (24, "int"),
@@ -149,6 +148,12 @@ def _horizon_index(h_yr: float) -> int:
     return int(round(h_yr * 4.0)) - 1
 
 
+def _check_seed(seed: int) -> None:
+    """The seed rule of every command and of `MCConfig`: [0, 2**64)."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
+
+
 def _check_mc_fields(cfg: Dict[str, object],
                      where: Callable[[str], str] = lambda name: "") -> None:
     """`MCConfig`'s field rules on `cfg`, its fields by name (the seed may
@@ -174,8 +179,8 @@ def _check_mc_fields(cfg: Dict[str, object],
         for name in ("kappa_theta", "g0", "eps_cap"):
             ThetaLaw(**{name: cfg[name]})
         name = "seed"
-        if name in cfg and not 0 <= cfg[name] < 2**64:
-            raise ConfigError(f"seed must lie in [0, 2**64), got {cfg[name]}")
+        if name in cfg:
+            _check_seed(cfg[name])
         name = "n_reps"
         if cfg[name] < 1:
             raise DomainError("n_reps must be >= 1")

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from .closure import TwoLayerParams, solve_premium
 from .core import EconState, _require_finite
@@ -136,21 +136,18 @@ def joint_feasibility(spec: TransitionSpec, delta_g_min: float) -> dict:
     }
 
 
-def feasibility_label(
-    delta_g_min: float, mu_range: Tuple[float, float], x_max: float
-) -> str:
+def feasibility_label(delta_g_min: float, mu_hi: float, x_max: float) -> str:
     """Qualitative feasibility of a required growth improvement.
 
     required mu = delta_g_min/x_max; Conditional at <= 0.05, Tight at
-    <= 0.07, Unlikely up to the top of the supplied efficiency range,
-    Infeasible beyond it, when the envelope is closed, or at delta_g_min = inf.
+    <= 0.07, Unlikely up to the top of the efficiency range `mu_hi` in
+    (0, 1), Infeasible beyond it, when the envelope is closed, or at inf.
     """
     if delta_g_min != math.inf:
         _require_finite("delta_g_min", delta_g_min)
     _require_finite("x_max", x_max)
-    lo, hi = mu_range
-    if not (0 < lo <= hi < 1):
-        raise DomainError("mu_range must satisfy 0 < lo <= hi < 1")
+    if not 0 < mu_hi < 1:
+        raise DomainError(f"mu_hi must lie in (0, 1), got {mu_hi}")
     if x_max <= 0:
         return "Infeasible"
     required_mu = delta_g_min / x_max
@@ -158,6 +155,6 @@ def feasibility_label(
         return "Conditional"
     if required_mu <= _MU_TIGHT:
         return "Tight"
-    if required_mu <= hi:
+    if required_mu <= mu_hi:
         return "Unlikely"
     return "Infeasible"

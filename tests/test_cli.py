@@ -70,10 +70,13 @@ class TestExitCodes:
         assert not (tmp_path / "o" / csv).exists()
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
-    @pytest.mark.parametrize("command", ["mc", "tables"])
+    @pytest.mark.parametrize("command", ["mc", "tables", "clock", "tables_only"])
     def test_seed_outside_64_bits_is_exit_2(self, tmp_path, seed, command):
-        # `_rep_rng` masks the key to 64 bits: 2**64 would give seed 0's rows
-        res = run([f"--seed={seed}", "--out", "o", command, "--reps", "4"], tmp_path)
+        # `_rep_rng` masks the key to 64 bits: 2**64 would give seed 0's rows;
+        # the other commands wrote the bad seed into `# seed:`
+        argv = {"mc": ["mc", "--reps", "4"], "tables": ["tables", "--reps", "4"],
+                "clock": ["clock"], "tables_only": ["tables", "--only", "calibration"]}
+        res = run([f"--seed={seed}", "--out", "o"] + argv[command], tmp_path)
         assert res.returncode == 2
         assert "seed must lie in [0, 2**64)" in res.stderr
         assert not (tmp_path / "o").exists()  # `tables` writes none of its CSVs
@@ -193,39 +196,39 @@ _ARTIFACT_COMMANDS = {
 # CLI artifact and summary is pinned byte for byte (recorded with Python 3.11
 # and numpy 2.4.6).
 _ARTIFACT_DIGESTS = {
-    ('baseline', 'bounds'): ('82100a5250871373', '43e04662627658f7'),
-    ('baseline', 'clock'): ('be0b19f07fc6e4b6', '324216953cf0b4d2'),
-    ('baseline', 'closure'): ('8f63adaa031cbdea', 'bbf29c4d3a5fb9e3'),
-    ('baseline', 'scenario'): ('79360de5bc0ea5ce', '4aeb9ec5065fc1de'),
-    ('baseline', 'sweep_stress_v2'): ('2d21b1ba21c5c195', '436f901ce1e9cc27'),
-    ('baseline', 'tables_calibration'): ('45e1dc9c70d59008', '62bafa9c90b1480d'),
-    ('baseline', 'tables_psi_countries'): ('4b53de498d1097e7', 'c1452462d0969b2d'),
-    ('baseline', 'tables_stress_v2'): ('2d21b1ba21c5c195', '436f901ce1e9cc27'),
-    ('baseline', 'tables_tier_pe'): ('b4f2c083f7384634', '791db864bf6a552f'),
-    ('baseline', 'tables_tier_tf'): ('1e193c83ed829b36', '00b0de718df77b42'),
-    ('baseline', 'transition'): ('c7f44910cf2456fe', '0427c8a61adba45d'),
-    ('hard_failure', 'bounds'): ('82100a5250871373', '9dc36cdaa4843f6b'),
-    ('hard_failure', 'clock'): ('44e846aad8932c7a', '15d34509ebcda91a'),
-    ('hard_failure', 'closure'): ('3e97444301e34868', '7a44da1f0b30fb7d'),
-    ('hard_failure', 'scenario'): ('be24570ba443178b', 'a476180408aa973f'),
-    ('hard_failure', 'sweep_stress_v2'): ('2d21b1ba21c5c195', '179c0a56c836890f'),
-    ('hard_failure', 'tables_calibration'): ('45e1dc9c70d59008', '6bd7636e2fd574d9'),
-    ('hard_failure', 'tables_psi_countries'): ('4b53de498d1097e7', '4dd4b6d7054e413d'),
-    ('hard_failure', 'tables_stress_v2'): ('2d21b1ba21c5c195', '179c0a56c836890f'),
-    ('hard_failure', 'tables_tier_pe'): ('b4f2c083f7384634', 'ba9485444eedde42'),
-    ('hard_failure', 'tables_tier_tf'): ('1e193c83ed829b36', 'ea4f11207544387b'),
-    ('hard_failure', 'transition'): ('888a72c14d5bf3ee', 'a19ec76e76e22464'),
-    ('table_margin', 'bounds'): ('be8463b8a3492803', '0fbe3f1bee495366'),
-    ('table_margin', 'clock'): ('be0b19f07fc6e4b6', '8b939e1e212ac52e'),
-    ('table_margin', 'closure'): ('b02b2ab33b935d99', 'f41c6493f0b3a082'),
-    ('table_margin', 'scenario'): ('cf5c100b1c883a04', '46326f91691618ff'),
-    ('table_margin', 'sweep_stress_v2'): ('2d21b1ba21c5c195', 'e0e09c575e2f2a07'),
-    ('table_margin', 'tables_calibration'): ('45e1dc9c70d59008', '189b5c1f9fed95c6'),
-    ('table_margin', 'tables_psi_countries'): ('4b53de498d1097e7', '9fa0854eeabd8bba'),
-    ('table_margin', 'tables_stress_v2'): ('2d21b1ba21c5c195', 'e0e09c575e2f2a07'),
-    ('table_margin', 'tables_tier_pe'): ('b4f2c083f7384634', 'a276927d658c7115'),
-    ('table_margin', 'tables_tier_tf'): ('1e193c83ed829b36', 'd7d2d956de60bd9c'),
-    ('table_margin', 'transition'): ('8c0fb53b6526311f', '431813b01ec9fe45'),
+    ('baseline', 'bounds'): ('82100a5250871373', '5e1e48b35952583d'),
+    ('baseline', 'clock'): ('be0b19f07fc6e4b6', 'f6879652ac76de13'),
+    ('baseline', 'closure'): ('8f63adaa031cbdea', '7a01dc9f3785cca6'),
+    ('baseline', 'scenario'): ('79360de5bc0ea5ce', '7ca04950310206ca'),
+    ('baseline', 'sweep_stress_v2'): ('2d21b1ba21c5c195', 'be6de52ecc1068f9'),
+    ('baseline', 'tables_calibration'): ('45e1dc9c70d59008', 'c5543f481cb5eef3'),
+    ('baseline', 'tables_psi_countries'): ('4b53de498d1097e7', '7cd5145abe7b7ee0'),
+    ('baseline', 'tables_stress_v2'): ('2d21b1ba21c5c195', 'be6de52ecc1068f9'),
+    ('baseline', 'tables_tier_pe'): ('b4f2c083f7384634', '8a3e1084ce725cd6'),
+    ('baseline', 'tables_tier_tf'): ('1e193c83ed829b36', '8ece38198c5593df'),
+    ('baseline', 'transition'): ('c7f44910cf2456fe', '90475e558613e772'),
+    ('hard_failure', 'bounds'): ('82100a5250871373', '8956bafb003d689a'),
+    ('hard_failure', 'clock'): ('44e846aad8932c7a', '805d9f7496f6ad7d'),
+    ('hard_failure', 'closure'): ('3e97444301e34868', '041a198c9f52714d'),
+    ('hard_failure', 'scenario'): ('be24570ba443178b', 'a1a2d1c50a9d1d19'),
+    ('hard_failure', 'sweep_stress_v2'): ('2d21b1ba21c5c195', '467078ff03ff5f30'),
+    ('hard_failure', 'tables_calibration'): ('45e1dc9c70d59008', '4ebfca930603c0f0'),
+    ('hard_failure', 'tables_psi_countries'): ('4b53de498d1097e7', '8477f739053943ad'),
+    ('hard_failure', 'tables_stress_v2'): ('2d21b1ba21c5c195', '467078ff03ff5f30'),
+    ('hard_failure', 'tables_tier_pe'): ('b4f2c083f7384634', '0a48b4707ccb60a7'),
+    ('hard_failure', 'tables_tier_tf'): ('1e193c83ed829b36', '244f1dc3965ee488'),
+    ('hard_failure', 'transition'): ('888a72c14d5bf3ee', 'c75ef3ccdaf1864c'),
+    ('table_margin', 'bounds'): ('be8463b8a3492803', '2993e71d7794178d'),
+    ('table_margin', 'clock'): ('be0b19f07fc6e4b6', '940ed34fc3558e66'),
+    ('table_margin', 'closure'): ('b02b2ab33b935d99', '245f76c480ad9863'),
+    ('table_margin', 'scenario'): ('cf5c100b1c883a04', 'ec30103bb3023554'),
+    ('table_margin', 'sweep_stress_v2'): ('2d21b1ba21c5c195', '3e70db36dcf308b6'),
+    ('table_margin', 'tables_calibration'): ('45e1dc9c70d59008', 'b0f82e0967cf9d98'),
+    ('table_margin', 'tables_psi_countries'): ('4b53de498d1097e7', 'd408ed7e030f630b'),
+    ('table_margin', 'tables_stress_v2'): ('2d21b1ba21c5c195', '3e70db36dcf308b6'),
+    ('table_margin', 'tables_tier_pe'): ('b4f2c083f7384634', 'f85e9de86973e574'),
+    ('table_margin', 'tables_tier_tf'): ('1e193c83ed829b36', '3a8f4bc80c1c5620'),
+    ('table_margin', 'transition'): ('8c0fb53b6526311f', 'd897880cd2b81a64'),
 }
 
 
@@ -292,10 +295,10 @@ class TestArtifactPins:
 # both modes, at the baseline window and at a 12-period window.
 _INFER_CONFIGS = {"baseline": None, "window_12": "inference.window_h = 12\n"}
 _INFER_DIGESTS = {
-    ('baseline', 'PE'): ('659ecdbeaabc181e', '20d0c060512a2cda'),
-    ('baseline', 'TF'): ('3ed2363613fea5c0', 'b844411c38236f90'),
-    ('window_12', 'PE'): ('659ecdbeaabc181e', '0d3c2686c6f44e59'),
-    ('window_12', 'TF'): ('3ed2363613fea5c0', '794afb6778011176'),
+    ('baseline', 'PE'): ('659ecdbeaabc181e', '0640dbac88e17ba5'),
+    ('baseline', 'TF'): ('3ed2363613fea5c0', '6612de431a880d3b'),
+    ('window_12', 'PE'): ('659ecdbeaabc181e', 'f988eb02d8c293d3'),
+    ('window_12', 'TF'): ('3ed2363613fea5c0', '333edb62cfe2e079'),
 }
 
 
@@ -550,7 +553,7 @@ def test_unit_rule_extremes_end_in_a_documented_exit(tmp_path, monkeypatch, caps
     # exit 0, 2 (configuration) or 3 (numeric or domain), never 1, and never
     # a CSV cell that reads nan
     monkeypatch.chdir(tmp_path)
-    assert len(_EXTREME_KEYS) == 25
+    assert len(_EXTREME_KEYS) == 24
     margins = ("", "closure.dist = table\nclosure.dist_knots = 0.0:0.3, 0.02:0.5, 0.04:0.8, 0.06:1.0\n")
     k = 0
     for value in _EXTREMES[_SCHEMA[key][1].rstrip("?")]:
@@ -567,14 +570,15 @@ def test_unit_rule_extremes_end_in_a_documented_exit(tmp_path, monkeypatch, caps
                     assert not {"nan", "-nan"} & set(cells), where
 
 
-# The four `fiscal.*` keys that no command read were deleted from the schema:
-# a file line or a sweep entry that sets one is an unknown key.
+# The four `fiscal.*` keys and `transition.mu_lo`, which no output read, were
+# deleted from the schema: a file line or a sweep entry that sets one is an
+# unknown key.
 _DELETED_KEYS = {"fiscal.mode": "general", "fiscal.d0": "0.03", "fiscal.b_ref": "2.0",
-                 "fiscal.table": "1.5:0.01, 3.0:0.04"}
+                 "fiscal.table": "1.5:0.01, 3.0:0.04", "transition.mu_lo": "0.02"}
 
 
 @pytest.mark.parametrize("key", sorted(_DELETED_KEYS))
-def test_deleted_fiscal_keys_are_unknown(tmp_path, monkeypatch, capsys, key):
+def test_deleted_keys_are_unknown(tmp_path, monkeypatch, capsys, key):
     monkeypatch.chdir(tmp_path)
     value = _DELETED_KEYS[key].split(",")[0]
     for text, message in ((f"{key} = {_DELETED_KEYS[key]}", f"unknown key {key!r}"),
@@ -592,6 +596,16 @@ def test_removed_threads_option_is_a_usage_error(tmp_path, monkeypatch, argv):
     # where the command belongs, the joined form is an unrecognized argument
     monkeypatch.chdir(tmp_path)
     assert run_cli(argv + ["--out", "o", "scenario"]) == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [["--se", "7", "clock"], ["tables", "--on", "calibration"],
+                                  ["mc", "--exp", "pe"]])
+def test_option_prefix_is_a_usage_error(tmp_path, monkeypatch, argv):
+    # every option has one spelling: argparse no longer reads a unique prefix
+    # as the option it starts (`--se 7` ran with seed 7)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["--out", "o"] + argv) == 1
     assert not (tmp_path / "o").exists()
 
 

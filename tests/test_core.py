@@ -242,8 +242,8 @@ NAN_CASES = [
      lambda: captive_threshold_shift(0.5, 0.5, 0.5, nan, 0.01)),
     ("paradox_test", "spread", lambda: paradox_test(nan, 0.01)),
     ("paradox_test", "gamma", lambda: paradox_test(-0.008, nan)),
-    ("feasibility_label", "delta_g_min", lambda: feasibility_label(nan, (0.03, 0.10), 0.02)),
-    ("feasibility_label", "x_max", lambda: feasibility_label(0.001, (0.03, 0.10), nan)),
+    ("feasibility_label", "delta_g_min", lambda: feasibility_label(nan, 0.10, 0.02)),
+    ("feasibility_label", "x_max", lambda: feasibility_label(0.001, 0.10, nan)),
     ("joint_feasibility", "delta_g_min", lambda: joint_feasibility(_SPEC, nan)),
     ("timing_feasible", "T_sprint", lambda: timing_feasible(nan, 3.0)),
     ("timing_feasible", "T_star", lambda: timing_feasible(2.0, nan)),
@@ -274,7 +274,7 @@ def test_nan_argument_rejected_by_name(name, call):
 def test_infinite_sentinels_still_accepted():
     # +inf is a documented sentinel: hard failure's delta_g_min and a paused
     # clock's T_star
-    assert feasibility_label(math.inf, (0.03, 0.10), 0.02) == "Infeasible"
+    assert feasibility_label(math.inf, 0.10, 0.02) == "Infeasible"
     assert joint_feasibility(_SPEC, math.inf)["financeable"] is False
     assert timing_feasible(2.0, math.inf) is True
 

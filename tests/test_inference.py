@@ -511,6 +511,16 @@ class TestTrendGrowth:
         long = trend_growth_estimate(gdp, 24)
         assert abs(short - long) > 0.005
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_window_rejected(self, bad):
+        # NaN returned nan and +inf returned inf; -inf fails as non-positive
+        gdp = 100.0 * np.exp(0.03 * np.arange(12) / 4.0)
+        gdp[-3] = bad
+        with pytest.raises(EstimationError, match="non-finite"):
+            trend_growth_estimate(gdp, 12)
+        # only the trailing window is read
+        assert trend_growth_estimate(gdp[::-1], 8) == pytest.approx(-0.03, abs=1e-10)
+
     def test_validation(self):
         with pytest.raises(EstimationError):
             trend_growth_estimate(np.ones(20), 6)

@@ -66,29 +66,34 @@ def test_config_non_finite_rejected():
     assert small_cfg(eps_cap=math.inf).eps_cap == math.inf
 
 
+def _paths(cfg, rep):
+    """Replication `rep`'s [T] paths: row 0 of a one-element call."""
+    return {key: a[0] for key, a in simulate_pe_paths(cfg, [rep]).items()}
+
+
 class TestDGP:
     def test_paths_reproducible(self):
-        a = simulate_pe_paths(small_cfg(), 7)
-        b = simulate_pe_paths(small_cfg(), 7)
+        a = _paths(small_cfg(), 7)
+        b = _paths(small_cfg(), 7)
         assert np.array_equal(a["theta"], b["theta"])
         assert np.array_equal(a["z"], b["z"])
         assert np.array_equal(a["theta_obs"], b["theta_obs"])
 
     def test_distinct_replications(self):
-        a = simulate_pe_paths(small_cfg(), 1)
-        b = simulate_pe_paths(small_cfg(), 2)
+        a = _paths(small_cfg(), 1)
+        b = _paths(small_cfg(), 2)
         assert not np.array_equal(a["z"], b["z"])
 
     def test_degenerate_dgp_is_constant(self):
         cfg = small_cfg(sd_theta=0.0, sd_z=0.0, stress_prob=0.0, sigma_theta_obs=0.0)
-        paths = simulate_pe_paths(cfg, 0)
+        paths = _paths(cfg, 0)
         assert np.allclose(paths["theta"], 0.65)
         assert np.allclose(paths["z"], 0.02)
         assert np.allclose(paths["true_scores"], paths["true_scores"][0])
 
     def test_vectorized_scores_match_pointwise(self):
         cfg = small_cfg()
-        paths = simulate_pe_paths(cfg, 3)
+        paths = _paths(cfg, 3)
         vec = _pe_scores(paths["theta"], paths["z"], _params(cfg))
         for t in (0, 17, 59):
             p = TwoLayerParams(
@@ -99,7 +104,7 @@ class TestDGP:
 
     def test_bowed_distribution_scores_match_pointwise(self):
         cfg = small_cfg()
-        paths = simulate_pe_paths(cfg, 3)
+        paths = _paths(cfg, 3)
         dist = _bowed_dist(cfg.c_bar, 0.8)
         vec = _pe_scores(paths["theta"], paths["z"], _params(cfg, dist))
         for t in (0, 31):
@@ -135,7 +140,7 @@ class TestDGP:
         )
         frac_neg = []
         for rep in range(cfg.n_reps):
-            paths = simulate_pe_paths(cfg, rep)
+            paths = _paths(cfg, rep)
             frac_neg.append(np.mean(paths["true_scores"] < 0.0))
         assert float(np.mean(frac_neg)) > 0.01
 
@@ -149,8 +154,8 @@ class TestRunMCPE:
         assert r1 == r2 == r4
 
     def test_seed_changes_the_streams(self):
-        a = simulate_pe_paths(small_cfg(seed=42), 0)
-        b = simulate_pe_paths(small_cfg(seed=43), 0)
+        a = _paths(small_cfg(seed=42), 0)
+        b = _paths(small_cfg(seed=43), 0)
         assert not np.array_equal(a["z"], b["z"])
         assert not np.array_equal(a["theta_obs"], b["theta_obs"])
 
@@ -198,8 +203,8 @@ class TestRunMCTF:
         cfg = small_cfg(tf_sd=0.0, tf_g_spread=0.0)
         # fixed proposed growth equal to baseline: scores are deterministic
         # and every method agrees with the (infeasible) truth
-        res = run_mc_tf(cfg, rho_bar_list=(0.0,))
-        for row in res["rows"]:
+        rows = [row for row in run_mc_tf(cfg)["rows"] if row["rho_bar"] == 0.0]
+        for row in rows:
             assert row["coverage"] == 100.0
             assert row["false_feasible"] == 0.0
             assert row["false_infeasible"] == 0.0
@@ -273,8 +278,8 @@ def test_rows_match_pinned_digests(name):
 
 
 def test_tf_rows_for_one_premium_bound_match_pinned_digest(monkeypatch):
-    # with one premium bound the tier-2 widths form an [R, 1] block, which a
-    # numpy mean would sum pairwise; the rows sum them in replication order,
+    # one premium bound's tier-2 widths form an [R] row, which a numpy mean
+    # would sum pairwise; the rows sum them in replication order,
     # across replication blocks too (summing per-block totals would round
     # differently). At seed 8 the two sums differ in the last bit of
     # mean_width_bp (at seed 42 they happen to agree)
@@ -282,7 +287,8 @@ def test_tf_rows_for_one_premium_bound_match_pinned_digest(monkeypatch):
 
     for block in (1, 7, 33, 34):
         monkeypatch.setattr(mc, "_BLOCK_REPS", block)
-        rows = run_mc_tf(MCConfig(seed=8, n_reps=33), rho_bar_list=(0.0,))["rows"]
+        rows = [row for row in run_mc_tf(MCConfig(seed=8, n_reps=33))["rows"]
+                if row["rho_bar"] == 0.0]
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
             "923553c8b2e12ea136c22cd5072832c365e90eaa586c43d56fadf04448281177"
         ), block
@@ -530,11 +536,6 @@ def test_lockstep_paths_equal_per_replication_loop(name):
             for key in PATH_KEYS:
                 assert paths[key].shape == (len(reps), cfg.T)
                 assert paths[key][i].tobytes() == want[key].tobytes(), (rep, key)
-    one = simulate_pe_paths(cfg, np.int64(2))
-    want = _simulate_reference(cfg, 2)
-    for key in PATH_KEYS:
-        assert one[key].shape == (cfg.T,)
-        assert one[key].tobytes() == want[key].tobytes(), key
 
 
 def test_lockstep_clamps_fire():
@@ -826,11 +827,3 @@ def test_horizon_outside_the_sample_rejected(horizons, T, named):
 def test_horizons_at_the_sample_ends_accepted():
     cfg = small_cfg(n_reps=3, evaluation_horizons=(1.0, 15.0))
     assert {r["horizon_yr"] for r in run_mc_pe(cfg)["rows"]} == {1.0, 15.0}
-
-
-@pytest.mark.parametrize("rho_bars", [(), (0.0, math.nan), (0.005, -0.05)])
-def test_invalid_premium_bounds_rejected(rho_bars):
-    # an empty list used to return no rows, NaN to fail in the detrend and a
-    # negative bound (which TransitionSpec rejects) to return rows
-    with pytest.raises(DomainError, match=re.escape(f"got {rho_bars!r}")):
-        run_mc_tf(small_cfg(n_reps=2), rho_bar_list=rho_bars)

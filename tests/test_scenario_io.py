@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from debtregime.cli import run_cli
-from debtregime.closure import ThetaLaw, TwoLayerParams
+from debtregime.closure import ThetaLaw, TwoLayerParams, solve_premium
 from debtregime.core import EconState, FiscalResponse, RegimeParams
 from debtregime.errors import ConfigError, DomainError
-from debtregime.extensions import ClockSpec, estimate_kappa
+from debtregime.extensions import ClockSpec, clock, estimate_kappa
 from debtregime.inference import SubsampleConfig
-from debtregime.investment import InvestmentInputs
+from debtregime.investment import InvestmentInputs, compute_bounds
 from debtregime.montecarlo import MCConfig
 from debtregime.scenario import (
     _SCHEMA,
@@ -24,6 +24,7 @@ from debtregime.tables import (
     TABLE_IDS,
     TableArtifact,
     _fmt,
+    _transition_test,
     build_table,
     emit_csv,
     scenario_report,
@@ -264,7 +265,7 @@ class TestSchema:
     def test_unit_rules_by_kind(self):
         rates = [k for k, (_, kind) in _SCHEMA.items() if kind.rstrip("?") == "rate"]
         shares = [k for k, (_, kind) in _SCHEMA.items() if kind == "share"]
-        assert (len(rates), len(shares)) == (35, 12)
+        assert (len(rates), len(shares)) == (34, 12)
         for key in rates:
             with pytest.raises(ConfigError, match="rate unit convention"):
                 _check_units(key, 1.5)
@@ -320,6 +321,69 @@ class TestSchema:
         with pytest.raises(ConfigError) as exc:
             load_scenario(str(path))
         assert str(exc.value) == "line 1: econ.pi expects a number, got 'none'"
+
+
+# A base on which every key is live: with b and psi off the phi_req anchor
+# (2.40, 0.97) the phi_req slopes multiply nonzero gaps, and with de > e_bar
+# and alpha > 0 the depreciation terms do too.
+_LIVE_BASE = "econ.b_prev = 2.1\nclosure.psi = 0.95\nregime.de = 0.01\nregime.alpha = 0.1\n"
+_MARGINS = {"uniform": "",
+            "table": "closure.dist = table\n"
+                     "closure.dist_knots = 0.0:0.3, 0.02:0.5, 0.04:0.8, 0.06:1.0\n"}
+# other values where 0.9 times the base value would break a rule (phi above
+# phi_bar, d_psi <= 0) or move no label
+_OTHER_VALUES = {"regime.phi": "0.9", "closure.phi_req_dpsi": "-0.01",
+                 "closure.dist_knots": "0.0:0.3, 0.03:0.6, 0.06:1.0",
+                 "transition.mu_hi": "0.5", "transition.x_max_label": "0.5"}
+
+
+def _other_value(key, value):
+    """A valid value of `key` other than `value`, as a file writes it."""
+    kind = _SCHEMA[key][1].rstrip("?")
+    if key in _OTHER_VALUES:
+        return _OTHER_VALUES[key]
+    if kind == "text":  # closure.dist
+        return "table" if value == "uniform" else "uniform"
+    if kind == "int":
+        return str(value + 2)
+    if kind == "ints":
+        return ", ".join(map(str, value[:-1] + (value[-1] + 2,)))
+    if kind == "nums":
+        return ", ".join(repr(0.9 * v) for v in value)
+    if value is None or value == math.inf:
+        return "0.02"
+    return repr(0.9 * value if value else 0.01)
+
+
+def _outputs(sc):
+    """Everything but the Monte Carlo runs that a scenario can reach."""
+    tables = [build_table(t, sc, 42).rows
+              for t in ("calibration", "stress_v2", "tier_pe", "tier_tf", "psi_countries")]
+    return repr((scenario_report(sc, 42).rows, tables, clock(sc.clock_spec()),
+                 compute_bounds(sc.investment_inputs()), solve_premium(sc.two_layer()),
+                 _transition_test(sc), sc.mc_config(42), sc.subsample_config()))
+
+
+@pytest.mark.parametrize("margin", sorted(_MARGINS))
+def test_every_key_reaches_an_output(tmp_path, margin):
+    # a key whose every valid value leaves every output as it is does no
+    # work; another value must move an output or fail the load (exit 2 or 3).
+    # `scenario.name` is exempt: only the `scenario` command prints it
+    path = tmp_path / "s.cfg"
+    path.write_text(_LIVE_BASE + _MARGINS[margin])
+    base = load_scenario(str(path))
+    want = _outputs(base)
+    dead = []
+    for key in sorted(set(_SCHEMA) - {"scenario.name"}):
+        path.write_text(_LIVE_BASE + _MARGINS[margin]
+                        + f"{key} = {_other_value(key, base.get(key))}\n")
+        try:
+            sc = load_scenario(str(path))
+        except (ConfigError, DomainError):
+            continue
+        if _outputs(sc) == want:
+            dead.append(key)
+    assert dead == []
 
 
 class TestEmitCsv:

@@ -117,34 +117,35 @@ class TestJointFeasibility:
 
 
 class TestFeasibilityLabel:
-    MU_RANGE = (0.02, 0.08)
+    MU_HI = 0.08
 
     def test_published_anchor_rows(self):
         # required growth from the published grid against the default
         # labeling envelope of 16% of GDP
-        assert feasibility_label(0.0053, self.MU_RANGE, 0.16) == "Conditional"
-        assert feasibility_label(0.0097, self.MU_RANGE, 0.16) == "Tight"
-        assert feasibility_label(0.0271, self.MU_RANGE, 0.16) == "Infeasible"
+        assert feasibility_label(0.0053, self.MU_HI, 0.16) == "Conditional"
+        assert feasibility_label(0.0097, self.MU_HI, 0.16) == "Tight"
+        assert feasibility_label(0.0271, self.MU_HI, 0.16) == "Infeasible"
 
     def test_unlikely_band(self):
         # required efficiency in (0.07, 0.08]
-        assert feasibility_label(0.0120, self.MU_RANGE, 0.16) == "Unlikely"
+        assert feasibility_label(0.0120, self.MU_HI, 0.16) == "Unlikely"
 
     def test_closed_envelope(self):
-        assert feasibility_label(0.001, self.MU_RANGE, 0.0) == "Infeasible"
-        assert feasibility_label(0.001, self.MU_RANGE, -0.01) == "Infeasible"
+        assert feasibility_label(0.001, self.MU_HI, 0.0) == "Infeasible"
+        assert feasibility_label(0.001, self.MU_HI, -0.01) == "Infeasible"
 
     def test_label_ordering_monotone(self):
         order = {"Conditional": 0, "Tight": 1, "Unlikely": 2, "Infeasible": 3}
         prev = -1
         for dg in [x * 1e-4 for x in range(0, 200)]:
-            lab = order[feasibility_label(dg, self.MU_RANGE, 0.16)]
+            lab = order[feasibility_label(dg, self.MU_HI, 0.16)]
             assert lab >= prev
             prev = lab
 
     def test_nothing_required_is_conditional(self):
-        assert feasibility_label(-0.002, self.MU_RANGE, 0.16) == "Conditional"
+        assert feasibility_label(-0.002, self.MU_HI, 0.16) == "Conditional"
 
     def test_mu_range_validated(self):
-        with pytest.raises(DomainError):
-            feasibility_label(0.005, (0.0, 0.08), 0.16)
+        for mu_hi in (0.0, 1.0, -0.08, math.nan):
+            with pytest.raises(DomainError, match="mu_hi"):
+                feasibility_label(0.005, mu_hi, 0.16)
