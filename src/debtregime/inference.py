@@ -164,14 +164,16 @@ def envelope(scores: Dict[str, float]) -> TierEnvelope:
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """OLS line of y on the regressor x along y's last axis, as (mean, slope)
-    on the centred regressor c; since sum(c) = 0 the slope is sum(c * y) /
-    sum(c**2) and the fitted value at c is mean + slope * c.  Centring twice
-    keeps the rounding of mean(x) (large for calendar years) out of the
-    slope; on the index 0..m-1 every c and sum(c**2) is exact."""
-    c = x - x.mean()
-    c = c - c.mean()
-    return y.mean(axis=-1), (y * c).sum(axis=-1) / (c * c).sum()
+    """OLS line of y on the 1-D regressor x along y's last axis, as (mean,
+    slope) on the centred regressor c, so the fit at c is mean + slope * c.
+    Centring twice keeps the rounding of mean(x) (large for calendar years)
+    out of the slope.  A mean is `add.reduce / m`, as `ndarray.mean` is."""
+    import numpy as np
+
+    m = x.shape[-1]
+    c = x - np.add.reduce(x) / m
+    c = c - np.add.reduce(c) / m
+    return np.add.reduce(y, axis=-1) / m, np.add.reduce(y * c, axis=-1) / np.add.reduce(c * c)
 
 
 def detrend_local_linear(series: Sequence[float], window_h: int) -> dict:
@@ -179,13 +181,10 @@ def detrend_local_linear(series: Sequence[float], window_h: int) -> dict:
 
     Each point's trend value comes from the OLS line fit on the length-
     window_h window centered on it (clamped at the edges, so the first and
-    last points reuse the end windows).  The fits are closed form: each
-    distinct window's mean and centred-index slope is computed once on
-    C-contiguous windows, copied only when they are not already (the one
-    window of a C-contiguous series of length window_h is the series
-    itself), and every point evaluates the line of its window.  A
-    `[..., n]` array is detrended row by row along its last axis.  Fitting
-    an exact line leaves a remainder at rounding level.
+    last points reuse the end windows).  A `[..., n]` array is detrended
+    row by row along its last axis, each row bit for bit as a 1-D call: the
+    fits run on C-contiguous windows, and a series of length window_h is
+    its own one window, fitted directly.
     """
     import numpy as np
     from numpy.lib.stride_tricks import sliding_window_view
@@ -199,12 +198,16 @@ def detrend_local_linear(series: Sequence[float], window_h: int) -> dict:
         raise EstimationError(f"series length {n} shorter than window {window_h}")
     if not np.isfinite(y).all():
         raise EstimationError("series contains non-finite values")
-    # contiguous windows make every row reduce in the same order as a 1-D call
-    windows = np.ascontiguousarray(sliding_window_view(y, window_h, axis=-1))
-    mean, slope = _line_fit(np.arange(window_h, dtype=float), windows)
-    i = np.arange(n)
-    start = np.clip(i - window_h // 2, 0, n - window_h)
-    trend = mean[..., start] + slope[..., start] * (i - start - (window_h - 1) / 2.0)
+    x = np.arange(window_h, dtype=float)
+    if n == window_h:
+        mean, slope = _line_fit(x, np.ascontiguousarray(y))
+        trend = mean[..., None] + slope[..., None] * (x - (window_h - 1) / 2.0)
+    else:
+        windows = np.ascontiguousarray(sliding_window_view(y, window_h, axis=-1))
+        mean, slope = _line_fit(x, windows)
+        i = np.arange(n)
+        start = np.clip(i - window_h // 2, 0, n - window_h)
+        trend = mean[..., start] + slope[..., start] * (i - start - (window_h - 1) / 2.0)
     return {"trend": trend, "remainder": y - trend}
 
 
@@ -216,24 +219,12 @@ def subsample_critical_value(
     Over the trailing window of length window_h: tau = window mean; for each
     of the h - l + 1 contiguous blocks, the deviation sqrt(l)*(block mean -
     tau); the half-width is the right-continuous (1 - alpha) empirical
-    quantile of those deviations divided by sqrt(h), floored at zero.
-
+    quantile of those deviations divided by sqrt(h), floored at +0.0.
     Fewer than 5 blocks triggers the maximally conservative fallback: the
     largest absolute remainder deviation in the window.
 
-    The block sums run on a period-major copy of the window, so each offset
-    adds one contiguous slice, in the left-to-right order a single row
-    would.  The deviation is nondecreasing in the block sum s (dividing by
-    l, subtracting tau and scaling by sqrt(l) each keep the order, rounding
-    included), so the selected order statistic of the deviations is the
-    deviation of the same order statistic of the sums: the kernel sorts the
-    sums and maps only the selected one.  The two agree bit for bit up to
-    the sign of a selected zero, which the floor settles: `np.maximum(0.0,
-    -0.0)` keeps -0.0, so 0.0 is added after it and a zero half-width is
-    always +0.0.
-
     A 1-D remainder gives a float; a `[..., n]` array gives one half-width
-    per row, each equal to the 1-D call on that row.
+    per row, bit for bit the 1-D call on that row.
     """
     import numpy as np
 
@@ -247,20 +238,26 @@ def subsample_critical_value(
     if not np.isfinite(window).all():
         raise EstimationError("remainder window contains non-finite values")
     ell = cfg.block_len
-    tau = window.mean(axis=-1)
+    tau = np.add.reduce(window, axis=-1) / h
     n_blocks = h - ell + 1
     if n_blocks < 5:
         half = np.max(np.abs(window - tau[..., None]), axis=-1)
     else:
-        # [block, ...] sums, accumulating one offset at a time in place
-        periods = np.ascontiguousarray(np.moveaxis(window, -1, 0))
+        # [block, row] sums on a period-major copy: each offset adds one
+        # contiguous slice, in the left-to-right order of a single row
+        periods = np.ascontiguousarray(window.reshape(-1, h).T)
         block_sums = periods[:n_blocks].copy()
         for j in range(1, ell):
             block_sums += periods[j : j + n_blocks]
+        # the deviation is nondecreasing in the block sum (rounding included),
+        # so only the selected order statistic of the sums is mapped; the sign
+        # of a selected zero is settled by the floor: max(0.0, -0.0) is -0.0,
+        # and adding 0.0 makes it +0.0
         k = math.ceil((1.0 - cfg.alpha) * n_blocks)  # type-1 (right-continuous) quantile
-        s = np.sort(block_sums, axis=0)[min(max(k, 1), n_blocks) - 1]
+        block_sums.sort(axis=0)
+        s = block_sums[min(max(k, 1), n_blocks) - 1].reshape(tau.shape)
         q = math.sqrt(ell) * (s / ell - tau)
-        half = np.maximum(0.0, q / math.sqrt(h)) + 0.0  # -0.0 + 0.0 is +0.0
+        half = np.maximum(0.0, q / math.sqrt(h)) + 0.0
     return float(half) if r.ndim == 1 else half
 
 

@@ -349,7 +349,7 @@ def _bands(
         det, dem = (np.stack([x[:, :, qs[i] + 1 - w : qs[i] + 1] for i in group])
                     for x in (stack, demeaned))
         rem = np.concatenate([detrend_local_linear(det, w)["remainder"],
-                              dem - dem.mean(axis=-1, keepdims=True)], axis=1)
+                              dem - np.add.reduce(dem, axis=-1, keepdims=True) / w], axis=1)
         for bi, ell in enumerate(blocks):
             sub = SubsampleConfig(window_h=w, block_len=min(ell, w - 1), alpha=alpha)
             out[group, bi] = subsample_critical_value(rem, sub)

@@ -145,15 +145,14 @@ def build_stress_v2(scenario: Scenario, seed: int, name: str = "stress_v2") -> T
     `name` selects the sweep (the built-in `stress_v2` rows or a scenario
     file's `sweep.<name>.*` rows) and becomes the table id."""
     rows = []
-    mu_hi = scenario.get("transition.mu_hi")
-    x_max_label = scenario.get("transition.x_max_label")
     for row_name, overrides in scenario.sweep_rows(name):
         sc = scenario.with_overrides(overrides)
         p = sc.two_layer()
         spec = sc.transition_spec()
         res = required_growth_endogenous(spec)
         sol = solve_premium(p)
-        label = feasibility_label(res["delta_g_min"], mu_hi, x_max_label)
+        label = feasibility_label(res["delta_g_min"], sc.get("transition.mu_hi"),
+                                  sc.get("transition.x_max_label"))
         ref = STRESS_V2_RHO_REF.get(row_name)
         rows.append(
             (

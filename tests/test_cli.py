@@ -623,6 +623,42 @@ def test_negative_fiscal_gamma_fails_at_load(tmp_path, monkeypatch, capsys, argv
         assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv", [["scenario"], ["clock"], ["closure"], ["transition"]])
+def test_mu_hi_outside_the_unit_interval_fails_at_load(tmp_path, monkeypatch, capsys, argv):
+    # the label rule's range ran only where the stress grid is built, so
+    # `transition.mu_hi = 0` passed these commands with exit 0
+    monkeypatch.chdir(tmp_path)
+    for value in ("0", "1.0", "-0.08"):
+        for text in (f"transition.mu_hi = {value}", f"sweep.g.a = transition.mu_hi={value}"):
+            (tmp_path / "s.cfg").write_text(f"# comment\n{text}\n")
+            capsys.readouterr()
+            assert run_cli(["--config", "s.cfg", "--out", "o"] + argv) == 3, text
+            err = capsys.readouterr().err
+            assert ("domain error: line 2: transition.mu_hi: mu_hi must lie in (0, 1), "
+                    f"got {float(value)}") in err, text
+            assert not (tmp_path / "o").exists()
+
+
+def test_sweep_row_sets_its_own_label_keys(tmp_path, monkeypatch):
+    # the stress grid read transition.mu_hi and transition.x_max_label from
+    # the base scenario, so a sweep row that set them was labelled as if it
+    # did not
+    monkeypatch.chdir(tmp_path)
+    point = "closure.theta=0.55,closure.z=0.03"
+    keys = "transition.mu_hi=0.9,transition.x_max_label=0.5"
+    texts = {"row": f"sweep.g.hi = {point},{keys}\n",
+             "lines": "".join(f"{kv.replace('=', ' = ')}\n" for kv in keys.split(","))
+                      + f"sweep.g.hi = {point}\n",
+             "neither": f"sweep.g.hi = {point}\n"}
+    labels = {}
+    for name, text in texts.items():
+        (tmp_path / f"{name}.cfg").write_text(text)
+        assert run_cli(["--config", f"{name}.cfg", "--out", name, "closure", "--sweep", "g"]) == 0
+        *_, header, row = (tmp_path / name / "g.csv").read_text().splitlines()
+        labels[name] = dict(zip(header.split(","), row.split(",")))["label"]
+    assert labels == {"row": "Conditional", "lines": "Conditional", "neither": "Infeasible"}
+
+
 def _mc_body(tmp_path, monkeypatch, text, out):
     """The non-`#` lines of `mc --reps 8`'s CSVs under the scenario `text`."""
     monkeypatch.chdir(tmp_path)

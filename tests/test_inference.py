@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from debtregime.closure import TwoLayerParams
@@ -526,3 +528,133 @@ class TestTrendGrowth:
             trend_growth_estimate(np.ones(20), 6)
         with pytest.raises(DomainError):
             trend_growth_estimate(np.array([1.0] * 11 + [-1.0]), 12)
+
+
+# Exact-equality oracles: the kernels' earlier formulas (`ndarray.mean`,
+# every window through `sliding_window_view` and a gather, `np.moveaxis`
+# and `np.sort`), kept here as the reference the kernels must match byte
+# for byte.
+ORACLE = settings(derandomize=True, database=None, deadline=None, max_examples=120)
+
+
+def _reference_line_fit(x, y):
+    c = x - x.mean()
+    c = c - c.mean()
+    return y.mean(axis=-1), (y * c).sum(axis=-1) / (c * c).sum()
+
+
+def _reference_detrend(y, w):
+    n = y.shape[-1]
+    windows = np.ascontiguousarray(sliding_window_view(y, w, axis=-1))
+    mean, slope = _reference_line_fit(np.arange(w, dtype=float), windows)
+    i = np.arange(n)
+    start = np.clip(i - w // 2, 0, n - w)
+    trend = mean[..., start] + slope[..., start] * (i - start - (w - 1) / 2.0)
+    return trend, y - trend
+
+
+def _reference_band(r, cfg):
+    h, ell = cfg.window_h, cfg.block_len
+    window = np.ascontiguousarray(r[..., -h:])
+    tau = window.mean(axis=-1)
+    n_blocks = h - ell + 1
+    if n_blocks < 5:
+        return np.max(np.abs(window - tau[..., None]), axis=-1)
+    periods = np.ascontiguousarray(np.moveaxis(window, -1, 0))
+    block_sums = periods[:n_blocks].copy()
+    for j in range(1, ell):
+        block_sums += periods[j : j + n_blocks]
+    k = math.ceil((1.0 - cfg.alpha) * n_blocks)
+    s = np.sort(block_sums, axis=0)[min(max(k, 1), n_blocks) - 1]
+    return np.maximum(0.0, math.sqrt(ell) * (s / ell - tau) / math.sqrt(h)) + 0.0
+
+
+def _layout(a, layout):
+    """`a`'s values as a C-contiguous, Fortran-ordered or strided array."""
+    if layout == "C":
+        return np.ascontiguousarray(a)
+    if layout == "F":
+        return np.asfortranarray(a)
+    wide = np.repeat(a, 2, axis=-1)  # every other period of `wide` is `a`
+    return wide[..., ::2]
+
+
+@st.composite
+def _series(draw, min_len=4, max_len=60, max_extra=0):
+    """(array, window) with 0 to 3 leading axes and n = w + extra periods: a
+    random walk around a level, so the means and slopes round."""
+    w = draw(st.integers(min_len, max_len))
+    n = w + draw(st.integers(0, max_extra))
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    level = draw(st.sampled_from([0.0, 0.85, -3.0, 1990.0]))
+    a = level + np.cumsum(rng.normal(0, 0.01, lead + (n,)), axis=-1)
+    return _layout(a, draw(st.sampled_from(["C", "F", "strided"]))), w
+
+
+class TestKernelOracles:
+    @ORACLE
+    @given(_series())
+    def test_one_window_detrend_equals_reference(self, case):
+        # the Monte Carlo's calls: every series is its own one window
+        y, w = case
+        got = detrend_local_linear(y, w)
+        trend, remainder = _reference_detrend(y, w)
+        assert got["trend"].tobytes() == trend.tobytes()
+        assert got["remainder"].tobytes() == remainder.tobytes()
+
+    @ORACLE
+    @given(_series(max_len=30, max_extra=40))
+    def test_detrend_equals_reference(self, case):
+        y, w = case
+        got = detrend_local_linear(y, w)
+        trend, remainder = _reference_detrend(y, w)
+        assert got["trend"].tobytes() == trend.tobytes()
+        assert got["remainder"].tobytes() == remainder.tobytes()
+
+    @ORACLE
+    @given(_series(min_len=2, max_len=200), st.sampled_from(["index", "quarters", "stamps"]))
+    def test_line_fit_equals_mean_form(self, case, regressor):
+        # the detrend and trend growth fit on the index, `estimate_kappa` on
+        # time stamps in years
+        y, m = case
+        x = np.arange(m, dtype=float)
+        if regressor == "quarters":
+            x = 1990.0 + 0.25 * x
+        elif regressor == "stamps":
+            x = 1990.0 + np.cumsum(np.random.default_rng(m).uniform(0.1, 1.0, m))
+        got, want = _line_fit(x, y), _reference_line_fit(x, y)
+        for a, b in zip(got, want):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    @ORACLE
+    @given(st.lists(st.integers(1, 5), min_size=3, max_size=3), st.integers(4, 24),
+           st.sampled_from([4, 6, 8]), st.sampled_from([0.05, 0.1, 0.5, 0.9]),
+           st.integers(0, 2**32 - 1))
+    def test_band_on_monte_carlo_stacks_equals_reference(self, lead, w, ell, alpha, seed):
+        # `_bands` passes [horizon, series, rep, w] remainders, block length
+        # capped at w - 1 (fewer than 5 blocks takes the fallback)
+        cfg = SubsampleConfig(window_h=w, block_len=min(ell, w - 1), alpha=alpha)
+        r = np.random.default_rng(seed).normal(0, 0.01, tuple(lead) + (w,))
+        assert subsample_critical_value(r, cfg).tobytes() == _reference_band(r, cfg).tobytes()
+
+    @ORACLE
+    @given(_series(min_len=8, max_len=30, max_extra=40), st.integers(3, 29),
+           st.sampled_from([0.05, 0.1, 0.5, 0.9]))
+    def test_band_on_sliding_windows_equals_reference(self, case, ell, alpha):
+        # `infer` passes every trailing window of its remainders at once
+        y, h = case
+        cfg = SubsampleConfig(window_h=h, block_len=min(ell, h - 1), alpha=alpha)
+        windows = sliding_window_view(y, h, axis=-1)
+        got = subsample_critical_value(windows, cfg)
+        assert got.tobytes() == _reference_band(windows, cfg).tobytes()
+        row = y.reshape(-1, y.shape[-1])[0]
+        assert subsample_critical_value(row, cfg) == float(_reference_band(row, cfg))
+
+    def test_zero_half_width_in_a_stack_is_positive_zero(self):
+        cfg = SubsampleConfig(window_h=24, block_len=4, alpha=0.1)
+        r = np.random.default_rng(3).normal(0, 0.01, (2, 3, 4, 24))
+        r[1, 2, 3] = [-0.0] * 20 + [0.0] * 4
+        got = subsample_critical_value(r, cfg)
+        assert got.tobytes() == _reference_band(r, cfg).tobytes()
+        assert got[1, 2, 3] == 0.0 and not np.signbit(got[1, 2, 3])
