@@ -58,7 +58,7 @@ p = TwoLayerParams(theta=0.9, z=0.0291, phi_req=0.95)  # thin margin, wide gap
 law_hot = ThetaLaw(kappa_theta=0.01, g0=4.0)
 eta_b = feedback_gain(p.with_theta(zero_premium_boundary_theta(p)), law_hot)
 print(f"  loop gain at the boundary: {eta_b:.2f} (explosive above 1)")
-scan = fixed_point_scan(p, law_hot, pi=0.027, r_rep=0.01, grid=2000)
+scan = fixed_point_scan(p, law_hot, pi=0.027, r_rep=0.01)
 for fp in scan["fixed_points"]:
     buf = "-" if fp["buffer"] is None else f"{fp['buffer']:+.3f}"
     print(f"  theta*={fp['theta_star']:.4f}  {fp['type']:<7} "

@@ -41,6 +41,7 @@ __all__ = [
 
 _BISECT_TOL = 1e-12
 _BISECT_MAX_ITER = 200
+_SCAN_CELLS = 2000  # fixed_point_scan's grid
 # the (b, psi, z) point around which `phi_req_affine` moves phi_req
 _PHI_REQ_ANCHOR = (2.40, 0.97, 0.02)
 
@@ -679,11 +680,10 @@ def fixed_point_scan(
     law: ThetaLaw,
     pi: float,
     r_rep: float,
-    grid: int = 2000,
     sigma: float = 0.0,
 ) -> dict:
     """Scan the one-period core map Phi(theta) = theta - kappa + gamma(eps(rho(theta)))
-    on a grid of `grid` (>= 1000) cells for stationary points.
+    on a grid of 2000 cells for stationary points.
 
     `fixed_points` lists the interior roots of Phi(theta) - theta and, when
     the unclamped map points upward at theta = 1, that corner (maintenance
@@ -707,16 +707,13 @@ def fixed_point_scan(
         _require_finite(name, value)
     if sigma < 0:
         raise DomainError(f"sigma must be >= 0, got {sigma}")
-    _require_integer("grid", grid)
-    if grid < 1000:
-        raise DomainError("grid must be >= 1000 points")
 
     ends = _cdf_ends(p)
 
     def G(theta: float) -> float:
         return _core_drift_at(p, theta, ends, law, pi, r_rep)
 
-    n = grid
+    n = _SCAN_CELLS
     vals = _core_drift(_premium_on_grid(p, np.arange(n + 1) / n, p.z)[0], law, pi, r_rep)
 
     diagnostics: List[str] = []

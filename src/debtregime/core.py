@@ -75,38 +75,33 @@ class EconState:
 
 @dataclass(frozen=True)
 class RegimeParams:
-    """Repression and scope parameters.  The control-rights index has its
-    own inputs (`extensions.PsiSpec`, `TwoLayerParams.psi`), not these.
+    """Repression and scope parameters.  The control-rights index and the
+    clock have their own inputs (`extensions.PsiSpec`, `TwoLayerParams.psi`;
+    `extensions.ClockSpec`), not these.
 
     epsilon  : repression bias, inflation minus repression-consistent yield
     g_star   : potential nominal growth
     phi      : domestic captive share in [0, 1]
     phi_bar  : captive threshold in [0, 1]
-    kappa    : annual decline rate of the captive share (linear clock)
     de       : exchange-rate depreciation this period
     e_bar    : depreciation window bound
     alpha    : linear pass-through coefficient (>= 0)
     beta     : quadratic overshoot penalty coefficient (>= 0)
-    kappa_exp : optional proportional decay rate for the exponential clock
     """
 
     epsilon: float = 0.005
     g_star: float = 0.030
     phi: float = 0.88
     phi_bar: float = 0.85
-    kappa: float = 0.01
     de: float = 0.0
     e_bar: float = 0.0
     alpha: float = 0.0
     beta: float = 0.0
-    kappa_exp: Optional[float] = 0.01
 
     def __post_init__(self):
         # the shares are range-checked below, which also rejects NaN and inf
-        for name in ("epsilon", "g_star", "kappa", "de", "e_bar", "alpha", "beta"):
+        for name in ("epsilon", "g_star", "de", "e_bar", "alpha", "beta"):
             _require_finite(name, getattr(self, name))
-        if self.kappa_exp is not None:
-            _require_finite("kappa_exp", self.kappa_exp)
         for name in ("phi", "phi_bar"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):

@@ -180,9 +180,8 @@ def cumulative_upper_bound(
     per_period_bounds: Sequence[InvestmentBounds], T_star: float
 ) -> float:
     """Cumulative envelope over the residual window: sum over the first
-    floor(T_star) periods of the per-period operational maximum, floored at
-    zero each period (T_star >= 0; +inf sums every period).  An inactive
-    dividend bound does not constrain."""
+    floor(T_star) periods of each period's `x_max_operational`, floored at
+    zero (T_star >= 0; +inf sums every period)."""
     if len(per_period_bounds) == 0:
         raise DomainError("per-period bound list is empty")
     if not T_star >= 0.0:  # NaN fails too
@@ -194,8 +193,7 @@ def cumulative_upper_bound(
         )
     total = 0.0
     for bnd in per_period_bounds[:periods]:
-        rd = bnd.x_max_rd if bnd.x_max_rd is not None else math.inf
-        total += max(0.0, min(bnd.x_max_arith, rd, bnd.x_max_safe))
+        total += max(0.0, bnd.x_max_operational)
     return total
 
 

@@ -225,9 +225,9 @@ def _pair(key: str, item: str, lineno: int) -> Tuple[float, float]:
 
 def _parse_value(key: str, text: str, lineno: int):
     """Parse and check one raw value by the key's kind in `_SCHEMA` (and
-    `fiscal.gamma` for its sign, `transition.mu_hi` for its range): the one
-    parser for file lines and sweep entries alike, so every error names the
-    line."""
+    `fiscal.gamma` and `transition.rho_bar` for their sign, `transition.mu_hi`
+    for its range): the one parser for file lines and sweep entries alike,
+    so every error names the line."""
     kind = _SCHEMA[key][1]
     text = text.strip()
     if kind.endswith("?") and text.lower() in ("none", "null"):
@@ -248,8 +248,9 @@ def _parse_value(key: str, text: str, lineno: int):
     if kind == "nums":
         return tuple(_finite(key, v, lineno) for v in value)
     _check_units(key, _finite(key, value, lineno), f"line {lineno}: ")
-    if key == "fiscal.gamma" and value < 0:
-        raise DomainError(f"line {lineno}: fiscal.gamma: gamma must be >= 0, got {value}")
+    if key in ("fiscal.gamma", "transition.rho_bar") and value < 0:
+        raise DomainError(f"line {lineno}: {key}: {key.split('.')[1]} must be >= 0, "
+                          f"got {value}")
     if key == "transition.mu_hi" and not 0.0 < value < 1.0:
         raise DomainError(f"line {lineno}: transition.mu_hi: mu_hi must lie in (0, 1), "
                           f"got {value}")

@@ -179,7 +179,7 @@ def test_criterion_07_contraction_and_fixed_points():
     law = ThetaLaw(kappa_theta=0.01, g0=4.0)
     boundary = zero_premium_boundary_theta(p)
     assert feedback_gain(p.with_theta(boundary), law) >= 1.0
-    out = fixed_point_scan(p, law, pi=0.027, r_rep=0.01, grid=2000)
+    out = fixed_point_scan(p, law, pi=0.027, r_rep=0.01)
     fps = out["fixed_points"]
     assert len(fps) == 2
     assert sum(fp["theta_star"] < boundary for fp in fps) == 1
@@ -188,10 +188,10 @@ def test_criterion_07_contraction_and_fixed_points():
 
     # contraction instances: at most one stationary point
     weak = fixed_point_scan(
-        p, ThetaLaw(kappa_theta=0.01, g0=0.5), pi=0.027, r_rep=0.01, grid=2000
+        p, ThetaLaw(kappa_theta=0.01, g0=0.5), pi=0.027, r_rep=0.01
     )
     strong = fixed_point_scan(
-        p, ThetaLaw(kappa_theta=0.01, g0=1.0), pi=0.06, r_rep=0.01, grid=2000
+        p, ThetaLaw(kappa_theta=0.01, g0=1.0), pi=0.06, r_rep=0.01
     )
     assert feedback_gain(p.with_theta(boundary), ThetaLaw(g0=1.0)) < 1.0
     for res in (weak, strong):

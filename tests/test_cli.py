@@ -623,6 +623,22 @@ def test_negative_fiscal_gamma_fails_at_load(tmp_path, monkeypatch, capsys, argv
         assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv", [["clock"], ["bounds"], ["closure"],
+                                  ["tables", "--only", "calibration"]])
+def test_negative_rho_bar_fails_at_load(tmp_path, monkeypatch, capsys, argv):
+    # only the commands that build the transition inputs checked the sign,
+    # so these exited 0 on `transition.rho_bar = -0.01`
+    monkeypatch.chdir(tmp_path)
+    for text in ("transition.rho_bar = -0.01", "sweep.g.a = transition.rho_bar=-0.01"):
+        (tmp_path / "s.cfg").write_text(f"# comment\n{text}\n")
+        capsys.readouterr()
+        assert run_cli(["--config", "s.cfg", "--out", "o"] + argv) == 3, text
+        err = capsys.readouterr().err
+        assert ("domain error: line 2: transition.rho_bar: rho_bar must be >= 0, "
+                "got -0.01") in err, text
+        assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("argv", [["scenario"], ["clock"], ["closure"], ["transition"]])
 def test_mu_hi_outside_the_unit_interval_fails_at_load(tmp_path, monkeypatch, capsys, argv):
     # the label rule's range ran only where the stress grid is built, so

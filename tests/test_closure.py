@@ -384,7 +384,7 @@ class TestMonotonePath:
 class TestFixedPointScan:
     def test_degenerate_continuum(self):
         out = fixed_point_scan(BASE, ThetaLaw(kappa_theta=0.0, g0=0.0),
-                               pi=0.027, r_rep=0.022, grid=1000)
+                               pi=0.027, r_rep=0.022)
         assert out["fixed_points"] == []
         assert "degenerate_continuum" in out["diagnostics"]
 
@@ -396,7 +396,7 @@ class TestFixedPointScan:
         boundary = zero_premium_boundary_theta(p)
         assert boundary == pytest.approx(0.9, abs=1e-12)
         assert feedback_gain(p.with_theta(boundary), law) >= 1.0
-        out = fixed_point_scan(p, law, pi=0.027, r_rep=0.01, grid=2000)
+        out = fixed_point_scan(p, law, pi=0.027, r_rep=0.01)
         fps = out["fixed_points"]
         assert len(fps) == 2
         assert all(fp["residual"] <= 1e-10 for fp in fps)
@@ -414,12 +414,12 @@ class TestFixedPointScan:
         p = TwoLayerParams(theta=0.9, z=0.0291, phi_req=0.95)
         # erosion dominates everywhere: no stationary state, exits at floor
         weak = ThetaLaw(kappa_theta=0.01, g0=0.5)
-        out = fixed_point_scan(p, weak, pi=0.027, r_rep=0.01, grid=2000)
+        out = fixed_point_scan(p, weak, pi=0.027, r_rep=0.01)
         assert len(out["fixed_points"]) <= 1
         assert "exits_at_floor" in out["diagnostics"] or out["fixed_points"]
         # maintenance dominates everywhere: only the saturated safe state
         strong = ThetaLaw(kappa_theta=0.01, g0=1.0)
-        out2 = fixed_point_scan(p, strong, pi=0.06, r_rep=0.01, grid=2000)
+        out2 = fixed_point_scan(p, strong, pi=0.06, r_rep=0.01)
         assert feedback_gain(p.with_theta(0.9), strong) < 1.0
         assert len(out2["fixed_points"]) <= 1
         for fp in out2["fixed_points"]:
@@ -445,15 +445,11 @@ class TestFixedPointScan:
             for i in range(len(grid) - 1)
             if signs[i] != 0 and signs[i + 1] != 0 and signs[i] != signs[i + 1]
         ]
-        out = fixed_point_scan(p, law, pi=pi, r_rep=r_rep, grid=2000)
+        out = fixed_point_scan(p, law, pi=pi, r_rep=r_rep)
         interior = [fp for fp in out["fixed_points"] if 0.0 < fp["theta_star"] < 1.0]
         assert len(interior) == len(crossings)
         for fp, (lo, hi) in zip(sorted(interior, key=lambda f: f["theta_star"]), crossings):
             assert lo - 1e-9 <= fp["theta_star"] <= hi + 1e-9
-
-    def test_grid_floor(self):
-        with pytest.raises(DomainError):
-            fixed_point_scan(BASE, ThetaLaw(), pi=0.027, r_rep=0.022, grid=100)
 
     def test_premium_jump_is_not_a_fixed_point(self):
         # z/psi >= c_bar: the premium jumps up from zero as theta falls below
@@ -729,19 +725,19 @@ class TestPremiumOnGrid:
         assert (_demand_on_grid(0.0, thetas, zs, p) >= phi_req).all()
         assert _premium_on_grid(p, thetas, zs)[0].tolist() == [0.0, 0.0, 0.0]
 
-    @pytest.mark.parametrize("p, law, pi, r_rep, grid", [
-        (BASE, ThetaLaw(kappa_theta=0.0, g0=0.0), 0.027, 0.022, 1000),
-        (EXPLOSIVE, ThetaLaw(kappa_theta=0.01, g0=4.0), 0.027, 0.01, 2000),
-        (EXPLOSIVE, ThetaLaw(kappa_theta=0.01, g0=0.5), 0.027, 0.01, 2000),
-        (EXPLOSIVE, ThetaLaw(kappa_theta=0.01, g0=1.0), 0.06, 0.01, 2000),
-        (GRID_STATES[4], ThetaLaw(kappa_theta=0.002, g0=0.5), 0.03, 0.01, 1000),
-        (GRID_STATES[6], ThetaLaw(kappa_theta=0.002, g0=0.5), 0.03, 0.01, 1000),
+    @pytest.mark.parametrize("p, law, pi, r_rep", [
+        (BASE, ThetaLaw(kappa_theta=0.0, g0=0.0), 0.027, 0.022),
+        (EXPLOSIVE, ThetaLaw(kappa_theta=0.01, g0=4.0), 0.027, 0.01),
+        (EXPLOSIVE, ThetaLaw(kappa_theta=0.01, g0=0.5), 0.027, 0.01),
+        (EXPLOSIVE, ThetaLaw(kappa_theta=0.01, g0=1.0), 0.06, 0.01),
+        (GRID_STATES[4], ThetaLaw(kappa_theta=0.002, g0=0.5), 0.03, 0.01),
+        (GRID_STATES[6], ThetaLaw(kappa_theta=0.002, g0=0.5), 0.03, 0.01),
     ])
-    def test_scan_equals_per_point_reference(self, p, law, pi, r_rep, grid):
+    def test_scan_equals_per_point_reference(self, p, law, pi, r_rep):
         # at sigma = 0 the scan skips the boundary gain the reference computes
         for sigma in (0.001, 0.0):
-            out = fixed_point_scan(p, law, pi=pi, r_rep=r_rep, grid=grid, sigma=sigma)
-            assert repr(out) == repr(_reference_scan(p, law, pi, r_rep, grid=grid, sigma=sigma))
+            out = fixed_point_scan(p, law, pi=pi, r_rep=r_rep, sigma=sigma)
+            assert repr(out) == repr(_reference_scan(p, law, pi, r_rep, sigma=sigma))
 
 
 def _knot_thetas(p):
@@ -808,15 +804,15 @@ def test_unchecked_step_equals_theta_step(law):
 # boundary theta = 1), recorded with Python 3.11 and numpy 2.4.6
 TABLE_PATH_SCAN_SHA256 = {
     4: ("45896838d6f80a1653134fe9ca88532b1e9f9d585d9e35f97d2b658f45d243ca",
-        "23d01f5b67df85c76f0585971284227a5b174f771bda199bbd4b90c72699d269"),
+        "7107fb390bc7810315546192210c75ab7d0cee08b5cd8a36e41ce44100334b8e"),
     5: ("e75032b0826d12ee90125d6864acb4d4bc7b9beaf599f9a6201012f701bb013e",
-        "bd84830b82884b9bec2f083369fdd32724f733d62a34519a21fff0564a0ecb7e"),
+        "c8e52f00e711c9ff81ce6c670faf4609a01ce8c3a72911fd6e5b84ede6eb30a0"),
     6: ("5bc97b9ac79d16d88a61dd0ef90082e12fbc7007735f091664db644d850b1f06",
-        "ca5785f9ffefd4f77ff4baa5a093c0a314f3929d7ef5e8a5b7682941d0dd307d"),
+        "ea5c06620717dafd85c745e50f13a5d096b5136f6ea4818c26d9b96688aedc92"),
     7: ("b4a1c796b58f4b97b149e3038b2547a2fdaf9a6dc92f04997c27ea9bbe58dba4",
-        "58d9f6339ef2f23d0e7ce88d356686b8feaae84faa4ac05c6811e6651ed9a581"),
+        "2b0d4b6a1f4a6a361b7271f9329a408a27cc3fdf0f457beb2b04ffdc9a0d0ceb"),
     8: ("ac6c641f50fc3dc78b7c18856afa3d76d376906679f64269281ee043eaed07cd",
-        "f71b6f34c771668dae3418161e6c8961b4ab59911db0f9f1e5e8b4e930df46fe"),
+        "a9ea5b689d38ee83e19c038859811fe63331f54865a80d8ebd16bec8747bacf8"),
 }
 
 
@@ -834,7 +830,7 @@ def test_table_margin_path_and_scan_agree_with_interval_bisection(i):
         bound = 1e-12 / demand_derivative(row["rho"], q) + 2 * math.ulp(q.z)
         assert abs(row["rho"] - interval_bisection(q)) <= bound
     scan = fixed_point_scan(p, ThetaLaw(kappa_theta=0.002, g0=0.5), 0.03, 0.01,
-                            grid=1000, sigma=0.001)
+                            sigma=0.001)
     assert [pt["type"] for pt in scan["fixed_points"]] == ["stress", "safe"]
     assert all(pt["residual"] <= 1e-12 for pt in scan["fixed_points"])
 
@@ -854,8 +850,8 @@ def test_numpy_and_python_float_knots_give_the_same_results(i):
                     == repr(monotone_path(q.with_theta(t), law, ECON, 50)))
     for sigma in (0.0, 0.001, 0.05):
         law = ThetaLaw(kappa_theta=0.002, g0=0.5)
-        assert (repr(fixed_point_scan(p, law, 0.03, 0.01, grid=1000, sigma=sigma))
-                == repr(fixed_point_scan(q, law, 0.03, 0.01, grid=1000, sigma=sigma)))
+        assert (repr(fixed_point_scan(p, law, 0.03, 0.01, sigma=sigma))
+                == repr(fixed_point_scan(q, law, 0.03, 0.01, sigma=sigma)))
     assert repr(solve_premium(p)) == repr(solve_premium(q))
 
 
@@ -865,7 +861,7 @@ def test_table_margin_path_and_scan_pinned(i):
     assert p.dist.kind == "table"
     path = monotone_path(p.with_theta(0.95), ThetaLaw(kappa_theta=0.01, g0=0.5), ECON, 50)
     scan = fixed_point_scan(p, ThetaLaw(kappa_theta=0.002, g0=0.5), 0.03, 0.01,
-                            grid=1000, sigma=0.001)
+                            sigma=0.001)
     got = tuple(hashlib.sha256(repr(out).encode()).hexdigest() for out in (path, scan))
     assert got == TABLE_PATH_SCAN_SHA256[i]
 

@@ -16,7 +16,6 @@ from debtregime.core import (
 from debtregime.closure import (
     ThetaLaw,
     TwoLayerParams,
-    fixed_point_scan,
     monotone_path,
     perturbation_response,
     phi_req_affine,
@@ -145,15 +144,11 @@ class TestStabilitySurplus:
 
 
 class TestRegimeParams:
-    @pytest.mark.parametrize("kw", [{"epsilon": math.nan}, {"kappa": math.inf},
-                                    {"g_star": -math.inf}, {"de": math.nan},
-                                    {"kappa_exp": math.nan}, {"beta": math.inf}])
+    @pytest.mark.parametrize("kw", [{"epsilon": math.nan}, {"g_star": -math.inf},
+                                    {"de": math.nan}, {"beta": math.inf}])
     def test_non_finite_rejected(self, kw):
         with pytest.raises(DomainError, match="must be finite"):
             RegimeParams(**kw)
-
-    def test_kappa_exp_may_be_none(self):
-        assert RegimeParams(kappa_exp=None).kappa_exp is None
 
 
 class TestCheckScope:
@@ -282,8 +277,7 @@ def test_infinite_sentinels_still_accepted():
 _SHARES = [(2000 + 0.25 * i, 0.9 - 0.004 * i + 0.001 * (i % 3)) for i in range(12)]
 _GDP = [100.0 * 1.007**i for i in range(12)]
 # (function, count argument, call with that count, a valid count): each
-# non-integer count used to end in a raw TypeError, and the scan's grid to
-# run silently on a non-uniform grid
+# non-integer count used to end in a raw TypeError
 COUNT_CASES = [
     ("monotone_path", "horizon",
      lambda n: monotone_path(TwoLayerParams(), ThetaLaw(), state(), n), 3),
@@ -293,8 +287,6 @@ COUNT_CASES = [
     ("trend_growth_estimate", "window_quarters", lambda n: trend_growth_estimate(_GDP, n), 8),
     ("allocate", "grid_resolution",
      lambda n: allocate(AllocationProblem(mu_j=(0.05, 0.04), budget=0.01), n), 10),
-    ("fixed_point_scan", "grid", lambda n: fixed_point_scan(
-        TwoLayerParams(), ThetaLaw(kappa_theta=0.001, g0=0.3), 0.03, 0.015, grid=n), 1000),
 ]
 
 

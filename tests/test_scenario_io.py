@@ -1,16 +1,23 @@
 import math
 import re
-from dataclasses import fields
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
 from debtregime.cli import run_cli
-from debtregime.closure import ThetaLaw, TwoLayerParams, solve_premium
-from debtregime.core import EconState, FiscalResponse, RegimeParams
+from debtregime.closure import ThetaLaw, TwoLayerParams, solve_premium, theta_step
+from debtregime.core import (
+    EconState,
+    FiscalResponse,
+    RegimeParams,
+    check_scope,
+    stability_surplus,
+    step_debt,
+)
 from debtregime.errors import ConfigError, DomainError
 from debtregime.extensions import ClockSpec, clock, estimate_kappa
-from debtregime.inference import SubsampleConfig
+from debtregime.inference import SubsampleConfig, score_tf, subsample_critical_value
 from debtregime.investment import InvestmentInputs, compute_bounds
 from debtregime.montecarlo import MCConfig
 from debtregime.scenario import (
@@ -29,7 +36,12 @@ from debtregime.tables import (
     emit_csv,
     scenario_report,
 )
-from debtregime.transition import TransitionSpec
+from debtregime.transition import (
+    TransitionSpec,
+    joint_feasibility,
+    required_growth_endogenous,
+    required_growth_exogenous,
+)
 
 
 class TestLoadScenario:
@@ -43,7 +55,7 @@ class TestLoadScenario:
         p = sc.two_layer()
         assert (p.theta, p.psi, p.z, p.c_bar, p.phi_req) == (0.65, 0.97, 0.02, 0.06, 0.85)
         rg = sc.regime_params()
-        assert (rg.phi, rg.phi_bar, rg.kappa) == (0.88, 0.85, 0.01)
+        assert (rg.phi, rg.phi_bar, sc.clock_spec().kappa) == (0.88, 0.85, 0.01)
 
     def test_none_path_is_baseline(self):
         assert load_scenario(None).values == dict(DEFAULTS)
@@ -314,7 +326,7 @@ class TestSchema:
         path.write_text("closure.r_rep = NULL\nregime.kappa_exp = Null\n")
         sc = load_scenario(str(path))
         assert sc.r_rep() == sc.econ_state().r_n
-        assert sc.regime_params().kappa_exp is None
+        assert sc.clock_spec().kappa_exp is None
         path.write_text("scenario.name = none\n")
         assert load_scenario(str(path)).name == "none"
         path.write_text("econ.pi = none\n")
@@ -383,6 +395,74 @@ def test_every_key_reaches_an_output(tmp_path, margin):
             continue
         if _outputs(sc) == want:
             dead.append(key)
+    assert dead == []
+
+
+_REMAINDER = [math.sin(1.7 * i) + 0.01 * i for i in range(48)]
+
+
+def _views_and_consumers(sc):
+    """{class: (its view of `sc`, the outputs of its consumers at a view)},
+    every other input held at `sc`'s."""
+    st, rg, inputs = sc.econ_state(), sc.regime_params(), sc.investment_inputs()
+    spec = sc.transition_spec()
+    dg = required_growth_exogenous(spec)["delta_g_min"]
+    assert dg > 0.0  # else the financing test never reads mu
+    # both feasibility tests hold with equality, so a move either way flips one
+    spec = replace(spec, x_max_operational=dg / spec.mu, T_star=spec.T_invest)
+    return {
+        EconState: (st, lambda v: (step_debt(v), stability_surplus(v, rg))),
+        RegimeParams: (rg, lambda v: (stability_surplus(st, v), check_scope(v),
+                                      compute_bounds(replace(inputs, regime=v)))),
+        ClockSpec: (sc.clock_spec(), clock),
+        TwoLayerParams: (sc.two_layer(), solve_premium),
+        ThetaLaw: (sc.theta_law(),
+                   lambda v: [theta_step(0.5, v, eps) for eps in (-0.01, 0.01, 0.05)]),
+        InvestmentInputs: (inputs, compute_bounds),
+        TransitionSpec: (spec, lambda v: (
+            required_growth_exogenous(v), required_growth_endogenous(v),
+            joint_feasibility(v, dg), score_tf(v))),
+        SubsampleConfig: (sc.subsample_config(),
+                          lambda v: subsample_critical_value(_REMAINDER, v)),
+    }
+
+
+def _field_candidates(value):
+    """Other values of a field, below and above `value`."""
+    if isinstance(value, tuple):
+        return [tuple(f * v for v in value) for f in (0.9, 1.1)]
+    if value is None or value == 0 or value == math.inf:
+        return [0.01, 0.02]
+    if isinstance(value, int):
+        return [value - 2, value + 2]
+    return [0.9 * value, 1.1 * value]
+
+
+@pytest.mark.parametrize("cls", [EconState, RegimeParams, ClockSpec, TwoLayerParams, ThetaLaw,
+                                 InvestmentInputs, TransitionSpec, SubsampleConfig],
+                         ids=lambda cls: cls.__name__)
+def test_every_view_field_reaches_an_output(tmp_path, cls):
+    # the dataclass counterpart of the key test: a field that no consumer
+    # reads restates an input held elsewhere (RegimeParams carried the clock
+    # rates that ClockSpec carries).  Nested views are covered by their class
+    path = tmp_path / "s.cfg"
+    path.write_text(_LIVE_BASE + "closure.g0 = 0.5\n")
+    base, outputs = _views_and_consumers(load_scenario(str(path)))[cls]
+    want = repr(outputs(base))
+    dead = []
+    for f in fields(cls):
+        value = getattr(base, f.name)
+        if is_dataclass(value):
+            continue
+        moved = False
+        for other in _field_candidates(value):
+            try:
+                view = replace(base, **{f.name: other})
+            except (ConfigError, DomainError):
+                continue
+            moved = moved or repr(outputs(view)) != want
+        if not moved:
+            dead.append(f.name)
     assert dead == []
 
 
