@@ -231,7 +231,10 @@ class ThetaLaw:
 
 
 def gamma_theta(law: ThetaLaw, epsilon: float) -> float:
-    """Policy-maintenance term; exactly zero for any epsilon <= 0."""
+    """Policy-maintenance term; exactly zero for any finite epsilon <= 0.  A
+    NaN or infinite epsilon raises `DomainError`, as in `theta_step`."""
+    if epsilon - epsilon != 0.0:  # NaN or +-inf, with no call: `_step` runs it
+        raise DomainError(f"epsilon must be finite, got {epsilon!r}")
     if epsilon <= 0.0:
         return 0.0
     return law.g0 * min(epsilon, law.eps_cap)
@@ -334,15 +337,16 @@ def solve_premium(p: TwoLayerParams) -> PremiumSolution:
     upper premium end where the segment is too steep to resolve).  Hard
     failure (case d) is a valid outcome, not an error.
     """
-    d0 = demand_at(0.0, p)
-    dmax = demand_at(p.z, p)
+    q_zero, q_top = _cdf_ends(p)  # `demand_at` at rho = 0 and rho = z
+    d0 = p.theta + (1.0 - p.theta) * (1.0 - q_zero)
+    dmax = p.theta + (1.0 - p.theta) * (1.0 - q_top)
     slack = d0 - p.phi_req
     if slack > 0.0:
-        return PremiumSolution("a_interior", 0.0, d0, dmax, slack)
+        return _solution("a_interior", 0.0, d0, dmax, slack)
     if slack == 0.0:
-        return PremiumSolution("b_boundary", 0.0, d0, dmax, slack)
+        return _solution("b_boundary", 0.0, d0, dmax, slack)
     if p.phi_req > dmax:
-        return PremiumSolution("d_hard_failure", None, d0, dmax, slack)
+        return _solution("d_hard_failure", None, d0, dmax, slack)
     if p.dist.kind == "uniform":  # theta < 1 here: at theta = 1, d0 = 1 >= phi_req
         rho = p.z - p.psi * p.c_bar * (
             1.0 - (p.phi_req - p.theta) / (1.0 - p.theta)
@@ -350,7 +354,17 @@ def solve_premium(p: TwoLayerParams) -> PremiumSolution:
         rho = min(max(rho, 0.0), p.z)
     else:
         rho = solve_premium_bisection(p)
-    return PremiumSolution("c_stress", rho, d0, dmax, slack)
+    return _solution("c_stress", rho, d0, dmax, slack)
+
+
+def _solution(case: str, rho: Optional[float], d0: float, dmax: float,
+              slack: float) -> PremiumSolution:
+    """`PremiumSolution(case, rho, d0, dmax, slack)` without the frozen
+    `__init__`'s five `object.__setattr__` calls: the same instance dict, set
+    in field order (the class has no `__post_init__`)."""
+    sol = object.__new__(PremiumSolution)
+    sol.__dict__.update(case=case, rho=rho, phi_d_at_zero=d0, phi_d_max=dmax, slack=slack)
+    return sol
 
 
 def _cdf_ends(p: TwoLayerParams) -> Tuple[float, float]:

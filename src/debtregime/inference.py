@@ -153,10 +153,13 @@ def envelope(scores: Dict[str, float]) -> TierEnvelope:
 
     `scores` maps variant id -> score.  Ties resolve to the earliest id in
     insertion order (`min` and `max` keep the first of equal scores), so the
-    arg labels are deterministic.
+    arg labels are deterministic.  A NaN or infinite score raises
+    `DomainError` naming its variant.
     """
     if not scores:
         raise ConfigError("envelope requires at least one variant in the tier")
+    for vid, score in scores.items():
+        _require_finite(f"variant {vid!r} score", score)
     lo_id = min(scores, key=scores.__getitem__)
     hi_id = max(scores, key=scores.__getitem__)
     return TierEnvelope(lower=scores[lo_id], upper=scores[hi_id],
@@ -191,6 +194,8 @@ def detrend_local_linear(series: Sequence[float], window_h: int) -> dict:
 
     _require_integer("window_h", window_h)
     y = np.asarray(series, dtype=float)
+    if y.ndim == 0:
+        raise EstimationError("series must be a sequence, got a scalar")
     n = y.shape[-1]
     if window_h < 4:
         raise EstimationError(f"window_h must be >= 4, got {window_h}")
@@ -229,6 +234,8 @@ def subsample_critical_value(
     import numpy as np
 
     r = np.asarray(remainder, dtype=float)
+    if r.ndim == 0:
+        raise EstimationError("remainder must be a sequence, got a scalar")
     h = cfg.window_h
     if r.shape[-1] < h:
         raise EstimationError(
@@ -295,6 +302,8 @@ def trend_growth_estimate(
 
     _require_integer("window_quarters", window_quarters)
     y = np.asarray(gdp_series, dtype=float)
+    if y.ndim == 0:
+        raise EstimationError("GDP series must be a sequence, got a scalar")
     if window_quarters < 8:
         raise EstimationError(f"window_quarters must be >= 8, got {window_quarters}")
     if len(y) < window_quarters:

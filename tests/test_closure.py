@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import math
+import pickle
 from bisect import bisect_left
 from dataclasses import replace
 
@@ -10,12 +12,14 @@ from hypothesis import strategies as st
 
 from debtregime.closure import (
     _abs_drho_dtheta,
+    _solution,
     _cdf_ends,
     _demand_on_grid,
     _premium_at,
     _premium_on_grid,
     _step,
     MarginDistribution,
+    PremiumSolution,
     ThetaLaw,
     TwoLayerParams,
     comparative_statics,
@@ -282,6 +286,14 @@ class TestThetaLaw:
         for eps in (0.0, -1e-300, -0.0081, -5.0):
             assert gamma_theta(law, eps) == 0.0
         assert theta_step(0.65, law, -0.0081) == pytest.approx(0.648, abs=1e-15)
+
+    @pytest.mark.parametrize("law, eps", [(ThetaLaw(g0=1.0), math.nan), (ThetaLaw(), math.inf),
+                                          (ThetaLaw(g0=1.0), -math.inf)])
+    def test_non_finite_epsilon_rejected(self, law, eps):
+        # nan returned nan, and inf gave 0 * inf = nan at the default g0 = 0;
+        # theta_step already rejected both
+        with pytest.raises(DomainError, match=f"^epsilon must be finite, got {eps!r}$"):
+            gamma_theta(law, eps)
 
     def test_paused_core(self):
         law = ThetaLaw(kappa_theta=0.004, g0=2.0)
@@ -901,11 +913,12 @@ _unit = st.floats(1e-9, 1.0 - 1e-9)  # no subnormal knot widths
 
 
 @st.composite
-def _tables(draw):
-    """A valid table margin on [0, c_bar], with its first knot at 0 or up to
-    1e-15 above it and its last knot at c_bar or 5e-13 below it."""
+def _tables(draw, max_inner=10):
+    """A valid table margin on [0, c_bar] with up to `max_inner` inner knots,
+    its first knot at 0 or up to 1e-15 above it and its last knot at c_bar
+    or 5e-13 below it."""
     c_bar = draw(st.floats(0.001, 0.5))
-    n_inner = draw(st.integers(0, 10))
+    n_inner = draw(st.integers(0, max_inner))
     inner_c = sorted({c_bar * u for u in draw(st.lists(_unit, min_size=n_inner,
                                                         max_size=n_inner))})
     c_first = draw(st.sampled_from([0.0, 1e-16, 5e-16, 1e-15]))
@@ -1179,6 +1192,101 @@ class TestDistributionAndHelpers:
             TwoLayerParams(psi=0.0)
         with pytest.raises(DomainError):
             TwoLayerParams(theta=1.2)
+
+
+def _reference_solve_premium(p):
+    """`solve_premium` as it was before it read the CDF ends and built its
+    result directly: two `demand_at` calls and the dataclass's `__init__`.
+    The oracle for the fast path."""
+    d0 = demand_at(0.0, p)
+    dmax = demand_at(p.z, p)
+    slack = d0 - p.phi_req
+    if slack > 0.0:
+        return PremiumSolution("a_interior", 0.0, d0, dmax, slack)
+    if slack == 0.0:
+        return PremiumSolution("b_boundary", 0.0, d0, dmax, slack)
+    if p.phi_req > dmax:
+        return PremiumSolution("d_hard_failure", None, d0, dmax, slack)
+    if p.dist.kind == "uniform":
+        rho = p.z - p.psi * p.c_bar * (
+            1.0 - (p.phi_req - p.theta) / (1.0 - p.theta)
+        )
+        rho = min(max(rho, 0.0), p.z)
+    else:
+        rho = solve_premium_bisection(p)
+    return PremiumSolution("c_stress", rho, d0, dmax, slack)
+
+
+@st.composite
+def _premium_states(draw):
+    """A two-layer state on a uniform or a 2-6-knot table margin (atom
+    G(0) = 0 or above it), theta = 0, 1 or between, and phi_req drawn into
+    one of the cases or onto one of the knife edges phi_req = d0 and
+    phi_req = dmax."""
+    if draw(st.booleans()):
+        dist, c_bar = draw(_tables(max_inner=4))
+    else:
+        dist, c_bar = MarginDistribution(), draw(st.floats(1e-3, 0.5))
+    theta = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    p = TwoLayerParams(theta=theta, psi=draw(st.floats(0.05, 1.0)),
+                       z=draw(st.floats(1e-4, 0.2)), c_bar=c_bar, phi_req=0.0, dist=dist)
+    d0, dmax = demand_at(0.0, p), demand_at(p.z, p)
+    lo, hi = {"a": (0.0, d0), "b": (d0, d0), "c": (d0, dmax), "dmax": (dmax, dmax),
+              "d": (dmax, 1.0)}[draw(st.sampled_from(["a", "b", "c", "dmax", "d"]))]
+    phi_req = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+    return replace(p, phi_req=min(max(phi_req, 0.0), 1.0))
+
+
+def test_solve_premium_equals_its_reference():
+    # the CDF-ends demand and the direct build against the parent body, on
+    # random uniform and table states in every case, by repr, rho's type,
+    # == and hash
+    seen = set()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(p=_premium_states())
+    def check(p):
+        fast, ref = solve_premium(p), _reference_solve_premium(p)
+        assert repr(fast) == repr(ref)
+        assert type(fast.rho) is type(ref.rho)
+        assert fast == ref and hash(fast) == hash(ref)
+        seen.add((fast.case, p.dist.kind, p.theta if p.theta in (0.0, 1.0) else None))
+
+    check()
+    assert {case for case, _, _ in seen} == {"a_interior", "b_boundary", "c_stress",
+                                            "d_hard_failure"}
+    assert {kind for _, kind, _ in seen} == {"uniform", "table"}
+    assert {theta for _, _, theta in seen} >= {0.0, 1.0}
+
+
+_SOLUTION_ARGS = [("a_interior", 0.0, 0.8797, 0.99, 0.0297),
+                  ("b_boundary", 0.0, 0.85, 0.95, 0.0),
+                  ("c_stress", 0.0075, 0.8, 0.9, -0.05),
+                  ("c_stress", np.float64(0.0125), 0.75, 1.0, -0.1),
+                  ("d_hard_failure", None, 0.7, 0.8, -0.25)]
+
+
+@pytest.mark.parametrize("args", _SOLUTION_ARGS)
+def test_direct_solution_build_is_the_dataclass(args):
+    fast, ref = _solution(*args), PremiumSolution(*args)
+    assert type(fast) is PremiumSolution
+    assert repr(fast) == repr(ref) and fast == ref and hash(fast) == hash(ref)
+    assert list(vars(fast).items()) == list(vars(ref).items())
+    assert dataclasses.fields(fast) == dataclasses.fields(ref)
+    moved = dataclasses.replace(fast, slack=1.0)
+    assert moved == dataclasses.replace(ref, slack=1.0) and type(moved) is PremiumSolution
+    back = pickle.loads(pickle.dumps(fast))
+    assert repr(back) == repr(ref) and back == ref
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fast.rho = 0.5
+
+
+def test_direct_solution_build_sets_every_field():
+    # `_solution` skips `__init__`: a `__post_init__` check or a new field
+    # added to PremiumSolution would be skipped silently, so both fail here
+    assert not hasattr(PremiumSolution, "__post_init__")
+    assert list(vars(_solution(*_SOLUTION_ARGS[0]))) == [
+        f.name for f in dataclasses.fields(PremiumSolution)]
 
 
 def test_closure_solver_calls_the_benchmark_traces(monkeypatch):

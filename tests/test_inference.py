@@ -87,6 +87,15 @@ class TestEnvelope:
         with pytest.raises(ConfigError):
             envelope({})
 
+    @pytest.mark.parametrize("scores, vid", [({"a": math.nan, "b": 0.1}, "a"),
+                                             ({"a": 0.1, "b": math.nan}, "b"),
+                                             ({"a": 0.1, "b": -math.inf}, "b")])
+    def test_non_finite_score_rejected(self, scores, vid):
+        # a leading nan gave lower = upper = nan, which classify labels
+        # boundary-near; a later one was skipped by min and max
+        with pytest.raises(DomainError, match=f"^variant '{vid}' score must be finite"):
+            envelope(scores)
+
     def test_tf_affine_width_exact(self):
         d, s = 0.020, 0.0
         b_lo, b_hi = 1.574, 2.40
@@ -658,3 +667,13 @@ class TestKernelOracles:
         got = subsample_critical_value(r, cfg)
         assert got.tobytes() == _reference_band(r, cfg).tobytes()
         assert got[1, 2, 3] == 0.0 and not np.signbit(got[1, 2, 3])
+
+
+@pytest.mark.parametrize("call", [lambda: detrend_local_linear(5.0, 4),
+                                  lambda: subsample_critical_value(5.0, SubsampleConfig()),
+                                  lambda: trend_growth_estimate(5.0, 8)],
+                         ids=["detrend", "subsample", "trend_growth"])
+def test_scalar_series_rejected(call):
+    # a scalar used to raise IndexError (detrend, subsample) or TypeError
+    with pytest.raises(EstimationError, match="must be a sequence, got a scalar"):
+        call()
