@@ -71,19 +71,41 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# Row format per tuple of cell types: `_fmt`'s rule as one %-format, so a
+# row costs one `%` and no Python call per cell.  None marks a row holding a
+# bool, which `%s` would print as True/False; such rows go through `_fmt`.
+_ROW_FORMATS: Dict[Tuple[type, ...], Optional[str]] = {}
+
+
+def _row_format(types: Tuple[type, ...]) -> Optional[str]:
+    if bool in types:
+        return None
+    return ",".join(
+        "%.0s" if t is type(None) else "%.6g" if issubclass(t, float) else "%s"
+        for t in types
+    )
+
+
 def emit_csv(artifact: TableArtifact, path: str) -> None:
     """Write an artifact as UTF-8 CSV: `#` metadata lines, a snake_case
-    header, LF line endings, 6-significant-digit numbers."""
+    header, LF line endings, then one line per row.  A cell prints as
+    `_fmt` gives it: None as an empty cell, a bool as true/false, a float
+    (np.float64 included) at `%.6g`, so inf, -inf and nan print as such,
+    and anything else as `str`."""
     lines = [f"# table_id: {artifact.table_id}"]
     for key in sorted(artifact.metadata):
         lines.append(f"# {key}: {artifact.metadata[key]}")
     lines.append(",".join(artifact.columns))
+    width = len(artifact.columns)
     for row in artifact.rows:
-        if len(row) != len(artifact.columns):
-            raise EngineError(
-                f"row width {len(row)} != column count {len(artifact.columns)}"
-            )
-        lines.append(",".join(_fmt(v) for v in row))
+        if len(row) != width:
+            raise EngineError(f"row width {len(row)} != column count {width}")
+        types = tuple(map(type, row))
+        try:
+            fmt = _ROW_FORMATS[types]
+        except KeyError:
+            fmt = _ROW_FORMATS[types] = _row_format(types)
+        lines.append(",".join(map(_fmt, row)) if fmt is None else fmt % tuple(row))
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")

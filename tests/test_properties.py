@@ -1,6 +1,7 @@
 """Property tests of the closure's array kernels against the scalar
 definitions, the premium solvers against each other, the band and envelope
-invariants of the inference layer, the CSV round trip, the exact allocation
+invariants of the inference layer, the CSV round trip and the CSV writer
+against its one-cell reference, the exact allocation
 against random feasible points, and the preservation claims: the
 bounded debt shock's envelope, the fiscal response's Lipschitz bound, and
 demand's monotonicity with the premium case it implies; and the Monte Carlo's
@@ -12,7 +13,7 @@ import tempfile
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.lib.stride_tricks import sliding_window_view
@@ -44,7 +45,7 @@ from debtregime.inference import (
 from debtregime.investment import AllocationProblem, allocate_ascent
 from debtregime.montecarlo import MCConfig, _labels, simulate_pe_paths
 from debtregime.scenario import load_series_csv
-from debtregime.tables import TableArtifact, emit_csv
+from debtregime.tables import TableArtifact, _fmt, emit_csv
 from test_closure import interval_bisection
 from test_investment import objective_scale
 from test_montecarlo import PATH_KEYS, _simulate_reference
@@ -301,6 +302,46 @@ def test_emit_csv_round_trips_at_six_digits(points):
     assert [v for pair in zip(ts, vs) for v in pair] == [
         float(f"{v:.6g}") for p in points for v in p
     ]
+
+
+CSV_CELLS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-10**20, 10**20),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16]),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+            max_size=6),
+)
+
+
+@st.composite
+def csv_tables(draw):
+    """(columns, rows): rows of 1-6 cells whose types vary from cell to cell
+    and row to row, each row a tuple or a list."""
+    width = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(CSV_CELLS, min_size=width, max_size=width), max_size=12))
+    return (tuple(f"c{i}" for i in range(width)),
+            [tuple(row) if draw(st.booleans()) else row for row in rows])
+
+
+@PROPERTY
+@given(csv_tables())
+@example((("a", "b"), []))
+def test_emit_csv_writes_each_cell_as_fmt_does(table):
+    # the cached per-row %-formats must print every cell as the one-cell
+    # reference does, bytes included
+    columns, rows = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cells.csv")
+        emit_csv(TableArtifact("cells", columns, rows, {"seed": 1}), path)
+        with open(path, "rb") as fh:
+            lines = fh.read().decode("utf-8").split("\n")
+    assert lines[:3] == ["# table_id: cells", "# seed: 1", ",".join(columns)]
+    assert lines[3:] == [",".join(_fmt(v) for v in row) for row in rows] + [""]
 
 
 @PROPERTY

@@ -15,7 +15,7 @@ from debtregime.core import (
     stability_surplus,
     step_debt,
 )
-from debtregime.errors import ConfigError, DomainError
+from debtregime.errors import ConfigError, DomainError, EngineError
 from debtregime.extensions import ClockSpec, clock, estimate_kappa
 from debtregime.inference import SubsampleConfig, score_tf, subsample_critical_value
 from debtregime.investment import InvestmentInputs, compute_bounds
@@ -493,6 +493,22 @@ class TestEmitCsv:
     ])
     def test_cell_format(self, value, text):
         assert _fmt(value) == text
+
+    @pytest.mark.parametrize("bad", [0, 2])
+    def test_wrong_row_width_raises_and_writes_nothing(self, tmp_path, bad):
+        rows = [("a", 1.0), ("b", 2.0), ("c", 3.0)]
+        rows[bad] = ("x", 1.0, None)
+        path = tmp_path / "wide.csv"
+        with pytest.raises(EngineError, match=r"^row width 3 != column count 2$"):
+            emit_csv(TableArtifact("wide", ("name", "value"), rows), str(path))
+        assert not path.exists()
+
+    def test_missing_directory_raises(self, tmp_path):
+        path = tmp_path / "missing" / "demo.csv"
+        art = TableArtifact("demo", ("name",), [("a",)])
+        with pytest.raises(EngineError, match=r"^cannot write .*missing/demo\.csv: "):
+            emit_csv(art, str(path))
+        assert not path.parent.exists()
 
     def test_empty_rows_header_only(self, tmp_path):
         art = TableArtifact("empty", ("a", "b"), [], {"seed": 1})
