@@ -32,11 +32,16 @@ def _require_finite(name: str, value: float) -> None:
 
 
 def _require_integer(name: str, value) -> None:
-    """`DomainError` unless `value` is an integer (numpy integers included)."""
+    """`DomainError` unless `value` is an integer (numpy integers included,
+    bools not)."""
     try:
         operator.index(value)
     except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+        pass
+    else:
+        if not isinstance(value, bool):
+            return
+    raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ class SprintSpec:
     baseline_spread : r - g outside the sprint (fraction/yr)
     sprint_spread   : r - g during the sprint; must be strictly below baseline
     T               : sprint length in whole years (>= 1)
-    b0              : debt ratio at sprint start
+    b0              : debt ratio at sprint start (> 0)
     """
 
     baseline_spread: float
@@ -60,13 +60,19 @@ class SprintSpec:
             raise DomainError(
                 "sprint must deepen compression: sprint_spread < baseline_spread"
             )
+        _require_integer("T", self.T)
         if self.T < 1:
             raise DomainError(f"T must be >= 1, got {self.T}")
+        if self.b0 <= 0:
+            raise DomainError(f"b0 must be > 0, got {self.b0}")
 
 
 @dataclass(frozen=True)
 class ClockSpec:
-    """Inputs for the residual-horizon clock on the captive share."""
+    """Inputs for the residual-horizon clock on the captive share.
+
+    phi and phi_bar are shares in [0, 1], as in `core.RegimeParams`.
+    """
 
     phi: float
     phi_bar: float
@@ -78,6 +84,10 @@ class ClockSpec:
             _require_finite(name, getattr(self, name))
         if self.kappa_exp is not None:
             _require_finite("kappa_exp", self.kappa_exp)
+        for name in ("phi", "phi_bar"):
+            v = getattr(self, name)
+            if not (0.0 <= v <= 1.0):
+                raise DomainError(f"{name} must lie in [0, 1], got {v}")
         if not self.phi > self.phi_bar:
             raise DomainError("clock requires phi > phi_bar (positive distance)")
 

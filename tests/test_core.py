@@ -297,6 +297,14 @@ def test_non_integer_count_rejected_by_name(name, call, count):
         call(count + 0.5)
 
 
+@pytest.mark.parametrize("name, call", [c[1:3] for c in COUNT_CASES],
+                         ids=[c[0] for c in COUNT_CASES])
+def test_bool_count_rejected_by_name(name, call):
+    # operator.index accepts a bool, which would run as a count of 0 or 1
+    with pytest.raises(DomainError, match=f"^{name} must be an integer, got True$"):
+        call(True)
+
+
 @pytest.mark.parametrize("call, count", [c[2:] for c in COUNT_CASES],
                          ids=[c[0] for c in COUNT_CASES])
 def test_numpy_integer_count_accepted(call, count):

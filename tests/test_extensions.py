@@ -50,6 +50,17 @@ class TestSprint:
         with pytest.raises(DomainError, match="must be finite"):
             SprintSpec(**args)
 
+    @pytest.mark.parametrize("kw, message", [
+        ({"T": 1.5}, "T must be an integer"), ({"T": True}, "T must be an integer"),
+        ({"T": 0}, "T must be >= 1"), ({"b0": 0.0}, "b0 must be > 0"),
+        ({"b0": -2.4}, "b0 must be > 0")])
+    def test_out_of_domain_rejected(self, kw, message):
+        # a fractional T or a negative b0 used to scale the improvement
+        args = dict(baseline_spread=-0.008, sprint_spread=-0.013, T=2, b0=2.40)
+        args.update(kw)
+        with pytest.raises(DomainError, match=f"^{message}"):
+            SprintSpec(**args)
+
 
 class TestRatchet:
     def test_identity_at_reversion(self):
@@ -183,6 +194,20 @@ class TestClock:
         args.update(kw)
         with pytest.raises(DomainError, match="must be finite"):
             ClockSpec(**args)
+
+    @pytest.mark.parametrize("kw", [{"phi": 5.0}, {"phi": 1.01}, {"phi_bar": -0.5},
+                                    {"phi_bar": 1.5}])
+    def test_share_outside_unit_interval_rejected(self, kw):
+        # phi = 5 used to give T_linear = 415 and phi_bar = -0.5 T_exp = inf
+        args = dict(phi=0.9, phi_bar=0.85, kappa=0.01, kappa_exp=0.01)
+        args.update(kw)
+        name, value = next(iter(kw.items()))
+        with pytest.raises(DomainError, match=rf"^{name} must lie in \[0, 1\], got {value}$"):
+            ClockSpec(**args)
+
+    def test_unit_interval_ends_accepted(self):
+        out = clock(ClockSpec(phi=1.0, phi_bar=0.0, kappa=0.01))
+        assert out["T_linear"] == pytest.approx(100.0, abs=1e-12)
 
 
 class TestEstimateKappa:

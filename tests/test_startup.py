@@ -1,7 +1,9 @@
-"""What a fresh process imports: the scalar commands start without numpy,
-and the package's public names stay what they were before `montecarlo`
-loaded lazily."""
+"""What a fresh process imports: `import debtregime` runs no submodule, the
+scalar commands start without numpy, and the package's public names, which
+all load on first access, stay what they were when every module loaded
+eagerly."""
 
+import importlib
 import json
 import subprocess
 import sys
@@ -109,6 +111,38 @@ def test_public_names_are_unchanged():
         montecarlo.MCConfig, montecarlo.run_mc_pe, montecarlo.run_mc_tf)
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         debtregime.no_such_name
+
+
+def _loaded_after(statement):
+    """The `debtregime` modules loaded, and whether numpy is, after running
+    `statement` in a fresh process."""
+    script = (f"import json, sys\n{statement}\n"
+              "print(json.dumps([sorted(m for m in sys.modules if m.startswith('debtregime')),"
+              " 'numpy' in sys.modules]))")
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout)
+
+
+def test_bare_import_runs_no_submodule():
+    assert _loaded_after("import debtregime") == [["debtregime", "debtregime._version"], False]
+
+
+def test_first_name_access_loads_only_what_it_needs():
+    # `clock` is defined in `extensions`, which needs `core`, `errors` and
+    # `inference`'s line fit, but not the tables, the Monte Carlo or numpy
+    modules, numpy_loaded = _loaded_after("import debtregime\ndebtregime.clock")
+    assert "debtregime.extensions" in modules
+    assert not {"debtregime.tables", "debtregime.montecarlo"} & set(modules)
+    assert not numpy_loaded
+
+
+def test_every_name_is_its_defining_module_object():
+    for module_name, names in debtregime._EXPORTS.items():
+        module = importlib.import_module(f"debtregime.{module_name}")
+        assert getattr(debtregime, module_name) is module
+        for name in names:
+            assert getattr(debtregime, name) is getattr(module, name), name
 
 
 def test_table_margin_gain_and_path_without_numpy():
